@@ -22,19 +22,30 @@ upper walk interleaves with blue excursions in ``binomial(f + v - 1, f - 1)``
 ways.  Out-of-range binomials vanish, which silently kills every branch that
 would need a negative count; no explicit range guards appear in the sums.
 
+Equation shapes
+---------------
+Three shapes cover fourteen of the seventeen equations.  The sum table
+``_SUMS`` (EQ_C, NEQ_C, NEQ_C_G, NEQ_C_R, NEQ_ANYC_S) adds other families at
+the same key.  The gray peel (S1, S1S, EQ_C_G, NEQ_C_GD, NEQ_ANYC_SGD,
+NEQ_C_GU) cuts an edge only gray uses; its rows in ``_GRAY`` differ in the
+lower family and the upper sum.  The red peel (EQ_C_R, NEQ_C_RU, NEQ_C_RD)
+cuts an edge both walks use; its rows in ``_RED`` also differ in the blue
+root code.  EQ_ANYC, NEQ_ANYC_SN and TOP have equations of their own.
+
 Termination
 -----------
 Recursive references either strictly decrease the total half-length
 l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
-(``families.STAGE``).  The engine asserts this ordering on every nested call,
-so an accidentally circular edit fails loudly instead of looping.
+(``families.STAGE``).  The engine checks this ordering on every nested call,
+also under ``python -O``, so an accidentally circular edit fails loudly
+instead of looping.
 
 Memo table
 ----------
 Values are memoized per key, write-once, and tagged with digests of
 (alpha, p) and the moment sequence.  ``export_memo``/``import_memo`` move the
 table through a JSON file; importing into an engine with a different context
-raises ``ContextMismatchError``.
+or engine version raises ``ContextMismatchError``.
 """
 
 from __future__ import annotations
@@ -51,6 +62,15 @@ from . import __version__ as _ENGINE_VERSION
 
 _ZERO = Fraction(0)
 
+# Families whose value is the plain sum of other families at the same key.
+_SUMS = {
+    fam.EQ_C: (fam.EQ_C_G, fam.EQ_C_R),
+    fam.NEQ_C: (fam.NEQ_C_G, fam.NEQ_C_R),
+    fam.NEQ_C_G: (fam.NEQ_C_GU, fam.NEQ_C_GD),
+    fam.NEQ_C_R: (fam.NEQ_C_RU, fam.NEQ_C_RD),
+    fam.NEQ_ANYC_S: (fam.NEQ_C_R, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN),
+}
+
 
 class ContextMismatchError(Exception):
     code = "context_mismatch"
@@ -66,21 +86,10 @@ class CoefficientEngine:
         self._edge_weights: dict = {}
         self._stack: list = []
         self._dispatch = {
-            fam.S1: self._eval_s1,
-            fam.S1S: self._eval_s1s,
-            fam.EQ_C: self._eval_eq_c,
-            fam.EQ_C_G: self._eval_eq_c_g,
-            fam.EQ_C_R: self._eval_eq_c_r,
+            **dict.fromkeys(_SUMS, self._eval_sum),
+            **dict.fromkeys(self._GRAY, self._gray_peel),
+            **dict.fromkeys(self._RED, self._red_peel),
             fam.EQ_ANYC: self._eval_eq_anyc,
-            fam.NEQ_C: self._eval_neq_c,
-            fam.NEQ_C_G: self._eval_neq_c_g,
-            fam.NEQ_C_GU: self._eval_neq_c_gu,
-            fam.NEQ_C_GD: self._eval_neq_c_gd,
-            fam.NEQ_C_R: self._eval_neq_c_r,
-            fam.NEQ_C_RU: self._eval_neq_c_ru,
-            fam.NEQ_C_RD: self._eval_neq_c_rd,
-            fam.NEQ_ANYC_S: self._eval_neq_anyc_s,
-            fam.NEQ_ANYC_SGD: self._eval_neq_anyc_sgd,
             fam.NEQ_ANYC_SN: self._eval_neq_anyc_sn,
             fam.TOP: self._eval_top,
         }
@@ -159,7 +168,7 @@ class CoefficientEngine:
             payload = json.load(fh)
         header = payload.get("header", {})
         ours = self.context_header()
-        for field in ("alpha", "p", "moments_digest"):
+        for field in ("alpha", "p", "moments_digest", "engine_version"):
             if header.get(field) != ours[field]:
                 raise ContextMismatchError(
                     f"context mismatch on {field}: file has {header.get(field)!r}, "
@@ -187,10 +196,11 @@ class CoefficientEngine:
         rank = (fam.key_total(key), fam.key_stage(key))
         if self._stack:
             parent = self._stack[-1]
-            assert rank < parent, (
-                f"recursion order violated: {key} at rank {rank} "
-                f"referenced from rank {parent}"
-            )
+            if rank >= parent:
+                raise AssertionError(
+                    f"recursion order violated: {key} at rank {rank} "
+                    f"referenced from rank {parent}"
+                )
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -230,75 +240,77 @@ class CoefficientEngine:
     def _dbl(self, tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int) -> Fraction:
         return self._value(fam.double_key(tag, component, l_g, l_b, r_g, r_b))
 
-    # -- single-walk equations --------------------------------------------
+    # -- sum equations -----------------------------------------------------
 
-    def _eval_s1(self, key: fam.FamilyKey) -> Fraction:
-        component, l, r = key.component, key.l_g, key.r_g
-        if l == 0:
-            return self._alpha(component) if r == 0 else _ZERO
-        if r == 0 or r > l:
+    def _eval_sum(self, key: fam.FamilyKey) -> Fraction:
+        _, c, lg, lb, rg, rb = key
+        return sum(self._dbl(tag, c, lg, lb, rg, rb) for tag in _SUMS[key.tag])
+
+    # -- gray peel: blue does not use the cut edge --------------------------
+
+    def _gray_peel(self, key: fam.FamilyKey) -> Fraction:
+        tag, c, l, lb, r, rb = key
+        lower_tag, upper = self._GRAY[tag]
+        if tag == fam.S1 and l == 0:
+            return self._alpha(c) if r == 0 else _ZERO
+        # With a single-walk lower piece, the blue walk lives beyond the cut
+        # edge and cannot touch r.
+        if r > l or (lb is not None and rb > lb) or (lower_tag == fam.S1 and rb):
             return _ZERO
-        opp = 3 - component
-        total = _ZERO
-        for f in range(1, r + 1):
-            outer = binomial(r - 1, f - 1) * self._w(f)
-            for u in range(0, l - r + 1):
-                lower = self._s1(component, l - u - f, r - f)
-                if lower == 0:
-                    continue
-                upper = _ZERO
-                for v in range(0, u + 1):
-                    upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
-                total += outer * lower * upper
-        return total
-
-    def _eval_s1s(self, key: fam.FamilyKey) -> Fraction:
-        component, l, r = key.component, key.l_g, key.r_g
-        if l == 0 or r == 0 or r > l:
-            return _ZERO
-        opp = 3 - component
-        total = _ZERO
-        for f in range(1, r + 1):
-            outer = binomial(r - 1, f - 1) * self._w(f)
-            for u in range(0, l - r + 1):
-                lower = self._s1(component, l - u - f, r - f)
-                if lower == 0:
-                    continue
-                upper = _ZERO
-                for v in range(0, u + 1):
-                    upper += binomial(f + v, f) * self._s1(opp, u, v)
-                    upper += binomial(f + v - 1, f) * self._s1s(opp, u, v)
-                total += outer * lower * upper
-        return total
-
-    # -- equal-root equations ---------------------------------------------
-
-    def _eval_eq_c(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        return self._dbl(fam.EQ_C_G, c, lg, lb, rg, rb) + self._dbl(
-            fam.EQ_C_R, c, lg, lb, rg, rb
-        )
-
-    def _eval_eq_c_g(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rg > lg or rb > lb:
-            return _ZERO
+        low_lb, low_rb = (None, None) if lower_tag == fam.S1 else (lb, rb)
         opp = 3 - c
         total = _ZERO
-        for f in range(1, rg + 1):
-            outer = binomial(rg - 1, f - 1) * self._w(f)
-            for u in range(0, lg - rg + 1):
-                lower = self._dbl(fam.EQ_C, c, lg - u - f, lb, rg - f, rb)
+        for f in range(1, r + 1):
+            outer = binomial(r - 1, f - 1) * self._w(f)
+            for u in range(0, l - r + 1):
+                lower = self._value(fam.FamilyKey(lower_tag, c, l - u - f, low_lb, r - f, low_rb))
                 if lower == 0:
                     continue
-                upper = _ZERO
-                for v in range(0, u + 1):
-                    upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
-                total += outer * lower * upper
+                total += outer * lower * upper(self, opp, f, u, lb)
         return total
 
-    def _eval_eq_c_r(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
+    # Upper sums of the gray peel: the walks beyond v, whose f returns over
+    # the cut edge interleave with their own departures from v.
+
+    def _upper_s1(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
+        upper = _ZERO
+        for v in range(0, u + 1):
+            upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
+        return upper
+
+    def _upper_s1_s1s(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
+        upper = _ZERO
+        for v in range(0, u + 1):
+            upper += binomial(f + v, f) * self._s1(opp, u, v)
+            upper += binomial(f + v - 1, f) * self._s1s(opp, u, v)
+        return upper
+
+    def _upper_pair(self, opp: int, f: int, u: int, lb: int) -> Fraction:
+        upper = _ZERO
+        for vg in range(0, u + 1):
+            code_vg = binomial(f + vg - 1, f - 1)
+            for vb in range(0, lb + 1):
+                upper += code_vg * (
+                    self._dbl(fam.EQ_C, opp, u, lb, vg, vb)
+                    + self._dbl(fam.NEQ_C, opp, u, lb, vg, vb)
+                )
+        return upper
+
+    # tag -> (lower family at r, upper sum beyond v)
+    _GRAY = {
+        fam.S1: (fam.S1, _upper_s1),
+        fam.S1S: (fam.S1, _upper_s1_s1s),
+        fam.EQ_C_G: (fam.EQ_C, _upper_s1),
+        fam.NEQ_C_GD: (fam.NEQ_C, _upper_s1),
+        fam.NEQ_ANYC_SGD: (fam.NEQ_ANYC_S, _upper_s1),
+        fam.NEQ_C_GU: (fam.S1, _upper_pair),
+    }
+
+    # -- red peel: blue uses the cut edge too -------------------------------
+
+    def _red_peel(self, key: fam.FamilyKey) -> Fraction:
+        tag, c, lg, lb, rg, rb = key
+        blue_code, lower_tag, upper = self._RED[tag]
         if rg > lg or rb > lb:
             return _ZERO
         opp = 3 - c
@@ -306,29 +318,59 @@ class CoefficientEngine:
         for fg in range(1, rg + 1):
             code_g = binomial(rg - 1, fg - 1)
             for fb in range(1, rb + 1):
-                # Blue is rooted at r as well, but its final departure need
-                # not use the cut edge, hence the unshifted code count.
-                outer = code_g * binomial(rb, fb) * self._w(fg + fb)
+                outer = code_g * blue_code(rb, fb) * self._w(fg + fb)
                 if outer == 0:
                     continue
                 for ug in range(0, lg - rg + 1):
                     for ub in range(0, lb - rb + 1):
                         lower = self._dbl(
-                            fam.EQ_ANYC, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
+                            lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
                         )
                         if lower == 0:
                             continue
-                        upper = _ZERO
-                        for vg in range(0, ug + 1):
-                            code_vg = binomial(fg + vg - 1, fg - 1)
-                            for vb in range(0, ub + 1):
-                                upper += (
-                                    code_vg
-                                    * binomial(fb + vb - 1, fb - 1)
-                                    * self._dbl(fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                                )
-                        total += outer * lower * upper
+                        total += outer * lower * upper(self, opp, fg, fb, ug, ub)
         return total
+
+    # Upper sums of the red peel: the pair beyond v, whose fg gray and fb
+    # blue returns over the cut edge interleave with their departures from v.
+
+    def _rooted_at_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
+        upper = _ZERO
+        for vg in range(0, ug + 1):
+            code_vg = binomial(fg + vg - 1, fg - 1)
+            for vb in range(0, ub + 1):
+                upper += code_vg * binomial(fb + vb - 1, fb - 1) * self._dbl(
+                    fam.EQ_ANYC, opp, ug, ub, vg, vb
+                )
+        return upper
+
+    def _rooted_at_or_beyond_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
+        upper = _ZERO
+        for vg in range(0, ug + 1):
+            code_vg = binomial(fg + vg - 1, fg - 1)
+            for vb in range(0, ub + 1):
+                # Either the upper pair shares the root v, or the blue root
+                # lies deeper and the upper blue walk merely visits v.
+                upper += code_vg * (
+                    binomial(fb + vb, fb) * self._dbl(fam.EQ_ANYC, opp, ug, ub, vg, vb)
+                    + binomial(fb + vb - 1, fb) * self._dbl(fam.NEQ_ANYC_S, opp, ug, ub, vg, vb)
+                )
+        return upper
+
+    # tag -> (blue root code, lower family at r, upper sum beyond v)
+    _RED = {
+        # Blue is rooted at r as well, but its final departure need not use
+        # the cut edge, hence the unshifted code count.
+        fam.EQ_C_R: (binomial, fam.EQ_ANYC, _rooted_at_v),
+        # Blue root sits beyond the cut edge, so blue's final departure from
+        # r must return through it.
+        fam.NEQ_C_RU: (lambda r, f: binomial(r - 1, f - 1), fam.EQ_ANYC, _rooted_at_or_beyond_v),
+        # Blue root on the r side: blue's final departure from r must stay
+        # below, leaving fb unconstrained slots among rb - 1.
+        fam.NEQ_C_RD: (lambda r, f: binomial(r - 1, f), fam.NEQ_ANYC_S, _rooted_at_v),
+    }
+
+    # -- equations of their own shape --------------------------------------
 
     def _eval_eq_anyc(self, key: fam.FamilyKey) -> Fraction:
         c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
@@ -338,172 +380,10 @@ class CoefficientEngine:
         glued = self._s1(c, lg, rg) * self._s1(c, lb, rb) / self._alpha(c)
         return self._dbl(fam.EQ_C, c, lg, lb, rg, rb) + glued
 
-    # -- distinct-root equations ------------------------------------------
-
-    def _eval_neq_c(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        return self._dbl(fam.NEQ_C_G, c, lg, lb, rg, rb) + self._dbl(
-            fam.NEQ_C_R, c, lg, lb, rg, rb
-        )
-
-    def _eval_neq_c_g(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        return self._dbl(fam.NEQ_C_GU, c, lg, lb, rg, rb) + self._dbl(
-            fam.NEQ_C_GD, c, lg, lb, rg, rb
-        )
-
-    def _eval_neq_c_gu(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rb != 0 or rg > lg:
-            # The blue walk lives beyond the cut edge and cannot touch r.
-            return _ZERO
-        opp = 3 - c
-        total = _ZERO
-        for f in range(1, rg + 1):
-            outer = binomial(rg - 1, f - 1) * self._w(f)
-            for u in range(0, lg - rg + 1):
-                lower = self._s1(c, lg - u - f, rg - f)
-                if lower == 0:
-                    continue
-                upper = _ZERO
-                for vg in range(0, u + 1):
-                    code_vg = binomial(f + vg - 1, f - 1)
-                    for vb in range(0, lb + 1):
-                        upper += code_vg * (
-                            self._dbl(fam.EQ_C, opp, u, lb, vg, vb)
-                            + self._dbl(fam.NEQ_C, opp, u, lb, vg, vb)
-                        )
-                total += outer * lower * upper
-        return total
-
-    def _eval_neq_c_gd(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rg > lg or rb > lb:
-            return _ZERO
-        opp = 3 - c
-        total = _ZERO
-        for f in range(1, rg + 1):
-            outer = binomial(rg - 1, f - 1) * self._w(f)
-            for u in range(0, lg - rg + 1):
-                lower = self._dbl(fam.NEQ_C, c, lg - u - f, lb, rg - f, rb)
-                if lower == 0:
-                    continue
-                upper = _ZERO
-                for v in range(0, u + 1):
-                    upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
-                total += outer * lower * upper
-        return total
-
-    def _eval_neq_c_r(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        return self._dbl(fam.NEQ_C_RU, c, lg, lb, rg, rb) + self._dbl(
-            fam.NEQ_C_RD, c, lg, lb, rg, rb
-        )
-
-    def _eval_neq_c_ru(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rg > lg or rb > lb:
-            return _ZERO
-        opp = 3 - c
-        total = _ZERO
-        for fg in range(1, rg + 1):
-            code_g = binomial(rg - 1, fg - 1)
-            for fb in range(1, rb + 1):
-                # Blue root sits beyond the cut edge, so blue's final
-                # departure from r must return through it.
-                outer = code_g * binomial(rb - 1, fb - 1) * self._w(fg + fb)
-                if outer == 0:
-                    continue
-                for ug in range(0, lg - rg + 1):
-                    for ub in range(0, lb - rb + 1):
-                        lower = self._dbl(
-                            fam.EQ_ANYC, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
-                        )
-                        if lower == 0:
-                            continue
-                        upper = _ZERO
-                        for vg in range(0, ug + 1):
-                            code_vg = binomial(fg + vg - 1, fg - 1)
-                            for vb in range(0, ub + 1):
-                                # Either the upper pair shares the root v, or
-                                # the blue root lies deeper and the upper blue
-                                # walk merely visits v.
-                                upper += code_vg * (
-                                    binomial(fb + vb, fb)
-                                    * self._dbl(fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                                    + binomial(fb + vb - 1, fb)
-                                    * self._dbl(fam.NEQ_ANYC_S, opp, ug, ub, vg, vb)
-                                )
-                        total += outer * lower * upper
-        return total
-
-    def _eval_neq_c_rd(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rg > lg or rb > lb:
-            return _ZERO
-        opp = 3 - c
-        total = _ZERO
-        for fg in range(1, rg + 1):
-            code_g = binomial(rg - 1, fg - 1)
-            for fb in range(1, rb + 1):
-                # Blue root on the r side: blue's final departure from r must
-                # stay below, leaving fb unconstrained slots among rb - 1.
-                outer = code_g * binomial(rb - 1, fb) * self._w(fg + fb)
-                if outer == 0:
-                    continue
-                for ug in range(0, lg - rg + 1):
-                    for ub in range(0, lb - rb + 1):
-                        lower = self._dbl(
-                            fam.NEQ_ANYC_S, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
-                        )
-                        if lower == 0:
-                            continue
-                        upper = _ZERO
-                        for vg in range(0, ug + 1):
-                            code_vg = binomial(fg + vg - 1, fg - 1)
-                            for vb in range(0, ub + 1):
-                                upper += (
-                                    code_vg
-                                    * binomial(fb + vb - 1, fb - 1)
-                                    * self._dbl(fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                                )
-                        total += outer * lower * upper
-        return total
-
-    # -- distinct-root, root-visiting equations ---------------------------
-
-    def _eval_neq_anyc_s(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        return (
-            self._dbl(fam.NEQ_C_R, c, lg, lb, rg, rb)
-            + self._dbl(fam.NEQ_ANYC_SGD, c, lg, lb, rg, rb)
-            + self._dbl(fam.NEQ_ANYC_SN, c, lg, lb, rg, rb)
-        )
-
-    def _eval_neq_anyc_sgd(self, key: fam.FamilyKey) -> Fraction:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
-        if rg > lg or rb > lb:
-            return _ZERO
-        opp = 3 - c
-        total = _ZERO
-        for f in range(1, rg + 1):
-            outer = binomial(rg - 1, f - 1) * self._w(f)
-            for u in range(0, lg - rg + 1):
-                lower = self._dbl(fam.NEQ_ANYC_S, c, lg - u - f, lb, rg - f, rb)
-                if lower == 0:
-                    continue
-                upper = _ZERO
-                for v in range(0, u + 1):
-                    upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
-                total += outer * lower * upper
-        return total
-
     def _eval_neq_anyc_sn(self, key: fam.FamilyKey) -> Fraction:
         if key.l_g != 0 or key.r_g != 0:
             return _ZERO
         return self._s1s(key.component, key.l_b, key.r_b)
-
-    # -- top level ---------------------------------------------------------
 
     def _eval_top(self, key: fam.FamilyKey) -> Fraction:
         lg, lb = key.l_g, key.l_b

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bipcorr import cli
+from bipcorr import families as fam
 from bipcorr.recurrence import CoefficientEngine
 
 
@@ -176,8 +177,9 @@ class TestCrosscheck:
         # Negative control: a deliberately wrong engine must trip the check,
         # proving the comparison is not vacuous.
         class Tampered(CoefficientEngine):
-            def _eval_eq_c(self, key):
-                return super()._eval_eq_c(key) + 1
+            def s_value(self, key):
+                value = super().s_value(key)
+                return value + 1 if key.tag == fam.EQ_C else value
 
         monkeypatch.setattr(cli, "CoefficientEngine", Tampered)
         code, out, err = run(

@@ -1,9 +1,15 @@
 """Recurrence engine: family values, coefficients, memo persistence."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import bipcorr
 from bipcorr import families as fam
 from bipcorr.model import (
     InsufficientMomentsError,
@@ -144,6 +150,43 @@ class TestMemo:
         finally:
             engine._stack.clear()
 
+    @pytest.mark.parametrize(
+        "breach",
+        [
+            "engine._stack.append((0, 0)); engine.s_value(fam.top_key(1, 1))",
+            "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
+        ],
+        ids=["order", "conflict"],
+    )
+    def test_guards_survive_optimized_mode(self, breach):
+        script = "\n".join([
+            "from fractions import Fraction as F",
+            "from bipcorr import families as fam",
+            "from bipcorr.model import ModelParams, MomentSequence",
+            "from bipcorr.recurrence import CoefficientEngine",
+            "assert False, 'not optimized'",
+            "engine = CoefficientEngine(ModelParams(F(1, 2), F(1)), MomentSequence([F(1)] * 5))",
+            "try:",
+            f"    {breach}",
+            "except AssertionError as exc:",
+            "    print('raised', exc)",
+        ])
+        src = str(Path(bipcorr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised "), done.stdout
+
+    def test_evaluated_key_count_is_frozen(self):
+        # A rewrite of the equations that evaluates other sub-sums, or prunes
+        # some, changes this count.
+        engine = make_engine(1, count=10)
+        engine.correlator_coefficient(10, 10)
+        assert engine.memo_size == 7081
+
     def test_export_import_round_trip(self, tmp_path):
         path = str(tmp_path / "memo.json")
         writer = make_engine(2)
@@ -181,3 +224,14 @@ class TestMemo:
         other = CoefficientEngine(params, MomentSequence([F(1)] * 4 + [F(2)]))
         with pytest.raises(ContextMismatchError):
             other.import_memo(path)
+
+    def test_import_rejects_other_engine_version(self, tmp_path):
+        path = tmp_path / "memo.json"
+        writer = make_engine(1)
+        writer.correlator_coefficient(2, 2)
+        writer.export_memo(str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["header"]["engine_version"] = "0.0.0+other"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ContextMismatchError, match="engine_version"):
+            make_engine(1).import_memo(str(path))
