@@ -9,18 +9,26 @@ to validate the sampler itself.
 Sampling layout
 ---------------
 A sampled matrix is determined by (seed, sample_index) alone.  Each sample
-gets its own counter-based generator (Philox) keyed by the pair, and draws,
-in this fixed order: presence uniforms for all cross pairs (row-major), then
-weights for all cross pairs (row-major).  Worker threads therefore cannot
-affect any sampled value, and estimates are bit-identical for any thread
-count.
+gets its own counter-based generator (Philox) keyed by the pair, and draws
+only the entries that are present, in this fixed order: the edge count, from
+Binomial(n1 * n2, p / N); then that many distinct flat positions in the
+n1 x n2 cross block, sorted so the entries come in row-major order; then
+that many weights.  Each cross pair is still present independently with
+probability p / N, so the law of the matrix is that of the dense layout that
+drew a presence uniform and a weight for every cross pair; the values drawn
+for a given (seed, sample_index) differ from that layout's.  Worker threads
+cannot affect any sampled value, and estimates are bit-identical for any
+thread count.
 
 Spectral moments
 ----------------
-The nonzero spectrum of a bipartite matrix is symmetric: the eigenvalues are
-plus/minus the singular values of the cross block.  ``trace_moments`` with
-``part_size`` set uses that block's singular values directly, which makes odd
-moments exactly zero instead of rounding noise; without ``part_size`` it
+For a bipartite matrix with cross block X, Tr(A^2j) = 2 Tr(G^j) with the
+Gram matrix G = X X^T, and every odd moment is exactly zero.  The sampler
+keeps X as its nonzero entries, forms G as a sparse product, and takes
+Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>, so the moments up
+to k = 4 need only the sum of squared weights and ||G||_F^2.  There is no
+dense matrix and no decomposition.  ``trace_moments`` with ``part_size`` set
+passes the block's nonzeros to the same kernel; without ``part_size`` it
 falls back to a full symmetric eigendecomposition for arbitrary input.
 """
 
@@ -95,6 +103,12 @@ class WeightDistribution:
         return self._v1, self._q, self._v2
 
 
+def _part1_size(N: int, alpha) -> int:
+    """floor(alpha * N), computed exactly."""
+    alpha = Fraction(alpha)
+    return (alpha.numerator * N) // alpha.denominator
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One finite ensemble: size, limit parameters, weight law, seed."""
@@ -106,61 +120,137 @@ class EnsembleSpec:
 
     @property
     def part1_size(self) -> int:
-        alpha = Fraction(self.params.alpha)
-        return (alpha.numerator * self.matrix_size) // alpha.denominator
+        return _part1_size(self.matrix_size, self.params.alpha)
+
+
+def _validate_parts(N: int, params: ModelParams) -> None:
+    """Check 0 < alpha < 1, that both parts of size N are nonempty, and 1 <= p <= N."""
+    if not 0 < params.alpha < 1:
+        raise InvalidParamsError("alpha_out_of_range", f"alpha out of range: {params.alpha}")
+    if _part1_size(N, params.alpha) == 0:
+        raise InvalidParamsError(
+            "empty_part", f"part 1 is empty: floor(alpha * N) = 0 for alpha={params.alpha}, N={N}"
+        )
+    if not 1 <= params.p <= N:
+        raise InvalidParamsError(
+            "p_out_of_range", f"need 1 <= p <= N for finite size N={N}, got p={params.p}"
+        )
 
 
 def validate_ensemble(spec: EnsembleSpec) -> None:
     N = spec.matrix_size
     if N < 1:
         raise InvalidParamsError("bad_matrix_size", f"matrix size must be >= 1, got {N}")
-    if not 0 < spec.params.alpha < 1:
-        raise InvalidParamsError(
-            "alpha_out_of_range", f"alpha out of range: {spec.params.alpha}"
-        )
-    if not 1 <= spec.params.p <= N:
-        raise InvalidParamsError(
-            "p_out_of_range", f"need 1 <= p <= N for finite size N={N}, got p={spec.params.p}"
-        )
+    _validate_parts(N, spec.params)
     if spec.seed < 0:
         raise InvalidParamsError("bad_seed", f"seed must be >= 0, got {spec.seed}")
 
 
-def sample_matrix(spec: EnsembleSpec, sample_index: int) -> np.ndarray:
-    """The matrix for (spec.seed, sample_index), independent of call history."""
+def sample_entries(spec: EnsembleSpec, sample_index: int):
+    """Nonzeros (rows, cols, values) of the cross block for (spec.seed, sample_index).
+
+    Rows index part 1 and columns part 2, both from zero; the entries are in
+    row-major order and independent of call history.
+    """
     N = spec.matrix_size
     n1 = spec.part1_size
-    n2 = N - n1
+    pairs = n1 * (N - n1)
     key = np.array([spec.seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    present = rng.random((n1, n2)) < float(spec.params.p) / N
-    weights = spec.dist.sample(rng, (n1, n2))
-    block = np.where(present, weights, 0.0) / math.sqrt(float(spec.params.p))
+    count = int(rng.binomial(pairs, float(spec.params.p) / N))
+    flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))
+    values = spec.dist.sample(rng, count) / math.sqrt(float(spec.params.p))
+    rows, cols = np.divmod(flat, N - n1)
+    return rows, cols, values
+
+
+def sample_matrix(spec: EnsembleSpec, sample_index: int) -> np.ndarray:
+    """The dense matrix of ``sample_entries(spec, sample_index)``."""
+    N = spec.matrix_size
+    n1 = spec.part1_size
+    rows, cols, values = sample_entries(spec, sample_index)
     A = np.zeros((N, N))
-    A[:n1, n1:] = block
-    A[n1:, :n1] = block.T
+    A[rows, n1 + cols] = values
+    A[n1 + cols, rows] = values
     return A
+
+
+def _sparse_product(left, right, width: int):
+    """Product of two sparse matrices given as (rows, cols, values).
+
+    ``right`` must be sorted by row; ``width`` bounds its column indices.  The
+    result has one entry per distinct position, in row-major order.
+    """
+    left_rows, left_cols, left_values = left
+    right_rows, right_cols, right_values = right
+    start = np.searchsorted(right_rows, left_cols, side="left")
+    counts = np.searchsorted(right_rows, left_cols, side="right") - start
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    picked = np.repeat(start - ends + counts, counts) + np.arange(total)
+    owner = np.repeat(np.arange(len(left_values)), counts)
+    flat = left_rows[owner] * width + right_cols[picked]
+    positions, slot = np.unique(flat, return_inverse=True)
+    values = np.bincount(
+        slot, weights=left_values[owner] * right_values[picked], minlength=len(positions)
+    )
+    rows, cols = np.divmod(positions, width)
+    return rows, cols, values
+
+
+def _inner(a, b, width: int) -> float:
+    """Frobenius inner product of two outputs of ``_sparse_product`` of equal ``width``."""
+    _, ia, ib = np.intersect1d(
+        a[0] * width + a[1], b[0] * width + b[1], assume_unique=True, return_indices=True
+    )
+    return float(np.dot(a[2][ia], b[2][ib]))
+
+
+def _block_moments(rows, cols, values, part_size: int, size: int, kmax: int) -> np.ndarray:
+    """M_k = Tr(A^k)/size, k = 1..kmax, of the bipartite A with cross block X.
+
+    X is given by its nonzeros; Tr(A^2j) = 2 Tr(G^j) with G = X X^T, from
+    Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>.
+    """
+    out = np.zeros(kmax)
+    jmax = kmax // 2
+    if jmax == 0:
+        return out
+    traces = [float(np.dot(values, values))]
+    if jmax >= 2:
+        order = np.argsort(cols, kind="stable")
+        gram = _sparse_product(
+            (rows, cols, values), (cols[order], rows[order], values[order]), part_size
+        )
+        powers = [gram]  # powers[h - 1] = G^h
+        while len(powers) < (jmax + 1) // 2:
+            powers.append(_sparse_product(powers[-1], gram, part_size))
+        for j in range(2, jmax + 1):
+            low = powers[j // 2 - 1]
+            if j % 2 == 0:
+                traces.append(float(np.dot(low[2], low[2])))
+            else:
+                traces.append(_inner(low, powers[j // 2], part_size))
+    for j, trace in enumerate(traces, start=1):
+        out[2 * j - 1] = 2.0 * trace / size
+    return out
 
 
 def trace_moments(A: np.ndarray, kmax: int, part_size: Optional[int] = None) -> np.ndarray:
     """Spectral moments M_k = Tr(A^k)/N for k = 1..kmax (index k-1)."""
     N = A.shape[0]
-    out = np.zeros(kmax)
     if part_size is None:
         try:
             eigenvalues = np.linalg.eigvalsh(A)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+        out = np.zeros(kmax)
         for k in range(1, kmax + 1):
             out[k - 1] = np.sum(eigenvalues**k) / N
         return out
-    try:
-        singular = np.linalg.svd(A[:part_size, part_size:], compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
-    for k in range(2, kmax + 1, 2):
-        out[k - 1] = 2.0 * np.sum(singular**k) / N
-    return out
+    block = A[:part_size, part_size:]
+    rows, cols = np.nonzero(block)
+    return _block_moments(rows, cols, block[rows, cols], part_size, N, kmax)
 
 
 @dataclass(frozen=True)
@@ -203,11 +293,12 @@ def estimate_correlators(
         n1 = spec.part1_size
 
         def worker(index: int) -> np.ndarray:
-            return trace_moments(sample_matrix(spec, index), kmax, part_size=n1)
+            rows, cols, values = sample_entries(spec, index)
+            return _block_moments(rows, cols, values, n1, spec.matrix_size, kmax)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(worker, range(samples), chunksize=16))
+                rows = list(pool.map(worker, range(samples)))
         else:
             rows = [worker(index) for index in range(samples)]
         moments = np.vstack(rows)
@@ -282,12 +373,7 @@ def exact_finite_N(
         raise FiniteSizeCapError(
             f"exact finite-size evaluation is capped at N = 6, got N = {N}"
         )
-    if not 0 < params.alpha < 1:
-        raise InvalidParamsError("alpha_out_of_range", f"alpha out of range: {params.alpha}")
-    if not 1 <= params.p <= N:
-        raise InvalidParamsError(
-            "p_out_of_range", f"need 1 <= p <= N for finite size N={N}, got p={params.p}"
-        )
+    _validate_parts(N, params)
     if k < 1 or m < 1:
         raise ValueError(f"moment indices must be >= 1, got ({k}, {m})")
     if k % 2 != 0 or m % 2 != 0:
@@ -306,8 +392,7 @@ def exact_finite_N(
         states.append((v2, present * (1 - q)))
     states = [(value, prob) for value, prob in states if prob != 0]
 
-    alpha = Fraction(params.alpha)
-    n1 = (alpha.numerator * N) // alpha.denominator
+    n1 = _part1_size(N, params.alpha)
     n2 = N - n1
     pair_count = n1 * n2
 

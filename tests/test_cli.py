@@ -1,9 +1,14 @@
 """Command-line interface: output bytes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bipcorr
 from bipcorr import cli
 from bipcorr import families as fam
 from bipcorr.recurrence import CoefficientEngine
@@ -249,10 +254,29 @@ class TestSimulate:
             ["simulate", "--n", "2", "--k", "2", "--m", "2", "--p", "4"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--samples", "1"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--seed", "-1"],
+            ["simulate", "--n", "2", "--k", "2", "--m", "2", "--alpha", "1/3", "--p", "1"],
         ]
         for argv in cases:
             code, _, err = run(capsys, argv)
             assert code == 2 and err.startswith("error:"), argv
+
+    def test_does_not_import_scipy(self):
+        # numpy is the only runtime dependency; scipy.sparse alone would add
+        # about 170 ms and 22 MB to every fresh simulate process.
+        script = "\n".join([
+            "import sys",
+            "from bipcorr import cli",
+            "code = cli.main(['simulate', '--n', '40', '--k', '4', '--m', '2',"
+            " '--samples', '20', '--p', '4'])",
+            "assert code == 0, code",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        ])
+        src = str(Path(bipcorr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestCache:

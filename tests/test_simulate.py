@@ -14,6 +14,7 @@ from bipcorr.simulate import (
     estimate_correlator,
     estimate_correlators,
     exact_finite_N,
+    sample_entries,
     sample_matrix,
     trace_moments,
     validate_ensemble,
@@ -79,6 +80,7 @@ class TestEnsembleSpec:
             (make_spec(p=F(1, 2)), "p_out_of_range"),
             (make_spec(N=4, p=F(5)), "p_out_of_range"),
             (make_spec(seed=-1), "bad_seed"),
+            (make_spec(N=2, alpha=F(1, 3), p=F(1)), "empty_part"),
             (EnsembleSpec(8, ModelParams(F(3, 2), F(1)), WeightDistribution("rademacher"), 0),
              "alpha_out_of_range"),
         ]
@@ -104,6 +106,8 @@ class TestSampleMatrix:
         nonzero = A[A != 0]
         assert nonzero.size > 0
         assert np.allclose(np.abs(nonzero), 1 / math.sqrt(4))
+        _, _, values = sample_entries(spec, 3)
+        assert set(np.unique(values)) <= {-1 / math.sqrt(4), 1 / math.sqrt(4)}
 
     def test_deterministic_per_index(self):
         A1 = sample_matrix(make_spec(seed=5), 9)
@@ -117,14 +121,50 @@ class TestSampleMatrix:
             sample_matrix(make_spec(seed=5), 0), sample_matrix(make_spec(seed=6), 0)
         )
 
+    def test_entries_distinct_in_block_row_major(self):
+        spec = make_spec(N=30, alpha=F(1, 3), p=F(6))
+        n1, n2 = spec.part1_size, 30 - spec.part1_size
+        rows, cols, values = sample_entries(spec, 4)
+        assert rows.size == cols.size == values.size > 0
+        assert np.all((0 <= rows) & (rows < n1)) and np.all((0 <= cols) & (cols < n2))
+        flat = rows * n2 + cols
+        assert np.all(np.diff(flat) > 0)
+
+    def test_matrix_is_dense_form_of_entries(self):
+        spec = make_spec(N=21, alpha=F(2, 3), p=F(3), dist="gaussian:1")
+        n1 = spec.part1_size
+        for index in range(3):
+            rows, cols, values = sample_entries(spec, index)
+            A = np.zeros((21, 21))
+            A[rows, n1 + cols] = values
+            A[n1 + cols, rows] = values
+            assert np.array_equal(sample_matrix(spec, index), A)
+
+    def test_edge_count_is_binomial(self):
+        # Each of the n1*n2 cross pairs is present with probability p/N.
+        spec = make_spec(N=40, alpha=F(1, 2), p=F(4), seed=8)
+        samples = 400
+        pairs, q = 20 * 20, 4 / 40
+        counts = [sample_entries(spec, index)[0].size for index in range(samples)]
+        stderr = math.sqrt(pairs * q * (1 - q) / samples)
+        assert abs(np.mean(counts) - pairs * q) <= 5 * stderr
+
 
 class TestTraceMoments:
-    def test_routes_agree_on_even_orders(self):
-        spec = make_spec(N=30, alpha=F(1, 3))
+    @pytest.mark.parametrize("kmax", [6, 10])
+    @pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2)], ids=["third", "half"])
+    def test_routes_agree_on_even_orders(self, kmax, alpha):
+        # kmax = 10 reaches Tr(G^5) = <G^2, G^3>, so both the squared-norm and
+        # the inner-product branch are compared up to G^2.
+        spec = make_spec(N=30, alpha=alpha)
         A = sample_matrix(spec, 1)
-        full = trace_moments(A, 6)
-        bipartite = trace_moments(A, 6, part_size=spec.part1_size)
+        full = trace_moments(A, kmax)
+        bipartite = trace_moments(A, kmax, part_size=spec.part1_size)
         assert np.allclose(full[1::2], bipartite[1::2], rtol=1e-9, atol=1e-12)
+
+    def test_all_zero_block(self):
+        moments = trace_moments(np.zeros((12, 12)), 10, part_size=4)
+        assert np.array_equal(moments, np.zeros(10))
 
     def test_odd_orders_exactly_zero_with_part_size(self):
         spec = make_spec(N=30, alpha=F(1, 3))
@@ -212,6 +252,9 @@ class TestExactFiniteN:
             exact_finite_N(4, ModelParams(F(1, 2), F(5)), (F(1), F(1), F(1)), 2, 2)
         with pytest.raises(InvalidParamsError):
             exact_finite_N(4, ModelParams(F(1, 2), F(1)), (F(1), F(3, 2), F(-1)), 2, 2)
+        with pytest.raises(InvalidParamsError) as info:
+            exact_finite_N(2, ModelParams(F(1, 3), F(1)), (F(1), F(1), F(1)), 2, 2)
+        assert info.value.code == "empty_part"
 
     def test_sampler_matches_exact_value(self):
         # The Monte Carlo estimator must agree with the exact N=2 covariance;
