@@ -1,4 +1,4 @@
-"""Command-line front end: compute, oracle, crosscheck, simulate, cache.
+"""Command-line front end: compute, oracle, crosscheck, simulate.
 
 Every subcommand is a pure function of its flags and input files: fixed seeds
 give byte-identical output bytes, including JSON key order, for any
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import __version__, families as fam, model, walks
 from .rational import format_scalar, parse_scalar, to_decimal
-from .recurrence import CoefficientEngine, ContextMismatchError
+from .recurrence import CoefficientEngine
 from .simulate import (
     EnsembleSpec,
     WeightDistribution,
@@ -52,11 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, moments: bool = True) -> None:
         p.add_argument("--alpha", default="1/2", help="part-1 fraction, rational text")
         p.add_argument("--p", default="1", help="sparsity parameter, rational text")
-        p.add_argument("--moments", default=None, help="moments preset name")
-        p.add_argument("--moments-file", default=None, help="JSON moments file")
+        if moments:
+            p.add_argument("--moments", default=None, help="moments preset name")
+            p.add_argument("--moments-file", default=None, help="JSON moments file")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument(
             "--threads",
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--mmax", type=int, default=None)
     p_compute.add_argument("--format", choices=("csv", "json"), default="csv")
     p_compute.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
-    p_compute.add_argument("--cache", default=None, help="memo cache file to reuse and refresh")
 
     p_oracle = sub.add_parser("oracle", help="evaluate one coefficient by enumeration")
     add_common(p_oracle)
@@ -94,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo correlator at finite N")
-    add_common(p_sim)
+    # The sampler draws weights from --dist, so moment flags do not apply.
+    add_common(p_sim, moments=False)
     p_sim.add_argument("mode", nargs="?", choices=("sweep",), default=None,
                        help="'sweep' emits a CSV convergence log over --n values")
     p_sim.add_argument("--n", required=True, help="matrix size, or comma list for a sweep")
@@ -104,13 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--batches", type=int, default=20)
     p_sim.add_argument("--dist", default="rademacher", help="weight distribution spec")
-
-    p_cache = sub.add_parser("cache", help="memo table export / import / inspect")
-    add_common(p_cache)
-    p_cache.add_argument("action", choices=("export", "import", "inspect"))
-    p_cache.add_argument("--file", required=True, help="memo cache file")
-    p_cache.add_argument("--kmax", type=int, default=None)
-    p_cache.add_argument("--mmax", type=int, default=None)
     return parser
 
 
@@ -126,12 +119,16 @@ def _emit(args, text: str) -> None:
             fh.write(text)
 
 
-def _context(args, needed_order: int):
-    """(params, moments) from flags; presets expand to the needed order."""
+def _params(args) -> model.ModelParams:
     try:
-        params = model.ModelParams(parse_scalar(args.alpha), parse_scalar(args.p))
+        return model.ModelParams(parse_scalar(args.alpha), parse_scalar(args.p))
     except ValueError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
+
+
+def _context(args, needed_order: int):
+    """(params, moments) from flags; presets expand to the needed order."""
+    params = _params(args)
     if args.moments is not None and args.moments_file is not None:
         raise _CliError(EXIT_CONFIG, "give either --moments or --moments-file, not both")
     try:
@@ -180,23 +177,12 @@ def _cmd_compute(args) -> int:
         pairs = [(k, m) for k in range(1, args.kmax + 1) for m in range(1, args.mmax + 1)]
     params, moments = _context(args, _needed_order(pairs))
     engine = CoefficientEngine(params, moments)
-    if args.cache is not None and os.path.exists(args.cache):
-        try:
-            engine.import_memo(args.cache)
-        except ContextMismatchError as exc:
-            raise _CliError(EXIT_CONFIG, str(exc))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise _CliError(EXIT_CONFIG, f"malformed cache file: {exc}")
-
     try:
         values = {pair: engine.correlator_coefficient(*pair) for pair in pairs}
     except model.InsufficientMomentsError as exc:
         raise _CliError(EXIT_MOMENTS, str(exc))
     except model.InvalidParamsError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
-
-    if args.cache is not None:
-        engine.export_memo(args.cache)
 
     if pair_mode and args.format == "csv":
         text = _render(values[pairs[0]], args.decimal) + "\n"
@@ -352,7 +338,7 @@ def _cmd_simulate(args) -> int:
     if not sizes:
         raise _CliError(EXIT_CONFIG, "--n needs at least one matrix size")
     sweep = args.mode == "sweep" or len(sizes) > 1
-    params, _ = _context(args, 0)
+    params = _params(args)
     try:
         dist = WeightDistribution(args.dist)
     except ValueError as exc:
@@ -406,85 +392,11 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _peek_cache_depth(path: str) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        depth = 0
-        for entry in payload.get("entries", []):
-            depth = max(depth, int(entry["l_g"]) + int(entry["l_b"] or 0))
-        return depth
-    except OSError as exc:
-        raise _CliError(EXIT_CONFIG, f"cannot read cache file: {exc}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise _CliError(EXIT_CONFIG, f"malformed cache file: {exc}")
-
-
-def _cmd_cache(args) -> int:
-    if args.action == "inspect":
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise _CliError(EXIT_CONFIG, f"cannot read cache file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _CliError(EXIT_CONFIG, f"cache file is not valid JSON: {exc}")
-        header = payload.get("header", {})
-        out = {
-            "header": {
-                "alpha": header.get("alpha"),
-                "p": header.get("p"),
-                "moments_digest": header.get("moments_digest"),
-                "engine_version": header.get("engine_version"),
-            },
-            "entries": len(payload.get("entries", [])),
-        }
-        _emit(args, json.dumps(out, indent=2) + "\n")
-        return EXIT_OK
-
-    if args.action == "export":
-        if args.kmax is None or args.mmax is None:
-            raise _CliError(EXIT_CONFIG, "cache export needs --kmax and --mmax")
-        needed = _needed_order([(2 * (args.kmax // 2), 2 * (args.mmax // 2))])
-    elif args.kmax is not None and args.mmax is not None:
-        needed = _needed_order([(2 * (args.kmax // 2), 2 * (args.mmax // 2))])
-    elif args.moments_file is not None:
-        needed = 0  # the file carries the full sequence; no expansion involved
-    else:
-        # A preset must expand to the same length the exporter used or the
-        # digests cannot match; the deepest key in the file reveals it.
-        needed = 2 * _peek_cache_depth(args.file)
-    params, moments = _context(args, needed)
-    engine = CoefficientEngine(params, moments)
-
-    if args.action == "export":
-        try:
-            engine.correlator_table(args.kmax, args.mmax)
-        except model.InsufficientMomentsError as exc:
-            raise _CliError(EXIT_MOMENTS, str(exc))
-        engine.export_memo(args.file)
-        _emit(args, f"exported {engine.memo_size} entries\n")
-        return EXIT_OK
-
-    # import
-    try:
-        count = engine.import_memo(args.file)
-    except OSError as exc:
-        raise _CliError(EXIT_CONFIG, f"cannot read cache file: {exc}")
-    except ContextMismatchError as exc:
-        raise _CliError(EXIT_CONFIG, str(exc))
-    except (KeyError, ValueError) as exc:
-        raise _CliError(EXIT_CONFIG, f"malformed cache file: {exc}")
-    _emit(args, f"imported {count} entries\n")
-    return EXIT_OK
-
-
 _HANDLERS = {
     "compute": _cmd_compute,
     "oracle": _cmd_oracle,
     "crosscheck": _cmd_crosscheck,
     "simulate": _cmd_simulate,
-    "cache": _cmd_cache,
 }
 
 

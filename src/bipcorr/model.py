@@ -25,7 +25,6 @@ computation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,9 +72,6 @@ class ModelParams:
     def alpha2(self) -> Scalar:
         return 1 - self.alpha
 
-    def digest_text(self) -> str:
-        return f"alpha={format_scalar(self.alpha)};p={format_scalar(self.p)}"
-
 
 class MomentSequence:
     """Even moments V_2, V_4, ..., V_{2J} of the weight distribution."""
@@ -104,10 +100,6 @@ class MomentSequence:
         """Check availability of all even moments through ``order``."""
         if order > self.max_order:
             raise InsufficientMomentsError(order, self.max_order)
-
-    def digest(self) -> str:
-        text = ";".join(format_scalar(v) for v in self._values)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def to_json_dict(self) -> dict:
         return {"even_moments": [format_scalar(v) for v in self._values]}

@@ -39,26 +39,16 @@ l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
 (``families.STAGE``).  The engine checks this ordering on every nested call,
 also under ``python -O``, so an accidentally circular edit fails loudly
 instead of looping.
-
-Memo table
-----------
-Values are memoized per key, write-once, and tagged with digests of
-(alpha, p) and the moment sequence.  ``export_memo``/``import_memo`` move the
-table through a JSON file; importing into an engine with a different context
-or engine version raises ``ContextMismatchError``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable
 
 from . import families as fam
 from .model import ModelParams, MomentSequence, edge_factor, validate
-from .rational import binomial, format_scalar, parse_scalar
-
-from . import __version__ as _ENGINE_VERSION
+from .rational import binomial
 
 _ZERO = Fraction(0)
 
@@ -70,10 +60,6 @@ _SUMS = {
     fam.NEQ_C_R: (fam.NEQ_C_RU, fam.NEQ_C_RD),
     fam.NEQ_ANYC_S: (fam.NEQ_C_R, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN),
 }
-
-
-class ContextMismatchError(Exception):
-    code = "context_mismatch"
 
 
 class CoefficientEngine:
@@ -124,72 +110,6 @@ class CoefficientEngine:
     def memo_items(self) -> Iterable:
         return self._memo.items()
 
-    def context_header(self) -> dict:
-        return {
-            "alpha": format_scalar(self.params.alpha),
-            "p": format_scalar(self.params.p),
-            "moments_digest": self.moments.digest(),
-            "engine_version": _ENGINE_VERSION,
-        }
-
-    def export_memo(self, path: str) -> None:
-        def sort_key(item):
-            key, _ = item
-            return (
-                fam.key_total(key),
-                fam.key_stage(key),
-                key.component or 0,
-                key.l_g,
-                -1 if key.l_b is None else key.l_b,
-                -1 if key.r_g is None else key.r_g,
-                -1 if key.r_b is None else key.r_b,
-            )
-
-        entries = [
-            {
-                "family": key.tag,
-                "component": key.component,
-                "l_g": key.l_g,
-                "l_b": key.l_b,
-                "r_g": key.r_g,
-                "r_b": key.r_b,
-                "value": format_scalar(value),
-            }
-            for key, value in sorted(self._memo.items(), key=sort_key)
-        ]
-        payload = {"header": self.context_header(), "entries": entries}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-    def import_memo(self, path: str) -> int:
-        """Load an exported memo table; returns the number of entries loaded."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        header = payload.get("header", {})
-        ours = self.context_header()
-        for field in ("alpha", "p", "moments_digest", "engine_version"):
-            if header.get(field) != ours[field]:
-                raise ContextMismatchError(
-                    f"context mismatch on {field}: file has {header.get(field)!r}, "
-                    f"engine has {ours[field]!r}"
-                )
-        count = 0
-        for entry in payload["entries"]:
-            key = fam.FamilyKey(
-                entry["family"],
-                entry["component"],
-                entry["l_g"],
-                entry["l_b"],
-                entry["r_g"],
-                entry["r_b"],
-            )
-            fam.validate_key(key)
-            value = parse_scalar(entry["value"])
-            self._store(key, value)
-            count += 1
-        return count
-
     # -- evaluation machinery ---------------------------------------------
 
     def _value(self, key: fam.FamilyKey) -> Fraction:
@@ -231,14 +151,17 @@ class CoefficientEngine:
             self._edge_weights[half_multiplicity] = cached
         return cached
 
+    # Tags here are code constants, so keys skip the tag checks of
+    # ``fam.single_key``/``fam.double_key``: this is the hottest path.
+
     def _s1(self, component: int, l: int, r: int) -> Fraction:
-        return self._value(fam.single_key(fam.S1, component, l, r))
+        return self._value(fam.FamilyKey(fam.S1, component, l, None, r, None))
 
     def _s1s(self, component: int, l: int, r: int) -> Fraction:
-        return self._value(fam.single_key(fam.S1S, component, l, r))
+        return self._value(fam.FamilyKey(fam.S1S, component, l, None, r, None))
 
     def _dbl(self, tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int) -> Fraction:
-        return self._value(fam.double_key(tag, component, l_g, l_b, r_g, r_b))
+        return self._value(fam.FamilyKey(tag, component, l_g, l_b, r_g, r_b))
 
     # -- sum equations -----------------------------------------------------
 

@@ -283,6 +283,10 @@ def estimate_correlators(
     validate_ensemble(spec)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if batches < 1:
+        raise ValueError(f"need at least 1 batch, got {batches}")
+    if threads < 1:
+        raise ValueError(f"need at least 1 thread, got {threads}")
     for k, m in pairs:
         if k < 1 or m < 1:
             raise ValueError(f"moment indices must be >= 1, got ({k}, {m})")

@@ -107,29 +107,6 @@ class TestCompute:
         )
         assert code == 3 and "order" in err
 
-    def test_cache_round_trip(self, capsys, tmp_path):
-        cache = tmp_path / "memo.json"
-        argv = ["compute", "--kmax", "4", "--mmax", "2", "--cache", str(cache)]
-        code, first, _ = run(capsys, argv)
-        assert code == 0 and cache.exists()
-        code, second, _ = run(capsys, argv)
-        assert code == 0 and second == first
-
-    def test_cache_context_mismatch(self, capsys, tmp_path):
-        cache = tmp_path / "memo.json"
-        run(capsys, ["compute", "--k", "2", "--m", "2", "--cache", str(cache)])
-        code, _, err = run(
-            capsys,
-            ["compute", "--k", "2", "--m", "2", "--alpha", "1/3", "--cache", str(cache)],
-        )
-        assert code == 2 and "mismatch" in err
-
-    def test_cache_malformed(self, capsys, tmp_path):
-        cache = tmp_path / "memo.json"
-        cache.write_text("{not json")
-        code, _, err = run(capsys, ["compute", "--k", "2", "--m", "2", "--cache", str(cache)])
-        assert code == 2 and "cache" in err
-
 
 class TestOracle:
     def test_value_census_and_dump(self, capsys):
@@ -255,6 +232,8 @@ class TestSimulate:
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--samples", "1"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--seed", "-1"],
             ["simulate", "--n", "2", "--k", "2", "--m", "2", "--alpha", "1/3", "--p", "1"],
+            ["simulate", "--n", "16", "--k", "2", "--m", "2", "--batches", "0"],
+            ["simulate", "--n", "16", "--k", "2", "--m", "2", "--threads", "0"],
         ]
         for argv in cases:
             code, _, err = run(capsys, argv)
@@ -279,54 +258,6 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
 
 
-class TestCache:
-    def test_export_import_inspect(self, capsys, tmp_path):
-        path = tmp_path / "memo.json"
-        code, out, _ = run(
-            capsys,
-            ["cache", "export", "--file", str(path), "--kmax", "4", "--mmax", "4",
-             "--alpha", "1/2", "--p", "4"],
-        )
-        assert code == 0 and out == "exported 724 entries\n"
-
-        code, out, _ = run(capsys, ["cache", "inspect", "--file", str(path)])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["entries"] == 724
-        assert payload["header"]["alpha"] == "1/2" and payload["header"]["p"] == "4"
-
-        # No --kmax on import: the preset depth is inferred from the file.
-        code, out, _ = run(
-            capsys,
-            ["cache", "import", "--file", str(path), "--alpha", "1/2", "--p", "4"],
-        )
-        assert code == 0 and out == "imported 724 entries\n"
-
-    def test_import_context_mismatch(self, capsys, tmp_path):
-        path = tmp_path / "memo.json"
-        run(capsys, ["cache", "export", "--file", str(path), "--kmax", "2", "--mmax", "2"])
-        code, _, err = run(
-            capsys, ["cache", "import", "--file", str(path), "--alpha", "1/3"]
-        )
-        assert code == 2 and "mismatch" in err
-
-    def test_missing_and_malformed_files(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, ["cache", "import", "--file", str(tmp_path / "absent.json")]
-        )
-        assert code == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(capsys, ["cache", "inspect", "--file", str(bad)])
-        assert code == 2 and "JSON" in err
-
-    def test_export_needs_bounds(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, ["cache", "export", "--file", str(tmp_path / "memo.json")]
-        )
-        assert code == 2 and "kmax" in err
-
-
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -334,7 +265,17 @@ class TestParser:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("bipcorr ")
 
-    def test_unknown_subcommand(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["cache", "inspect", "--file", "f"],
+            ["compute", "--k", "2", "--m", "2", "--cache", "f"],
+            ["simulate", "--n", "16", "--k", "2", "--m", "2", "--moments", "gaussian:3"],
+        ],
+        ids=["unknown-subcommand", "cache-subcommand", "compute-cache", "simulate-moments"],
+    )
+    def test_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
-            cli.main(["frobnicate"])
+            cli.main(argv)
         assert info.value.code == 2

@@ -1,6 +1,5 @@
-"""Recurrence engine: family values, coefficients, memo persistence."""
+"""Recurrence engine: family values, coefficients, memo guards."""
 
-import json
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from bipcorr.model import (
     ModelParams,
     MomentSequence,
 )
-from bipcorr.recurrence import ContextMismatchError, CoefficientEngine
+from bipcorr.recurrence import CoefficientEngine
 from bipcorr.walks import family_total_weight, n_oracle
 
 from conftest import CONTEXT_IDS, ORACLE_TABLES, context
@@ -186,52 +185,3 @@ class TestMemo:
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
         assert engine.memo_size == 7081
-
-    def test_export_import_round_trip(self, tmp_path):
-        path = str(tmp_path / "memo.json")
-        writer = make_engine(2)
-        expected = writer.correlator_coefficient(4, 4)
-        writer.export_memo(path)
-
-        reader = make_engine(2)
-        assert reader.import_memo(path) == writer.memo_size
-        before = reader.memo_size
-        assert reader.correlator_coefficient(4, 4) == expected
-        # The imported table already held everything required.
-        assert reader.memo_size == before
-
-    def test_header_fields(self):
-        engine = make_engine(3)
-        header = engine.context_header()
-        assert header["alpha"] == "2/3"
-        assert header["p"] == "5/2"
-        assert set(header) == {"alpha", "p", "moments_digest", "engine_version"}
-
-    def test_import_rejects_other_params(self, tmp_path):
-        path = str(tmp_path / "memo.json")
-        writer = make_engine(1)
-        writer.correlator_coefficient(2, 2)
-        writer.export_memo(path)
-        with pytest.raises(ContextMismatchError):
-            make_engine(2).import_memo(path)
-
-    def test_import_rejects_other_moments(self, tmp_path):
-        path = str(tmp_path / "memo.json")
-        writer = make_engine(1, count=5)
-        writer.correlator_coefficient(2, 2)
-        writer.export_memo(path)
-        params, _ = context(1)
-        other = CoefficientEngine(params, MomentSequence([F(1)] * 4 + [F(2)]))
-        with pytest.raises(ContextMismatchError):
-            other.import_memo(path)
-
-    def test_import_rejects_other_engine_version(self, tmp_path):
-        path = tmp_path / "memo.json"
-        writer = make_engine(1)
-        writer.correlator_coefficient(2, 2)
-        writer.export_memo(str(path))
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["header"]["engine_version"] = "0.0.0+other"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ContextMismatchError, match="engine_version"):
-            make_engine(1).import_memo(str(path))

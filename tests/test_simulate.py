@@ -199,6 +199,10 @@ class TestEstimates:
             estimate_correlator(spec, 2, 2, samples=1)
         with pytest.raises(ValueError):
             estimate_correlator(spec, 0, 2, samples=10)
+        with pytest.raises(ValueError, match="batch"):
+            estimate_correlator(spec, 2, 2, samples=10, batches=0)
+        with pytest.raises(ValueError, match="thread"):
+            estimate_correlator(spec, 2, 2, samples=10, threads=0)
 
     def test_shared_stream_across_pairs(self):
         # Estimating (2,2) alone or together with (4,2) must not change it.
