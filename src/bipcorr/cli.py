@@ -1,8 +1,9 @@
 """Command-line front end: compute, oracle, crosscheck, simulate.
 
 Every subcommand is a pure function of its flags and input files: fixed seeds
-give byte-identical output bytes, including JSON key order, for any
-``--threads`` value.  Exit codes: 0 success, 1 crosscheck mismatch, 2 config
+give byte-identical output bytes, including JSON key order, and the bytes of
+``simulate``, the only subcommand with a ``--threads`` flag, do not depend on
+its value.  Exit codes: 0 success, 1 crosscheck mismatch, 2 config
 error, 3 insufficient moments, 4 enumeration cap exceeded.
 
 Numeric flags accept rational text ("1/3", "5/2").  Moments come from a
@@ -58,12 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--moments", default=None, help="moments preset name")
             p.add_argument("--moments-file", default=None, help="JSON moments file")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for simulation; all output is thread-count independent",
-        )
 
     p_compute = sub.add_parser("compute", help="evaluate coefficients via the recurrence engine")
     add_common(p_compute)
@@ -103,6 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--batches", type=int, default=20)
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads; the output does not depend on the thread count",
+    )
     p_sim.add_argument("--dist", default="rademacher", help="weight distribution spec")
     return parser
 

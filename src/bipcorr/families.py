@@ -176,12 +176,3 @@ def validate_key(key: FamilyKey) -> None:
         value = getattr(key, field)
         if value is not None and value < 0:
             raise UnknownFamilyError(f"negative {field} in key {key}")
-
-
-def key_total(key: FamilyKey) -> int:
-    """Total half-length l_g + l_b (just l for single-walk families)."""
-    return key.l_g + (key.l_b or 0)
-
-
-def key_stage(key: FamilyKey) -> int:
-    return STAGE[key.tag]

@@ -4,10 +4,12 @@ Every quantity the recurrence engine and the walk oracle produce is a rational
 number, so ``Scalar`` is an alias for :class:`fractions.Fraction` and all
 arithmetic stays exact.  Floats appear only in the Monte Carlo module.
 
-The binomial helper differs from :func:`math.comb` in one way that matters:
-``binomial(n, k)`` is 0 whenever ``k < 0`` or ``k > n``.  The recurrence
-equations are written with unconstrained inner summation indices and rely on
-out-of-range binomial factors vanishing instead of on explicit range guards.
+The binomial helper returns a plain ``int``, which mixes exactly with
+Fractions and costs far less to multiply than a Fraction would.  It differs
+from :func:`math.comb` in one way that matters: ``binomial(n, k)`` is 0
+whenever ``k < 0`` or ``k > n``.  The recurrence equations are written with
+unconstrained inner summation indices and rely on out-of-range binomial
+factors vanishing instead of on explicit range guards.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from fractions import Fraction
 Scalar = Fraction
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient C(n, k) as a Scalar, 0 outside 0 <= k <= n."""
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k) as an int, 0 outside 0 <= k <= n."""
     if n < 0:
         raise ValueError(f"binomial needs n >= 0, got n={n}")
     if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+        return 0
+    return math.comb(n, k)
 
 
 def parse_scalar(text: str) -> Fraction:

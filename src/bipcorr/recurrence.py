@@ -32,13 +32,24 @@ lower family and the upper sum.  The red peel (EQ_C_R, NEQ_C_RU, NEQ_C_RD)
 cuts an edge both walks use; its rows in ``_RED`` also differ in the blue
 root code.  EQ_ANYC, NEQ_ANYC_SN and TOP have equations of their own.
 
+Upper sums
+----------
+The five upper sums depend only on their arguments, yet the peels ask for the
+same ones many times (at n_{12,12}, ``_rooted_at_v`` is asked 22,332 times for
+882 distinct arguments).  Each engine caches them in its own dict, keyed by
+the method and its arguments; no cache is shared between engines, because the
+values depend on the engine's params and moments.  A hit reads no family
+value, so it adds no memo key and leaves the memo's insertion order as it was.
+
 Termination
 -----------
 Recursive references either strictly decrease the total half-length
 l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
-(``families.STAGE``).  The engine checks this ordering on every nested call,
+(``families.STAGE``).  The engine checks this ordering on every reference,
 also under ``python -O``, so an accidentally circular edit fails loudly
-instead of looping.
+instead of looping.  The check covers cached upper sums too: each entry keeps
+the rank of its highest reference, and every hit checks that rank against the
+current parent as if it had referenced those keys again.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from .model import ModelParams, MomentSequence, edge_factor, validate
 from .rational import binomial
 
 _ZERO = Fraction(0)
+_STAGE = fam.STAGE
 
 # Families whose value is the plain sum of other families at the same key.
 _SUMS = {
@@ -62,6 +74,36 @@ _SUMS = {
 }
 
 
+def _upper_sum(top_tag: str, total):
+    """Cache an upper sum per engine, keyed by the method and its arguments.
+
+    ``top_tag`` is the latest-stage family the sum reads and ``total(*args)``
+    the total half-length of every key it reads, so an entry, which keeps
+    that total, has the rank ``(total, stage of top_tag)`` of its highest
+    reference.  A hit skips the ``_value`` calls that would have checked
+    those references against the parent, so the hit checks this rank instead.
+    """
+    stage = _STAGE[top_tag]
+
+    def decorate(method):
+        def cached(self, *args):
+            key = (method, *args)
+            entry = self._uppers.get(key)
+            if entry is None:
+                entry = self._uppers[key] = (method(self, *args), total(*args))
+            elif self._stack and (entry[1], stage) >= self._stack[-1]:
+                raise AssertionError(
+                    f"recursion order violated: cached upper sum "
+                    f"{method.__name__}{args} at rank {(entry[1], stage)} "
+                    f"referenced from rank {self._stack[-1]}"
+                )
+            return entry[0]
+
+        return cached
+
+    return decorate
+
+
 class CoefficientEngine:
     """Exact evaluator for family values and correlator coefficients."""
 
@@ -69,6 +111,7 @@ class CoefficientEngine:
         self.params = params
         self.moments = moments
         self._memo: dict = {}
+        self._uppers: dict = {}
         self._edge_weights: dict = {}
         self._stack: list = []
         self._dispatch = {
@@ -113,7 +156,8 @@ class CoefficientEngine:
     # -- evaluation machinery ---------------------------------------------
 
     def _value(self, key: fam.FamilyKey) -> Fraction:
-        rank = (fam.key_total(key), fam.key_stage(key))
+        tag, _, l_g, l_b, _, _ = key
+        rank = (l_g + (l_b or 0), _STAGE[tag])
         if self._stack:
             parent = self._stack[-1]
             if rank >= parent:
@@ -126,7 +170,7 @@ class CoefficientEngine:
             return cached
         self._stack.append(rank)
         try:
-            value = self._dispatch[key.tag](key)
+            value = self._dispatch[tag](key)
         finally:
             self._stack.pop()
         self._store(key, value)
@@ -195,12 +239,14 @@ class CoefficientEngine:
     # Upper sums of the gray peel: the walks beyond v, whose f returns over
     # the cut edge interleave with their own departures from v.
 
+    @_upper_sum(fam.S1, lambda opp, f, u, lb: u)
     def _upper_s1(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
         upper = _ZERO
         for v in range(0, u + 1):
             upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
         return upper
 
+    @_upper_sum(fam.S1S, lambda opp, f, u, lb: u)
     def _upper_s1_s1s(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
         upper = _ZERO
         for v in range(0, u + 1):
@@ -208,6 +254,7 @@ class CoefficientEngine:
             upper += binomial(f + v - 1, f) * self._s1s(opp, u, v)
         return upper
 
+    @_upper_sum(fam.NEQ_C, lambda opp, f, u, lb: u + lb)
     def _upper_pair(self, opp: int, f: int, u: int, lb: int) -> Fraction:
         upper = _ZERO
         for vg in range(0, u + 1):
@@ -257,6 +304,7 @@ class CoefficientEngine:
     # Upper sums of the red peel: the pair beyond v, whose fg gray and fb
     # blue returns over the cut edge interleave with their departures from v.
 
+    @_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)
     def _rooted_at_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
         upper = _ZERO
         for vg in range(0, ug + 1):
@@ -267,6 +315,7 @@ class CoefficientEngine:
                 )
         return upper
 
+    @_upper_sum(fam.NEQ_ANYC_S, lambda opp, fg, fb, ug, ub: ug + ub)
     def _rooted_at_or_beyond_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
         upper = _ZERO
         for vg in range(0, ug + 1):

@@ -9,14 +9,17 @@ Each test certifies one headline guarantee of the package:
   hold exactly;
 * the Monte Carlo sampler is calibrated against the exact finite-size
   evaluator and converges to the engine's limit values as N grows;
-* every CLI subcommand emits byte-identical output for fixed seeds,
-  regardless of thread count.
+* every CLI subcommand emits byte-identical output for fixed seeds, and
+  ``simulate`` regardless of thread count;
+* ``compute --kmax 14`` reproduces the benchmark's frozen reference bytes.
 
 The Monte Carlo convergence test samples 2000 matrices at each of four sizes
 up to N = 1600 and takes a few seconds on one core.
 """
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -175,9 +178,29 @@ class TestDeterministicOutputs:
              "--samples", "30", "--seed", "2", "--p", "2"],
         ]
         for argv in commands:
+            # Only simulate takes --threads; its bytes must not depend on it.
+            if argv[0] == "simulate":
+                runs = [argv + ["--threads", t] for t in ("1", "2", "3")]
+            else:
+                runs = [argv] * 3
             outputs = []
-            for threads in ("1", "2", "3"):
-                code, out, err = self.run(capsys, argv + ["--threads", threads])
+            for run_argv in runs:
+                code, out, err = self.run(capsys, run_argv)
                 assert code == 0, (argv, err)
                 outputs.append(out)
             assert outputs[0] == outputs[1] == outputs[2], argv
+
+
+def test_compute_kmax14_matches_frozen_reference(tmp_path, capsys):
+    # The benchmark's `exact` workload at seed 1: its reference bytes were
+    # frozen before the engine was optimised, and are only read here.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "exact_seed1.csv"
+    moments = "11/7,11/7,13/7,11/7,13/7,13/7,13/7,13/7,11/7,11/7,13/7,11/7,13/7,13/7"
+    moments_file = tmp_path / "moments.json"
+    moments_file.write_text(json.dumps({"even_moments": moments.split(",")}), encoding="utf-8")
+    code = cli.main([
+        "compute", "--kmax", "14", "--mmax", "14", "--alpha", "2/3", "--p", "5/2",
+        "--moments-file", str(moments_file),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == reference.read_bytes()

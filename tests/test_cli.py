@@ -272,8 +272,15 @@ class TestParser:
             ["cache", "inspect", "--file", "f"],
             ["compute", "--k", "2", "--m", "2", "--cache", "f"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--moments", "gaussian:3"],
+            ["compute", "--k", "2", "--m", "2", "--threads", "2"],
         ],
-        ids=["unknown-subcommand", "cache-subcommand", "compute-cache", "simulate-moments"],
+        ids=[
+            "unknown-subcommand",
+            "cache-subcommand",
+            "compute-cache",
+            "simulate-moments",
+            "compute-threads",
+        ],
     )
     def test_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

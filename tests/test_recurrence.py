@@ -148,16 +148,40 @@ class TestMemo:
                 engine.s_value(fam.top_key(1, 1))
         finally:
             engine._stack.clear()
+        # A cached upper sum reads no family value on a hit, so the hit
+        # itself must check the rank of what the sum references: here
+        # EQ_ANYC keys at total half-length 2, rank (2, 5).
+        engine = make_engine(1)
+        engine.correlator_coefficient(4, 4)
+        engine._stack.append((2, 5))
+        try:
+            with pytest.raises(AssertionError, match="cached upper sum"):
+                engine._rooted_at_v(1, 1, 1, 1, 1)
+            engine._stack[-1] = (2, 6)
+            assert engine._rooted_at_v(1, 1, 1, 1, 1) == F(3, 8)
+        finally:
+            engine._stack.clear()
 
     @pytest.mark.parametrize(
-        "breach",
+        "breach, message",
         [
-            "engine._stack.append((0, 0)); engine.s_value(fam.top_key(1, 1))",
-            "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
+            (
+                "engine._stack.append((0, 0)); engine.s_value(fam.top_key(1, 1))",
+                "recursion order violated",
+            ),
+            (
+                "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
+                "memo conflict",
+            ),
+            (
+                "engine.correlator_coefficient(4, 4); engine._stack.append((0, 0)); "
+                "engine._rooted_at_v(1, 1, 1, 1, 1)",
+                "recursion order violated: cached upper sum",
+            ),
         ],
-        ids=["order", "conflict"],
+        ids=["order", "conflict", "upper"],
     )
-    def test_guards_survive_optimized_mode(self, breach):
+    def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([
             "from fractions import Fraction as F",
             "from bipcorr import families as fam",
@@ -177,7 +201,7 @@ class TestMemo:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("raised "), done.stdout
+        assert done.stdout.startswith(f"raised {message}"), done.stdout
 
     def test_evaluated_key_count_is_frozen(self):
         # A rewrite of the equations that evaluates other sub-sums, or prunes
