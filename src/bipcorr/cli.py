@@ -233,7 +233,7 @@ def _cmd_oracle(args) -> int:
     if args.dump:
         payload["walks"] = [
             walks.format_double_walk(dw)
-            for dw in walks.iter_minimal_double_walks(args.k, args.m)
+            for dw in walks.iter_tree_double_walks(args.k, args.m)
             if walks.is_essential(dw)
         ]
     _emit(args, json.dumps(payload, indent=2) + "\n")

@@ -224,7 +224,12 @@ class CoefficientEngine:
         # edge and cannot touch r.
         if r > l or (lb is not None and rb > lb) or (lower_tag == fam.S1 and rb):
             return _ZERO
-        low_lb, low_rb = (None, None) if lower_tag == fam.S1 else (lb, rb)
+        # The blue half-length goes to the piece that holds the blue walk, so
+        # upper sums of single walks are cached once per (opp, f, u).
+        if lower_tag == fam.S1:
+            low_lb, low_rb, up_lb = None, None, lb
+        else:
+            low_lb, low_rb, up_lb = lb, rb, None
         opp = 3 - c
         total = _ZERO
         for f in range(1, r + 1):
@@ -233,7 +238,7 @@ class CoefficientEngine:
                 lower = self._value(fam.FamilyKey(lower_tag, c, l - u - f, low_lb, r - f, low_rb))
                 if lower == 0:
                     continue
-                total += outer * lower * upper(self, opp, f, u, lb)
+                total += outer * lower * upper(self, opp, f, u, up_lb)
         return total
 
     # Upper sums of the gray peel: the walks beyond v, whose f returns over

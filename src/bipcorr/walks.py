@@ -35,6 +35,22 @@ over essential pairs of half-lengths (k/2, m/2), and vanishes for odd k or m.
 Families are evaluated by filtering the same enumeration through the
 predicates of :mod:`bipcorr.families`.  Enumeration order is deterministic:
 depth-first, visiting existing labels in increasing order before a new one.
+
+Pruning
+-------
+Only tree pairs carry weight, so the censuses, coefficients and families
+enumerate with ``iter_tree_double_walks``/``iter_tree_walks``, which grow the
+walks while tracking the skeleton's edge set.  A step to a new label adds a
+leaf.  A step to a used vertex is kept only if it reuses a skeleton edge, or
+if it leads a blue walk with a fresh root, still apart from the gray walk,
+into the gray walk's component and so joins the two.  Any other step adds an
+edge between two vertices already connected, which closes a cycle; later
+steps only add edges and vertices, so the cycle stays and no completion is a
+tree.  A blue walk that ends still apart leaves two components and is dropped
+too.  The pruned generators therefore yield exactly the tree pairs of the
+unpruned ones, in the same order; ``skeleton().is_tree`` still filters their
+output.  The unpruned ``iter_minimal_*`` define minimality and give the
+census its minimal-pair count.
 """
 
 from __future__ import annotations
@@ -176,6 +192,91 @@ def enumerate_minimal_double_walks(k: int, m: int) -> list:
     return list(iter_minimal_double_walks(k, m))
 
 
+def _extend_tree(
+    walk: list, n1: int, n2: int, remaining: int, root: Vertex, edges: set, gray
+) -> Iterator:
+    """``_extend`` restricted to continuations whose skeleton stays a tree.
+
+    ``edges`` holds the skeleton's edges so far and is mutated in place,
+    restored on backtracking.  ``gray`` is None once the walk is part of the
+    gray walk's component; for a blue walk with a fresh root that has not
+    touched the gray walk yet it is the gray label bounds (g1, g2).
+    """
+    if remaining == 0:
+        if gray is None:
+            yield tuple(walk), n1, n2
+        return
+    cur = walk[-1]
+    if remaining == 1:
+        # Closing on the root reaches a vertex of the walk's own component,
+        # so it must reuse an edge.
+        if gray is None and _edge(cur, root) in edges:
+            walk.append(root)
+            yield tuple(walk), n1, n2
+            walk.pop()
+        return
+    if cur > 0:
+        targets, fresh = range(-1, -n2 - 1, -1), -(n2 + 1)
+        n1_next, n2_next = n1, n2 + 1
+    else:
+        targets, fresh = range(1, n1 + 1), n1 + 1
+        n1_next, n2_next = n1 + 1, n2
+    for target in targets:
+        edge = _edge(cur, target)
+        walk.append(target)
+        if edge in edges:
+            yield from _extend_tree(walk, n1, n2, remaining - 1, root, edges, gray)
+        elif gray is not None and abs(target) <= gray[target < 0]:
+            # The detached blue component joins the gray one.
+            edges.add(edge)
+            yield from _extend_tree(walk, n1, n2, remaining - 1, root, edges, None)
+            edges.remove(edge)
+        walk.pop()
+    edge = _edge(cur, fresh)
+    walk.append(fresh)
+    edges.add(edge)
+    yield from _extend_tree(walk, n1_next, n2_next, remaining - 1, root, edges, gray)
+    edges.remove(edge)
+    walk.pop()
+
+
+def _root_tree_walks(root_component: int, length: int, edges: set) -> Iterator:
+    root = 1 if root_component == 1 else -1
+    n1, n2 = (1, 0) if root_component == 1 else (0, 1)
+    yield from _extend_tree([root], n1, n2, length, root, edges, None)
+
+
+def iter_tree_walks(half_length: int, root_component: int) -> Iterator[ClosedWalk]:
+    """The walks of ``iter_minimal_walks`` whose skeleton is a tree, in order."""
+    if root_component not in (1, 2):
+        raise ValueError("root_component must be 1 or 2")
+    for walk, _, _ in _root_tree_walks(root_component, 2 * half_length, set()):
+        yield walk
+
+
+def iter_tree_double_walks(k: int, m: int) -> Iterator[DoubleWalk]:
+    """The pairs of ``iter_minimal_double_walks`` whose skeleton is a tree.
+
+    Same pairs, same order; the walks are grown by ``_extend_tree``, so no
+    prefix that already closes a cycle is extended.
+    """
+    if k < 0 or m < 0:
+        raise ValueError("walk lengths must be >= 0")
+    for root_component in (1, 2):
+        # While a gray walk is yielded, ``edges`` holds exactly its edges;
+        # each blue extension restores them when it is exhausted.
+        edges: set = set()
+        for gray, g1, g2 in _root_tree_walks(root_component, k, edges):
+            for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
+                for blue, _, _ in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
+                    yield DoubleWalk(gray, blue)
+            bounds = (g1, g2)
+            for blue, _, _ in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
+                yield DoubleWalk(gray, blue)
+            for blue, _, _ in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
+                yield DoubleWalk(gray, blue)
+
+
 def canonicalize(dw: DoubleWalk) -> DoubleWalk:
     """Relabel a walk pair into its minimal representative."""
     mapping: dict = {}
@@ -303,22 +404,24 @@ def _profile_weight(profile, params: ModelParams, moments: MomentSequence) -> Fr
 
 
 def census(k: int, m: int):
-    """(minimal pair count, essential pair count) at lengths (k, m)."""
-    minimal, essential = _essential_profiles(k, m)
-    return minimal, sum(count for _, count in essential)
+    """(minimal pair count, essential pair count) at lengths (k, m).
+
+    The minimal count walks the unpruned enumeration, which costs far more
+    than the essential pairs do; only the census pays for it.
+    """
+    minimal = sum(1 for _ in iter_minimal_double_walks(k, m))
+    return minimal, sum(count for _, count in _essential_profiles(k, m))
 
 
 @lru_cache(maxsize=None)
 def _essential_profiles(k: int, m: int):
-    minimal = 0
     profiles: dict = {}
-    for dw in iter_minimal_double_walks(k, m):
-        minimal += 1
+    for dw in iter_tree_double_walks(k, m):
         sk = skeleton(dw)
         if sk.is_tree and sk.c > 0:
             profile = _profile_of(sk)
             profiles[profile] = profiles.get(profile, 0) + 1
-    return minimal, tuple(sorted(profiles.items()))
+    return tuple(sorted(profiles.items()))
 
 
 def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fraction:
@@ -327,9 +430,8 @@ def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fr
         raise ValueError(f"need k, m >= 1, got ({k}, {m})")
     if k % 2 != 0 or m % 2 != 0:
         return Fraction(0)
-    _, profiles = _essential_profiles(k, m)
     total = Fraction(0)
-    for profile, count in profiles:
+    for profile, count in _essential_profiles(k, m):
         total += count * _profile_weight(profile, params, moments)
     return total
 
@@ -406,7 +508,7 @@ def _memberships(dw: DoubleWalk, sk: Skeleton):
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b)."""
     buckets: dict = {}
-    for dw in iter_minimal_double_walks(2 * l_g, 2 * l_b):
+    for dw in iter_tree_double_walks(2 * l_g, 2 * l_b):
         sk = skeleton(dw)
         if not sk.is_tree:
             continue
@@ -425,7 +527,7 @@ def _single_family_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks."""
     buckets: dict = {}
     for component in (1, 2):
-        for walk in iter_minimal_walks(l, component):
+        for walk in iter_tree_walks(l, component):
             dw = DoubleWalk(walk, (walk[0],))
             sk = skeleton(dw)
             if not sk.is_tree:
@@ -451,19 +553,19 @@ def family_members(key: fam.FamilyKey) -> list:
     fam.validate_key(key)
     if key.tag == fam.S1:
         out = []
-        for walk in iter_minimal_walks(key.l_g, key.component):
+        for walk in iter_tree_walks(key.l_g, key.component):
             dw = DoubleWalk(walk, (walk[0],))
             if skeleton(dw).is_tree and _root_departures(walk, walk[0]) == key.r_g:
                 out.append(walk)
         return out
     if key.tag == fam.S1S:
         slot = (fam.NEQ_ANYC_SN, key.component, 0, key.r_g)
-        pairs = iter_minimal_double_walks(0, 2 * key.l_g)
+        pairs = iter_tree_double_walks(0, 2 * key.l_g)
     elif key.tag == fam.TOP:
-        return [dw for dw in iter_minimal_double_walks(2 * key.l_g, 2 * key.l_b) if is_essential(dw)]
+        return [dw for dw in iter_tree_double_walks(2 * key.l_g, 2 * key.l_b) if is_essential(dw)]
     else:
         slot = (key.tag, key.component, key.r_g, key.r_b)
-        pairs = iter_minimal_double_walks(2 * key.l_g, 2 * key.l_b)
+        pairs = iter_tree_double_walks(2 * key.l_g, 2 * key.l_b)
     out = []
     for dw in pairs:
         sk = skeleton(dw)

@@ -3,7 +3,8 @@
 Each test certifies one headline guarantee of the package:
 
 * the recurrence engine equals the enumeration oracle, both on full
-  coefficients and family by family, with exact rational equality;
+  coefficients up to k + m = 12 and family by family, with exact rational
+  equality;
 * the smallest coefficient matches its closed form in every context;
 * structural properties (parity, symmetry, part exchange, moment scaling)
   hold exactly;
@@ -51,6 +52,18 @@ def test_engine_equals_oracle_on_all_even_pairs(index):
         got = engine.correlator_coefficient(k, m)
         want = n_oracle(k, m, params, moments)
         assert got == want, f"({k},{m}): engine={got} oracle={want}"
+
+
+@pytest.mark.parametrize("index", CONTEXT_IDS)
+def test_engine_equals_oracle_at_total_12(index):
+    # Every even split of k + m = 12; the oracle reaches it by enumerating
+    # tree-skeleton walks only.
+    params, moments = context(index, 6)
+    engine = CoefficientEngine(params, moments)
+    for k in range(2, 11, 2):
+        got = engine.correlator_coefficient(k, 12 - k)
+        want = n_oracle(k, 12 - k, params, moments)
+        assert got == want, f"({k},{12 - k}): engine={got} oracle={want}"
 
 
 @pytest.mark.parametrize("index", CONTEXT_IDS)

@@ -209,3 +209,12 @@ class TestMemo:
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
         assert engine.memo_size == 7081
+
+    def test_single_walk_upper_sums_cached_once(self):
+        # These upper sums never read the blue half-length, so the cache must
+        # hold one entry per (opp, f, u), not one per blue length as well.
+        engine = make_engine(1, count=14)
+        engine.correlator_table(14, 14)
+        for name in ("_upper_s1", "_upper_s1_s1s"):
+            args = [key[1:] for key in engine._uppers if key[0].__name__ == name]
+            assert args and len(args) == len({a[:3] for a in args}), name

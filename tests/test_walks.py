@@ -1,10 +1,11 @@
 """Enumeration oracle: walks, skeletons, censuses, families."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from bipcorr import families as fam
+from bipcorr import cli, families as fam
 from bipcorr.walks import (
     DoubleWalk,
     canonicalize,
@@ -17,12 +18,17 @@ from bipcorr.walks import (
     format_walk,
     is_essential,
     is_minimal,
+    iter_minimal_double_walks,
+    iter_minimal_walks,
+    iter_tree_double_walks,
+    iter_tree_walks,
     n_oracle,
     parse_double_walk,
     parse_walk,
     skeleton,
     walk_weight,
 )
+from bipcorr.walks import _memberships
 
 from conftest import CONTEXT_IDS, ORACLE_TABLES, context
 
@@ -86,6 +92,82 @@ class TestEnumeration:
         dw = parse_double_walk("1:2 2:3 1:2 | 1:1 2:3 1:1")
         assert format_double_walk(canonicalize(dw)) == "1:1 2:1 1:1 | 1:2 2:1 1:2"
         assert not is_minimal(dw)
+
+
+class TestTreePruning:
+    """The pruned generators against the unpruned enumeration plus filter."""
+
+    @pytest.mark.parametrize("total", range(0, 11))
+    def test_double_walks_equal_filtered_enumeration(self, total):
+        for k in range(0, total + 1):
+            m = total - k
+            want = [dw for dw in iter_minimal_double_walks(k, m) if skeleton(dw).is_tree]
+            assert list(iter_tree_double_walks(k, m)) == want, (k, m)
+
+    @pytest.mark.parametrize("l", range(0, 7))
+    def test_single_walks_equal_filtered_enumeration(self, l):
+        for component in (1, 2):
+            want = [
+                w for w in iter_minimal_walks(l, component)
+                if skeleton(DoubleWalk(w, (w[0],))).is_tree
+            ]
+            assert list(iter_tree_walks(l, component)) == want, (l, component)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            list(iter_tree_double_walks(-2, 2))
+        with pytest.raises(ValueError):
+            list(iter_tree_walks(2, 3))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            fam.single_key(fam.S1, 2, 4, 2),
+            fam.single_key(fam.S1S, 1, 3, 2),
+            fam.double_key(fam.EQ_C_R, 1, 2, 2, 2, 1),
+            fam.double_key(fam.NEQ_C_GU, 2, 2, 2, 1, 0),
+            fam.double_key(fam.NEQ_C_RD, 1, 2, 3, 2, 2),
+            fam.double_key(fam.NEQ_ANYC_SGD, 2, 3, 1, 2, 1),
+            fam.double_key(fam.EQ_ANYC, 1, 2, 2, 1, 1),
+            fam.top_key(2, 2),
+        ],
+        ids=lambda key: f"{key.tag}-{key.component}-{key.l_g}-{key.l_b}-{key.r_g}-{key.r_b}",
+    )
+    def test_family_members_equal_filtered_enumeration(self, key):
+        # The reference filters the unpruned enumeration, as family_members
+        # did before pruning.
+        if key.tag == fam.S1:
+            want = [
+                w for w in iter_minimal_walks(key.l_g, key.component)
+                if skeleton(DoubleWalk(w, (w[0],))).is_tree
+                and sum(1 for v in w[:-1] if v == w[0]) == key.r_g
+            ]
+        elif key.tag == fam.TOP:
+            want = [
+                dw for dw in iter_minimal_double_walks(2 * key.l_g, 2 * key.l_b)
+                if is_essential(dw)
+            ]
+        else:
+            if key.tag == fam.S1S:
+                lengths = (0, 2 * key.l_g)
+                slot = (fam.NEQ_ANYC_SN, key.component, 0, key.r_g)
+            else:
+                lengths = (2 * key.l_g, 2 * key.l_b)
+                slot = (key.tag, key.component, key.r_g, key.r_b)
+            want = [
+                dw for dw in iter_minimal_double_walks(*lengths)
+                if skeleton(dw).is_tree and slot in _memberships(dw, skeleton(dw))
+            ]
+        members = family_members(key)
+        assert members and members == want
+
+    def test_oracle_dump_bytes_frozen(self, capsys):
+        # sha256 of the stdout printed before the enumeration was pruned.
+        assert cli.main(["oracle", "--k", "4", "--m", "4", "--dump"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "4337b084ba1567d7883e37b6b39775b33433094b2f30bb23132627e701570ae8"
+        )
 
 
 class TestSkeleton:
@@ -161,6 +243,7 @@ class TestCensus:
         assert census(2, 6) == (900, 112)
         assert census(4, 6) == (10816, 704)
         assert census(2, 8) == (10816, 676)
+        assert census(6, 6) == (164836, 4516)
 
     def test_census_symmetry(self):
         assert census(2, 4) == census(4, 2)
