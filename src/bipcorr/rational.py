@@ -2,7 +2,11 @@
 
 Every quantity the recurrence engine and the walk oracle produce is a rational
 number, so ``Scalar`` is an alias for :class:`fractions.Fraction` and all
-arithmetic stays exact.  Floats appear only in the Monte Carlo module.
+arithmetic stays exact.  The oracle computes in Fractions throughout.  The
+engine computes in Python integers, each a family value times a fixed power
+of the context's denominators (see :mod:`bipcorr.recurrence`), and turns
+them into Fractions only where it returns them, so it pays no gcd per
+operation.  Floats appear only in the Monte Carlo module.
 
 The binomial helper returns a plain ``int``, which mixes exactly with
 Fractions and costs far less to multiply than a Fraction would.  It differs

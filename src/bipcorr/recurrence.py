@@ -41,6 +41,30 @@ the method and its arguments; no cache is shared between engines, because the
 values depend on the engine's params and moments.  A hit reads no family
 value, so it adds no memo key and leaves the memo's insertion order as it was.
 
+Scaled integers
+---------------
+Every family value is a sum, over tree-skeleton walk pairs, of one vertex
+factor alpha_c per vertex times one factor w(f) = ``edge_factor(2f)`` per
+edge.  Write alpha_c = a_c / q with q the denominator of alpha, and pick an
+integer c (the numerator of p times the lcm of the moment denominators) so
+that W(f) = w(f) * c^f * q^(f-1) is an integer for every f.  A pair with E
+edges of half-multiplicities f_e and total half-length L = sum f_e has E + 1
+vertices, so its weight times q^(L+1) * c^L is an integer.  The engine
+therefore stores, for a family value of total half-length L, the integer
+
+    X = value * q^(L+1) * c^L
+
+and converts to a Fraction only at the public boundary (``s_value``,
+``correlator_coefficient``, ``memo_items``).  In both peels the cut edge, the
+lower piece and the upper piece split the half-length as L = f + L_lower +
+L_upper, so the scales of the three factors multiply to the scale of the
+key: the equations keep their shape, with W(f) in place of w(f), and the
+empty walk S1(l=0, r=0) becomes a_c.  The one other place that changes is
+the EQ_ANYC glue of two single walks at a common root, value s1 * s2 /
+alpha_c: scaled, it is X1 * X2 // a_c.  That division is exact because every
+term of X1 carries the root's vertex factor a_c; the engine checks the
+remainder all the same, also under ``python -O``.
+
 Termination
 -----------
 Recursive references either strictly decrease the total half-length
@@ -54,6 +78,7 @@ current parent as if it had referenced those keys again.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -61,7 +86,6 @@ from . import families as fam
 from .model import ModelParams, MomentSequence, edge_factor, validate
 from .rational import binomial
 
-_ZERO = Fraction(0)
 _STAGE = fam.STAGE
 
 # Families whose value is the plain sum of other families at the same key.
@@ -110,6 +134,12 @@ class CoefficientEngine:
     def __init__(self, params: ModelParams, moments: MomentSequence):
         self.params = params
         self.moments = moments
+        alpha = Fraction(params.alpha)
+        self._q = alpha.denominator
+        self._a = {1: alpha.numerator, 2: self._q - alpha.numerator}
+        self._c = Fraction(params.p).numerator * math.lcm(
+            *(v.denominator for v in moments.values)
+        )
         self._memo: dict = {}
         self._uppers: dict = {}
         self._edge_weights: dict = {}
@@ -127,14 +157,15 @@ class CoefficientEngine:
 
     def s_value(self, key: fam.FamilyKey) -> Fraction:
         fam.validate_key(key)
-        return self._value(key)
+        return self._unscaled(key, self._value(key))
 
     def correlator_coefficient(self, k: int, m: int) -> Fraction:
         """n_{k,m}: the large-N limit of N * Cov(moment k, moment m)."""
         validate(self.params, self.moments, k, m)
         if k % 2 != 0 or m % 2 != 0:
-            return _ZERO
-        return self._value(fam.top_key(k // 2, m // 2))
+            return Fraction(0)
+        key = fam.top_key(k // 2, m // 2)
+        return self._unscaled(key, self._value(key))
 
     def correlator_table(self, kmax: int, mmax: int) -> dict:
         """All coefficients for 1 <= k <= kmax, 1 <= m <= mmax."""
@@ -151,11 +182,22 @@ class CoefficientEngine:
         return len(self._memo)
 
     def memo_items(self) -> Iterable:
-        return self._memo.items()
+        """(key, value) pairs in evaluation order, the values as Fractions."""
+        return ((key, self._unscaled(key, value)) for key, value in self._memo.items())
+
+    # -- scaled integers ---------------------------------------------------
+
+    def _scale(self, total: int) -> int:
+        """q^(L+1) * c^L, the scaled integer of half-length L over its value."""
+        return self._q ** (total + 1) * self._c**total
+
+    def _unscaled(self, key: fam.FamilyKey, value: int) -> Fraction:
+        """The family value that the scaled integer ``value`` of ``key`` stands for."""
+        return Fraction(value, self._scale(key.l_g + (key.l_b or 0)))
 
     # -- evaluation machinery ---------------------------------------------
 
-    def _value(self, key: fam.FamilyKey) -> Fraction:
+    def _value(self, key: fam.FamilyKey) -> int:
         tag, _, l_g, l_b, _, _ = key
         rank = (l_g + (l_b or 0), _STAGE[tag])
         if self._stack:
@@ -176,7 +218,7 @@ class CoefficientEngine:
         self._store(key, value)
         return value
 
-    def _store(self, key: fam.FamilyKey, value: Fraction) -> None:
+    def _store(self, key: fam.FamilyKey, value: int) -> None:
         existing = self._memo.get(key)
         if existing is not None and existing != value:
             raise AssertionError(
@@ -184,46 +226,49 @@ class CoefficientEngine:
             )
         self._memo[key] = value
 
-    def _alpha(self, component: int) -> Fraction:
-        return Fraction(self.params.alpha1 if component == 1 else self.params.alpha2)
-
-    def _w(self, half_multiplicity: int) -> Fraction:
-        """Edge weight for an edge traversed 2 * half_multiplicity times."""
-        cached = self._edge_weights.get(half_multiplicity)
+    def _w(self, half_multiplicity: int) -> int:
+        """Scaled edge weight W(f) for an edge traversed 2f times."""
+        f = half_multiplicity
+        cached = self._edge_weights.get(f)
         if cached is None:
-            cached = edge_factor(self.moments, self.params, 2 * half_multiplicity)
-            self._edge_weights[half_multiplicity] = cached
+            scaled = edge_factor(self.moments, self.params, 2 * f) * self._c**f * self._q**(f - 1)
+            if scaled.denominator != 1:
+                raise AssertionError(
+                    f"scaled edge weight for multiplicity {2 * f} is not an integer: "
+                    f"{scaled} at c={self._c}, q={self._q}"
+                )
+            cached = self._edge_weights[f] = scaled.numerator
         return cached
 
     # Tags here are code constants, so keys skip the tag checks of
     # ``fam.single_key``/``fam.double_key``: this is the hottest path.
 
-    def _s1(self, component: int, l: int, r: int) -> Fraction:
+    def _s1(self, component: int, l: int, r: int) -> int:
         return self._value(fam.FamilyKey(fam.S1, component, l, None, r, None))
 
-    def _s1s(self, component: int, l: int, r: int) -> Fraction:
+    def _s1s(self, component: int, l: int, r: int) -> int:
         return self._value(fam.FamilyKey(fam.S1S, component, l, None, r, None))
 
-    def _dbl(self, tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int) -> Fraction:
+    def _dbl(self, tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int) -> int:
         return self._value(fam.FamilyKey(tag, component, l_g, l_b, r_g, r_b))
 
     # -- sum equations -----------------------------------------------------
 
-    def _eval_sum(self, key: fam.FamilyKey) -> Fraction:
+    def _eval_sum(self, key: fam.FamilyKey) -> int:
         _, c, lg, lb, rg, rb = key
         return sum(self._dbl(tag, c, lg, lb, rg, rb) for tag in _SUMS[key.tag])
 
     # -- gray peel: blue does not use the cut edge --------------------------
 
-    def _gray_peel(self, key: fam.FamilyKey) -> Fraction:
+    def _gray_peel(self, key: fam.FamilyKey) -> int:
         tag, c, l, lb, r, rb = key
         lower_tag, upper = self._GRAY[tag]
         if tag == fam.S1 and l == 0:
-            return self._alpha(c) if r == 0 else _ZERO
+            return self._a[c] if r == 0 else 0
         # With a single-walk lower piece, the blue walk lives beyond the cut
         # edge and cannot touch r.
         if r > l or (lb is not None and rb > lb) or (lower_tag == fam.S1 and rb):
-            return _ZERO
+            return 0
         # The blue half-length goes to the piece that holds the blue walk, so
         # upper sums of single walks are cached once per (opp, f, u).
         if lower_tag == fam.S1:
@@ -231,12 +276,12 @@ class CoefficientEngine:
         else:
             low_lb, low_rb, up_lb = lb, rb, None
         opp = 3 - c
-        total = _ZERO
+        total = 0
         for f in range(1, r + 1):
             outer = binomial(r - 1, f - 1) * self._w(f)
             for u in range(0, l - r + 1):
                 lower = self._value(fam.FamilyKey(lower_tag, c, l - u - f, low_lb, r - f, low_rb))
-                if lower == 0:
+                if not lower:
                     continue
                 total += outer * lower * upper(self, opp, f, u, up_lb)
         return total
@@ -245,23 +290,23 @@ class CoefficientEngine:
     # the cut edge interleave with their own departures from v.
 
     @_upper_sum(fam.S1, lambda opp, f, u, lb: u)
-    def _upper_s1(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
-        upper = _ZERO
+    def _upper_s1(self, opp: int, f: int, u: int, lb: int | None) -> int:
+        upper = 0
         for v in range(0, u + 1):
             upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
         return upper
 
     @_upper_sum(fam.S1S, lambda opp, f, u, lb: u)
-    def _upper_s1_s1s(self, opp: int, f: int, u: int, lb: int | None) -> Fraction:
-        upper = _ZERO
+    def _upper_s1_s1s(self, opp: int, f: int, u: int, lb: int | None) -> int:
+        upper = 0
         for v in range(0, u + 1):
             upper += binomial(f + v, f) * self._s1(opp, u, v)
             upper += binomial(f + v - 1, f) * self._s1s(opp, u, v)
         return upper
 
     @_upper_sum(fam.NEQ_C, lambda opp, f, u, lb: u + lb)
-    def _upper_pair(self, opp: int, f: int, u: int, lb: int) -> Fraction:
-        upper = _ZERO
+    def _upper_pair(self, opp: int, f: int, u: int, lb: int) -> int:
+        upper = 0
         for vg in range(0, u + 1):
             code_vg = binomial(f + vg - 1, f - 1)
             for vb in range(0, lb + 1):
@@ -283,25 +328,25 @@ class CoefficientEngine:
 
     # -- red peel: blue uses the cut edge too -------------------------------
 
-    def _red_peel(self, key: fam.FamilyKey) -> Fraction:
+    def _red_peel(self, key: fam.FamilyKey) -> int:
         tag, c, lg, lb, rg, rb = key
         blue_code, lower_tag, upper = self._RED[tag]
         if rg > lg or rb > lb:
-            return _ZERO
+            return 0
         opp = 3 - c
-        total = _ZERO
+        total = 0
         for fg in range(1, rg + 1):
             code_g = binomial(rg - 1, fg - 1)
             for fb in range(1, rb + 1):
                 outer = code_g * blue_code(rb, fb) * self._w(fg + fb)
-                if outer == 0:
+                if not outer:
                     continue
                 for ug in range(0, lg - rg + 1):
                     for ub in range(0, lb - rb + 1):
                         lower = self._dbl(
                             lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
                         )
-                        if lower == 0:
+                        if not lower:
                             continue
                         total += outer * lower * upper(self, opp, fg, fb, ug, ub)
         return total
@@ -310,8 +355,8 @@ class CoefficientEngine:
     # blue returns over the cut edge interleave with their departures from v.
 
     @_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
-        upper = _ZERO
+    def _rooted_at_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> int:
+        upper = 0
         for vg in range(0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
             for vb in range(0, ub + 1):
@@ -321,8 +366,8 @@ class CoefficientEngine:
         return upper
 
     @_upper_sum(fam.NEQ_ANYC_S, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_or_beyond_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> Fraction:
-        upper = _ZERO
+    def _rooted_at_or_beyond_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> int:
+        upper = 0
         for vg in range(0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
             for vb in range(0, ub + 1):
@@ -349,22 +394,26 @@ class CoefficientEngine:
 
     # -- equations of their own shape --------------------------------------
 
-    def _eval_eq_anyc(self, key: fam.FamilyKey) -> Fraction:
+    def _eval_eq_anyc(self, key: fam.FamilyKey) -> int:
         c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
         # Pairs with no shared edge and a common root are exactly the pairs of
         # independent single walks glued at the root; the root's vertex factor
         # must not be counted twice.
-        glued = self._s1(c, lg, rg) * self._s1(c, lb, rb) / self._alpha(c)
+        glued, rest = divmod(self._s1(c, lg, rg) * self._s1(c, lb, rb), self._a[c])
+        if rest:
+            raise AssertionError(
+                f"glue at {key} is not divisible by the root factor a_{c} = {self._a[c]}"
+            )
         return self._dbl(fam.EQ_C, c, lg, lb, rg, rb) + glued
 
-    def _eval_neq_anyc_sn(self, key: fam.FamilyKey) -> Fraction:
+    def _eval_neq_anyc_sn(self, key: fam.FamilyKey) -> int:
         if key.l_g != 0 or key.r_g != 0:
-            return _ZERO
+            return 0
         return self._s1s(key.component, key.l_b, key.r_b)
 
-    def _eval_top(self, key: fam.FamilyKey) -> Fraction:
+    def _eval_top(self, key: fam.FamilyKey) -> int:
         lg, lb = key.l_g, key.l_b
-        total = _ZERO
+        total = 0
         for component in (1, 2):
             for rg in range(0, lg + 1):
                 for rb in range(0, lb + 1):

@@ -15,6 +15,7 @@ from bipcorr.model import (
     InvalidParamsError,
     ModelParams,
     MomentSequence,
+    moments_preset,
 )
 from bipcorr.recurrence import CoefficientEngine
 from bipcorr.walks import family_total_weight, n_oracle
@@ -135,10 +136,11 @@ class TestMemo:
     def test_write_once(self):
         engine = make_engine(1)
         key = fam.top_key(1, 1)
-        value = engine.s_value(key)
-        engine._store(key, value)  # same value is fine
+        engine.s_value(key)
+        scaled = engine._memo[key]
+        engine._store(key, scaled)  # same value is fine
         with pytest.raises(AssertionError):
-            engine._store(key, value + 1)
+            engine._store(key, scaled + 1)
 
     def test_recursion_order_guard(self):
         engine = make_engine(1)
@@ -158,7 +160,7 @@ class TestMemo:
             with pytest.raises(AssertionError, match="cached upper sum"):
                 engine._rooted_at_v(1, 1, 1, 1, 1)
             engine._stack[-1] = (2, 6)
-            assert engine._rooted_at_v(1, 1, 1, 1, 1) == F(3, 8)
+            assert engine._rooted_at_v(1, 1, 1, 1, 1) == F(3, 8) * engine._scale(2)
         finally:
             engine._stack.clear()
 
@@ -178,8 +180,24 @@ class TestMemo:
                 "engine._rooted_at_v(1, 1, 1, 1, 1)",
                 "recursion order violated: cached upper sum",
             ),
+            (
+                # alpha = 1/3 gives a_2 = 2; the S1 entry of value alpha2 *
+                # alpha1 * V2 is scaled to 2, and 1 is no multiple of a_2.
+                "engine = CoefficientEngine(ModelParams(F(1, 3), F(1)), engine.moments); "
+                "engine._memo[fam.single_key(fam.S1, 2, 1, 1)] = 1; "
+                "engine.s_value(fam.double_key(fam.EQ_ANYC, 2, 1, 1, 1, 1))",
+                "glue at FamilyKey(tag='EQ_ANYC', component=2, l_g=1, l_b=1, r_g=1, r_b=1) "
+                "is not divisible",
+            ),
+            (
+                # V2 = 1/3 needs c = 9; with c = 1 the scaled weight W(1) = V2 * c is 1/3.
+                "engine = CoefficientEngine(ModelParams(F(1, 2), F(3, 2)), "
+                "MomentSequence([F(1, 3)] * 5)); engine._c = 1; "
+                "engine.correlator_coefficient(2, 2)",
+                "scaled edge weight for multiplicity 2 is not an integer",
+            ),
         ],
-        ids=["order", "conflict", "upper"],
+        ids=["order", "conflict", "upper", "divide", "edge"],
     )
     def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([
@@ -218,3 +236,53 @@ class TestMemo:
         for name in ("_upper_s1", "_upper_s1_s1s"):
             args = [key[1:] for key in engine._uppers if key[0].__name__ == name]
             assert args and len(args) == len({a[:3] for a in args}), name
+
+
+# Denominators that stress the engine's scale: alpha = 5/11 and p = 7/3 put
+# 11 and 3 in the scale, gaussian:1/3 moments have denominators 9^j, and the
+# coprime set has one new prime denominator per moment.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+AWKWARD_PARAMS = ModelParams(F(5, 11), F(7, 3))
+AWKWARD_MOMENTS = {
+    "gaussian": moments_preset("gaussian:1/3", 12),
+    "coprime": MomentSequence([F(d + 1, d) for d in _PRIMES]),
+}
+# Printed by the Fraction engine that preceded the scaled-integer one.
+AWKWARD_FROZEN = {
+    "gaussian": {
+        (12, 12): F(2974762738016669182863760, 1216502627758327264323298869),
+        (14, 4): F(3726830803193926280, 2533066446277508676381),
+    },
+    "coprime": {
+        (12, 12): F(
+            23047363724845557297949209481008480579, 42836478993839165771700650266180
+        ),
+        (14, 4): F(16655106431587377440741697, 2386874076576007758740),
+    },
+}
+
+
+class TestScaledIntegers:
+    @pytest.mark.parametrize("name", AWKWARD_MOMENTS)
+    def test_equals_oracle(self, name):
+        moments = AWKWARD_MOMENTS[name]
+        engine = CoefficientEngine(AWKWARD_PARAMS, moments)
+        for k in range(2, 9, 2):
+            for m in range(2, 11 - k, 2):
+                expected = n_oracle(k, m, AWKWARD_PARAMS, moments)
+                assert engine.correlator_coefficient(k, m) == expected, (k, m)
+
+    @pytest.mark.parametrize("name", AWKWARD_MOMENTS)
+    def test_frozen_deep_values(self, name):
+        engine = CoefficientEngine(AWKWARD_PARAMS, AWKWARD_MOMENTS[name])
+        for (k, m), expected in AWKWARD_FROZEN[name].items():
+            assert engine.correlator_coefficient(k, m) == expected, (k, m)
+
+    @pytest.mark.parametrize("name", AWKWARD_MOMENTS)
+    def test_memo_items_are_family_values(self, name):
+        engine = CoefficientEngine(AWKWARD_PARAMS, AWKWARD_MOMENTS[name])
+        engine.correlator_coefficient(6, 4)
+        items = list(engine.memo_items())
+        assert len(items) == engine.memo_size
+        for key, value in items:
+            assert type(value) is F and value == engine.s_value(key), key
