@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo correlator at finite N")
     # The sampler draws weights from --dist, so moment flags do not apply.
     add_common(p_sim, moments=False)
-    p_sim.add_argument("mode", nargs="?", choices=("sweep",), default=None,
+    # Checked in _cmd_simulate, not by ``choices``: a choices check would
+    # reject the value of an unknown flag taken as the mode, and hide the flag.
+    p_sim.add_argument("mode", nargs="?", default=None, metavar="{sweep}",
                        help="'sweep' emits a CSV convergence log over --n values")
     p_sim.add_argument("--n", required=True, help="matrix size, or comma list for a sweep")
     p_sim.add_argument("--k", type=int, required=True)
@@ -332,6 +334,10 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.mode not in (None, "sweep"):
+        raise _CliError(
+            EXIT_CONFIG, f"unknown simulate mode {args.mode!r}; the only mode is 'sweep'"
+        )
     try:
         sizes = [int(chunk) for chunk in str(args.n).split(",") if chunk != ""]
     except ValueError:

@@ -9,7 +9,7 @@ to validate the sampler itself.
 Sampling layout
 ---------------
 A sampled matrix is determined by (seed, sample_index) alone.  Each sample
-gets its own counter-based generator (Philox) keyed by the pair, and draws
+uses a counter-based generator (Philox) keyed by the pair, and draws
 only the entries that are present, in this fixed order: the edge count, from
 Binomial(n1 * n2, p / N); then that many distinct flat positions in the
 n1 x n2 cross block, sorted so the entries come in row-major order; then
@@ -35,6 +35,7 @@ falls back to a full symmetric eigendecomposition for arbitrary input.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,9 @@ from .model import InvalidParamsError, ModelParams
 from .rational import parse_scalar
 
 _MASK64 = (1 << 64) - 1
+
+# One generator per thread, re-keyed for every sample by ``_keyed_generator``.
+_thread_rng = threading.local()
 
 
 class EigensolverError(RuntimeError):
@@ -155,13 +159,34 @@ def sample_entries(spec: EnsembleSpec, sample_index: int):
     N = spec.matrix_size
     n1 = spec.part1_size
     pairs = n1 * (N - n1)
-    key = np.array([spec.seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _keyed_generator(spec.seed, sample_index)
     count = int(rng.binomial(pairs, float(spec.params.p) / N))
     flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))
     values = spec.dist.sample(rng, count) / math.sqrt(float(spec.params.p))
     rows, cols = np.divmod(flat, N - n1)
     return rows, cols, values
+
+
+def _keyed_generator(seed: int, sample_index: int) -> np.random.Generator:
+    """This thread's generator, drawing exactly as ``Philox(key=(seed, sample_index))``.
+
+    Building a ``Philox`` reads OS entropy even when a key is given, so the
+    thread's one bit generator is reset to counter 0 under the new key.
+    """
+    rng = getattr(_thread_rng, "rng", None)
+    if rng is None:
+        rng = _thread_rng.rng = np.random.Generator(np.random.Philox(key=0))
+    key = np.array([seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_matrix(spec: EnsembleSpec, sample_index: int) -> np.ndarray:

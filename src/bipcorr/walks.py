@@ -48,9 +48,20 @@ edge between two vertices already connected, which closes a cycle; later
 steps only add edges and vertices, so the cycle stays and no completion is a
 tree.  A blue walk that ends still apart leaves two components and is dropped
 too.  The pruned generators therefore yield exactly the tree pairs of the
-unpruned ones, in the same order; ``skeleton().is_tree`` still filters their
-output.  The unpruned ``iter_minimal_*`` define minimality and give the
-census its minimal-pair count.
+unpruned ones, in the same order.  The unpruned ``iter_minimal_*`` define
+minimality; the census counts minimal pairs by a recursion over label counts
+instead of walking them.
+
+Profiles at the leaves
+----------------------
+The weighted sums never build a ``Skeleton``.  Facts of each gray walk (its
+edge counts, r_g and first edge) are gathered once and shared by every blue
+walk grown on it; at each leaf one pass over the blue walk gives the sorted
+edge totals, the shared-edge count c, the blue traversals of the first gray
+edge and r_b.  Each walk is connected and the two share a vertex, so the
+O(1) check "vertices = distinct edges + 1", which raises when it fails,
+stands in for the full tree test.  Each distinct profile is weighed once per
+context (alpha, p, moments).
 """
 
 from __future__ import annotations
@@ -260,21 +271,33 @@ def iter_tree_double_walks(k: int, m: int) -> Iterator[DoubleWalk]:
     Same pairs, same order; the walks are grown by ``_extend_tree``, so no
     prefix that already closes a cycle is extended.
     """
+    for gray, blue, _, _ in _tree_pairs(k, m):
+        yield DoubleWalk(gray.walk, blue)
+
+
+def _tree_pairs(k: int, m: int) -> Iterator:
+    """Yield (gray facts, blue walk, n1, n2) for each pair of ``iter_tree_double_walks``.
+
+    ``n1``/``n2`` are the labels the pair uses in each part, so its skeleton
+    has n1 + n2 vertices.  The ``_Gray`` facts are built once per gray walk
+    and shared by every blue walk grown on it.
+    """
     if k < 0 or m < 0:
         raise ValueError("walk lengths must be >= 0")
     for root_component in (1, 2):
         # While a gray walk is yielded, ``edges`` holds exactly its edges;
         # each blue extension restores them when it is exhausted.
         edges: set = set()
-        for gray, g1, g2 in _root_tree_walks(root_component, k, edges):
+        for walk, g1, g2 in _root_tree_walks(root_component, k, edges):
+            gray = _gray_facts(walk)
             for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
-                for blue, _, _ in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
-                    yield DoubleWalk(gray, blue)
+                for blue, n1, n2 in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
+                    yield gray, blue, n1, n2
             bounds = (g1, g2)
-            for blue, _, _ in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
-                yield DoubleWalk(gray, blue)
-            for blue, _, _ in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
-                yield DoubleWalk(gray, blue)
+            for blue, n1, n2 in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
+                yield gray, blue, n1, n2
+            for blue, n1, n2 in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
+                yield gray, blue, n1, n2
 
 
 def canonicalize(dw: DoubleWalk) -> DoubleWalk:
@@ -379,7 +402,7 @@ def walk_weight(dw: DoubleWalk, params: ModelParams, moments: MomentSequence) ->
     sk = skeleton(dw)
     if not sk.is_tree:
         raise ValueError(f"walk pair has a non-tree skeleton: {format_double_walk(dw)}")
-    return _profile_weight(_profile_of(sk), params, moments)
+    return _profile_weigher(params, moments.values)(_profile_of(sk))
 
 
 # A profile is the part of a skeleton the weight depends on: vertex counts per
@@ -391,12 +414,93 @@ def _profile_of(sk: Skeleton):
     return (sk.part1_count, sk.part2_count, tuple(sorted(sk.edge_totals())))
 
 
-def _profile_weight(profile, params: ModelParams, moments: MomentSequence) -> Fraction:
-    p1, p2, totals = profile
-    weight = params.alpha1**p1 * params.alpha2**p2
-    for total in totals:
-        weight *= edge_factor(moments, params, total)
+@lru_cache(maxsize=None)
+def _profile_weigher(params: ModelParams, moment_values: tuple):
+    """The profile -> weight function of one context, weighing each profile once.
+
+    Keyed by the moment values, since ``MomentSequence`` is not hashable.
+    """
+    moments = MomentSequence(moment_values)
+
+    @lru_cache(maxsize=None)
+    def weight(profile) -> Fraction:
+        p1, p2, totals = profile
+        out = params.alpha1**p1 * params.alpha2**p2
+        for total in totals:
+            out *= edge_factor(moments, params, total)
+        return out
+
     return weight
+
+
+def _weight_sum(profiles, params: ModelParams, moments: MomentSequence) -> Fraction:
+    total = Fraction(0)
+    if profiles:
+        weight = _profile_weigher(params, moments.values)
+        for profile, count in profiles:
+            total += count * weight(profile)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Profiles at the leaves (see the module docstring)
+
+
+def _add_steps(counts: dict, walk: ClosedWalk) -> dict:
+    """Add one to ``counts[edge]`` for every step of ``walk``; returns ``counts``."""
+    a = walk[0]
+    for b in walk[1:]:
+        edge = (a, b) if a < b else (b, a)  # ``_edge``, inlined in the leaves' loop
+        counts[edge] = counts.get(edge, 0) + 1
+        a = b
+    return counts
+
+
+class _Gray(NamedTuple):
+    """Facts of one tree gray walk, shared by every pair grown on it."""
+
+    walk: ClosedWalk
+    counts: dict  # edge -> traversals
+    vertices: frozenset
+    r_g: int  # departures from the root r
+    cut: Optional[tuple]  # the first edge (r, v); None for the empty walk
+    upper: frozenset  # vertices on the v side of the cut
+
+
+def _gray_facts(walk: ClosedWalk) -> _Gray:
+    counts = _add_steps({}, walk)
+    r = walk[0]
+    cut, upper = None, frozenset()
+    if len(walk) > 1:
+        cut = _edge(r, walk[1])
+        upper = frozenset(_upper_vertices(counts, r, walk[1]))
+    return _Gray(walk, counts, frozenset(walk), _root_departures(walk, r), cut, upper)
+
+
+def _leaf(gray: _Gray, blue: ClosedWalk, n1: int, n2: int):
+    """(profile, c, blue traversals of the cut edge, r_b) of a grown pair.
+
+    The pair uses ``n1``/``n2`` labels.  Each walk is connected and the two
+    share a vertex, so the skeleton is a tree exactly when it has one vertex
+    more than it has edges; anything else raises ``ValueError``.
+    """
+    counts = _add_steps(dict(gray.counts), blue)
+    if n1 + n2 != len(counts) + 1:
+        raise ValueError(
+            f"walk pair has a non-tree skeleton: {format_walk(gray.walk)} | {format_walk(blue)}"
+        )
+    # The blue walk's own skeleton is a subtree: one edge fewer than vertices.
+    c = len(gray.counts) + len(set(blue)) - 1 - len(counts)
+    on_cut = 0 if gray.cut is None else counts[gray.cut] - gray.counts[gray.cut]
+    r_b = _root_departures(blue, gray.walk[0])
+    return (n1, n2, tuple(sorted(counts.values()))), c, on_cut, r_b
+
+
+def _leaf_slots(gray: _Gray, blue: ClosedWalk, c: int, on_cut: int, r_b: int) -> list:
+    """The family slots of a grown pair, from its ``_leaf`` facts."""
+    # A fresh blue root lies on the side of the first gray vertex its walk meets.
+    meet = next(x for x in blue if x in gray.vertices)
+    return _slots(gray.walk, blue, gray.r_g, r_b, c, on_cut, meet in gray.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +508,61 @@ def _profile_weight(profile, params: ModelParams, moments: MomentSequence) -> Fr
 
 
 def census(k: int, m: int):
-    """(minimal pair count, essential pair count) at lengths (k, m).
+    """(minimal pair count, essential pair count) at lengths (k, m)."""
+    return _minimal_pairs(k, m), sum(count for _, count in _essential_profiles(k, m))
 
-    The minimal count walks the unpruned enumeration, which costs far more
-    than the essential pairs do; only the census pays for it.
+
+def _minimal_pairs(k: int, m: int) -> int:
+    """The length of ``iter_minimal_double_walks(k, m)``, counted without walking.
+
+    ``_minimal_closings`` gives the gray walks by their final label counts;
+    each blue root then multiplies in the blue walks that start from it.
     """
-    minimal = sum(1 for _ in iter_minimal_double_walks(k, m))
-    return minimal, sum(count for _, count in _essential_profiles(k, m))
+    if k < 0 or m < 0:
+        raise ValueError("walk lengths must be >= 0")
+    if k % 2 != 0 or m % 2 != 0:
+        return 0
+
+    def blue(n1: int, n2: int, part: int) -> int:
+        return sum(count for _, count in _minimal_closings(n1, n2, part, m))
+
+    total = 0
+    for part, labels in ((1, (1, 0)), (2, (0, 1))):
+        for (g1, g2), count in _minimal_closings(*labels, part, k):
+            roots = g1 * blue(g1, g2, 1) + g2 * blue(g1, g2, 2)
+            roots += blue(g1 + 1, g2, 1) + blue(g1, g2 + 1, 2)
+            total += count * roots
+    return total
+
+
+@lru_cache(maxsize=None)
+def _minimal_closings(n1: int, n2: int, part: int, remaining: int):
+    """((n1, n2) at the end, count) over the minimal closings of a walk.
+
+    The walk stands at a vertex of ``part`` with ``n1``/``n2`` labels in use
+    and ``remaining`` steps to go, as in ``_extend``.  Every used vertex it
+    can step to leads to the same state; a new one takes the next label.  In
+    a walk of even length the vertex before the last step lies in the part
+    opposite the root, so the last step always closes; callers skip odd
+    lengths.
+    """
+    if remaining <= 1:
+        return (((n1, n2), 1),)
+    used, fresh = (n2, (n1, n2 + 1)) if part == 1 else (n1, (n1 + 1, n2))
+    ends: dict = {}
+    for factor, labels in ((used, (n1, n2)), (1, fresh)):
+        if factor:
+            for end, count in _minimal_closings(*labels, 3 - part, remaining - 1):
+                ends[end] = ends.get(end, 0) + factor * count
+    return tuple(ends.items())
 
 
 @lru_cache(maxsize=None)
 def _essential_profiles(k: int, m: int):
     profiles: dict = {}
-    for dw in iter_tree_double_walks(k, m):
-        sk = skeleton(dw)
-        if sk.is_tree and sk.c > 0:
-            profile = _profile_of(sk)
+    for gray, blue, n1, n2 in _tree_pairs(k, m):
+        profile, c, _, _ = _leaf(gray, blue, n1, n2)
+        if c > 0:
             profiles[profile] = profiles.get(profile, 0) + 1
     return tuple(sorted(profiles.items()))
 
@@ -430,10 +573,7 @@ def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fr
         raise ValueError(f"need k, m >= 1, got ({k}, {m})")
     if k % 2 != 0 or m % 2 != 0:
         return Fraction(0)
-    total = Fraction(0)
-    for profile, count in _essential_profiles(k, m):
-        total += count * _profile_weight(profile, params, moments)
-    return total
+    return _weight_sum(_essential_profiles(k, m), params, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +581,14 @@ def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fr
 
 
 def _root_departures(walk: ClosedWalk, r: Vertex) -> int:
-    return sum(1 for i in range(len(walk) - 1) if walk[i] == r)
+    return walk[:-1].count(r)
 
 
-def _upper_vertices(sk: Skeleton, r: Vertex, v: Vertex) -> set:
-    """Vertices on the v side of the tree once edge (r, v) is removed."""
+def _upper_vertices(edges, r: Vertex, v: Vertex) -> set:
+    """Vertices on the v side of the tree with ``edges`` once edge (r, v) is removed."""
     cut = _edge(r, v)
     adjacency: dict = {}
-    for a, b in sk.edges:
+    for a, b in edges:
         if (a, b) == cut:
             continue
         adjacency.setdefault(a, []).append(b)
@@ -464,15 +604,19 @@ def _upper_vertices(sk: Skeleton, r: Vertex, v: Vertex) -> set:
     return seen
 
 
-def _memberships(dw: DoubleWalk, sk: Skeleton):
-    """All (tag, component, r_g, r_b) family slots a tree-skeleton pair fills."""
-    r = dw.gray[0]
-    component = vertex_part(r)
-    r_g = _root_departures(dw.gray, r)
-    r_b = _root_departures(dw.blue, r)
-    blue_root = dw.blue[0]
-    roots_equal = blue_root == r
-    shared = sk.c > 0
+def _slots(
+    gray: ClosedWalk, blue: ClosedWalk, r_g: int, r_b: int, c: int, on_cut: int, in_upper: bool
+) -> list:
+    """All (tag, component, r_g, r_b) family slots a tree-skeleton pair fills.
+
+    ``c`` counts the shared edges, ``on_cut`` the blue traversals of the
+    first gray edge (r, v), and ``in_upper`` says whether the blue root lies
+    on the v side of that edge; the last two are read only when the gray
+    walk is not empty.
+    """
+    r = gray[0]
+    roots_equal = blue[0] == r
+    shared = c > 0
     tags = []
     if roots_equal:
         tags.append(fam.EQ_ANYC)
@@ -481,39 +625,47 @@ def _memberships(dw: DoubleWalk, sk: Skeleton):
     else:
         if shared:
             tags.append(fam.NEQ_C)
-        if r in dw.blue:
+        if r in blue:
             tags.append(fam.NEQ_ANYC_S)
-            if len(dw.gray) == 1:
+            if len(gray) == 1:
                 tags.append(fam.NEQ_ANYC_SN)
 
-    if len(dw.gray) > 1:
-        v = dw.gray[1]
-        blue_uses_cut = sk.edges[_edge(r, v)][1] > 0
+    if len(gray) > 1:
+        blue_uses_cut = on_cut > 0
         if fam.EQ_C in tags:
             tags.append(fam.EQ_C_R if blue_uses_cut else fam.EQ_C_G)
         if fam.NEQ_ANYC_S in tags and not blue_uses_cut:
             tags.append(fam.NEQ_ANYC_SGD)
         if fam.NEQ_C in tags:
-            in_upper = blue_root in _upper_vertices(sk, r, v)
             if blue_uses_cut:
                 tags.append(fam.NEQ_C_R)
                 tags.append(fam.NEQ_C_RU if in_upper else fam.NEQ_C_RD)
             else:
                 tags.append(fam.NEQ_C_G)
                 tags.append(fam.NEQ_C_GU if in_upper else fam.NEQ_C_GD)
+    component = vertex_part(r)
     return [(tag, component, r_g, r_b) for tag in tags]
+
+
+def _memberships(dw: DoubleWalk, sk: Skeleton):
+    """The family slots of a tree-skeleton pair, from its skeleton."""
+    r = dw.gray[0]
+    on_cut, in_upper = 0, False
+    if len(dw.gray) > 1:
+        v = dw.gray[1]
+        on_cut = sk.edges[_edge(r, v)][1]
+        in_upper = dw.blue[0] in _upper_vertices(sk.edges, r, v)
+    r_g, r_b = _root_departures(dw.gray, r), _root_departures(dw.blue, r)
+    return _slots(dw.gray, dw.blue, r_g, r_b, sk.c, on_cut, in_upper)
 
 
 @lru_cache(maxsize=None)
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b)."""
     buckets: dict = {}
-    for dw in iter_tree_double_walks(2 * l_g, 2 * l_b):
-        sk = skeleton(dw)
-        if not sk.is_tree:
-            continue
-        profile = _profile_of(sk)
-        for slot in _memberships(dw, sk):
+    for gray, blue, n1, n2 in _tree_pairs(2 * l_g, 2 * l_b):
+        profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
+        for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
             bucket = buckets.setdefault(slot, {})
             bucket[profile] = bucket.get(profile, 0) + 1
     return {
@@ -527,14 +679,10 @@ def _single_family_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks."""
     buckets: dict = {}
     for component in (1, 2):
-        for walk in iter_tree_walks(l, component):
-            dw = DoubleWalk(walk, (walk[0],))
-            sk = skeleton(dw)
-            if not sk.is_tree:
-                continue
-            slot = (component, _root_departures(walk, walk[0]))
-            bucket = buckets.setdefault(slot, {})
-            profile = _profile_of(sk)
+        for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
+            gray = _gray_facts(walk)
+            profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
+            bucket = buckets.setdefault((component, gray.r_g), {})
             bucket[profile] = bucket.get(profile, 0) + 1
     return {
         slot: tuple(sorted(bucket.items()))
@@ -593,7 +741,4 @@ def family_total_weight(
         profiles = _double_family_profiles(key.l_g, key.l_b).get(
             (key.tag, key.component, key.r_g, key.r_b), ()
         )
-    total = Fraction(0)
-    for profile, count in profiles:
-        total += count * _profile_weight(profile, params, moments)
-    return total
+    return _weight_sum(profiles, params, moments)

@@ -3,7 +3,7 @@
 Each test certifies one headline guarantee of the package:
 
 * the recurrence engine equals the enumeration oracle, both on full
-  coefficients up to k + m = 12 and family by family, with exact rational
+  coefficients up to k + m = 14 and family by family, with exact rational
   equality;
 * the smallest coefficient matches its closed form in every context;
 * structural properties (parity, symmetry, part exchange, moment scaling)
@@ -54,16 +54,25 @@ def test_engine_equals_oracle_on_all_even_pairs(index):
         assert got == want, f"({k},{m}): engine={got} oracle={want}"
 
 
+def _engine_equals_oracle_at_total(index, total):
+    # Every even split of k + m = total; the oracle reaches it by enumerating
+    # tree-skeleton walks only, and its profiles are shared by all contexts.
+    params, moments = context(index, total // 2)
+    engine = CoefficientEngine(params, moments)
+    for k in range(2, total - 1, 2):
+        got = engine.correlator_coefficient(k, total - k)
+        want = n_oracle(k, total - k, params, moments)
+        assert got == want, f"({k},{total - k}): engine={got} oracle={want}"
+
+
 @pytest.mark.parametrize("index", CONTEXT_IDS)
 def test_engine_equals_oracle_at_total_12(index):
-    # Every even split of k + m = 12; the oracle reaches it by enumerating
-    # tree-skeleton walks only.
-    params, moments = context(index, 6)
-    engine = CoefficientEngine(params, moments)
-    for k in range(2, 11, 2):
-        got = engine.correlator_coefficient(k, 12 - k)
-        want = n_oracle(k, 12 - k, params, moments)
-        assert got == want, f"({k},{12 - k}): engine={got} oracle={want}"
+    _engine_equals_oracle_at_total(index, 12)
+
+
+@pytest.mark.parametrize("index", CONTEXT_IDS)
+def test_engine_equals_oracle_at_total_14(index):
+    _engine_equals_oracle_at_total(index, 14)
 
 
 @pytest.mark.parametrize("index", CONTEXT_IDS)

@@ -234,6 +234,7 @@ class TestSimulate:
             ["simulate", "--n", "2", "--k", "2", "--m", "2", "--alpha", "1/3", "--p", "1"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--batches", "0"],
             ["simulate", "--n", "16", "--k", "2", "--m", "2", "--threads", "0"],
+            ["simulate", "bogus", "--n", "16", "--k", "2", "--m", "2"],
         ]
         for argv in cases:
             code, _, err = run(capsys, argv)
@@ -286,3 +287,12 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
+
+    def test_rejected_flag_is_named(self, capsys):
+        # The optional mode positional must not swallow the flag's value and
+        # report the value as a bad mode.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--n", "16", "--k", "2", "--m", "2", "--moments", "gaussian:3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --moments" in err and "mode" not in err

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from bipcorr import simulate
 from bipcorr.model import InvalidParamsError, ModelParams
 from bipcorr.simulate import (
     EnsembleSpec,
@@ -129,6 +130,26 @@ class TestSampleMatrix:
         assert np.all((0 <= rows) & (rows < n1)) and np.all((0 <= cols) & (cols < n2))
         flat = rows * n2 + cols
         assert np.all(np.diff(flat) > 0)
+
+    def test_entries_equal_freshly_keyed_philox(self, monkeypatch):
+        # The per-thread generator is re-keyed, not rebuilt; the draws must be
+        # those of a new Philox keyed by (seed, index), whatever came before.
+        specs = [
+            make_spec(N=30, alpha=F(1, 3), p=F(6), dist="gaussian:1", seed=0),
+            make_spec(N=17, p=F(3), seed=7),
+            make_spec(N=24, p=F(5, 2), dist="two-point:1,1/3,-1/2", seed=2**40),
+        ]
+        order = [(0, 5), (1, 0), (2, 3), (0, 5), (1, 2**33), (0, 0), (2, 3)]
+        got = [sample_entries(specs[s], index) for s, index in order]
+
+        def fresh(seed, index):
+            key = np.array([seed, index], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        monkeypatch.setattr(simulate, "_keyed_generator", fresh)
+        for (s, index), entries in zip(order, got):
+            for got_array, want_array in zip(entries, sample_entries(specs[s], index)):
+                assert np.array_equal(got_array, want_array), (s, index)
 
     def test_matrix_is_dense_form_of_entries(self):
         spec = make_spec(N=21, alpha=F(2, 3), p=F(3), dist="gaussian:1")

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from bipcorr import cli, families as fam
+from bipcorr import cli, families as fam, walks
+from bipcorr.model import MomentSequence
+from bipcorr.recurrence import CoefficientEngine
 from bipcorr.walks import (
     DoubleWalk,
     canonicalize,
@@ -28,7 +30,18 @@ from bipcorr.walks import (
     skeleton,
     walk_weight,
 )
-from bipcorr.walks import _memberships
+from bipcorr.walks import (
+    _gray_facts,
+    _leaf,
+    _leaf_slots,
+    _memberships,
+    _minimal_closings,
+    _minimal_pairs,
+    _profile_of,
+    _root_departures,
+    _root_tree_walks,
+    _tree_pairs,
+)
 
 from conftest import CONTEXT_IDS, ORACLE_TABLES, context
 
@@ -170,6 +183,59 @@ class TestTreePruning:
         )
 
 
+class TestLeafProfiles:
+    """The sums' leaf-built facts against ``skeleton()`` and ``_memberships``."""
+
+    @pytest.mark.parametrize("total", range(0, 11, 2))
+    def test_pairs_equal_skeleton(self, total):
+        for k in range(0, total + 1, 2):
+            for gray, blue, n1, n2 in _tree_pairs(k, total - k):
+                dw = DoubleWalk(gray.walk, blue)
+                sk = skeleton(dw)
+                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
+                assert (profile, c) == (_profile_of(sk), sk.c), format_double_walk(dw)
+                assert _leaf_slots(gray, blue, c, on_cut, r_b) == _memberships(dw, sk)
+
+    @pytest.mark.parametrize("l", range(0, 7))
+    def test_single_walks_equal_skeleton(self, l):
+        for component in (1, 2):
+            for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
+                gray = _gray_facts(walk)
+                sk = skeleton(DoubleWalk(walk, (walk[0],)))
+                profile, c, _, _ = _leaf(gray, (walk[0],), n1, n2)
+                assert (profile, c) == (_profile_of(sk), sk.c), format_walk(walk)
+                assert gray.r_g == _root_departures(walk, walk[0])
+
+    @pytest.mark.parametrize(
+        "gray, blue",
+        [("1:1 2:1 1:2 2:2 1:1", "1:1"), ("1:1 2:1 1:1", "1:1 2:2 1:2 2:1 1:1")],
+        ids=["gray-cycle", "blue-closes-cycle"],
+    )
+    def test_cyclic_pair_rejected(self, gray, blue):
+        # The O(1) tree guard must hold under python -O too.
+        with pytest.raises(ValueError, match="non-tree skeleton"):
+            _leaf(_gray_facts(parse_walk(gray)), parse_walk(blue), 2, 2)
+
+    def test_sums_build_no_skeleton(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the oracle's sums must not build a skeleton")
+
+        monkeypatch.setattr(walks, "skeleton", forbidden)
+        monkeypatch.setattr(walks, "_is_connected", forbidden)
+        for cached in (
+            walks._essential_profiles,
+            walks._double_family_profiles,
+            walks._single_family_profiles,
+            walks._profile_weigher,
+        ):
+            cached.cache_clear()
+        params, moments = context(3)
+        mismatches, lines = cli.run_crosscheck(
+            CoefficientEngine(params, moments), max_total=6, family_total=3
+        )
+        assert mismatches == [] and lines[-1] == "OK"
+
+
 class TestSkeleton:
     def test_shared_edge_pair(self):
         dw = parse_double_walk("1:1 2:1 1:1 | 1:1 2:1 1:1")
@@ -245,6 +311,27 @@ class TestCensus:
         assert census(2, 8) == (10816, 676)
         assert census(6, 6) == (164836, 4516)
 
+    def test_minimal_count_equals_enumeration(self):
+        # Odd and zero lengths included: the counting recursion must agree
+        # with the unpruned generator wherever that one is cheap to walk.
+        for k in range(0, 7):
+            for m in range(0, 9 - k):
+                want = sum(1 for _ in iter_minimal_double_walks(k, m))
+                assert _minimal_pairs(k, m) == want, (k, m)
+
+    def test_minimal_count_at_16(self):
+        assert _minimal_pairs(8, 8) == 68558400
+
+    def test_minimal_single_walks_are_bell_squared(self):
+        # A minimal walk of half-length l is a pair of set partitions: of its
+        # l visits to the root's part before the end, and of its l visits to
+        # the other part.  Bell numbers B(0..10):
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+        for l, b in enumerate(bell):
+            for labels, part in (((1, 0), 1), ((0, 1), 2)):
+                count = sum(c for _, c in _minimal_closings(*labels, part, 2 * l))
+                assert count == b * b, (l, part)
+
     def test_census_symmetry(self):
         assert census(2, 4) == census(4, 2)
         assert census(2, 6) == census(6, 2)
@@ -257,6 +344,20 @@ class TestOracle:
         for (k, m), expected in ORACLE_TABLES[index].items():
             assert n_oracle(k, m, params, moments) == expected
             assert n_oracle(m, k, params, moments) == expected
+
+    def test_weights_follow_the_moments(self):
+        # Same params, rescaled weight law: V_2j -> c^2j V_2j multiplies
+        # n_{k,m} by c^(k+m), so weights must not be reused across moments.
+        params, moments = context(2)
+        c = F(2, 3)
+        scaled = MomentSequence([c ** (2 * j) * v for j, v in enumerate(moments.values, 1)])
+        for k, m in ((2, 2), (2, 4), (4, 4)):
+            base = n_oracle(k, m, params, moments)
+            assert n_oracle(k, m, params, scaled) == c ** (k + m) * base
+        key = fam.double_key(fam.NEQ_C_GU, 2, 2, 2, 1, 0)
+        base = family_total_weight(key, params, moments)
+        assert base != 0
+        assert family_total_weight(key, params, scaled) == c**8 * base
 
     def test_odd_indices_vanish(self):
         params, moments = context(1)
