@@ -38,8 +38,11 @@ The five upper sums depend only on their arguments, yet the peels ask for the
 same ones many times (at n_{12,12}, ``_rooted_at_v`` is asked 22,332 times for
 882 distinct arguments).  Each engine caches them in its own dict, keyed by
 the method and its arguments; no cache is shared between engines, because the
-values depend on the engine's params and moments.  A hit reads no family
-value, so it adds no memo key and leaves the memo's insertion order as it was.
+values depend on the engine's params and moments.  A peel reads a cached sum
+inline, as it reads a memo value; only on a miss does it run the sum, with
+``yield from``, so the keys the sum still lacks go to the same work stack as
+the peel's own.  A hit reads no family value, so it adds no memo key and
+leaves the memo's insertion order as it was.
 
 Scaled integers
 ---------------
@@ -65,19 +68,34 @@ alpha_c: scaled, it is X1 * X2 // a_c.  That division is exact because every
 term of X1 carries the root's vertex factor a_c; the engine checks the
 remainder all the same, also under ``python -O``.
 
-Termination
------------
+Work stack and termination
+--------------------------
 Recursive references either strictly decrease the total half-length
 l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
-(``families.STAGE``).  The engine checks this ordering on every reference,
-also under ``python -O``, so an accidentally circular edit fails loudly
-instead of looping.  The check covers cached upper sums too: each entry keeps
-the rank of its highest reference, and every hit checks that rank against the
-current parent as if it had referenced those keys again.
+(``families.STAGE``).  A key's rank packs the pair into one int,
+``total << 5 | stage`` (every stage is below 32), so integer order is the
+order of the pair.
+
+Each equation is a generator.  Where it needs a family value it checks the
+reference's rank against the rank of its own key, then reads the memo inline;
+only on a miss does it ``yield`` the key.  ``_value`` keeps the pending
+equations on an explicit list: it pushes the equation of each key yielded,
+stores the value when that generator returns, and sends the value back to the
+generator below.  So a memo hit costs no Python call, and a deep key is
+limited by memory, not by the interpreter's recursion limit.
+
+The rank checks raise also under ``python -O``, so an accidentally circular
+edit fails loudly instead of looping.  ``_value`` checks each key it is asked
+to evaluate as well, so a miss is checked twice.  An upper sum declares the
+rank of its latest read: evaluating it checks each read against that rank,
+its cache entry keeps the rank, and every reference to the sum, hit or miss,
+checks the rank against the peel's own, as if the peel had read those keys
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -98,32 +116,54 @@ _SUMS = {
 }
 
 
-def _upper_sum(top_tag: str, total):
-    """Cache an upper sum per engine, keyed by the method and its arguments.
+def _rank(key: tuple) -> int:
+    """``total << 5 | stage`` of a key; the equations compute it inline."""
+    return (key[2] + (key[3] or 0)) << 5 | _STAGE[key[0]]
 
+
+def _order_violated(what, rank: int, parent: int):
+    """Raise for a reference at ``rank`` (a key or a named upper sum) from ``parent``."""
+    if isinstance(what, tuple):
+        what = fam.FamilyKey._make(what)
+    raise AssertionError(
+        f"recursion order violated: {what} at rank {divmod(rank, 32)} "
+        f"referenced from rank {divmod(parent, 32)}"
+    )
+
+
+def _stale_upper_hit(cache_key: tuple, entry: tuple, parent: int):
+    """Raise for a cache hit on ``(upper, *args)`` whose ``(value, rank)`` entry
+    is not below ``parent``, the rank of the peel that reads it."""
+    upper, *args = cache_key
+    _order_violated(f"cached upper sum {upper.__name__}{tuple(args)}", entry[1], parent)
+
+
+def _upper_sum(top_tag: str, total):
+    """Evaluate an upper sum and store it in the engine's cache.
+
+    The cache maps ``(decorated method, *args)`` to ``(value, rank)``.
     ``top_tag`` is the latest-stage family the sum reads and ``total(*args)``
-    the total half-length of every key it reads, so an entry, which keeps
-    that total, has the rank ``(total, stage of top_tag)`` of its highest
-    reference.  A hit skips the ``_value`` calls that would have checked
-    those references against the parent, so the hit checks this rank instead.
+    the total half-length of every key it reads, so the sum's rank
+    ``(total, stage of top_tag)`` is that of its latest read.  The decorated
+    generator takes the rank of the peel that asks, checks the sum's rank
+    against it, evaluates the sum with every read checked against the sum's
+    rank, and stores the value with that rank.  It never reads the cache:
+    the peels do that themselves, inline, check the stored rank of a hit
+    against their own and call the sum only on a miss.
     """
-    stage = _STAGE[top_tag]
 
     def decorate(method):
-        def cached(self, *args):
-            key = (method, *args)
-            entry = self._uppers.get(key)
-            if entry is None:
-                entry = self._uppers[key] = (method(self, *args), total(*args))
-            elif self._stack and (entry[1], stage) >= self._stack[-1]:
-                raise AssertionError(
-                    f"recursion order violated: cached upper sum "
-                    f"{method.__name__}{args} at rank {(entry[1], stage)} "
-                    f"referenced from rank {self._stack[-1]}"
-                )
-            return entry[0]
+        @functools.wraps(method)
+        def evaluate_and_store(self, parent: int, *args):
+            rank = total(*args) << 5 | _STAGE[top_tag]
+            if rank >= parent:
+                _order_violated(f"upper sum {method.__name__}{args}", rank, parent)
+            # Reads may reach the sum's own rank, not beyond it.
+            value = yield from method(self, rank + 1, *args)
+            self._uppers[(evaluate_and_store, *args)] = (value, rank)
+            return value
 
-        return cached
+        return evaluate_and_store
 
     return decorate
 
@@ -143,7 +183,6 @@ class CoefficientEngine:
         self._memo: dict = {}
         self._uppers: dict = {}
         self._edge_weights: dict = {}
-        self._stack: list = []
         self._dispatch = {
             **dict.fromkeys(_SUMS, self._eval_sum),
             **dict.fromkeys(self._GRAY, self._gray_peel),
@@ -183,7 +222,9 @@ class CoefficientEngine:
 
     def memo_items(self) -> Iterable:
         """(key, value) pairs in evaluation order, the values as Fractions."""
-        return ((key, self._unscaled(key, value)) for key, value in self._memo.items())
+        for key, value in self._memo.items():
+            key = fam.FamilyKey._make(key)
+            yield key, self._unscaled(key, value)
 
     # -- scaled integers ---------------------------------------------------
 
@@ -196,29 +237,39 @@ class CoefficientEngine:
         return Fraction(value, self._scale(key.l_g + (key.l_b or 0)))
 
     # -- evaluation machinery ---------------------------------------------
+    #
+    # Keys inside the engine are plain tuples laid out as ``fam.FamilyKey``,
+    # which hash and compare equal to the named keys of the public API.  Each
+    # equation is a generator called with its key and that key's rank, and
+    # every read of a family value in it follows one pattern: build the key,
+    # check its rank against ``rank``, ``memo.get``, and ``yield`` the key only
+    # on a miss.
 
-    def _value(self, key: fam.FamilyKey) -> int:
-        tag, _, l_g, l_b, _, _ = key
-        rank = (l_g + (l_b or 0), _STAGE[tag])
-        if self._stack:
-            parent = self._stack[-1]
-            if rank >= parent:
-                raise AssertionError(
-                    f"recursion order violated: {key} at rank {rank} "
-                    f"referenced from rank {parent}"
-                )
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._stack.append(rank)
-        try:
-            value = self._dispatch[tag](key)
-        finally:
-            self._stack.pop()
-        self._store(key, value)
+    def _value(self, key: tuple) -> int:
+        """The scaled value of ``key``, evaluating what it lacks on a work stack."""
+        value = self._memo.get(key)
+        if value is not None:
+            return value
+        dispatch = self._dispatch
+        rank = _rank(key)
+        stack = [(key, rank, dispatch[key[0]](key, rank))]
+        while stack:
+            key, rank, frame = stack[-1]
+            try:
+                ref = frame.send(value)
+            except StopIteration as done:
+                value = done.value
+                self._store(key, value)
+                stack.pop()
+                continue
+            ref_rank = _rank(ref)
+            if ref_rank >= rank:
+                _order_violated(ref, ref_rank, rank)
+            stack.append((ref, ref_rank, dispatch[ref[0]](ref, ref_rank)))
+            value = None
         return value
 
-    def _store(self, key: fam.FamilyKey, value: int) -> None:
+    def _store(self, key: tuple, value: int) -> None:
         existing = self._memo.get(key)
         if existing is not None and existing != value:
             raise AssertionError(
@@ -240,27 +291,25 @@ class CoefficientEngine:
             cached = self._edge_weights[f] = scaled.numerator
         return cached
 
-    # Tags here are code constants, so keys skip the tag checks of
-    # ``fam.single_key``/``fam.double_key``: this is the hottest path.
-
-    def _s1(self, component: int, l: int, r: int) -> int:
-        return self._value(fam.FamilyKey(fam.S1, component, l, None, r, None))
-
-    def _s1s(self, component: int, l: int, r: int) -> int:
-        return self._value(fam.FamilyKey(fam.S1S, component, l, None, r, None))
-
-    def _dbl(self, tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int) -> int:
-        return self._value(fam.FamilyKey(tag, component, l_g, l_b, r_g, r_b))
-
     # -- sum equations -----------------------------------------------------
 
-    def _eval_sum(self, key: fam.FamilyKey) -> int:
-        _, c, lg, lb, rg, rb = key
-        return sum(self._dbl(tag, c, lg, lb, rg, rb) for tag in _SUMS[key.tag])
+    def _eval_sum(self, key: tuple, rank: int):
+        tag, c, lg, lb, rg, rb = key
+        memo = self._memo
+        total = 0
+        for part in _SUMS[tag]:
+            ref = (part, c, lg, lb, rg, rb)
+            if (ref_rank := (lg + lb) << 5 | _STAGE[part]) >= rank:
+                _order_violated(ref, ref_rank, rank)
+            value = memo.get(ref)
+            if value is None:
+                value = yield ref
+            total += value
+        return total
 
     # -- gray peel: blue does not use the cut edge --------------------------
 
-    def _gray_peel(self, key: fam.FamilyKey) -> int:
+    def _gray_peel(self, key: tuple, rank: int):
         tag, c, l, lb, r, rb = key
         lower_tag, upper = self._GRAY[tag]
         if tag == fam.S1 and l == 0:
@@ -275,45 +324,88 @@ class CoefficientEngine:
             low_lb, low_rb, up_lb = None, None, lb
         else:
             low_lb, low_rb, up_lb = lb, rb, None
+        low_total, low_stage = l + (low_lb or 0), _STAGE[lower_tag]
+        memo, uppers = self._memo, self._uppers
         opp = 3 - c
         total = 0
         for f in range(1, r + 1):
             outer = binomial(r - 1, f - 1) * self._w(f)
             for u in range(0, l - r + 1):
-                lower = self._value(fam.FamilyKey(lower_tag, c, l - u - f, low_lb, r - f, low_rb))
+                ref = (lower_tag, c, l - u - f, low_lb, r - f, low_rb)
+                if (ref_rank := (low_total - u - f) << 5 | low_stage) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                lower = memo.get(ref)
+                if lower is None:
+                    lower = yield ref
                 if not lower:
                     continue
-                total += outer * lower * upper(self, opp, f, u, up_lb)
+                entry = uppers.get(cache_key := (upper, opp, f, u, up_lb))
+                if entry is None:
+                    above = yield from upper(self, rank, opp, f, u, up_lb)
+                elif entry[1] >= rank:
+                    _stale_upper_hit(cache_key, entry, rank)
+                else:
+                    above = entry[0]
+                total += outer * lower * above
         return total
 
     # Upper sums of the gray peel: the walks beyond v, whose f returns over
     # the cut edge interleave with their own departures from v.
 
     @_upper_sum(fam.S1, lambda opp, f, u, lb: u)
-    def _upper_s1(self, opp: int, f: int, u: int, lb: int | None) -> int:
+    def _upper_s1(self, rank: int, opp: int, f: int, u: int, lb: int | None):
+        memo = self._memo
         upper = 0
         for v in range(0, u + 1):
-            upper += binomial(f + v - 1, f - 1) * self._s1(opp, u, v)
+            ref = (fam.S1, opp, u, None, v, None)
+            if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
+                _order_violated(ref, ref_rank, rank)
+            s1 = memo.get(ref)
+            if s1 is None:
+                s1 = yield ref
+            upper += binomial(f + v - 1, f - 1) * s1
         return upper
 
     @_upper_sum(fam.S1S, lambda opp, f, u, lb: u)
-    def _upper_s1_s1s(self, opp: int, f: int, u: int, lb: int | None) -> int:
+    def _upper_s1_s1s(self, rank: int, opp: int, f: int, u: int, lb: int | None):
+        memo = self._memo
         upper = 0
         for v in range(0, u + 1):
-            upper += binomial(f + v, f) * self._s1(opp, u, v)
-            upper += binomial(f + v - 1, f) * self._s1s(opp, u, v)
+            ref = (fam.S1, opp, u, None, v, None)
+            if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
+                _order_violated(ref, ref_rank, rank)
+            s1 = memo.get(ref)
+            if s1 is None:
+                s1 = yield ref
+            ref = (fam.S1S, opp, u, None, v, None)
+            if (ref_rank := u << 5 | _STAGE[fam.S1S]) >= rank:
+                _order_violated(ref, ref_rank, rank)
+            s1s = memo.get(ref)
+            if s1s is None:
+                s1s = yield ref
+            upper += binomial(f + v, f) * s1 + binomial(f + v - 1, f) * s1s
         return upper
 
     @_upper_sum(fam.NEQ_C, lambda opp, f, u, lb: u + lb)
-    def _upper_pair(self, opp: int, f: int, u: int, lb: int) -> int:
+    def _upper_pair(self, rank: int, opp: int, f: int, u: int, lb: int):
+        memo = self._memo
         upper = 0
         for vg in range(0, u + 1):
             code_vg = binomial(f + vg - 1, f - 1)
             for vb in range(0, lb + 1):
-                upper += code_vg * (
-                    self._dbl(fam.EQ_C, opp, u, lb, vg, vb)
-                    + self._dbl(fam.NEQ_C, opp, u, lb, vg, vb)
-                )
+                ref = (fam.EQ_C, opp, u, lb, vg, vb)
+                if (ref_rank := (u + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                eq = memo.get(ref)
+                if eq is None:
+                    eq = yield ref
+                ref = (fam.NEQ_C, opp, u, lb, vg, vb)
+                if (ref_rank := (u + lb) << 5 | _STAGE[fam.NEQ_C]) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                neq = memo.get(ref)
+                if neq is None:
+                    neq = yield ref
+                upper += code_vg * (eq + neq)
         return upper
 
     # tag -> (lower family at r, upper sum beyond v)
@@ -328,11 +420,13 @@ class CoefficientEngine:
 
     # -- red peel: blue uses the cut edge too -------------------------------
 
-    def _red_peel(self, key: fam.FamilyKey) -> int:
+    def _red_peel(self, key: tuple, rank: int):
         tag, c, lg, lb, rg, rb = key
         blue_code, lower_tag, upper = self._RED[tag]
         if rg > lg or rb > lb:
             return 0
+        low_stage = _STAGE[lower_tag]
+        memo, uppers = self._memo, self._uppers
         opp = 3 - c
         total = 0
         for fg in range(1, rg + 1):
@@ -343,40 +437,65 @@ class CoefficientEngine:
                     continue
                 for ug in range(0, lg - rg + 1):
                     for ub in range(0, lb - rb + 1):
-                        lower = self._dbl(
-                            lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb
-                        )
+                        ref = (lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb)
+                        if (ref_rank := (lg + lb - ug - ub - fg - fb) << 5 | low_stage) >= rank:
+                            _order_violated(ref, ref_rank, rank)
+                        lower = memo.get(ref)
+                        if lower is None:
+                            lower = yield ref
                         if not lower:
                             continue
-                        total += outer * lower * upper(self, opp, fg, fb, ug, ub)
+                        entry = uppers.get(cache_key := (upper, opp, fg, fb, ug, ub))
+                        if entry is None:
+                            above = yield from upper(self, rank, opp, fg, fb, ug, ub)
+                        elif entry[1] >= rank:
+                            _stale_upper_hit(cache_key, entry, rank)
+                        else:
+                            above = entry[0]
+                        total += outer * lower * above
         return total
 
     # Upper sums of the red peel: the pair beyond v, whose fg gray and fb
     # blue returns over the cut edge interleave with their departures from v.
 
     @_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> int:
+    def _rooted_at_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
+        memo = self._memo
         upper = 0
         for vg in range(0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
             for vb in range(0, ub + 1):
-                upper += code_vg * binomial(fb + vb - 1, fb - 1) * self._dbl(
-                    fam.EQ_ANYC, opp, ug, ub, vg, vb
-                )
+                ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
+                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                eq = memo.get(ref)
+                if eq is None:
+                    eq = yield ref
+                upper += code_vg * binomial(fb + vb - 1, fb - 1) * eq
         return upper
 
     @_upper_sum(fam.NEQ_ANYC_S, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_or_beyond_v(self, opp: int, fg: int, fb: int, ug: int, ub: int) -> int:
+    def _rooted_at_or_beyond_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
+        memo = self._memo
         upper = 0
         for vg in range(0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
             for vb in range(0, ub + 1):
+                ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
+                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                eq = memo.get(ref)
+                if eq is None:
+                    eq = yield ref
+                ref = (fam.NEQ_ANYC_S, opp, ug, ub, vg, vb)
+                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.NEQ_ANYC_S]) >= rank:
+                    _order_violated(ref, ref_rank, rank)
+                neq = memo.get(ref)
+                if neq is None:
+                    neq = yield ref
                 # Either the upper pair shares the root v, or the blue root
                 # lies deeper and the upper blue walk merely visits v.
-                upper += code_vg * (
-                    binomial(fb + vb, fb) * self._dbl(fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                    + binomial(fb + vb - 1, fb) * self._dbl(fam.NEQ_ANYC_S, opp, ug, ub, vg, vb)
-                )
+                upper += code_vg * (binomial(fb + vb, fb) * eq + binomial(fb + vb - 1, fb) * neq)
         return upper
 
     # tag -> (blue root code, lower family at r, upper sum beyond v)
@@ -394,29 +513,63 @@ class CoefficientEngine:
 
     # -- equations of their own shape --------------------------------------
 
-    def _eval_eq_anyc(self, key: fam.FamilyKey) -> int:
-        c, lg, lb, rg, rb = key.component, key.l_g, key.l_b, key.r_g, key.r_b
+    def _eval_eq_anyc(self, key: tuple, rank: int):
+        _, c, lg, lb, rg, rb = key
+        memo = self._memo
+        ref = (fam.S1, c, lg, None, rg, None)
+        if (ref_rank := lg << 5 | _STAGE[fam.S1]) >= rank:
+            _order_violated(ref, ref_rank, rank)
+        gray = memo.get(ref)
+        if gray is None:
+            gray = yield ref
+        ref = (fam.S1, c, lb, None, rb, None)
+        if (ref_rank := lb << 5 | _STAGE[fam.S1]) >= rank:
+            _order_violated(ref, ref_rank, rank)
+        blue = memo.get(ref)
+        if blue is None:
+            blue = yield ref
         # Pairs with no shared edge and a common root are exactly the pairs of
         # independent single walks glued at the root; the root's vertex factor
         # must not be counted twice.
-        glued, rest = divmod(self._s1(c, lg, rg) * self._s1(c, lb, rb), self._a[c])
+        glued, rest = divmod(gray * blue, self._a[c])
         if rest:
             raise AssertionError(
-                f"glue at {key} is not divisible by the root factor a_{c} = {self._a[c]}"
+                f"glue at {fam.FamilyKey._make(key)} is not divisible by the root factor "
+                f"a_{c} = {self._a[c]}"
             )
-        return self._dbl(fam.EQ_C, c, lg, lb, rg, rb) + glued
+        ref = (fam.EQ_C, c, lg, lb, rg, rb)
+        if (ref_rank := (lg + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
+            _order_violated(ref, ref_rank, rank)
+        shared = memo.get(ref)
+        if shared is None:
+            shared = yield ref
+        return shared + glued
 
-    def _eval_neq_anyc_sn(self, key: fam.FamilyKey) -> int:
-        if key.l_g != 0 or key.r_g != 0:
+    def _eval_neq_anyc_sn(self, key: tuple, rank: int):
+        _, c, lg, lb, rg, rb = key
+        if lg != 0 or rg != 0:
             return 0
-        return self._s1s(key.component, key.l_b, key.r_b)
+        ref = (fam.S1S, c, lb, None, rb, None)
+        if (ref_rank := lb << 5 | _STAGE[fam.S1S]) >= rank:
+            _order_violated(ref, ref_rank, rank)
+        value = self._memo.get(ref)
+        if value is None:
+            value = yield ref
+        return value
 
-    def _eval_top(self, key: fam.FamilyKey) -> int:
-        lg, lb = key.l_g, key.l_b
+    def _eval_top(self, key: tuple, rank: int):
+        lg, lb = key[2], key[3]
+        memo = self._memo
         total = 0
         for component in (1, 2):
             for rg in range(0, lg + 1):
                 for rb in range(0, lb + 1):
-                    total += self._dbl(fam.EQ_C, component, lg, lb, rg, rb)
-                    total += self._dbl(fam.NEQ_C, component, lg, lb, rg, rb)
+                    for tag in (fam.EQ_C, fam.NEQ_C):
+                        ref = (tag, component, lg, lb, rg, rb)
+                        if (ref_rank := (lg + lb) << 5 | _STAGE[tag]) >= rank:
+                            _order_violated(ref, ref_rank, rank)
+                        value = memo.get(ref)
+                        if value is None:
+                            value = yield ref
+                        total += value
         return total

@@ -34,6 +34,7 @@ falls back to a full symmetric eigendecomposition for arbitrary input.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -115,16 +116,30 @@ def _part1_size(N: int, alpha) -> int:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """One finite ensemble: size, limit parameters, weight law, seed."""
+    """One finite ensemble: size, limit parameters, weight law, seed.
+
+    The derived sizes and floats are worked out once per spec, not once per
+    sample.
+    """
 
     matrix_size: int
     params: ModelParams
     dist: WeightDistribution
     seed: int
 
-    @property
+    @functools.cached_property
     def part1_size(self) -> int:
         return _part1_size(self.matrix_size, self.params.alpha)
+
+    @functools.cached_property
+    def edge_probability(self) -> float:
+        """p / N, the presence probability of each cross pair."""
+        return float(self.params.p) / self.matrix_size
+
+    @functools.cached_property
+    def weight_scale(self) -> float:
+        """sqrt(p), which every drawn weight is divided by."""
+        return math.sqrt(float(self.params.p))
 
 
 def _validate_parts(N: int, params: ModelParams) -> None:
@@ -160,9 +175,9 @@ def sample_entries(spec: EnsembleSpec, sample_index: int):
     n1 = spec.part1_size
     pairs = n1 * (N - n1)
     rng = _keyed_generator(spec.seed, sample_index)
-    count = int(rng.binomial(pairs, float(spec.params.p) / N))
+    count = int(rng.binomial(pairs, spec.edge_probability))
     flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))
-    values = spec.dist.sample(rng, count) / math.sqrt(float(spec.params.p))
+    values = spec.dist.sample(rng, count) / spec.weight_scale
     rows, cols = np.divmod(flat, N - n1)
     return rows, cols, values
 

@@ -1,6 +1,7 @@
 """Recurrence engine: family values, coefficients, memo guards."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bipcorr
-from bipcorr import families as fam
+from bipcorr import families as fam, recurrence
 from bipcorr.model import (
     InsufficientMomentsError,
     InvalidParamsError,
@@ -118,7 +119,26 @@ class TestCoefficientApi:
             engine.s_value(fam.FamilyKey(fam.EQ_C, 1, 1, None, 1, 1))
 
 
+def _stirling2_row(n):
+    """S(n, j) for j = 0..n, the Stirling numbers of the second kind."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)]
+    return row
+
+
 class TestDeepRegressions:
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 600])
+    def test_star_walk_closed_form(self, l):
+        # S1(l, r=l) departs the root at every step, so it is a star: its
+        # steps fall into j blocks, one per distinct neighbor.  At alpha = 1/2,
+        # p = 1 and unit moments every vertex weighs 1/2 and every edge 1.
+        # At l = 600 the key chain is deeper than a recursive evaluator
+        # reaches under the default recursion limit.
+        engine = CoefficientEngine(ModelParams(F(1, 2), F(1)), moments_preset("rademacher", l))
+        expected = F(1, 2) * sum(F(count, 2**j) for j, count in enumerate(_stirling2_row(l)))
+        assert engine.s_value(fam.single_key(fam.S1, 1, l, l)) == expected
+
     # Values frozen after enumeration confirmed the engine at total length 12.
     def test_total_length_twelve(self):
         engine = make_engine(2, count=6)
@@ -142,42 +162,84 @@ class TestMemo:
         with pytest.raises(AssertionError):
             engine._store(key, scaled + 1)
 
-    def test_recursion_order_guard(self):
+    def test_recursion_order_guard(self, monkeypatch):
+        # A miss: TOP reads EQ_C at its own total half-length, so an EQ_C
+        # stage after TOP's makes the first read a violation.
         engine = make_engine(1)
-        engine._stack.append((0, 0))
-        try:
-            with pytest.raises(AssertionError):
-                engine.s_value(fam.top_key(1, 1))
-        finally:
-            engine._stack.clear()
-        # A cached upper sum reads no family value on a hit, so the hit
-        # itself must check the rank of what the sum references: here
-        # EQ_ANYC keys at total half-length 2, rank (2, 5).
+        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.TOP] + 1)
+        with pytest.raises(AssertionError, match="recursion order violated"):
+            engine.s_value(fam.top_key(1, 1))
+        monkeypatch.undo()
+        # A memo hit: EQ_ANYC reads the EQ_C value at its own key, which
+        # n_{2,2} has already stored, so the read never reaches the work stack.
         engine = make_engine(1)
-        engine.correlator_coefficient(4, 4)
-        engine._stack.append((2, 5))
-        try:
-            with pytest.raises(AssertionError, match="cached upper sum"):
-                engine._rooted_at_v(1, 1, 1, 1, 1)
-            engine._stack[-1] = (2, 6)
-            assert engine._rooted_at_v(1, 1, 1, 1, 1) == F(3, 8) * engine._scale(2)
-        finally:
-            engine._stack.clear()
+        engine.correlator_coefficient(2, 2)
+        assert fam.double_key(fam.EQ_C, 1, 1, 1, 1, 1) in dict(engine.memo_items())
+        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.EQ_ANYC] + 1)
+        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='EQ_C'"):
+            engine.s_value(fam.double_key(fam.EQ_ANYC, 1, 1, 1, 1, 1))
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "warm, key, entry",
+        [
+            # Gray peel: S1(1, 2, 2) hits _upper_s1(2, 1, 0, None) at f = 1, u = 0.
+            ((2, 4), fam.single_key(fam.S1, 1, 2, 2), ("_upper_s1", 2, 1, 0, None)),
+            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits _rooted_at_v(1, 1, 1, 1, 1)
+            # at fg = fb = ug = ub = 1.
+            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("_rooted_at_v", 1, 1, 1, 1, 1)),
+        ],
+        ids=["gray", "red"],
+    )
+    def test_upper_sum_hit_guard(self, warm, key, entry):
+        # An upper-sum cache hit reads no family value, so the peel checks the
+        # rank the entry stored for the reads it skips.  No stage can put an
+        # upper sum at or above its peel, whose total is larger, so the test
+        # moves the stored rank instead.  Warming with n_{warm} caches the
+        # entry but never evaluates ``key``, and none of the keys ``key``
+        # still lacks reads the entry, so only ``key``'s own hit is checked.
+        name, *args = entry
+        cache_key = (getattr(CoefficientEngine, name), *args)
+        rank = recurrence._rank(key)
+        expected = make_engine(1).s_value(key)
+
+        def warmed_with_entry_rank(stored):
+            engine = make_engine(1)
+            engine.correlator_coefficient(*warm)
+            assert key not in dict(engine.memo_items())
+            value, _ = engine._uppers[cache_key]
+            engine._uppers[cache_key] = (value, stored)
+            return engine
+
+        # A hit at the peel's own rank is a violation ...
+        engine = warmed_with_entry_rank(rank)
+        message = re.escape(f"violated: cached upper sum {name}{tuple(args)}")
+        with pytest.raises(AssertionError, match=message):
+            engine.s_value(key)
+        # ... one just below it is allowed and returns the cached value.
+        engine = warmed_with_entry_rank(rank - 1)
+        assert engine.s_value(key) == expected
 
     @pytest.mark.parametrize(
         "breach, message",
         [
             (
-                "engine._stack.append((0, 0)); engine.s_value(fam.top_key(1, 1))",
+                "fam.STAGE[fam.EQ_C] = 17; engine.s_value(fam.top_key(1, 1))",
                 "recursion order violated",
+            ),
+            (
+                "engine.correlator_coefficient(2, 2); fam.STAGE[fam.EQ_C] = 6; "
+                "engine.s_value(fam.double_key(fam.EQ_ANYC, 1, 1, 1, 1, 1))",
+                "recursion order violated: FamilyKey(tag='EQ_C'",
             ),
             (
                 "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
                 "memo conflict",
             ),
             (
-                "engine.correlator_coefficient(4, 4); engine._stack.append((0, 0)); "
-                "engine._rooted_at_v(1, 1, 1, 1, 1)",
+                "engine.correlator_coefficient(4, 4); "
+                "engine._uppers.update((k, (v, 1 << 20)) for k, (v, _) in engine._uppers.items()); "
+                "engine.correlator_coefficient(4, 6)",
                 "recursion order violated: cached upper sum",
             ),
             (
@@ -197,7 +259,7 @@ class TestMemo:
                 "scaled edge weight for multiplicity 2 is not an integer",
             ),
         ],
-        ids=["order", "conflict", "upper", "divide", "edge"],
+        ids=["order", "hit", "conflict", "upper", "divide", "edge"],
     )
     def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([

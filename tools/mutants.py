@@ -1,0 +1,180 @@
+"""Mutation checks: each hand-made mutant must make its tests fail.
+
+Run from anywhere, with numpy and pytest installed:
+
+    python tools/mutants.py
+
+For each row the script copies the repository (without ``.git`` and caches)
+to a temporary directory, requires the row's old text to occur exactly once
+in its file, replaces it, and runs the row's pytest selector in the copy.
+The selector must fail (pytest exit code 1); a selector that passes, or that
+collects nothing, leaves the mutant alive.  A refactor that rewrites a
+mutated line therefore has to update its row in the open.  The exit code is
+0 only if every mutant was killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE = "src/bipcorr/recurrence.py"
+GUARDS = "tests/test_recurrence.py::TestMemo"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    selector: str
+
+
+ROWS = (
+    # Scaled integers: the EQ_ANYC glue and the integral edge weight.
+    Mutant(
+        "glue-remainder-unchecked",
+        ENGINE,
+        "        if rest:\n",
+        "        if False:\n",
+        f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
+    ),
+    Mutant(
+        "glue-by-floor-division",
+        ENGINE,
+        "glued, rest = divmod(gray * blue, self._a[c])",
+        "glued, rest = gray * blue // self._a[c], 0",
+        f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
+    ),
+    Mutant(
+        "edge-weight-unchecked",
+        ENGINE,
+        "            if scaled.denominator != 1:\n",
+        "            if False:\n",
+        f"{GUARDS}::test_guards_survive_optimized_mode[edge]",
+    ),
+    Mutant(
+        "scale-without-moment-lcm",
+        ENGINE,
+        "        self._c = Fraction(params.p).numerator * math.lcm(\n"
+        "            *(v.denominator for v in moments.values)\n"
+        "        )\n",
+        "        self._c = Fraction(params.p).numerator\n",
+        "tests/test_recurrence.py::TestScaledIntegers",
+    ),
+    Mutant(
+        "scale-q-to-the-L",
+        ENGINE,
+        "return self._q ** (total + 1) * self._c**total",
+        "return self._q ** total * self._c**total",
+        "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
+    # Upper-sum cache: the hit check and the rank each entry declares.
+    Mutant(
+        "red-upper-hit-unchecked",
+        ENGINE,
+        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
+        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif False:",
+        f"{GUARDS}::test_upper_sum_hit_guard[red]",
+    ),
+    Mutant(
+        "gray-upper-hit-unchecked",
+        ENGINE,
+        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] >= rank:",
+        "upper(self, rank, opp, f, u, up_lb)\n                elif False:",
+        f"{GUARDS}::test_upper_sum_hit_guard[gray]",
+    ),
+    Mutant(
+        "red-upper-hit-lenient",
+        ENGINE,
+        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
+        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] > rank:",
+        f"{GUARDS}::test_upper_sum_hit_guard[red]",
+    ),
+    Mutant(
+        "gray-upper-hit-lenient",
+        ENGINE,
+        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] >= rank:",
+        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] > rank:",
+        f"{GUARDS}::test_upper_sum_hit_guard[gray]",
+    ),
+    Mutant(
+        "upper-rank-drops-blue-length",
+        ENGINE,
+        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)",
+        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug)",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "upper-rank-of-earlier-stage",
+        ENGINE,
+        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)",
+        "@_upper_sum(fam.EQ_C, lambda opp, fg, fb, ug, ub: ug + ub)",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    # Work stack: a read checks its rank before the memo, hit or miss.
+    Mutant(
+        "memo-hit-unchecked",
+        ENGINE,
+        "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n"
+        "        if (ref_rank := (lg + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:\n"
+        "            _order_violated(ref, ref_rank, rank)\n",
+        "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n",
+        f"{GUARDS}::test_recursion_order_guard",
+    ),
+)
+
+
+def _copy_repo(dest: Path) -> Path:
+    target = dest / "repo"
+    shutil.copytree(
+        ROOT,
+        target,
+        ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".benchmarks", ".work"),
+    )
+    return target
+
+
+def check(row: Mutant) -> str:
+    """'killed', or why the mutant is not: 'stale ...' or 'SURVIVED ...'."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        repo = _copy_repo(Path(tmp))
+        path = repo / row.path
+        text = path.read_text(encoding="utf-8")
+        found = text.count(row.old)
+        if found != 1:
+            return f"stale: old text occurs {found} times in {row.path}"
+        path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", row.selector],
+            cwd=repo,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+    if done.returncode == 1:
+        return "killed"
+    tail = (done.stdout.strip().splitlines() or [""])[-1]
+    return f"SURVIVED: pytest exit {done.returncode} ({tail})"
+
+
+def main() -> int:
+    failed = 0
+    for row in ROWS:
+        outcome = check(row)
+        failed += outcome != "killed"
+        print(f"{row.name}: {outcome}", flush=True)
+    print(f"{len(ROWS) - failed} of {len(ROWS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
