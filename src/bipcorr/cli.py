@@ -220,6 +220,7 @@ def _cmd_oracle(args) -> int:
         )
     params, moments = _context(args, _needed_order([(args.k, args.m)]))
     try:
+        model.validate(params, moments, args.k, args.m)
         value = walks.n_oracle(args.k, args.m, params, moments)
     except model.InsufficientMomentsError as exc:
         raise _CliError(EXIT_MOMENTS, str(exc))
@@ -304,6 +305,8 @@ def run_crosscheck(engine: CoefficientEngine, max_total: int, family_total: int)
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.family_total is not None and args.family_total < 0:
+        raise _CliError(EXIT_CONFIG, f"--family-total must be >= 0, got {args.family_total}")
     family_total = args.family_total if args.family_total is not None else args.max_total // 2
     if args.max_total > args.cap:
         raise _CliError(

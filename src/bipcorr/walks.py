@@ -38,19 +38,18 @@ depth-first, visiting existing labels in increasing order before a new one.
 
 Pruning
 -------
-Only tree pairs carry weight, so the censuses, coefficients and families
-enumerate with ``iter_tree_double_walks``/``iter_tree_walks``, which grow the
-walks while tracking the skeleton's edge set.  A step to a new label adds a
-leaf.  A step to a used vertex is kept only if it reuses a skeleton edge, or
-if it leads a blue walk with a fresh root, still apart from the gray walk,
-into the gray walk's component and so joins the two.  Any other step adds an
-edge between two vertices already connected, which closes a cycle; later
-steps only add edges and vertices, so the cycle stays and no completion is a
-tree.  A blue walk that ends still apart leaves two components and is dropped
-too.  The pruned generators therefore yield exactly the tree pairs of the
-unpruned ones, in the same order.  The unpruned ``iter_minimal_*`` define
-minimality; the census counts minimal pairs by a recursion over label counts
-instead of walking them.
+Only tree pairs carry weight, so the oracle walks no other:
+``iter_tree_double_walks``/``iter_tree_walks`` grow the walks while tracking
+the skeleton's edge set.  A step to a new label adds a leaf.  A step to a
+used vertex is kept only if it reuses a skeleton edge, or if it leads a blue
+walk with a fresh root, still apart from the gray walk, into the gray walk's
+component and so joins the two.  Any other step adds an edge between two
+vertices already connected, which closes a cycle; later steps only add edges
+and vertices, so the cycle stays and no completion is a tree.  A blue walk
+that ends still apart leaves two components and is dropped too.  The
+generators therefore yield exactly the minimal pairs whose skeleton is a
+tree, in the enumeration order above.  The census counts all minimal pairs
+by a recursion over label counts instead of walking them.
 
 Profiles at the leaves
 ----------------------
@@ -62,6 +61,21 @@ edge and r_b.  Each walk is connected and the two share a vertex, so the
 O(1) check "vertices = distinct edges + 1", which raises when it fails,
 stands in for the full tree test.  Each distinct profile is weighed once per
 context (alpha, p, moments).
+
+Part symmetry
+-------------
+Negating every label swaps the two parts.  It maps minimal pairs onto
+minimal pairs (a first visit still takes the smallest unused label of its
+part) and trees onto trees, so it maps the pairs with gray root -1 one to one
+onto those with gray root +1.  It keeps every fact the weights and family
+slots read except two: the vertex counts per part trade places, and so does
+the gray root's part.  The edge totals, c, r_g, r_b, the blue traversals of
+the first gray edge and the side of that edge the blue root lies on stay as
+they are.  The cached censuses therefore walk gray root part 1 only and add
+each bucket's mirror image: a profile (n1, n2, totals) becomes (n2, n1,
+totals), a double slot (tag, component, r_g, r_b) becomes (tag, 3 - component,
+r_g, r_b) and a single slot (component, r) becomes (3 - component, r).  The
+same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
 """
 
 from __future__ import annotations
@@ -121,97 +135,19 @@ def parse_double_walk(text: str) -> DoubleWalk:
 # Enumeration
 
 
-def _extend(walk: list, n1: int, n2: int, remaining: int, root: Vertex) -> Iterator:
-    """Yield (walk, n1, n2) for all minimal closed continuations of ``walk``.
-
-    ``n1``/``n2`` count the labels already in use per part.  The walk list is
-    mutated in place; yielded walks are materialized tuples.
-    """
-    if remaining == 0:
-        if walk[-1] == root:
-            yield tuple(walk), n1, n2
-        return
-    cur = walk[-1]
-    if remaining == 1:
-        # Last step must close the walk, so it must reach the root, and the
-        # root must lie in the opposite part (fails for odd-length walks).
-        if (cur > 0) != (root > 0):
-            walk.append(root)
-            yield tuple(walk), n1, n2
-            walk.pop()
-        return
-    if cur > 0:
-        for lab in range(1, n2 + 1):
-            walk.append(-lab)
-            yield from _extend(walk, n1, n2, remaining - 1, root)
-            walk.pop()
-        walk.append(-(n2 + 1))
-        yield from _extend(walk, n1, n2 + 1, remaining - 1, root)
-        walk.pop()
-    else:
-        for lab in range(1, n1 + 1):
-            walk.append(lab)
-            yield from _extend(walk, n1, n2, remaining - 1, root)
-            walk.pop()
-        walk.append(n1 + 1)
-        yield from _extend(walk, n1 + 1, n2, remaining - 1, root)
-        walk.pop()
-
-
-def _root_walks(root_component: int, length: int) -> Iterator:
-    root = 1 if root_component == 1 else -1
-    n1, n2 = (1, 0) if root_component == 1 else (0, 1)
-    yield from _extend([root], n1, n2, length, root)
-
-
-def iter_minimal_walks(half_length: int, root_component: int) -> Iterator[ClosedWalk]:
-    """Minimal closed walks of ``half_length`` steps out and back."""
-    if root_component not in (1, 2):
-        raise ValueError("root_component must be 1 or 2")
-    for walk, _, _ in _root_walks(root_component, 2 * half_length):
-        yield walk
-
-
-def enumerate_minimal_walks(half_length: int, root_component: int) -> list:
-    return list(iter_minimal_walks(half_length, root_component))
-
-
-def iter_minimal_double_walks(k: int, m: int) -> Iterator[DoubleWalk]:
-    """Minimal walk pairs with gray length k and blue length m.
-
-    The gray root ranges over both parts; blue roots over used vertices first
-    (part 1 ascending, then part 2 ascending), then a fresh vertex in part 1,
-    then a fresh vertex in part 2.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("walk lengths must be >= 0")
-    for root_component in (1, 2):
-        for gray, g1, g2 in _root_walks(root_component, k):
-            for blue_root in range(1, g1 + 1):
-                for blue, _, _ in _extend([blue_root], g1, g2, m, blue_root):
-                    yield DoubleWalk(gray, blue)
-            for lab in range(1, g2 + 1):
-                for blue, _, _ in _extend([-lab], g1, g2, m, -lab):
-                    yield DoubleWalk(gray, blue)
-            for blue, _, _ in _extend([g1 + 1], g1 + 1, g2, m, g1 + 1):
-                yield DoubleWalk(gray, blue)
-            for blue, _, _ in _extend([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1)):
-                yield DoubleWalk(gray, blue)
-
-
-def enumerate_minimal_double_walks(k: int, m: int) -> list:
-    return list(iter_minimal_double_walks(k, m))
-
-
 def _extend_tree(
     walk: list, n1: int, n2: int, remaining: int, root: Vertex, edges: set, gray
 ) -> Iterator:
-    """``_extend`` restricted to continuations whose skeleton stays a tree.
+    """Yield (walk, n1, n2) for the minimal closed continuations of ``walk``
+    whose skeleton stays a tree.
 
-    ``edges`` holds the skeleton's edges so far and is mutated in place,
-    restored on backtracking.  ``gray`` is None once the walk is part of the
-    gray walk's component; for a blue walk with a fresh root that has not
-    touched the gray walk yet it is the gray label bounds (g1, g2).
+    ``n1``/``n2`` count the labels already in use per part and ``root`` is
+    the vertex the walk closes on.  The walk list is mutated in place; yielded
+    walks are materialized tuples.  ``edges`` holds the skeleton's edges so
+    far and is mutated in place, restored on backtracking.  ``gray`` is None
+    once the walk is part of the gray walk's component; for a blue walk with a
+    fresh root that has not touched the gray walk yet it is the gray label
+    bounds (g1, g2).
     """
     if remaining == 0:
         if gray is None:
@@ -258,7 +194,7 @@ def _root_tree_walks(root_component: int, length: int, edges: set) -> Iterator:
 
 
 def iter_tree_walks(half_length: int, root_component: int) -> Iterator[ClosedWalk]:
-    """The walks of ``iter_minimal_walks`` whose skeleton is a tree, in order."""
+    """The minimal closed walks of ``half_length`` whose skeleton is a tree."""
     if root_component not in (1, 2):
         raise ValueError("root_component must be 1 or 2")
     for walk, _, _ in _root_tree_walks(root_component, 2 * half_length, set()):
@@ -266,17 +202,25 @@ def iter_tree_walks(half_length: int, root_component: int) -> Iterator[ClosedWal
 
 
 def iter_tree_double_walks(k: int, m: int) -> Iterator[DoubleWalk]:
-    """The pairs of ``iter_minimal_double_walks`` whose skeleton is a tree.
+    """The minimal walk pairs with gray length k and blue length m whose skeleton is a tree.
 
-    Same pairs, same order; the walks are grown by ``_extend_tree``, so no
-    prefix that already closes a cycle is extended.
+    The gray root ranges over both parts; blue roots over used vertices first
+    (part 1 ascending, then part 2 ascending), then a fresh vertex in part 1,
+    then a fresh vertex in part 2.  The walks are grown by ``_extend_tree``,
+    so no prefix that already closes a cycle is extended.
     """
     for gray, blue, _, _ in _tree_pairs(k, m):
         yield DoubleWalk(gray.walk, blue)
 
 
 def _tree_pairs(k: int, m: int) -> Iterator:
-    """Yield (gray facts, blue walk, n1, n2) for each pair of ``iter_tree_double_walks``.
+    """Yield (gray facts, blue walk, n1, n2) for each pair of ``iter_tree_double_walks``."""
+    yield from _tree_pairs_at(1, k, m)
+    yield from _tree_pairs_at(2, k, m)
+
+
+def _tree_pairs_at(root_component: int, k: int, m: int) -> Iterator:
+    """``_tree_pairs`` restricted to gray walks rooted in ``root_component``.
 
     ``n1``/``n2`` are the labels the pair uses in each part, so its skeleton
     has n1 + n2 vertices.  The ``_Gray`` facts are built once per gray walk
@@ -284,42 +228,19 @@ def _tree_pairs(k: int, m: int) -> Iterator:
     """
     if k < 0 or m < 0:
         raise ValueError("walk lengths must be >= 0")
-    for root_component in (1, 2):
-        # While a gray walk is yielded, ``edges`` holds exactly its edges;
-        # each blue extension restores them when it is exhausted.
-        edges: set = set()
-        for walk, g1, g2 in _root_tree_walks(root_component, k, edges):
-            gray = _gray_facts(walk)
-            for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
-                for blue, n1, n2 in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
-                    yield gray, blue, n1, n2
-            bounds = (g1, g2)
-            for blue, n1, n2 in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
+    # While a gray walk is yielded, ``edges`` holds exactly its edges; each
+    # blue extension restores them when it is exhausted.
+    edges: set = set()
+    for walk, g1, g2 in _root_tree_walks(root_component, k, edges):
+        gray = _gray_facts(walk)
+        for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
+            for blue, n1, n2 in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
                 yield gray, blue, n1, n2
-            for blue, n1, n2 in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
-                yield gray, blue, n1, n2
-
-
-def canonicalize(dw: DoubleWalk) -> DoubleWalk:
-    """Relabel a walk pair into its minimal representative."""
-    mapping: dict = {}
-    counts = [0, 0, 0]  # index by part
-    def relab(v: Vertex) -> Vertex:
-        new = mapping.get(v)
-        if new is None:
-            part = vertex_part(v)
-            counts[part] += 1
-            new = counts[part] if part == 1 else -counts[part]
-            mapping[v] = new
-        return new
-
-    gray = tuple(relab(v) for v in dw.gray)
-    blue = tuple(relab(v) for v in dw.blue)
-    return DoubleWalk(gray, blue)
-
-
-def is_minimal(dw: DoubleWalk) -> bool:
-    return canonicalize(dw) == dw
+        bounds = (g1, g2)
+        for blue, n1, n2 in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
+            yield gray, blue, n1, n2
+        for blue, n1, n2 in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
+            yield gray, blue, n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +434,7 @@ def census(k: int, m: int):
 
 
 def _minimal_pairs(k: int, m: int) -> int:
-    """The length of ``iter_minimal_double_walks(k, m)``, counted without walking.
+    """The number of minimal walk pairs at lengths (k, m), counted without walking.
 
     ``_minimal_closings`` gives the gray walks by their final label counts;
     each blue root then multiplies in the blue walks that start from it.
@@ -540,11 +461,10 @@ def _minimal_closings(n1: int, n2: int, part: int, remaining: int):
     """((n1, n2) at the end, count) over the minimal closings of a walk.
 
     The walk stands at a vertex of ``part`` with ``n1``/``n2`` labels in use
-    and ``remaining`` steps to go, as in ``_extend``.  Every used vertex it
-    can step to leads to the same state; a new one takes the next label.  In
-    a walk of even length the vertex before the last step lies in the part
-    opposite the root, so the last step always closes; callers skip odd
-    lengths.
+    and ``remaining`` steps to go.  Every used vertex it can step to leads to
+    the same state; a new one takes the next label.  In a walk of even length
+    the vertex before the last step lies in the part opposite the root, so the
+    last step always closes; callers skip odd lengths.
     """
     if remaining <= 1:
         return (((n1, n2), 1),)
@@ -557,13 +477,34 @@ def _minimal_closings(n1: int, n2: int, part: int, remaining: int):
     return tuple(ends.items())
 
 
+def _swap_parts(profiles: dict) -> dict:
+    """The mirror images of a profile -> count map (see "Part symmetry")."""
+    return {(n2, n1, totals): count for (n1, n2, totals), count in profiles.items()}
+
+
+def _with_mirror(buckets: dict, mirror_slot) -> dict:
+    """Slot -> sorted ((profile, count), ...) for root part 1 and its mirror image.
+
+    ``buckets`` maps the slots of the pairs rooted in part 1 to profile ->
+    count maps; ``mirror_slot`` gives the slot each one fills rooted in part 2.
+    """
+    both: dict = {}
+    for slot, bucket in buckets.items():
+        both[slot] = bucket
+        both[mirror_slot(*slot)] = _swap_parts(bucket)
+    return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(both.items())}
+
+
 @lru_cache(maxsize=None)
 def _essential_profiles(k: int, m: int):
     profiles: dict = {}
-    for gray, blue, n1, n2 in _tree_pairs(k, m):
+    for gray, blue, n1, n2 in _tree_pairs_at(1, k, m):
         profile, c, _, _ = _leaf(gray, blue, n1, n2)
         if c > 0:
             profiles[profile] = profiles.get(profile, 0) + 1
+    # Root part 2; a mirror image may share its profile with a part-1 pair.
+    for profile, count in _swap_parts(profiles).items():
+        profiles[profile] = profiles.get(profile, 0) + count
     return tuple(sorted(profiles.items()))
 
 
@@ -663,31 +604,24 @@ def _memberships(dw: DoubleWalk, sk: Skeleton):
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b)."""
     buckets: dict = {}
-    for gray, blue, n1, n2 in _tree_pairs(2 * l_g, 2 * l_b):
+    for gray, blue, n1, n2 in _tree_pairs_at(1, 2 * l_g, 2 * l_b):
         profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
         for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
             bucket = buckets.setdefault(slot, {})
             bucket[profile] = bucket.get(profile, 0) + 1
-    return {
-        slot: tuple(sorted(bucket.items()))
-        for slot, bucket in sorted(buckets.items())
-    }
+    return _with_mirror(buckets, lambda tag, component, r_g, r_b: (tag, 3 - component, r_g, r_b))
 
 
 @lru_cache(maxsize=None)
 def _single_family_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks."""
     buckets: dict = {}
-    for component in (1, 2):
-        for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
-            gray = _gray_facts(walk)
-            profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
-            bucket = buckets.setdefault((component, gray.r_g), {})
-            bucket[profile] = bucket.get(profile, 0) + 1
-    return {
-        slot: tuple(sorted(bucket.items()))
-        for slot, bucket in sorted(buckets.items())
-    }
+    for walk, n1, n2 in _root_tree_walks(1, 2 * l, set()):
+        gray = _gray_facts(walk)
+        profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
+        bucket = buckets.setdefault((1, gray.r_g), {})
+        bucket[profile] = bucket.get(profile, 0) + 1
+    return _with_mirror(buckets, lambda component, r: (3 - component, r))
 
 
 def family_members(key: fam.FamilyKey) -> list:

@@ -136,6 +136,14 @@ class TestOracle:
         code, _, _ = run(capsys, ["oracle", "--k", "0", "--m", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "1"), ("--alpha", "3/2"), ("--p", "0"), ("--p", "-1")]
+    )
+    def test_bad_params_exit_config(self, capsys, flag, value):
+        code, out, err = run(capsys, ["oracle", "--k", "2", "--m", "2", flag, value])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"got {value}" in err
+
 
 class TestCrosscheck:
     def test_clean_run(self, capsys):
@@ -154,6 +162,13 @@ class TestCrosscheck:
         assert code == 4 and "cap" in err
         code, _, err = run(capsys, ["crosscheck", "--max-total", "4", "--family-total", "7"])
         assert code == 4
+
+    def test_negative_family_total_rejected(self, capsys):
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "4", "--family-total", "-1"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--family-total" in err
 
     def test_tampered_engine_detected(self, capsys, monkeypatch):
         # Negative control: a deliberately wrong engine must trip the check,

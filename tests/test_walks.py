@@ -10,18 +10,12 @@ from bipcorr.model import MomentSequence
 from bipcorr.recurrence import CoefficientEngine
 from bipcorr.walks import (
     DoubleWalk,
-    canonicalize,
     census,
-    enumerate_minimal_double_walks,
-    enumerate_minimal_walks,
     family_members,
     family_total_weight,
     format_double_walk,
     format_walk,
     is_essential,
-    is_minimal,
-    iter_minimal_double_walks,
-    iter_minimal_walks,
     iter_tree_double_walks,
     iter_tree_walks,
     n_oracle,
@@ -31,6 +25,8 @@ from bipcorr.walks import (
     walk_weight,
 )
 from bipcorr.walks import (
+    _double_family_profiles,
+    _essential_profiles,
     _gray_facts,
     _leaf,
     _leaf_slots,
@@ -40,10 +36,119 @@ from bipcorr.walks import (
     _profile_of,
     _root_departures,
     _root_tree_walks,
+    _single_family_profiles,
     _tree_pairs,
+    vertex_part,
 )
 
 from conftest import CONTEXT_IDS, ORACLE_TABLES, context
+
+
+# ---------------------------------------------------------------------------
+# The unpruned enumeration: the reference that defines minimality.  It walks
+# every minimal pair, trees or not, in the order the oracle's pruned
+# generators keep.
+
+
+def _extend(walk: list, n1: int, n2: int, remaining: int, root):
+    """Yield (walk, n1, n2) for all minimal closed continuations of ``walk``.
+
+    ``n1``/``n2`` count the labels already in use per part.  The walk list is
+    mutated in place; yielded walks are materialized tuples.
+    """
+    if remaining == 0:
+        if walk[-1] == root:
+            yield tuple(walk), n1, n2
+        return
+    cur = walk[-1]
+    if remaining == 1:
+        # Last step must close the walk, so it must reach the root, and the
+        # root must lie in the opposite part (fails for odd-length walks).
+        if (cur > 0) != (root > 0):
+            walk.append(root)
+            yield tuple(walk), n1, n2
+            walk.pop()
+        return
+    if cur > 0:
+        for lab in range(1, n2 + 1):
+            walk.append(-lab)
+            yield from _extend(walk, n1, n2, remaining - 1, root)
+            walk.pop()
+        walk.append(-(n2 + 1))
+        yield from _extend(walk, n1, n2 + 1, remaining - 1, root)
+        walk.pop()
+    else:
+        for lab in range(1, n1 + 1):
+            walk.append(lab)
+            yield from _extend(walk, n1, n2, remaining - 1, root)
+            walk.pop()
+        walk.append(n1 + 1)
+        yield from _extend(walk, n1 + 1, n2, remaining - 1, root)
+        walk.pop()
+
+
+def _root_walks(root_component: int, length: int):
+    root = 1 if root_component == 1 else -1
+    n1, n2 = (1, 0) if root_component == 1 else (0, 1)
+    yield from _extend([root], n1, n2, length, root)
+
+
+def iter_minimal_walks(half_length: int, root_component: int):
+    """Minimal closed walks of ``half_length`` steps out and back."""
+    for walk, _, _ in _root_walks(root_component, 2 * half_length):
+        yield walk
+
+
+def enumerate_minimal_walks(half_length: int, root_component: int) -> list:
+    return list(iter_minimal_walks(half_length, root_component))
+
+
+def iter_minimal_double_walks(k: int, m: int):
+    """Minimal walk pairs with gray length k and blue length m.
+
+    The gray root ranges over both parts; blue roots over used vertices first
+    (part 1 ascending, then part 2 ascending), then a fresh vertex in part 1,
+    then a fresh vertex in part 2.
+    """
+    for root_component in (1, 2):
+        for gray, g1, g2 in _root_walks(root_component, k):
+            for blue_root in range(1, g1 + 1):
+                for blue, _, _ in _extend([blue_root], g1, g2, m, blue_root):
+                    yield DoubleWalk(gray, blue)
+            for lab in range(1, g2 + 1):
+                for blue, _, _ in _extend([-lab], g1, g2, m, -lab):
+                    yield DoubleWalk(gray, blue)
+            for blue, _, _ in _extend([g1 + 1], g1 + 1, g2, m, g1 + 1):
+                yield DoubleWalk(gray, blue)
+            for blue, _, _ in _extend([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1)):
+                yield DoubleWalk(gray, blue)
+
+
+def enumerate_minimal_double_walks(k: int, m: int) -> list:
+    return list(iter_minimal_double_walks(k, m))
+
+
+def canonicalize(dw: DoubleWalk) -> DoubleWalk:
+    """Relabel a walk pair into its minimal representative."""
+    mapping: dict = {}
+    counts = [0, 0, 0]  # index by part
+
+    def relab(v):
+        new = mapping.get(v)
+        if new is None:
+            part = vertex_part(v)
+            counts[part] += 1
+            new = counts[part] if part == 1 else -counts[part]
+            mapping[v] = new
+        return new
+
+    gray = tuple(relab(v) for v in dw.gray)
+    blue = tuple(relab(v) for v in dw.blue)
+    return DoubleWalk(gray, blue)
+
+
+def is_minimal(dw: DoubleWalk) -> bool:
+    return canonicalize(dw) == dw
 
 
 class TestText:
@@ -234,6 +339,58 @@ class TestLeafProfiles:
             CoefficientEngine(params, moments), max_total=6, family_total=3
         )
         assert mismatches == [] and lines[-1] == "OK"
+
+
+def _sorted_buckets(buckets: dict) -> dict:
+    return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(buckets.items())}
+
+
+class TestPartMirror:
+    """The censuses, walked on gray root part 1 and mirrored, against walking both parts."""
+
+    @pytest.mark.parametrize("total", range(0, 11))
+    def test_double_censuses_equal_both_parts(self, total):
+        for k in range(0, total + 1):
+            m = total - k
+            essential, buckets = {}, {}
+            for gray, blue, n1, n2 in _tree_pairs(k, m):
+                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
+                if c > 0:
+                    essential[profile] = essential.get(profile, 0) + 1
+                for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
+                    bucket = buckets.setdefault(slot, {})
+                    bucket[profile] = bucket.get(profile, 0) + 1
+            assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
+            if k % 2 == 0 and m % 2 == 0:
+                got = _double_family_profiles(k // 2, m // 2)
+                want = _sorted_buckets(buckets)
+                # Equal dicts may differ in order; the slots must come sorted.
+                assert list(got.items()) == list(want.items()), (k, m)
+
+    def test_single_censuses_equal_both_parts(self):
+        for l in range(0, 7):
+            buckets = {}
+            for component in (1, 2):
+                for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
+                    gray = _gray_facts(walk)
+                    profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
+                    bucket = buckets.setdefault((component, gray.r_g), {})
+                    bucket[profile] = bucket.get(profile, 0) + 1
+            want = _sorted_buckets(buckets)
+            assert list(_single_family_profiles(l).items()) == list(want.items()), l
+
+    def test_part_asymmetric_coefficient(self):
+        # alpha = 1/3 weighs the two parts differently, so a mirror that kept
+        # the vertex counts unswapped would change the value.
+        params, moments = context(2)
+        assert params.alpha == F(1, 3)
+        for k, m in ((2, 4), (4, 4)):
+            want = sum(
+                walk_weight(dw, params, moments)
+                for dw in iter_tree_double_walks(k, m)
+                if is_essential(dw)
+            )
+            assert n_oracle(k, m, params, moments) == want, (k, m)
 
 
 class TestSkeleton:

@@ -26,6 +26,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "src/bipcorr/recurrence.py"
 GUARDS = "tests/test_recurrence.py::TestMemo"
+ORACLE = "src/bipcorr/walks.py"
+MIRROR = "tests/test_walks.py::TestPartMirror"
 
 
 class Mutant(NamedTuple):
@@ -127,6 +129,28 @@ ROWS = (
         "            _order_violated(ref, ref_rank, rank)\n",
         "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n",
         f"{GUARDS}::test_recursion_order_guard",
+    ),
+    # Oracle: the part mirror of the censuses and the O(1) tree guard.
+    Mutant(
+        "mirror-keeps-vertex-counts",
+        ORACLE,
+        "{(n2, n1, totals): count for",
+        "{(n1, n2, totals): count for",
+        MIRROR,
+    ),
+    Mutant(
+        "mirror-keeps-component",
+        ORACLE,
+        "lambda tag, component, r_g, r_b: (tag, 3 - component, r_g, r_b)",
+        "lambda tag, component, r_g, r_b: (tag, component, r_g, r_b)",
+        MIRROR,
+    ),
+    Mutant(
+        "leaf-tree-guard-off",
+        ORACLE,
+        "    if n1 + n2 != len(counts) + 1:\n",
+        "    if False:\n",
+        "tests/test_walks.py::TestLeafProfiles::test_cyclic_pair_rejected",
     ),
 )
 
