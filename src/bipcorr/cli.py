@@ -22,12 +22,6 @@ from typing import Optional, Sequence
 from . import __version__, families as fam, model, walks
 from .rational import format_scalar, parse_scalar, to_decimal
 from .recurrence import CoefficientEngine
-from .simulate import (
-    EnsembleSpec,
-    WeightDistribution,
-    estimate_correlators,
-    validate_ensemble,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -305,6 +299,8 @@ def run_crosscheck(engine: CoefficientEngine, max_total: int, family_total: int)
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.max_total < 0:
+        raise _CliError(EXIT_CONFIG, f"--max-total must be >= 0, got {args.max_total}")
     if args.family_total is not None and args.family_total < 0:
         raise _CliError(EXIT_CONFIG, f"--family-total must be >= 0, got {args.family_total}")
     family_total = args.family_total if args.family_total is not None else args.max_total // 2
@@ -319,7 +315,12 @@ def _cmd_crosscheck(args) -> int:
             f"enumeration cap exceeded: family walks need k+m = {2 * family_total} > cap {args.cap}",
         )
     needed = max(args.max_total, 2 * family_total + 2)
-    params, moments = _context(args, needed if needed % 2 == 0 else needed + 1)
+    needed += needed % 2
+    params, moments = _context(args, needed)
+    # Checked before any pair: with no coefficient pair to check, nothing
+    # else would check them.  Odd indices need no moments.
+    model.validate(params, moments, 1, 1)
+    moments.require(needed)
     engine = CoefficientEngine(params, moments)
     try:
         mismatches, lines = run_crosscheck(engine, args.max_total, family_total)
@@ -337,6 +338,14 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here so that numpy loads only for the sampler.
+    from .simulate import (
+        EnsembleSpec,
+        WeightDistribution,
+        estimate_correlators,
+        validate_ensemble,
+    )
+
     if args.mode not in (None, "sweep"):
         raise _CliError(
             EXIT_CONFIG, f"unknown simulate mode {args.mode!r}; the only mode is 'sweep'"

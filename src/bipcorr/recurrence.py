@@ -44,6 +44,40 @@ inline, as it reads a memo value; only on a miss does it run the sum, with
 the peel's own.  A hit reads no family value, so it adds no memo key and
 leaves the memo's insertion order as it was.
 
+Structural zeros
+----------------
+A closed walk of positive half-length leaves every vertex it visits: its
+root at the first step, any other vertex right after each arrival.  So two
+shapes force a family value to 0:
+
+(G) A key other than TOP with r_g = 0 < l_g is 0.  Proof: the walk in the
+    gray slots is rooted at r (for S1S it visits r), so it leaves r.
+(B) In the families whose blue walk is rooted at r or passes through r
+    (EQ_C, EQ_C_G, EQ_C_R, EQ_ANYC, NEQ_C_R, NEQ_C_RU, NEQ_C_RD, NEQ_ANYC_S,
+    NEQ_ANYC_SGD, NEQ_ANYC_SN), a key with r_b = 0 < l_b is 0.  Proof: the
+    blue walk visits r, so it leaves r.  In NEQ_C, NEQ_C_G, NEQ_C_GU and
+    NEQ_C_GD the blue walk need not visit r, and (B) does not hold.
+
+The equations do not read such keys; their loop ranges leave them out, so
+no read pays a lookup for the rule.  ``range(x > 0, x + 1)`` starts at 1
+whenever x is positive.
+
+- ``_gray_peel``: at f = r the lower walk has no departure left, so only
+  u = l - r is read (G).
+- ``_red_peel``: likewise only ug = lg - rg at fg = rg (G), and only
+  ub = lb - rb at fb = rb (B: both lower tags, EQ_ANYC and NEQ_ANYC_S, root
+  or pass the blue walk at r).
+- ``_upper_s1`` and ``_upper_s1_s1s``: v starts at 1 when u > 0 (G).
+- ``_rooted_at_v`` and ``_rooted_at_or_beyond_v``: vg starts at 1 when
+  ug > 0 (G), vb at 1 when ub > 0 (B).
+- ``_upper_pair`` and ``_eval_top``: the gray departures start at 1 when the
+  gray half-length is positive (G); EQ_C is not read at zero blue departures
+  and positive blue half-length (B), but NEQ_C is.
+
+The sum equations still read every part at their own key, and a key that is
+asked for directly, through ``s_value``, is evaluated by its own equation,
+which gives 0.
+
 Scaled integers
 ---------------
 Every family value is a sum, over tree-skeleton walk pairs, of one vertex
@@ -330,7 +364,9 @@ class CoefficientEngine:
         total = 0
         for f in range(1, r + 1):
             outer = binomial(r - 1, f - 1) * self._w(f)
-            for u in range(0, l - r + 1):
+            # Cutting all r departures leaves the lower walk none, so (G)
+            # allows it only the empty walk.
+            for u in range(0, l - r + 1) if f < r else (l - r,):
                 ref = (lower_tag, c, l - u - f, low_lb, r - f, low_rb)
                 if (ref_rank := (low_total - u - f) << 5 | low_stage) >= rank:
                     _order_violated(ref, ref_rank, rank)
@@ -356,7 +392,7 @@ class CoefficientEngine:
     def _upper_s1(self, rank: int, opp: int, f: int, u: int, lb: int | None):
         memo = self._memo
         upper = 0
-        for v in range(0, u + 1):
+        for v in range(u > 0, u + 1):
             ref = (fam.S1, opp, u, None, v, None)
             if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
                 _order_violated(ref, ref_rank, rank)
@@ -370,7 +406,7 @@ class CoefficientEngine:
     def _upper_s1_s1s(self, rank: int, opp: int, f: int, u: int, lb: int | None):
         memo = self._memo
         upper = 0
-        for v in range(0, u + 1):
+        for v in range(u > 0, u + 1):
             ref = (fam.S1, opp, u, None, v, None)
             if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
                 _order_violated(ref, ref_rank, rank)
@@ -390,15 +426,19 @@ class CoefficientEngine:
     def _upper_pair(self, rank: int, opp: int, f: int, u: int, lb: int):
         memo = self._memo
         upper = 0
-        for vg in range(0, u + 1):
+        for vg in range(u > 0, u + 1):
             code_vg = binomial(f + vg - 1, f - 1)
             for vb in range(0, lb + 1):
-                ref = (fam.EQ_C, opp, u, lb, vg, vb)
-                if (ref_rank := (u + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
-                    _order_violated(ref, ref_rank, rank)
-                eq = memo.get(ref)
-                if eq is None:
-                    eq = yield ref
+                # (B) holds for EQ_C, whose blue walk is rooted at v, but not
+                # for NEQ_C, whose blue walk need not visit v.
+                eq = 0
+                if vb or not lb:
+                    ref = (fam.EQ_C, opp, u, lb, vg, vb)
+                    if (ref_rank := (u + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
+                        _order_violated(ref, ref_rank, rank)
+                    eq = memo.get(ref)
+                    if eq is None:
+                        eq = yield ref
                 ref = (fam.NEQ_C, opp, u, lb, vg, vb)
                 if (ref_rank := (u + lb) << 5 | _STAGE[fam.NEQ_C]) >= rank:
                     _order_violated(ref, ref_rank, rank)
@@ -428,15 +468,24 @@ class CoefficientEngine:
         low_stage = _STAGE[lower_tag]
         memo, uppers = self._memo, self._uppers
         opp = 3 - c
+        # Cutting all departures of a walk leaves its lower walk none, so (G)
+        # and, as both lower tags root or pass the blue walk at r, (B) allow
+        # it only the empty walk.
+        blues = [
+            (fb, code, range(0, lb - rb + 1) if fb < rb else (lb - rb,))
+            for fb in range(1, rb + 1)
+            if (code := blue_code(rb, fb))
+        ]
         total = 0
         for fg in range(1, rg + 1):
             code_g = binomial(rg - 1, fg - 1)
-            for fb in range(1, rb + 1):
-                outer = code_g * blue_code(rb, fb) * self._w(fg + fb)
+            ugs = range(0, lg - rg + 1) if fg < rg else (lg - rg,)
+            for fb, code_b, ubs in blues:
+                outer = code_g * code_b * self._w(fg + fb)
                 if not outer:
                     continue
-                for ug in range(0, lg - rg + 1):
-                    for ub in range(0, lb - rb + 1):
+                for ug in ugs:
+                    for ub in ubs:
                         ref = (lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb)
                         if (ref_rank := (lg + lb - ug - ub - fg - fb) << 5 | low_stage) >= rank:
                             _order_violated(ref, ref_rank, rank)
@@ -462,9 +511,9 @@ class CoefficientEngine:
     def _rooted_at_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
         memo = self._memo
         upper = 0
-        for vg in range(0, ug + 1):
+        for vg in range(ug > 0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
-            for vb in range(0, ub + 1):
+            for vb in range(ub > 0, ub + 1):
                 ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
                 if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
                     _order_violated(ref, ref_rank, rank)
@@ -478,9 +527,9 @@ class CoefficientEngine:
     def _rooted_at_or_beyond_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
         memo = self._memo
         upper = 0
-        for vg in range(0, ug + 1):
+        for vg in range(ug > 0, ug + 1):
             code_vg = binomial(fg + vg - 1, fg - 1)
-            for vb in range(0, ub + 1):
+            for vb in range(ub > 0, ub + 1):
                 ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
                 if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
                     _order_violated(ref, ref_rank, rank)
@@ -562,9 +611,11 @@ class CoefficientEngine:
         memo = self._memo
         total = 0
         for component in (1, 2):
-            for rg in range(0, lg + 1):
+            for rg in range(lg > 0, lg + 1):
                 for rb in range(0, lb + 1):
-                    for tag in (fam.EQ_C, fam.NEQ_C):
+                    # (B) holds for EQ_C but not for NEQ_C, whose blue walk
+                    # need not visit the gray root.
+                    for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,):
                         ref = (tag, component, lg, lb, rg, rb)
                         if (ref_rank := (lg + lb) << 5 | _STAGE[tag]) >= rank:
                             _order_violated(ref, ref_rank, rank)

@@ -170,6 +170,26 @@ class TestCrosscheck:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--family-total" in err
 
+    def test_negative_max_total_rejected(self, capsys):
+        # It used to check 0 coefficient pairs and print OK.
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "-3", "--family-total", "0"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--max-total" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "1"), ("--alpha", "3/2"), ("--p", "0"), ("--p", "-1")]
+    )
+    def test_bad_params_exit_config(self, capsys, flag, value):
+        # --max-total 2 checks no coefficient pair, whose validation used to
+        # be the only one.
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "2", "--family-total", "1", flag, value]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"got {value}" in err
+
     def test_tampered_engine_detected(self, capsys, monkeypatch):
         # Negative control: a deliberately wrong engine must trip the check,
         # proving the comparison is not vacuous.
@@ -265,6 +285,22 @@ class TestSimulate:
             " '--samples', '20', '--p', '4'])",
             "assert code == 0, code",
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        ])
+        src = str(Path(bipcorr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_compute_does_not_import_numpy(self):
+        # Only the sampler needs numpy, which is most of the import time of a
+        # fresh process.
+        script = "\n".join([
+            "import sys",
+            "from bipcorr import cli",
+            "assert cli.main(['compute', '--k', '2', '--m', '2']) == 0",
+            "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)",
         ])
         src = str(Path(bipcorr.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

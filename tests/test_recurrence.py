@@ -285,10 +285,11 @@ class TestMemo:
 
     def test_evaluated_key_count_is_frozen(self):
         # A rewrite of the equations that evaluates other sub-sums, or prunes
-        # some, changes this count.
+        # some, changes this count.  It was 7081 before the equations stopped
+        # reading keys that are zero by their shape.
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
-        assert engine.memo_size == 7081
+        assert engine.memo_size == 4289
 
     def test_single_walk_upper_sums_cached_once(self):
         # These upper sums never read the blue half-length, so the cache must
@@ -298,6 +299,61 @@ class TestMemo:
         for name in ("_upper_s1", "_upper_s1_s1s"):
             args = [key[1:] for key in engine._uppers if key[0].__name__ == name]
             assert args and len(args) == len({a[:3] for a in args}), name
+
+
+# Families whose blue walk is rooted at r or passes through r, where rule (B)
+# of the module docstring holds.
+_BLUE_AT_ROOT = frozenset({
+    fam.EQ_C, fam.EQ_C_G, fam.EQ_C_R, fam.EQ_ANYC, fam.NEQ_C_R, fam.NEQ_C_RU,
+    fam.NEQ_C_RD, fam.NEQ_ANYC_S, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN,
+})
+STRUCTURAL_CONTEXTS = {
+    # The benchmark's exact context: every moment 11/7 or 13/7.
+    "exact": (ModelParams(F(2, 3), F(5, 2)), MomentSequence([F(11, 7), F(13, 7)] * 4)),
+    "gaussian": (ModelParams(F(1, 3), F(1)), moments_preset("gaussian:1", 8)),
+}
+
+
+def zero_by_shape(max_total):
+    """Every key with l_g + l_b <= max_total (r <= l) that rule (G) or (B) calls 0."""
+    for tag in sorted(fam.SINGLE_TAGS):
+        for component in (1, 2):
+            for l in range(1, max_total + 1):
+                yield fam.single_key(tag, component, l, 0)
+    for tag in sorted(fam.DOUBLE_TAGS):
+        for component in (1, 2):
+            for lg in range(max_total + 1):
+                for lb in range(max_total - lg + 1):
+                    for rg in range(lg + 1):
+                        for rb in range(lb + 1):
+                            if rg == 0 < lg or (tag in _BLUE_AT_ROOT and rb == 0 < lb):
+                                yield fam.double_key(tag, component, lg, lb, rg, rb)
+
+
+class TestStructuralZeros:
+    """The keys the equations no longer read are 0 by their own equations."""
+
+    @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
+    def test_engine_evaluates_them_to_zero(self, name):
+        engine = CoefficientEngine(*STRUCTURAL_CONTEXTS[name])
+        keys = list(zero_by_shape(8))
+        assert len(keys) > 5000
+        assert [key for key in keys if engine.s_value(key) != 0] == []
+
+    @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
+    def test_oracle_weighs_them_zero(self, name):
+        params, moments = STRUCTURAL_CONTEXTS[name]
+        keys = list(zero_by_shape(5))
+        assert [key for key in keys if family_total_weight(key, params, moments) != 0] == []
+
+    @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
+    def test_blue_rooted_elsewhere_is_not_zero(self, name):
+        # (B) stops at NEQ_C: gray r -> v -> w -> v -> r and blue v -> w -> v
+        # share the edge (v, w), and blue never visits r.
+        params, moments = STRUCTURAL_CONTEXTS[name]
+        key = fam.double_key(fam.NEQ_C, 1, 2, 1, 1, 0)
+        value = CoefficientEngine(params, moments).s_value(key)
+        assert value != 0 and value == family_total_weight(key, params, moments)
 
 
 # Denominators that stress the engine's scale: alpha = 5/11 and p = 7/3 put

@@ -130,6 +130,21 @@ ROWS = (
         "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n",
         f"{GUARDS}::test_recursion_order_guard",
     ),
+    # Structural zeros: a read is skipped only where its key is 0 by shape.
+    Mutant(
+        "top-skips-neq-c-at-blue-zero",
+        ENGINE,
+        "for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,):",
+        "for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else ():",
+        "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
+    ),
+    Mutant(
+        "gray-peel-empty-lower-off-by-one",
+        ENGINE,
+        "for u in range(0, l - r + 1) if f < r else (l - r,):",
+        "for u in range(0, l - r + 1) if f < r else (l - r + 1,):",
+        "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
     # Oracle: the part mirror of the censuses and the O(1) tree guard.
     Mutant(
         "mirror-keeps-vertex-counts",
