@@ -112,8 +112,11 @@ def _emit(args, text: str) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(EXIT_CONFIG, f"cannot write output file: {exc}")
 
 
 def _params(args) -> model.ModelParams:

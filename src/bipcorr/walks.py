@@ -74,12 +74,33 @@ the first gray edge and the side of that edge the blue root lies on stay as
 they are.  The cached censuses therefore walk gray root part 1 only and add
 each bucket's mirror image: a profile (n1, n2, totals) becomes (n2, n1,
 totals), a double slot (tag, component, r_g, r_b) becomes (tag, 3 - component,
-r_g, r_b) and a single slot (component, r) becomes (3 - component, r).  The
-same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
+r_g, r_b) and a single slot (component, r) becomes (3 - component, r).  A
+slot can be the mirror image of another slot of the same census, so the
+mirror adds counts.  The same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
+
+Empty walks
+-----------
+A family census walks pairs only when both walks are nonempty; a pair with
+an empty walk is a single tree walk, and its slots come from the
+single-walk censuses.  Suppose the gray walk is empty at x.  A blue walk
+rooted at x is a single walk: the roots are equal and no edge is shared, so
+the pair fills (EQ_ANYC, component, 0, r_b) only.  A blue walk rooted
+elsewhere must reach x, or the skeleton would have two components, so it is
+a single walk through a marked vertex other than its root, and the pair
+fills (NEQ_ANYC_S, ...) and (NEQ_ANYC_SN, ...) with r_b the departures from
+x.  Relabeling the blue root as the root of the single walk maps these
+minimal pairs one to one onto minimal single walks with a marked vertex,
+with the same vertex counts and edge totals; ``_marked_walk_profiles``
+counts them, and the component of the slot is the part of the marked
+vertex.  Suppose instead the blue walk is empty at y.  An empty blue walk
+at a fresh root is detached and never yielded, one at a gray vertex other
+than the root fills no slot, and one at the root fills (EQ_ANYC,
+component, r_g, 0), the single-walk census of the gray walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -384,7 +405,7 @@ class _Gray(NamedTuple):
     counts: dict  # edge -> traversals
     vertices: frozenset
     r_g: int  # departures from the root r
-    cut: Optional[tuple]  # the first edge (r, v); None for the empty walk
+    cut: Optional[tuple]  # the first edge (r, v); None for the empty walk and single-walk leaves
     upper: frozenset  # vertices on the v side of the cut
 
 
@@ -485,13 +506,16 @@ def _swap_parts(profiles: dict) -> dict:
 def _with_mirror(buckets: dict, mirror_slot) -> dict:
     """Slot -> sorted ((profile, count), ...) for root part 1 and its mirror image.
 
-    ``buckets`` maps the slots of the pairs rooted in part 1 to profile ->
+    ``buckets`` maps the slots of the walks rooted in part 1 to profile ->
     count maps; ``mirror_slot`` gives the slot each one fills rooted in part 2.
+    A slot may also be the mirror image of another slot, so counts are added.
     """
     both: dict = {}
     for slot, bucket in buckets.items():
-        both[slot] = bucket
-        both[mirror_slot(*slot)] = _swap_parts(bucket)
+        for target, image in ((slot, bucket), (mirror_slot(*slot), _swap_parts(bucket))):
+            merged = both.setdefault(target, {})
+            for profile, count in image.items():
+                merged[profile] = merged.get(profile, 0) + count
     return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(both.items())}
 
 
@@ -602,7 +626,20 @@ def _memberships(dw: DoubleWalk, sk: Skeleton):
 
 @lru_cache(maxsize=None)
 def _double_family_profiles(l_g: int, l_b: int):
-    """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b)."""
+    """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b).
+
+    Pairs are walked only when both walks are nonempty; otherwise the slots
+    come from the single-walk censuses (see "Empty walks").
+    """
+    if l_b == 0:
+        single = _single_family_profiles(l_g)
+        return {(fam.EQ_ANYC, c, r, 0): bucket for (c, r), bucket in single.items()}
+    if l_g == 0:
+        single = _single_family_profiles(l_b)
+        slots = {(fam.EQ_ANYC, c, 0, r): bucket for (c, r), bucket in single.items()}
+        for (c, r), bucket in _marked_walk_profiles(l_b).items():
+            slots[(fam.NEQ_ANYC_S, c, 0, r)] = slots[(fam.NEQ_ANYC_SN, c, 0, r)] = bucket
+        return dict(sorted(slots.items()))
     buckets: dict = {}
     for gray, blue, n1, n2 in _tree_pairs_at(1, 2 * l_g, 2 * l_b):
         profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
@@ -613,15 +650,41 @@ def _double_family_profiles(l_g: int, l_b: int):
 
 
 @lru_cache(maxsize=None)
+def _single_walk_censuses(l: int) -> tuple:
+    """(single census, marked census) of the tree single walks of half-length ``l``.
+
+    Both map (component, r) -> ((profile, count), ...).  The single census
+    reads the root: component is its part and r the departures from it.  The
+    marked census counts each walk once per marked vertex y other than the
+    root: component is the part of y and r the departures from y.
+    """
+    single: dict = {}
+    marked: dict = {}
+    for walk, n1, n2 in _root_tree_walks(1, 2 * l, set()):
+        root = walk[0]
+        departures = Counter(walk[:-1])
+        r_g = departures.pop(root, 0)
+        # The blue walk stays at the root and reads no cut, so the facts leave it out.
+        gray = _Gray(walk, _add_steps({}, walk), frozenset(walk), r_g, None, frozenset())
+        profile, _, _, _ = _leaf(gray, (root,), n1, n2)
+        bucket = single.setdefault((1, r_g), {})
+        bucket[profile] = bucket.get(profile, 0) + 1
+        for y, r in departures.items():
+            bucket = marked.setdefault((vertex_part(y), r), {})
+            bucket[profile] = bucket.get(profile, 0) + 1
+    return tuple(_with_mirror(b, lambda component, r: (3 - component, r)) for b in (single, marked))
+
+
+@lru_cache(maxsize=None)
 def _single_family_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks."""
-    buckets: dict = {}
-    for walk, n1, n2 in _root_tree_walks(1, 2 * l, set()):
-        gray = _gray_facts(walk)
-        profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
-        bucket = buckets.setdefault((1, gray.r_g), {})
-        bucket[profile] = bucket.get(profile, 0) + 1
-    return _with_mirror(buckets, lambda component, r: (3 - component, r))
+    return _single_walk_censuses(l)[0]
+
+
+@lru_cache(maxsize=None)
+def _marked_walk_profiles(l: int):
+    """Map (component, r) -> ((profile, count), ...) for tree single walks with a marked vertex."""
+    return _single_walk_censuses(l)[1]
 
 
 def family_members(key: fam.FamilyKey) -> list:

@@ -3,8 +3,8 @@
 Each test certifies one headline guarantee of the package:
 
 * the recurrence engine equals the enumeration oracle, both on full
-  coefficients up to k + m = 14 and family by family, with exact rational
-  equality;
+  coefficients up to k + m = 14 and family by family up to total
+  half-length 5, with exact rational equality;
 * the smallest coefficient matches its closed form in every context;
 * structural properties (parity, symmetry, part exchange, moment scaling)
   hold exactly;
@@ -75,16 +75,21 @@ def test_engine_equals_oracle_at_total_14(index):
     _engine_equals_oracle_at_total(index, 14)
 
 
-@pytest.mark.parametrize("index", CONTEXT_IDS)
-def test_engine_equals_oracle_family_by_family(index):
-    # Doubles and the top family over l_g + l_b <= 4, single-walk families
-    # to l <= 5, every admissible (component, r_g, r_b); 2059 keys total.
-    params, moments = context(index)
+@pytest.mark.parametrize(
+    "index, family_total, keys",
+    [pytest.param(index, 4, 2059, id=str(index)) for index in CONTEXT_IDS]
+    + [pytest.param(index, 5, 3661, id=f"{index}-total5") for index in CONTEXT_IDS],
+)
+def test_engine_equals_oracle_family_by_family(index, family_total, keys):
+    # Doubles and the top family over l_g + l_b <= family_total, single-walk
+    # families to l <= family_total + 1, every admissible (component, r_g,
+    # r_b).  Total 5 is the reach of `crosscheck --family-total 5`.
+    params, moments = context(index, family_total + 1)
     engine = CoefficientEngine(params, moments)
-    mismatches, lines = run_crosscheck(engine, max_total=2, family_total=4)
+    mismatches, lines = run_crosscheck(engine, max_total=2, family_total=family_total)
     assert mismatches == [], lines
     counted = next(line for line in lines if line.startswith("family keys checked:"))
-    assert counted == "family keys checked: 2059"
+    assert counted == f"family keys checked: {keys}"
 
 
 @pytest.mark.parametrize("index", CONTEXT_IDS)

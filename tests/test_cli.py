@@ -310,6 +310,27 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
 
 
+class TestUnwritableOutput:
+    # A crosscheck that cannot write its report must not exit 1, which means
+    # "mismatch"; every subcommand reports a config error instead.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--k", "2", "--m", "2"],
+            ["oracle", "--k", "2", "--m", "2"],
+            ["crosscheck", "--max-total", "4", "--family-total", "1"],
+            ["simulate", "--n", "16", "--k", "2", "--m", "2", "--samples", "10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_config(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, argv + ["--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot write output file" in err
+        assert not target.parent.exists()
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -30,6 +30,7 @@ from bipcorr.walks import (
     _gray_facts,
     _leaf,
     _leaf_slots,
+    _marked_walk_profiles,
     _memberships,
     _minimal_closings,
     _minimal_pairs,
@@ -331,6 +332,8 @@ class TestLeafProfiles:
             walks._essential_profiles,
             walks._double_family_profiles,
             walks._single_family_profiles,
+            walks._marked_walk_profiles,
+            walks._single_walk_censuses,
             walks._profile_weigher,
         ):
             cached.cache_clear()
@@ -378,6 +381,28 @@ class TestPartMirror:
                     bucket[profile] = bucket.get(profile, 0) + 1
             want = _sorted_buckets(buckets)
             assert list(_single_family_profiles(l).items()) == list(want.items()), l
+
+    @pytest.mark.parametrize("l", range(0, 7))
+    def test_empty_walk_censuses_equal_walked_pairs(self, l):
+        # The censuses with an empty walk come from single walks; here the
+        # pairs are walked over both gray root parts, to l = 6 as verify reads.
+        walked = {}
+        for k, m in ((0, 2 * l), (2 * l, 0)):
+            buckets = {}
+            for gray, blue, n1, n2 in _tree_pairs(k, m):
+                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
+                for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
+                    bucket = buckets.setdefault(slot, {})
+                    bucket[profile] = bucket.get(profile, 0) + 1
+            walked[k] = _sorted_buckets(buckets)
+            got = _double_family_profiles(k // 2, m // 2)
+            assert list(got.items()) == list(walked[k].items()), (k, m)
+        marked = {
+            (component, r_b): bucket
+            for (tag, component, _, r_b), bucket in walked[0].items()
+            if tag == fam.NEQ_ANYC_SN
+        }
+        assert list(_marked_walk_profiles(l).items()) == list(marked.items()), l
 
     def test_part_asymmetric_coefficient(self):
         # alpha = 1/3 weighs the two parts differently, so a mirror that kept

@@ -167,6 +167,22 @@ ROWS = (
         "    if False:\n",
         "tests/test_walks.py::TestLeafProfiles::test_cyclic_pair_rejected",
     ),
+    # Oracle: the census of single walks with a marked vertex, which gives
+    # the pairs with an empty gray walk.
+    Mutant(
+        "marked-census-counts-root",
+        ORACLE,
+        "r_g = departures.pop(root, 0)",
+        "r_g = departures.get(root, 0)",
+        f"{MIRROR}::test_empty_walk_censuses_equal_walked_pairs",
+    ),
+    Mutant(
+        "mirror-replaces-counts",
+        ORACLE,
+        "merged[profile] = merged.get(profile, 0) + count",
+        "merged[profile] = count",
+        f"{MIRROR}::test_empty_walk_censuses_equal_walked_pairs",
+    ),
 )
 
 
