@@ -231,11 +231,7 @@ def _cmd_oracle(args) -> int:
         "census": {"minimal": minimal, "essential": essential},
     }
     if args.dump:
-        payload["walks"] = [
-            walks.format_double_walk(dw)
-            for dw in walks.iter_tree_double_walks(args.k, args.m)
-            if walks.is_essential(dw)
-        ]
+        payload["walks"] = walks.essential_pair_lines(args.k, args.m)
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

@@ -101,9 +101,6 @@ class MomentSequence:
         if order > self.max_order:
             raise InsufficientMomentsError(order, self.max_order)
 
-    def to_json_dict(self) -> dict:
-        return {"even_moments": [format_scalar(v) for v in self._values]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentSequence":
         try:
@@ -151,7 +148,9 @@ def validate(params: ModelParams, moments: MomentSequence, k: int, m: int) -> No
     """Reject invalid parameter sets before any computation starts.
 
     Raises ``InvalidParamsError`` (codes ``alpha_out_of_range``,
-    ``p_out_of_range``, ``bad_indices``) or ``InsufficientMomentsError``.
+    ``p_out_of_range``, ``moment_out_of_range``, ``bad_indices``) or
+    ``InsufficientMomentsError``.  An even moment of a real weight is never
+    negative; zero is allowed, since ``constant:0`` is the law a = 0.
     """
     if not 0 < params.alpha < 1:
         raise InvalidParamsError(
@@ -163,6 +162,12 @@ def validate(params: ModelParams, moments: MomentSequence, k: int, m: int) -> No
             "p_out_of_range",
             f"p out of range: need p > 0, got {format_scalar(Fraction(params.p))}",
         )
+    for j, value in enumerate(moments.values, start=1):
+        if value < 0:
+            raise InvalidParamsError(
+                "moment_out_of_range",
+                f"even moment out of range: need V_{2 * j} >= 0, got {format_scalar(value)}",
+            )
     if k < 1 or m < 1:
         raise InvalidParamsError("bad_indices", f"moment indices must be >= 1, got k={k}, m={m}")
     moments.require(required_moment_order(k, m))

@@ -27,9 +27,9 @@ Gram matrix G = X X^T, and every odd moment is exactly zero.  The sampler
 keeps X as its nonzero entries, forms G as a sparse product, and takes
 Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>, so the moments up
 to k = 4 need only the sum of squared weights and ||G||_F^2.  There is no
-dense matrix and no decomposition.  ``trace_moments`` with ``part_size`` set
-passes the block's nonzeros to the same kernel; without ``part_size`` it
-falls back to a full symmetric eigendecomposition for arbitrary input.
+dense matrix and no decomposition.  ``trace_moments`` takes a dense
+bipartite matrix and the size of its first part, and passes the cross
+block's nonzeros to the same kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +51,6 @@ _MASK64 = (1 << 64) - 1
 
 # One generator per thread, re-keyed for every sample by ``_keyed_generator``.
 _thread_rng = threading.local()
-
-
-class EigensolverError(RuntimeError):
-    pass
 
 
 class FiniteSizeCapError(ValueError):
@@ -276,18 +272,12 @@ def _block_moments(rows, cols, values, part_size: int, size: int, kmax: int) -> 
     return out
 
 
-def trace_moments(A: np.ndarray, kmax: int, part_size: Optional[int] = None) -> np.ndarray:
-    """Spectral moments M_k = Tr(A^k)/N for k = 1..kmax (index k-1)."""
+def trace_moments(A: np.ndarray, kmax: int, part_size: int) -> np.ndarray:
+    """Spectral moments M_k = Tr(A^k)/N, k = 1..kmax (index k-1), of a bipartite A.
+
+    Part 1 is the first ``part_size`` indices; only the cross block is read.
+    """
     N = A.shape[0]
-    if part_size is None:
-        try:
-            eigenvalues = np.linalg.eigvalsh(A)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-        out = np.zeros(kmax)
-        for k in range(1, kmax + 1):
-            out[k - 1] = np.sum(eigenvalues**k) / N
-        return out
     block = A[:part_size, part_size:]
     rows, cols = np.nonzero(block)
     return _block_moments(rows, cols, block[rows, cols], part_size, N, kmax)

@@ -1,9 +1,10 @@
 """Exhaustive enumeration oracle for walk pairs and their weighted sums.
 
 This module computes the coefficients n_{k,m} the slow, direct way: generate
-every admissible pair of closed walks, keep the essential ones, and add up
-their weights.  It exists to cross-check the recurrence engine, so it shares
-nothing with it beyond the family catalog and the edge weights.
+every admissible pair of closed walks, sort them into family slots, and add
+up the weights of the essential ones.  It exists to cross-check the
+recurrence engine, so it shares nothing with it beyond the family catalog
+and the edge weights.
 
 Walks and minimality
 --------------------
@@ -32,35 +33,47 @@ one of the stored even moments.  A pair is *essential* when its skeleton is a
 tree and at least one edge is used by both walks; n_{k,m} is the weight sum
 over essential pairs of half-lengths (k/2, m/2), and vanishes for odd k or m.
 
-Families are evaluated by filtering the same enumeration through the
-predicates of :mod:`bipcorr.families`.  Enumeration order is deterministic:
-depth-first, visiting existing labels in increasing order before a new one.
+Families are evaluated by sorting the same enumeration into the slots of
+:mod:`bipcorr.families`.  Enumeration order is deterministic: depth-first,
+visiting existing labels in increasing order before a new one.
 
 Pruning
 -------
-Only tree pairs carry weight, so the oracle walks no other:
-``iter_tree_double_walks``/``iter_tree_walks`` grow the walks while tracking
-the skeleton's edge set.  A step to a new label adds a leaf.  A step to a
-used vertex is kept only if it reuses a skeleton edge, or if it leads a blue
-walk with a fresh root, still apart from the gray walk, into the gray walk's
-component and so joins the two.  Any other step adds an edge between two
-vertices already connected, which closes a cycle; later steps only add edges
-and vertices, so the cycle stays and no completion is a tree.  A blue walk
-that ends still apart leaves two components and is dropped too.  The
-generators therefore yield exactly the minimal pairs whose skeleton is a
-tree, in the enumeration order above.  The census counts all minimal pairs
-by a recursion over label counts instead of walking them.
+Only tree pairs carry weight, so the oracle walks no other: ``_tree_pairs``
+and ``_root_tree_walks`` grow the walks while tracking the skeleton's edge
+set.  A step to a new label adds a leaf.  A step to a used vertex is kept
+only if it reuses a skeleton edge, or if it leads a blue walk with a fresh
+root, still apart from the gray walk, into the gray walk's component and so
+joins the two.  Any other step adds an edge between two vertices already
+connected, which closes a cycle; later steps only add edges and vertices, so
+the cycle stays and no completion is a tree.  A blue walk that ends still
+apart leaves two components and is dropped too.  The generators therefore
+yield exactly the minimal pairs whose skeleton is a tree, in the enumeration
+order above.  The sums walk pairs of two nonempty walks in one loop only,
+in the family census ``_double_family_profiles``; the coefficient census is
+read from it (see below), and ``census`` counts all minimal pairs by a
+recursion over label counts instead of walking them.  Only ``oracle --dump``
+walks the pairs again, to list them.
 
 Profiles at the leaves
 ----------------------
-The weighted sums never build a ``Skeleton``.  Facts of each gray walk (its
-edge counts, r_g and first edge) are gathered once and shared by every blue
-walk grown on it; at each leaf one pass over the blue walk gives the sorted
-edge totals, the shared-edge count c, the blue traversals of the first gray
-edge and r_b.  Each walk is connected and the two share a vertex, so the
-O(1) check "vertices = distinct edges + 1", which raises when it fails,
-stands in for the full tree test.  Each distinct profile is weighed once per
-context (alpha, p, moments).
+A grown pair is read one way only, from facts gathered as it grows.  Facts
+of each gray walk (its edge counts, r_g and first edge) are gathered once and
+shared by every blue walk grown on it; at each leaf one pass over the blue
+walk gives the profile (vertex counts per part and sorted edge totals), the
+shared-edge count c, the blue traversals of the first gray edge and r_b.
+Each walk is connected and the two share a vertex, so the O(1) check
+"vertices = distinct edges + 1", which raises when it fails, stands in for
+the full tree test.  Each distinct profile is weighed once per context
+(alpha, p, moments).
+
+``_slots`` turns these facts into family slots.  A pair with c > 0 fills
+EQ_C when its roots are equal and NEQ_C when they differ, never both, and a
+pair with c = 0 fills neither; the slot also fixes the gray root's part, r_g
+and r_b.  So each essential pair at half-lengths (l_g, l_b) lies in exactly
+one EQ_C or NEQ_C bucket of the family census, and those buckets add up to
+the essential census of n_{2 l_g, 2 l_b}.  An empty walk shares no edge, so
+no essential pair is left to the empty-walk censuses below.
 
 Part symmetry
 -------------
@@ -101,7 +114,6 @@ component, r_g, 0), the single-walk census of the gray walk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
@@ -111,11 +123,6 @@ from .model import ModelParams, MomentSequence, edge_factor
 
 Vertex = int
 ClosedWalk = tuple
-
-
-class DoubleWalk(NamedTuple):
-    gray: ClosedWalk
-    blue: ClosedWalk
 
 
 def vertex_part(v: Vertex) -> int:
@@ -128,28 +135,6 @@ def vertex_label(v: Vertex) -> int:
 
 def format_walk(walk: ClosedWalk) -> str:
     return " ".join(f"{vertex_part(v)}:{vertex_label(v)}" for v in walk)
-
-
-def format_double_walk(dw: DoubleWalk) -> str:
-    return f"{format_walk(dw.gray)} | {format_walk(dw.blue)}"
-
-
-def parse_walk(text: str) -> ClosedWalk:
-    out = []
-    for token in text.split():
-        part_text, _, label_text = token.partition(":")
-        part, label = int(part_text), int(label_text)
-        if part not in (1, 2) or label < 1:
-            raise ValueError(f"bad vertex token {token!r}")
-        out.append(label if part == 1 else -label)
-    return tuple(out)
-
-
-def parse_double_walk(text: str) -> DoubleWalk:
-    gray_text, sep, blue_text = text.partition("|")
-    if not sep:
-        raise ValueError("double walk text needs a '|' separator")
-    return DoubleWalk(parse_walk(gray_text), parse_walk(blue_text))
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +199,13 @@ def _root_tree_walks(root_component: int, length: int, edges: set) -> Iterator:
     yield from _extend_tree([root], n1, n2, length, root, edges, None)
 
 
-def iter_tree_walks(half_length: int, root_component: int) -> Iterator[ClosedWalk]:
-    """The minimal closed walks of ``half_length`` whose skeleton is a tree."""
-    if root_component not in (1, 2):
-        raise ValueError("root_component must be 1 or 2")
-    for walk, _, _ in _root_tree_walks(root_component, 2 * half_length, set()):
-        yield walk
-
-
-def iter_tree_double_walks(k: int, m: int) -> Iterator[DoubleWalk]:
-    """The minimal walk pairs with gray length k and blue length m whose skeleton is a tree.
+def _tree_pairs(k: int, m: int) -> Iterator:
+    """Yield (gray facts, blue walk, n1, n2) for each minimal tree pair at lengths (k, m).
 
     The gray root ranges over both parts; blue roots over used vertices first
     (part 1 ascending, then part 2 ascending), then a fresh vertex in part 1,
-    then a fresh vertex in part 2.  The walks are grown by ``_extend_tree``,
-    so no prefix that already closes a cycle is extended.
+    then a fresh vertex in part 2.
     """
-    for gray, blue, _, _ in _tree_pairs(k, m):
-        yield DoubleWalk(gray.walk, blue)
-
-
-def _tree_pairs(k: int, m: int) -> Iterator:
-    """Yield (gray facts, blue walk, n1, n2) for each pair of ``iter_tree_double_walks``."""
     yield from _tree_pairs_at(1, k, m)
     yield from _tree_pairs_at(2, k, m)
 
@@ -265,95 +235,11 @@ def _tree_pairs_at(root_component: int, k: int, m: int) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# Skeletons and weights
+# Weights
 
 
 def _edge(a: Vertex, b: Vertex):
     return (a, b) if a < b else (b, a)
-
-
-@dataclass
-class Skeleton:
-    """Undirected multigraph left by forgetting traversal order.
-
-    ``edges`` maps an edge (as a sorted vertex pair) to its (gray, blue)
-    traversal counts.  ``c`` is the number of edges used by both walks.
-    """
-
-    part1_count: int
-    part2_count: int
-    edges: dict
-    c: int
-    is_tree: bool
-
-    def multiplicity(self, a: Vertex, b: Vertex) -> int:
-        gray, blue = self.edges.get(_edge(a, b), (0, 0))
-        return gray + blue
-
-    def edge_totals(self) -> list:
-        return [g + b for g, b in self.edges.values()]
-
-
-def skeleton(dw: DoubleWalk) -> Skeleton:
-    edges: dict = {}
-    for seq, slot in ((dw.gray, 0), (dw.blue, 1)):
-        for i in range(len(seq) - 1):
-            key = _edge(seq[i], seq[i + 1])
-            counts = edges.setdefault(key, [0, 0])
-            counts[slot] += 1
-    vertices = set(dw.gray) | set(dw.blue)
-    shared = sum(1 for g, b in edges.values() if g > 0 and b > 0)
-
-    # A tree has |V| = |E| + 1 and is connected; isolated vertices (an empty
-    # or disjoint blue walk) break connectivity.
-    is_tree = len(vertices) == len(edges) + 1 and _is_connected(vertices, edges)
-    return Skeleton(
-        part1_count=sum(1 for v in vertices if v > 0),
-        part2_count=sum(1 for v in vertices if v < 0),
-        edges={key: (g, b) for key, (g, b) in edges.items()},
-        c=shared,
-        is_tree=is_tree,
-    )
-
-
-def _is_connected(vertices: set, edges: dict) -> bool:
-    if not vertices:
-        return True
-    adjacency: dict = {v: [] for v in vertices}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adjacency[v])
-    return len(seen) == len(vertices)
-
-
-def is_essential(dw: DoubleWalk) -> bool:
-    sk = skeleton(dw)
-    return sk.is_tree and sk.c > 0
-
-
-def walk_weight(dw: DoubleWalk, params: ModelParams, moments: MomentSequence) -> Fraction:
-    """Weight of a tree-skeleton walk pair."""
-    sk = skeleton(dw)
-    if not sk.is_tree:
-        raise ValueError(f"walk pair has a non-tree skeleton: {format_double_walk(dw)}")
-    return _profile_weigher(params, moments.values)(_profile_of(sk))
-
-
-# A profile is the part of a skeleton the weight depends on: vertex counts per
-# part plus the sorted edge multiplicities.  Many walks share one profile, so
-# censuses store (profile, count) pairs instead of walks.
-
-
-def _profile_of(sk: Skeleton):
-    return (sk.part1_count, sk.part2_count, tuple(sorted(sk.edge_totals())))
 
 
 @lru_cache(maxsize=None)
@@ -521,15 +407,28 @@ def _with_mirror(buckets: dict, mirror_slot) -> dict:
 
 @lru_cache(maxsize=None)
 def _essential_profiles(k: int, m: int):
+    """((profile, count), ...) over the essential pairs at lengths (k, m).
+
+    The sum of the EQ_C and NEQ_C buckets of the family census, which hold
+    each essential pair exactly once (see "Profiles at the leaves").
+    """
+    if k < 1 or m < 1 or k % 2 != 0 or m % 2 != 0:
+        return ()
     profiles: dict = {}
-    for gray, blue, n1, n2 in _tree_pairs_at(1, k, m):
-        profile, c, _, _ = _leaf(gray, blue, n1, n2)
-        if c > 0:
-            profiles[profile] = profiles.get(profile, 0) + 1
-    # Root part 2; a mirror image may share its profile with a part-1 pair.
-    for profile, count in _swap_parts(profiles).items():
-        profiles[profile] = profiles.get(profile, 0) + count
+    for (tag, _, _, _), bucket in _double_family_profiles(k // 2, m // 2).items():
+        if tag == fam.EQ_C or tag == fam.NEQ_C:
+            for profile, count in bucket:
+                profiles[profile] = profiles.get(profile, 0) + count
     return tuple(sorted(profiles.items()))
+
+
+def essential_pair_lines(k: int, m: int) -> list:
+    """The essential pairs at lengths (k, m) as "gray | blue" text, in enumeration order."""
+    return [
+        f"{format_walk(gray.walk)} | {format_walk(blue)}"
+        for gray, blue, n1, n2 in _tree_pairs(k, m)
+        if _leaf(gray, blue, n1, n2)[1] > 0
+    ]
 
 
 def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fraction:
@@ -612,18 +511,6 @@ def _slots(
     return [(tag, component, r_g, r_b) for tag in tags]
 
 
-def _memberships(dw: DoubleWalk, sk: Skeleton):
-    """The family slots of a tree-skeleton pair, from its skeleton."""
-    r = dw.gray[0]
-    on_cut, in_upper = 0, False
-    if len(dw.gray) > 1:
-        v = dw.gray[1]
-        on_cut = sk.edges[_edge(r, v)][1]
-        in_upper = dw.blue[0] in _upper_vertices(sk.edges, r, v)
-    r_g, r_b = _root_departures(dw.gray, r), _root_departures(dw.blue, r)
-    return _slots(dw.gray, dw.blue, r_g, r_b, sk.c, on_cut, in_upper)
-
-
 @lru_cache(maxsize=None)
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b).
@@ -685,38 +572,6 @@ def _single_family_profiles(l: int):
 def _marked_walk_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks with a marked vertex."""
     return _single_walk_censuses(l)[1]
-
-
-def family_members(key: fam.FamilyKey) -> list:
-    """Every walk (pair) in a family, as explicit walks.
-
-    Returns ``ClosedWalk`` items for ``S1`` and ``DoubleWalk`` items
-    otherwise (``S1S`` members have the empty gray walk at the root).
-    Intended for inspection and golden tests; the weighted sums below use the
-    cached profile censuses instead.
-    """
-    fam.validate_key(key)
-    if key.tag == fam.S1:
-        out = []
-        for walk in iter_tree_walks(key.l_g, key.component):
-            dw = DoubleWalk(walk, (walk[0],))
-            if skeleton(dw).is_tree and _root_departures(walk, walk[0]) == key.r_g:
-                out.append(walk)
-        return out
-    if key.tag == fam.S1S:
-        slot = (fam.NEQ_ANYC_SN, key.component, 0, key.r_g)
-        pairs = iter_tree_double_walks(0, 2 * key.l_g)
-    elif key.tag == fam.TOP:
-        return [dw for dw in iter_tree_double_walks(2 * key.l_g, 2 * key.l_b) if is_essential(dw)]
-    else:
-        slot = (key.tag, key.component, key.r_g, key.r_b)
-        pairs = iter_tree_double_walks(2 * key.l_g, 2 * key.l_b)
-    out = []
-    for dw in pairs:
-        sk = skeleton(dw)
-        if sk.is_tree and slot in _memberships(dw, sk):
-            out.append(dw)
-    return out
 
 
 def family_total_weight(

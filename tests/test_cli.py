@@ -20,6 +20,18 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def negative_moments_file(tmp_path) -> str:
+    """A moments file with V_2 = -1, which no real weight law has."""
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({"even_moments": ["-1", "2"]}))
+    return str(path)
+
+
+def assert_moment_rejected(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "V_2 >= 0, got -1" in err
+
+
 class TestCompute:
     def test_single_pair_default_context(self, capsys):
         # alpha=1/2, p=1, rademacher: n_{2,2} = 4*alpha*(1-alpha)*V4/p = 1.
@@ -107,6 +119,11 @@ class TestCompute:
         )
         assert code == 3 and "order" in err
 
+    def test_negative_moment_exit_config(self, capsys, tmp_path):
+        # It used to print 2.
+        argv = ["compute", "--k", "2", "--m", "2", "--moments-file", negative_moments_file(tmp_path)]
+        assert_moment_rejected(*run(capsys, argv))
+
 
 class TestOracle:
     def test_value_census_and_dump(self, capsys):
@@ -143,6 +160,10 @@ class TestOracle:
         code, out, err = run(capsys, ["oracle", "--k", "2", "--m", "2", flag, value])
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"got {value}" in err
+
+    def test_negative_moment_exit_config(self, capsys, tmp_path):
+        argv = ["oracle", "--k", "2", "--m", "2", "--moments-file", negative_moments_file(tmp_path)]
+        assert_moment_rejected(*run(capsys, argv))
 
 
 class TestCrosscheck:
@@ -189,6 +210,14 @@ class TestCrosscheck:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"got {value}" in err
+
+    def test_negative_moment_exit_config(self, capsys, tmp_path):
+        # It used to print OK: engine and oracle agree on any moments.
+        argv = [
+            "crosscheck", "--max-total", "4", "--family-total", "1",
+            "--moments-file", negative_moments_file(tmp_path),
+        ]
+        assert_moment_rejected(*run(capsys, argv))
 
     def test_tampered_engine_detected(self, capsys, monkeypatch):
         # Negative control: a deliberately wrong engine must trip the check,

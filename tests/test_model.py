@@ -16,6 +16,7 @@ from bipcorr.model import (
     required_moment_order,
     validate,
 )
+from bipcorr.rational import format_scalar
 
 
 class TestModelParams:
@@ -85,10 +86,10 @@ class TestMomentSequence:
         assert info.value.code == "insufficient_moments"
 
     def test_json_round_trip(self):
-        moments = MomentSequence([F(1), F(5, 2)])
-        data = moments.to_json_dict()
-        assert data == {"even_moments": ["1", "5/2"]}
-        assert MomentSequence.from_json_dict(data) == moments
+        data = json.loads('{"even_moments": ["1", "5/2"]}')
+        moments = MomentSequence.from_json_dict(data)
+        assert moments == MomentSequence([F(1), F(5, 2)])
+        assert [format_scalar(v) for v in moments.values] == data["even_moments"]
 
     def test_from_json_rejects_malformed(self):
         for bad in ({}, {"even_moments": "1"}, {"even_moments": ["x"]}, None):
@@ -125,6 +126,15 @@ class TestValidate:
         with pytest.raises(InvalidParamsError) as info:
             validate(ModelParams(F(1, 2), F(1)), MomentSequence([F(1)]), 0, 2)
         assert info.value.code == "bad_indices"
+
+    def test_negative_moment_rejected(self):
+        # Every stored moment is checked, also one above the order (2, 2) needs.
+        for values in ([F(-1), F(2)], [F(1), F(-1, 3)]):
+            with pytest.raises(InvalidParamsError) as info:
+                validate(ModelParams(F(1, 2), F(1)), MomentSequence(values), 2, 2)
+            assert info.value.code == "moment_out_of_range"
+        # Zero is a moment of the law a = 0 (``constant:0``).
+        validate(ModelParams(F(1, 2), F(1)), MomentSequence([F(0), F(0)]), 2, 2)
 
 
 class TestPresets:

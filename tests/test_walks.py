@@ -1,43 +1,30 @@
-"""Enumeration oracle: walks, skeletons, censuses, families."""
+"""Enumeration oracle: walks, censuses, families, against an unpruned reference."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
 from bipcorr import cli, families as fam, walks
-from bipcorr.model import MomentSequence
+from bipcorr.model import MomentSequence, edge_factor
 from bipcorr.recurrence import CoefficientEngine
-from bipcorr.walks import (
-    DoubleWalk,
-    census,
-    family_members,
-    family_total_weight,
-    format_double_walk,
-    format_walk,
-    is_essential,
-    iter_tree_double_walks,
-    iter_tree_walks,
-    n_oracle,
-    parse_double_walk,
-    parse_walk,
-    skeleton,
-    walk_weight,
-)
+from bipcorr.walks import census, essential_pair_lines, family_total_weight, format_walk, n_oracle
 from bipcorr.walks import (
     _double_family_profiles,
+    _edge,
     _essential_profiles,
     _gray_facts,
     _leaf,
     _leaf_slots,
     _marked_walk_profiles,
-    _memberships,
     _minimal_closings,
     _minimal_pairs,
-    _profile_of,
-    _root_departures,
+    _profile_weigher,
     _root_tree_walks,
     _single_family_profiles,
+    _slots,
     _tree_pairs,
     vertex_part,
 )
@@ -46,9 +33,10 @@ from conftest import CONTEXT_IDS, ORACLE_TABLES, context
 
 
 # ---------------------------------------------------------------------------
-# The unpruned enumeration: the reference that defines minimality.  It walks
-# every minimal pair, trees or not, in the order the oracle's pruned
-# generators keep.
+# The reference.  The unpruned enumeration defines minimality: it walks every
+# minimal pair, trees or not, in the order the oracle's pruned generators
+# keep.  ``skeleton`` reads a pair from scratch, as the oracle's ``_leaf``
+# facts must.  A pair is a (gray, blue) tuple of walks.
 
 
 def _extend(walk: list, n1: int, n2: int, remaining: int, root):
@@ -115,21 +103,21 @@ def iter_minimal_double_walks(k: int, m: int):
         for gray, g1, g2 in _root_walks(root_component, k):
             for blue_root in range(1, g1 + 1):
                 for blue, _, _ in _extend([blue_root], g1, g2, m, blue_root):
-                    yield DoubleWalk(gray, blue)
+                    yield gray, blue
             for lab in range(1, g2 + 1):
                 for blue, _, _ in _extend([-lab], g1, g2, m, -lab):
-                    yield DoubleWalk(gray, blue)
+                    yield gray, blue
             for blue, _, _ in _extend([g1 + 1], g1 + 1, g2, m, g1 + 1):
-                yield DoubleWalk(gray, blue)
+                yield gray, blue
             for blue, _, _ in _extend([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1)):
-                yield DoubleWalk(gray, blue)
+                yield gray, blue
 
 
 def enumerate_minimal_double_walks(k: int, m: int) -> list:
     return list(iter_minimal_double_walks(k, m))
 
 
-def canonicalize(dw: DoubleWalk) -> DoubleWalk:
+def canonicalize(pair: tuple) -> tuple:
     """Relabel a walk pair into its minimal representative."""
     mapping: dict = {}
     counts = [0, 0, 0]  # index by part
@@ -143,13 +131,96 @@ def canonicalize(dw: DoubleWalk) -> DoubleWalk:
             mapping[v] = new
         return new
 
-    gray = tuple(relab(v) for v in dw.gray)
-    blue = tuple(relab(v) for v in dw.blue)
-    return DoubleWalk(gray, blue)
+    return tuple(tuple(relab(v) for v in walk) for walk in pair)
 
 
-def is_minimal(dw: DoubleWalk) -> bool:
-    return canonicalize(dw) == dw
+def is_minimal(pair: tuple) -> bool:
+    return canonicalize(pair) == pair
+
+
+def parse_walk(text: str) -> tuple:
+    """The signed labels of a walk written as "1:3 2:5"; the inverse of ``format_walk``."""
+    out = []
+    for token in text.split():
+        part, _, label = token.partition(":")
+        out.append(int(label) if part == "1" else -int(label))
+    return tuple(out)
+
+
+def parse_pair(text: str) -> tuple:
+    gray, blue = text.split("|")
+    return parse_walk(gray), parse_walk(blue)
+
+
+def format_pair(pair: tuple) -> str:
+    return " | ".join(format_walk(walk) for walk in pair)
+
+
+def _reach(start, edges, cut=None) -> set:
+    """The vertices joined to ``start`` by ``edges``, without crossing ``cut``."""
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for a, b in edges:
+            if (a, b) != cut and x in (a, b):
+                y = b if x == a else a
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+class Skeleton(NamedTuple):
+    edges: dict  # edge -> [gray traversals, blue traversals]
+    profile: tuple  # (part-1 vertices, part-2 vertices, sorted edge totals)
+    c: int  # edges used by both walks
+    is_tree: bool
+
+
+def skeleton(gray: tuple, blue: tuple) -> Skeleton:
+    edges: dict = {}
+    for walk, side in ((gray, 0), (blue, 1)):
+        for a, b in zip(walk, walk[1:]):
+            edges.setdefault(_edge(a, b), [0, 0])[side] += 1
+    vertices = set(gray) | set(blue)
+    profile = (
+        sum(1 for v in vertices if v > 0),
+        sum(1 for v in vertices if v < 0),
+        tuple(sorted(g + b for g, b in edges.values())),
+    )
+    c = sum(1 for g, b in edges.values() if g and b)
+    is_tree = len(vertices) == len(edges) + 1 and _reach(gray[0], edges) == vertices
+    return Skeleton(edges, profile, c, is_tree)
+
+
+def memberships(gray: tuple, blue: tuple, sk: Skeleton) -> list:
+    """The family slots of a tree pair, with every fact ``_slots`` reads taken from ``sk``."""
+    r = gray[0]
+    on_cut, in_upper = 0, False
+    if len(gray) > 1:
+        cut = _edge(r, gray[1])
+        on_cut = sk.edges[cut][1]
+        in_upper = blue[0] in _reach(gray[1], sk.edges, cut)
+    r_g, r_b = gray[:-1].count(r), blue[:-1].count(r)
+    return _slots(gray, blue, r_g, r_b, sk.c, on_cut, in_upper)
+
+
+def walk_weight(gray: tuple, blue: tuple, params, moments) -> F:
+    """Weight of a tree pair, from its skeleton."""
+    n1, n2, totals = skeleton(gray, blue).profile
+    weight = params.alpha1**n1 * params.alpha2**n2
+    for total in totals:
+        weight *= edge_factor(moments, params, total)
+    return weight
+
+
+def leaf_of(gray_text: str, blue_text: str) -> tuple:
+    """(gray facts, blue walk, ``_leaf`` facts) of a pair written as text."""
+    gray, blue = parse_walk(gray_text), parse_walk(blue_text)
+    vertices = set(gray) | set(blue)
+    n1, n2 = sum(1 for v in vertices if v > 0), sum(1 for v in vertices if v < 0)
+    facts = _gray_facts(gray)
+    return facts, blue, _leaf(facts, blue, n1, n2)
 
 
 class TestText:
@@ -157,17 +228,11 @@ class TestText:
         text = "1:1 2:1 1:2 2:1 1:1"
         assert format_walk(parse_walk(text)) == text
         pair = "1:1 2:1 1:1 | 2:2 1:1 2:2"
-        assert format_double_walk(parse_double_walk(pair)) == pair
+        assert format_pair(parse_pair(pair)) == pair
 
     def test_signed_encoding(self):
+        assert format_walk((3, -5)) == "1:3 2:5"
         assert parse_walk("1:3 2:5") == (3, -5)
-
-    def test_rejects_garbage(self):
-        for bad in ("3:1", "1:0", "1:x", "nonsense"):
-            with pytest.raises(ValueError):
-                parse_walk(bad)
-        with pytest.raises(ValueError):
-            parse_double_walk("1:1 2:1 1:1")
 
 
 class TestEnumeration:
@@ -197,46 +262,42 @@ class TestEnumeration:
         pairs = enumerate_minimal_double_walks(2, 2)
         assert len(pairs) == 16
         # Gray root is always the first vertex of its part.
-        assert {dw.gray[0] for dw in pairs} == {1, -1}
+        assert {gray[0] for gray, _ in pairs} == {1, -1}
         # For gray (1,-1,1) the blue root ranges over used vertices then
         # fresh ones in part order.
-        roots = [dw.blue[0] for dw in pairs if dw.gray == (1, -1, 1)]
+        roots = [blue[0] for gray, blue in pairs if gray == (1, -1, 1)]
         assert list(dict.fromkeys(roots)) == [1, -1, 2, -2]
 
     def test_all_enumerated_pairs_minimal(self):
-        for dw in enumerate_minimal_double_walks(4, 2):
-            assert is_minimal(dw)
+        for pair in enumerate_minimal_double_walks(4, 2):
+            assert is_minimal(pair)
 
     def test_canonicalize_relabels(self):
-        dw = parse_double_walk("1:2 2:3 1:2 | 1:1 2:3 1:1")
-        assert format_double_walk(canonicalize(dw)) == "1:1 2:1 1:1 | 1:2 2:1 1:2"
-        assert not is_minimal(dw)
+        pair = parse_pair("1:2 2:3 1:2 | 1:1 2:3 1:1")
+        assert format_pair(canonicalize(pair)) == "1:1 2:1 1:1 | 1:2 2:1 1:2"
+        assert not is_minimal(pair)
 
 
 class TestTreePruning:
-    """The pruned generators against the unpruned enumeration plus filter."""
+    """The pruned generators and the censuses against the unpruned enumeration plus filter."""
 
     @pytest.mark.parametrize("total", range(0, 11))
     def test_double_walks_equal_filtered_enumeration(self, total):
         for k in range(0, total + 1):
             m = total - k
-            want = [dw for dw in iter_minimal_double_walks(k, m) if skeleton(dw).is_tree]
-            assert list(iter_tree_double_walks(k, m)) == want, (k, m)
+            want = [pair for pair in iter_minimal_double_walks(k, m) if skeleton(*pair).is_tree]
+            assert [(gray.walk, blue) for gray, blue, _, _ in _tree_pairs(k, m)] == want, (k, m)
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_single_walks_equal_filtered_enumeration(self, l):
         for component in (1, 2):
-            want = [
-                w for w in iter_minimal_walks(l, component)
-                if skeleton(DoubleWalk(w, (w[0],))).is_tree
-            ]
-            assert list(iter_tree_walks(l, component)) == want, (l, component)
+            want = [w for w in iter_minimal_walks(l, component) if skeleton(w, (w[0],)).is_tree]
+            got = [w for w, _, _ in _root_tree_walks(component, 2 * l, set())]
+            assert got == want, (l, component)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            list(iter_tree_double_walks(-2, 2))
-        with pytest.raises(ValueError):
-            list(iter_tree_walks(2, 3))
+            list(_tree_pairs(-2, 2))
 
     @pytest.mark.parametrize(
         "key",
@@ -253,32 +314,41 @@ class TestTreePruning:
         ids=lambda key: f"{key.tag}-{key.component}-{key.l_g}-{key.l_b}-{key.r_g}-{key.r_b}",
     )
     def test_family_members_equal_filtered_enumeration(self, key):
-        # The reference filters the unpruned enumeration, as family_members
-        # did before pruning.
+        # The family's census against the profiles of its members, found by
+        # filtering the unpruned enumeration with the reference skeleton.
         if key.tag == fam.S1:
-            want = [
-                w for w in iter_minimal_walks(key.l_g, key.component)
-                if skeleton(DoubleWalk(w, (w[0],))).is_tree
-                and sum(1 for v in w[:-1] if v == w[0]) == key.r_g
-            ]
+            pairs = [(w, (w[0],)) for w in iter_minimal_walks(key.l_g, key.component)]
+            got = _single_family_profiles(key.l_g).get((key.component, key.r_g), ())
+
+            def member(gray, blue, sk):
+                return gray[:-1].count(gray[0]) == key.r_g
+
         elif key.tag == fam.TOP:
-            want = [
-                dw for dw in iter_minimal_double_walks(2 * key.l_g, 2 * key.l_b)
-                if is_essential(dw)
-            ]
+            pairs = iter_minimal_double_walks(2 * key.l_g, 2 * key.l_b)
+            got = _essential_profiles(2 * key.l_g, 2 * key.l_b)
+
+            def member(gray, blue, sk):
+                return sk.c > 0
+
         else:
             if key.tag == fam.S1S:
-                lengths = (0, 2 * key.l_g)
+                lengths = (0, key.l_g)
                 slot = (fam.NEQ_ANYC_SN, key.component, 0, key.r_g)
             else:
-                lengths = (2 * key.l_g, 2 * key.l_b)
+                lengths = (key.l_g, key.l_b)
                 slot = (key.tag, key.component, key.r_g, key.r_b)
-            want = [
-                dw for dw in iter_minimal_double_walks(*lengths)
-                if skeleton(dw).is_tree and slot in _memberships(dw, skeleton(dw))
-            ]
-        members = family_members(key)
-        assert members and members == want
+            pairs = iter_minimal_double_walks(2 * lengths[0], 2 * lengths[1])
+            got = _double_family_profiles(*lengths).get(slot, ())
+
+            def member(gray, blue, sk):
+                return slot in memberships(gray, blue, sk)
+
+        want = Counter()
+        for gray, blue in pairs:
+            sk = skeleton(gray, blue)
+            if sk.is_tree and member(gray, blue, sk):
+                want[sk.profile] += 1
+        assert got and got == tuple(sorted(want.items()))
 
     def test_oracle_dump_bytes_frozen(self, capsys):
         # sha256 of the stdout printed before the enumeration was pruned.
@@ -290,27 +360,26 @@ class TestTreePruning:
 
 
 class TestLeafProfiles:
-    """The sums' leaf-built facts against ``skeleton()`` and ``_memberships``."""
+    """The sums' leaf-built facts against the reference ``skeleton`` and ``memberships``."""
 
     @pytest.mark.parametrize("total", range(0, 11, 2))
     def test_pairs_equal_skeleton(self, total):
         for k in range(0, total + 1, 2):
             for gray, blue, n1, n2 in _tree_pairs(k, total - k):
-                dw = DoubleWalk(gray.walk, blue)
-                sk = skeleton(dw)
+                sk = skeleton(gray.walk, blue)
                 profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
-                assert (profile, c) == (_profile_of(sk), sk.c), format_double_walk(dw)
-                assert _leaf_slots(gray, blue, c, on_cut, r_b) == _memberships(dw, sk)
+                assert (profile, c) == (sk.profile, sk.c), format_pair((gray.walk, blue))
+                assert _leaf_slots(gray, blue, c, on_cut, r_b) == memberships(gray.walk, blue, sk)
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_single_walks_equal_skeleton(self, l):
         for component in (1, 2):
             for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
                 gray = _gray_facts(walk)
-                sk = skeleton(DoubleWalk(walk, (walk[0],)))
+                sk = skeleton(walk, (walk[0],))
                 profile, c, _, _ = _leaf(gray, (walk[0],), n1, n2)
-                assert (profile, c) == (_profile_of(sk), sk.c), format_walk(walk)
-                assert gray.r_g == _root_departures(walk, walk[0])
+                assert (profile, c) == (sk.profile, sk.c), format_walk(walk)
+                assert gray.r_g == walk[:-1].count(walk[0])
 
     @pytest.mark.parametrize(
         "gray, blue",
@@ -322,12 +391,18 @@ class TestLeafProfiles:
         with pytest.raises(ValueError, match="non-tree skeleton"):
             _leaf(_gray_facts(parse_walk(gray)), parse_walk(blue), 2, 2)
 
-    def test_sums_build_no_skeleton(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the oracle's sums must not build a skeleton")
+    def test_sums_walk_each_pair_once(self, monkeypatch):
+        # Pairs of two nonempty walks are walked by the family census alone,
+        # once per (l_g, l_b) and from gray root part 1 only; the coefficient
+        # census is read from it.
+        walked = []
+        tree_pairs_at = walks._tree_pairs_at
 
-        monkeypatch.setattr(walks, "skeleton", forbidden)
-        monkeypatch.setattr(walks, "_is_connected", forbidden)
+        def spy(*args):
+            walked.append(args)
+            return tree_pairs_at(*args)
+
+        monkeypatch.setattr(walks, "_tree_pairs_at", spy)
         for cached in (
             walks._essential_profiles,
             walks._double_family_profiles,
@@ -342,6 +417,23 @@ class TestLeafProfiles:
             CoefficientEngine(params, moments), max_total=6, family_total=3
         )
         assert mismatches == [] and lines[-1] == "OK"
+        assert walked == [(1, 2, 2), (1, 2, 4), (1, 4, 2)]
+
+
+class TestEssentialCensus:
+    """The coefficient census, read from the family census, against walking the pairs."""
+
+    @pytest.mark.parametrize("total", range(0, 13, 2))
+    def test_equals_walked_essential_pairs(self, total):
+        # Both gray root parts are walked; values and order must match.
+        for k in range(0, total + 1, 2):
+            m = total - k
+            essential = Counter()
+            for gray, blue, n1, n2 in _tree_pairs(k, m):
+                profile, c, _, _ = _leaf(gray, blue, n1, n2)
+                if c > 0:
+                    essential[profile] += 1
+            assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
 
 
 def _sorted_buckets(buckets: dict) -> dict:
@@ -411,76 +503,74 @@ class TestPartMirror:
         assert params.alpha == F(1, 3)
         for k, m in ((2, 4), (4, 4)):
             want = sum(
-                walk_weight(dw, params, moments)
-                for dw in iter_tree_double_walks(k, m)
-                if is_essential(dw)
+                walk_weight(gray.walk, blue, params, moments)
+                for gray, blue, _, _ in _tree_pairs(k, m)
+                if skeleton(gray.walk, blue).c > 0
             )
             assert n_oracle(k, m, params, moments) == want, (k, m)
 
 
 class TestSkeleton:
+    """The reference skeleton and the oracle's ``_leaf`` on pairs worked by hand."""
+
     def test_shared_edge_pair(self):
-        dw = parse_double_walk("1:1 2:1 1:1 | 1:1 2:1 1:1")
-        sk = skeleton(dw)
-        assert (sk.part1_count, sk.part2_count) == (1, 1)
-        assert sk.edges == {(-1, 1): (2, 2)}
-        assert sk.c == 1
-        assert sk.is_tree
-        assert sk.multiplicity(1, -1) == 4
-        assert sk.multiplicity(1, -2) == 0
-        assert is_essential(dw)
+        sk = skeleton(*parse_pair("1:1 2:1 1:1 | 1:1 2:1 1:1"))
+        assert sk.edges == {(-1, 1): [2, 2]}
+        assert (sk.profile, sk.c, sk.is_tree) == ((1, 1, (4,)), 1, True)
+        _, _, (profile, c, on_cut, r_b) = leaf_of("1:1 2:1 1:1", "1:1 2:1 1:1")
+        assert (profile, c, on_cut, r_b) == ((1, 1, (4,)), 1, 2, 1)
 
     def test_tree_without_shared_edge(self):
-        dw = parse_double_walk("1:1 2:1 1:1 | 2:1 1:2 2:1")
-        sk = skeleton(dw)
+        sk = skeleton(*parse_pair("1:1 2:1 1:1 | 2:1 1:2 2:1"))
         assert sk.is_tree and sk.c == 0
-        assert not is_essential(dw)
+        _, _, (profile, c, _, _) = leaf_of("1:1 2:1 1:1", "2:1 1:2 2:1")
+        assert (profile, c) == ((2, 1, (2, 2)), 0)
 
     def test_disjoint_blue_not_tree(self):
-        dw = parse_double_walk("1:1 2:1 1:1 | 1:2 2:2 1:2")
-        assert not skeleton(dw).is_tree
+        assert not skeleton(*parse_pair("1:1 2:1 1:1 | 1:2 2:2 1:2")).is_tree
+        with pytest.raises(ValueError, match="non-tree skeleton"):
+            leaf_of("1:1 2:1 1:1", "1:2 2:2 1:2")
 
     def test_isolated_blue_root_not_tree(self):
-        dw = DoubleWalk(parse_walk("1:1 2:1 1:1"), (2,))
-        assert not skeleton(dw).is_tree
+        assert not skeleton(parse_walk("1:1 2:1 1:1"), (2,)).is_tree
+        with pytest.raises(ValueError, match="non-tree skeleton"):
+            leaf_of("1:1 2:1 1:1", "1:2")
 
     def test_cycle_not_tree(self):
-        dw = DoubleWalk(parse_walk("1:1 2:1 1:2 2:2 1:1"), (1,))
-        sk = skeleton(dw)
+        sk = skeleton(parse_walk("1:1 2:1 1:2 2:2 1:1"), (1,))
         assert len(sk.edges) == 4 and not sk.is_tree
 
     def test_essential_pairs_have_even_edge_totals(self):
-        for dw in enumerate_minimal_double_walks(4, 4):
-            if is_essential(dw):
-                assert all(t % 2 == 0 for t in skeleton(dw).edge_totals())
+        for gray, blue, n1, n2 in _tree_pairs(4, 4):
+            (_, _, totals), c, _, _ = _leaf(gray, blue, n1, n2)
+            if c > 0:
+                assert all(t % 2 == 0 for t in totals)
 
 
 class TestWeights:
+    """Profile weights, as the censuses weigh them, worked by hand."""
+
+    def weight(self, index, gray, blue):
+        params, moments = context(index)
+        _, _, (profile, _, _, _) = leaf_of(gray, blue)
+        return _profile_weigher(params, moments.values)(profile)
+
     def test_single_shared_edge(self):
-        dw = parse_double_walk("1:1 2:1 1:1 | 1:1 2:1 1:1")
-        params, moments = context(1)
-        assert walk_weight(dw, params, moments) == F(1, 4)
-        params, moments = context(2)
+        assert self.weight(1, "1:1 2:1 1:1", "1:1 2:1 1:1") == F(1, 4)
         # alpha1 * alpha2 * V4 / p = (1/3)(2/3)(3/2)
-        assert walk_weight(dw, params, moments) == F(1, 3)
+        assert self.weight(2, "1:1 2:1 1:1", "1:1 2:1 1:1") == F(1, 3)
 
     def test_two_edges(self):
-        dw = parse_double_walk("1:1 2:1 1:1 2:2 1:1 | 2:1 1:1 2:1")
-        params, moments = context(2)
         # alpha1 * alpha2^2 * (V4/p) * V2 = (1/3)(4/9)(3/2)(2)
-        assert walk_weight(dw, params, moments) == F(4, 9)
+        assert self.weight(2, "1:1 2:1 1:1 2:2 1:1", "2:1 1:1 2:1") == F(4, 9)
 
     def test_single_walk_weight(self):
-        walk = parse_walk("1:1 2:1 1:2 2:1 1:1")
-        params, moments = context(2)
         # alpha1^2 * alpha2 * V2^2 = (1/9)(2/3)(4)
-        assert walk_weight(DoubleWalk(walk, (walk[0],)), params, moments) == F(8, 27)
+        assert self.weight(2, "1:1 2:1 1:2 2:1 1:1", "1:1") == F(8, 27)
 
     def test_non_tree_rejected(self):
-        dw = parse_double_walk("1:1 2:1 1:1 | 1:2 2:2 1:2")
-        params, moments = context(1)
-        with pytest.raises(ValueError):
-            walk_weight(dw, params, moments)
+        with pytest.raises(ValueError, match="non-tree skeleton"):
+            self.weight(1, "1:1 2:1 1:1", "1:2 2:2 1:2")
 
 
 class TestCensus:
@@ -555,8 +645,7 @@ class TestOracle:
 
 class TestFamilies:
     def test_top_members(self):
-        members = family_members(fam.top_key(1, 1))
-        assert [format_double_walk(dw) for dw in members] == [
+        assert essential_pair_lines(2, 2) == [
             "1:1 2:1 1:1 | 1:1 2:1 1:1",
             "1:1 2:1 1:1 | 2:1 1:1 2:1",
             "2:1 1:1 2:1 | 1:1 2:1 1:1",
@@ -564,28 +653,35 @@ class TestFamilies:
         ]
 
     def test_s1_members(self):
-        assert family_members(fam.single_key(fam.S1, 1, 0, 0)) == [(1,)]
-        assert family_members(fam.single_key(fam.S1, 1, 1, 1)) == [(1, -1, 1)]
-        assert family_members(fam.single_key(fam.S1, 1, 1, 0)) == []
+        def members(l, r):
+            return _single_family_profiles(l).get((1, r), ())
+
+        assert members(0, 0) == (((1, 0, ()), 1),)
+        assert members(1, 1) == (((1, 1, (2,)), 1),)
+        assert members(1, 0) == ()
         # Half-length 2: the four-vertex cycle walk drops out (not a tree);
         # one survivor leaves the root once, two leave it twice.
-        assert len(family_members(fam.single_key(fam.S1, 1, 2, 1))) == 1
-        assert len(family_members(fam.single_key(fam.S1, 1, 2, 2))) == 2
+        assert sum(count for _, count in members(2, 1)) == 1
+        assert sum(count for _, count in members(2, 2)) == 2
 
     def test_s1s_members(self):
-        members = family_members(fam.single_key(fam.S1S, 2, 1, 1))
-        assert [format_double_walk(dw) for dw in members] == ["2:1 | 1:1 2:1 1:1"]
+        # The one member is "2:1 | 1:1 2:1 1:1".
+        slot = (fam.NEQ_ANYC_SN, 2, 0, 1)
+        assert _double_family_profiles(0, 1)[slot] == (((1, 1, (2,)), 1),)
 
     def test_membership_example(self):
         # Gray of half-length 2 rooted at 1:1, blue of half-length 3 rooted at
         # a fresh part-2 vertex; they share the edge (1:1, 2:1) and the blue
         # root sits on the r side of the first gray edge.
-        dw = parse_double_walk("1:1 2:1 1:1 2:2 1:1 | 2:3 1:2 2:3 1:1 2:1 1:1 2:3")
-        assert is_essential(dw)
+        gray, blue, (_, c, on_cut, r_b) = leaf_of(
+            "1:1 2:1 1:1 2:2 1:1", "2:3 1:2 2:3 1:1 2:1 1:1 2:3"
+        )
+        assert c > 0
+        slots = _leaf_slots(gray, blue, c, on_cut, r_b)
         for tag in (fam.NEQ_C, fam.NEQ_ANYC_S, fam.NEQ_C_R, fam.NEQ_C_RD):
-            assert dw in family_members(fam.double_key(tag, 1, 2, 3, 2, 2))
+            assert (tag, 1, 2, 2) in slots
         for tag in (fam.NEQ_C_RU, fam.NEQ_C_G, fam.EQ_C, fam.NEQ_ANYC_SGD):
-            assert dw not in family_members(fam.double_key(tag, 1, 2, 3, 2, 2))
+            assert (tag, 1, 2, 2) not in slots
 
     def test_subfamily_splits(self):
         params, moments = context(2)
@@ -633,5 +729,6 @@ class TestFamilies:
         assert total == n_oracle(k, m, params, moments)
 
     def test_unknown_tag_rejected(self):
+        params, moments = context(1)
         with pytest.raises(fam.UnknownFamilyError):
-            family_members(fam.FamilyKey("NOPE", 1, 1, 1, 1, 1))
+            family_total_weight(fam.FamilyKey("NOPE", 1, 1, 1, 1, 1), params, moments)

@@ -183,6 +183,30 @@ ROWS = (
         "merged[profile] = count",
         f"{MIRROR}::test_empty_walk_censuses_equal_walked_pairs",
     ),
+    # Oracle: the coefficient census is the EQ_C and NEQ_C buckets of the
+    # family census, and --dump lists the pairs that share an edge.
+    Mutant(
+        "essential-census-reads-eq-c-only",
+        ORACLE,
+        "if tag == fam.EQ_C or tag == fam.NEQ_C:",
+        "if tag == fam.EQ_C:",
+        "tests/test_walks.py::TestEssentialCensus::test_equals_walked_essential_pairs",
+    ),
+    Mutant(
+        "dump-keeps-unshared-pairs",
+        ORACLE,
+        "if _leaf(gray, blue, n1, n2)[1] > 0",
+        "if _leaf(gray, blue, n1, n2)[1] >= 0",
+        "tests/test_walks.py::TestTreePruning::test_oracle_dump_bytes_frozen",
+    ),
+    # Model: a negative even moment is rejected before any computation.
+    Mutant(
+        "negative-moment-accepted",
+        "src/bipcorr/model.py",
+        "        if value < 0:\n",
+        "        if False:\n",
+        "tests/test_cli.py::TestCrosscheck::test_negative_moment_exit_config",
+    ),
 )
 
 
