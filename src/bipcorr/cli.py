@@ -177,12 +177,7 @@ def _cmd_compute(args) -> int:
         pairs = [(k, m) for k in range(1, args.kmax + 1) for m in range(1, args.mmax + 1)]
     params, moments = _context(args, _needed_order(pairs))
     engine = CoefficientEngine(params, moments)
-    try:
-        values = {pair: engine.correlator_coefficient(*pair) for pair in pairs}
-    except model.InsufficientMomentsError as exc:
-        raise _CliError(EXIT_MOMENTS, str(exc))
-    except model.InvalidParamsError as exc:
-        raise _CliError(EXIT_CONFIG, str(exc))
+    values = {pair: engine.correlator_coefficient(*pair) for pair in pairs}
 
     if pair_mode and args.format == "csv":
         text = _render(values[pairs[0]], args.decimal) + "\n"
@@ -216,11 +211,8 @@ def _cmd_oracle(args) -> int:
             f"enumeration cap exceeded: k+m = {args.k + args.m} > cap {args.cap}",
         )
     params, moments = _context(args, _needed_order([(args.k, args.m)]))
-    try:
-        model.validate(params, moments, args.k, args.m)
-        value = walks.n_oracle(args.k, args.m, params, moments)
-    except model.InsufficientMomentsError as exc:
-        raise _CliError(EXIT_MOMENTS, str(exc))
+    model.validate(params, moments, args.k, args.m)
+    value = walks.n_oracle(args.k, args.m, params, moments)
     minimal, essential = walks.census(args.k, args.m)
     payload = {
         "k": args.k,
@@ -321,10 +313,7 @@ def _cmd_crosscheck(args) -> int:
     model.validate(params, moments, 1, 1)
     moments.require(needed)
     engine = CoefficientEngine(params, moments)
-    try:
-        mismatches, lines = run_crosscheck(engine, args.max_total, family_total)
-    except model.InsufficientMomentsError as exc:
-        raise _CliError(EXIT_MOMENTS, str(exc))
+    mismatches, lines = run_crosscheck(engine, args.max_total, family_total)
     _emit(args, "\n".join(lines) + "\n")
     if mismatches:
         description, got, want = mismatches[0]
@@ -338,12 +327,7 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # Imported here so that numpy loads only for the sampler.
-    from .simulate import (
-        EnsembleSpec,
-        WeightDistribution,
-        estimate_correlators,
-        validate_ensemble,
-    )
+    from .simulate import EnsembleSpec, WeightDistribution, estimate_correlators
 
     if args.mode not in (None, "sweep"):
         raise _CliError(
@@ -366,9 +350,6 @@ def _cmd_simulate(args) -> int:
     for size in sizes:
         spec = EnsembleSpec(size, params, dist, args.seed)
         try:
-            validate_ensemble(spec)
-            if args.samples < 2:
-                raise _CliError(EXIT_CONFIG, f"need at least 2 samples, got {args.samples}")
             est = estimate_correlators(
                 spec,
                 [(args.k, args.m)],
@@ -376,8 +357,6 @@ def _cmd_simulate(args) -> int:
                 batches=args.batches,
                 threads=args.threads,
             )[0]
-        except model.InvalidParamsError as exc:
-            raise _CliError(EXIT_CONFIG, str(exc))
         except ValueError as exc:
             raise _CliError(EXIT_CONFIG, str(exc))
         records.append((size, est))

@@ -34,15 +34,23 @@ root code.  EQ_ANYC, NEQ_ANYC_SN and TOP have equations of their own.
 
 Upper sums
 ----------
-The five upper sums depend only on their arguments, yet the peels ask for the
-same ones many times (at n_{12,12}, ``_rooted_at_v`` is asked 22,332 times for
-882 distinct arguments).  Each engine caches them in its own dict, keyed by
-the method and its arguments; no cache is shared between engines, because the
-values depend on the engine's params and moments.  A peel reads a cached sum
-inline, as it reads a memo value; only on a miss does it run the sum, with
-``yield from``, so the keys the sum still lacks go to the same work stack as
-the peel's own.  A hit reads no family value, so it adds no memo key and
-leaves the memo's insertion order as it was.
+Beyond v the peels weigh an upper piece: the family values at v, each times
+binomial codes that interleave the f returns over the cut edge with the
+departures from v.  One generator, ``_upper``, evaluates every such sum from
+a row of the table ``_UPPERS``, which lists in read order the families read
+at v with their gray and blue codes.  A sum's rank is derived from its row:
+the total half-length of the keys it reads, with the stage of its latest
+family.
+
+The sums depend only on their arguments, yet the peels ask for the same ones
+many times (at n_{12,12}, ``rooted_at_v`` is asked 22,332 times for 882
+distinct arguments).  Each engine caches them in its own dict, keyed by the
+row's name and the arguments; no cache is shared between engines, because
+the values depend on the engine's params and moments.  A peel reads a cached
+sum inline, as it reads a memo value; only on a miss does it run ``_upper``,
+with ``yield from``, so the keys the sum still lacks go to the same work
+stack as the peel's own.  A hit reads no family value, so it adds no memo key
+and leaves the memo's insertion order as it was.
 
 Structural zeros
 ----------------
@@ -67,12 +75,11 @@ whenever x is positive.
 - ``_red_peel``: likewise only ug = lg - rg at fg = rg (G), and only
   ub = lb - rb at fb = rb (B: both lower tags, EQ_ANYC and NEQ_ANYC_S, root
   or pass the blue walk at r).
-- ``_upper_s1`` and ``_upper_s1_s1s``: v starts at 1 when u > 0 (G).
-- ``_rooted_at_v`` and ``_rooted_at_or_beyond_v``: vg starts at 1 when
-  ug > 0 (G), vb at 1 when ub > 0 (B).
-- ``_upper_pair`` and ``_eval_top``: the gray departures start at 1 when the
-  gray half-length is positive (G); EQ_C is not read at zero blue departures
-  and positive blue half-length (B), but NEQ_C is.
+- ``_upper``: vg starts at 1 when ug > 0 (G); a family in ``_BLUE_AT_ROOT``
+  (EQ_C, EQ_ANYC and NEQ_ANYC_S among those the rows read) is not read at
+  vb = 0 < ub (B), but NEQ_C is.
+- ``_eval_top``: rg starts at 1 when lg > 0 (G); EQ_C is not read at rb = 0
+  < lb (B), but NEQ_C is.
 
 The sum equations still read every part at their own key, and a key that is
 asked for directly, through ``s_value``, is evaluated by its own equation,
@@ -120,16 +127,14 @@ limited by memory, not by the interpreter's recursion limit.
 
 The rank checks raise also under ``python -O``, so an accidentally circular
 edit fails loudly instead of looping.  ``_value`` checks each key it is asked
-to evaluate as well, so a miss is checked twice.  An upper sum declares the
-rank of its latest read: evaluating it checks each read against that rank,
-its cache entry keeps the rank, and every reference to the sum, hit or miss,
-checks the rank against the peel's own, as if the peel had read those keys
-itself.
+to evaluate as well, so a miss is checked twice.  ``_upper`` checks the rank
+it derives for a sum against the peel's own and each read against that rank;
+the cache entry keeps the rank, and a peel checks the rank of every hit as if
+it had read those keys itself.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -149,6 +154,64 @@ _SUMS = {
     fam.NEQ_ANYC_S: (fam.NEQ_C_R, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN),
 }
 
+# Rule (B) of the module docstring: the families whose blue walk is rooted at
+# r or passes through r, where a key with r_b = 0 < l_b is 0.
+_BLUE_AT_ROOT = frozenset({
+    fam.EQ_C, fam.EQ_C_G, fam.EQ_C_R, fam.EQ_ANYC, fam.NEQ_C_R, fam.NEQ_C_RU,
+    fam.NEQ_C_RD, fam.NEQ_ANYC_S, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN,
+})
+
+# Binomial codes: the orders of f returns over the cut edge and v departures
+# from v whose last step is over the cut edge, at v, or either.
+_OVER_CUT, _AT_V, _EITHER = (
+    lambda f, v: binomial(f + v - 1, f - 1),
+    lambda f, v: binomial(f + v - 1, f),
+    lambda f, v: binomial(f + v, f),
+)
+
+# Upper sums: name -> the families read at v, in read order, each with its
+# gray code and its blue code (None, counted 1, where blue does not cross the
+# cut edge).
+_UPPERS = {
+    "s1": ((fam.S1, _OVER_CUT, None),),
+    # The walk is rooted at v, or deeper and merely visits v.
+    "s1_s1s": ((fam.S1, _EITHER, None), (fam.S1S, _AT_V, None)),
+    "pair": ((fam.EQ_C, _OVER_CUT, None), (fam.NEQ_C, _OVER_CUT, None)),
+    "rooted_at_v": ((fam.EQ_ANYC, _OVER_CUT, _OVER_CUT),),
+    # The pair shares the root v, or the blue root is deeper and blue merely
+    # visits v.
+    "rooted_at_or_beyond_v": (
+        (fam.EQ_ANYC, _OVER_CUT, _EITHER),
+        (fam.NEQ_ANYC_S, _OVER_CUT, _AT_V),
+    ),
+}
+# An upper sum reads keys of one total half-length, so its rank is that total
+# with the stage of its latest family.
+_UPPER_STAGE = {name: max(_STAGE[tag] for tag, _, _ in reads) for name, reads in _UPPERS.items()}
+
+# Gray peel: tag -> (lower family at r, upper sum beyond v).
+_GRAY = {
+    fam.S1: (fam.S1, "s1"),
+    fam.S1S: (fam.S1, "s1_s1s"),
+    fam.EQ_C_G: (fam.EQ_C, "s1"),
+    fam.NEQ_C_GD: (fam.NEQ_C, "s1"),
+    fam.NEQ_ANYC_SGD: (fam.NEQ_ANYC_S, "s1"),
+    fam.NEQ_C_GU: (fam.S1, "pair"),
+}
+
+# Red peel: tag -> (blue root code, lower family at r, upper sum beyond v).
+_RED = {
+    # Blue is rooted at r as well, but its final departure need not use
+    # the cut edge, hence the unshifted code count.
+    fam.EQ_C_R: (binomial, fam.EQ_ANYC, "rooted_at_v"),
+    # Blue root sits beyond the cut edge, so blue's final departure from
+    # r must return through it.
+    fam.NEQ_C_RU: (lambda r, f: binomial(r - 1, f - 1), fam.EQ_ANYC, "rooted_at_or_beyond_v"),
+    # Blue root on the r side: blue's final departure from r must stay
+    # below, leaving fb unconstrained slots among rb - 1.
+    fam.NEQ_C_RD: (lambda r, f: binomial(r - 1, f), fam.NEQ_ANYC_S, "rooted_at_v"),
+}
+
 
 def _rank(key: tuple) -> int:
     """``total << 5 | stage`` of a key; the equations compute it inline."""
@@ -166,40 +229,10 @@ def _order_violated(what, rank: int, parent: int):
 
 
 def _stale_upper_hit(cache_key: tuple, entry: tuple, parent: int):
-    """Raise for a cache hit on ``(upper, *args)`` whose ``(value, rank)`` entry
+    """Raise for a cache hit on ``(name, *args)`` whose ``(value, rank)`` entry
     is not below ``parent``, the rank of the peel that reads it."""
-    upper, *args = cache_key
-    _order_violated(f"cached upper sum {upper.__name__}{tuple(args)}", entry[1], parent)
-
-
-def _upper_sum(top_tag: str, total):
-    """Evaluate an upper sum and store it in the engine's cache.
-
-    The cache maps ``(decorated method, *args)`` to ``(value, rank)``.
-    ``top_tag`` is the latest-stage family the sum reads and ``total(*args)``
-    the total half-length of every key it reads, so the sum's rank
-    ``(total, stage of top_tag)`` is that of its latest read.  The decorated
-    generator takes the rank of the peel that asks, checks the sum's rank
-    against it, evaluates the sum with every read checked against the sum's
-    rank, and stores the value with that rank.  It never reads the cache:
-    the peels do that themselves, inline, check the stored rank of a hit
-    against their own and call the sum only on a miss.
-    """
-
-    def decorate(method):
-        @functools.wraps(method)
-        def evaluate_and_store(self, parent: int, *args):
-            rank = total(*args) << 5 | _STAGE[top_tag]
-            if rank >= parent:
-                _order_violated(f"upper sum {method.__name__}{args}", rank, parent)
-            # Reads may reach the sum's own rank, not beyond it.
-            value = yield from method(self, rank + 1, *args)
-            self._uppers[(evaluate_and_store, *args)] = (value, rank)
-            return value
-
-        return evaluate_and_store
-
-    return decorate
+    name, *args = cache_key
+    _order_violated(f"cached upper sum {name}{tuple(args)}", entry[1], parent)
 
 
 class CoefficientEngine:
@@ -219,8 +252,8 @@ class CoefficientEngine:
         self._edge_weights: dict = {}
         self._dispatch = {
             **dict.fromkeys(_SUMS, self._eval_sum),
-            **dict.fromkeys(self._GRAY, self._gray_peel),
-            **dict.fromkeys(self._RED, self._red_peel),
+            **dict.fromkeys(_GRAY, self._gray_peel),
+            **dict.fromkeys(_RED, self._red_peel),
             fam.EQ_ANYC: self._eval_eq_anyc,
             fam.NEQ_ANYC_SN: self._eval_neq_anyc_sn,
             fam.TOP: self._eval_top,
@@ -345,7 +378,7 @@ class CoefficientEngine:
 
     def _gray_peel(self, key: tuple, rank: int):
         tag, c, l, lb, r, rb = key
-        lower_tag, upper = self._GRAY[tag]
+        lower_tag, upper = _GRAY[tag]
         if tag == fam.S1 and l == 0:
             return self._a[c] if r == 0 else 0
         # With a single-walk lower piece, the blue walk lives beyond the cut
@@ -375,9 +408,9 @@ class CoefficientEngine:
                     lower = yield ref
                 if not lower:
                     continue
-                entry = uppers.get(cache_key := (upper, opp, f, u, up_lb))
+                entry = uppers.get(cache_key := (upper, opp, f, None, u, up_lb))
                 if entry is None:
-                    above = yield from upper(self, rank, opp, f, u, up_lb)
+                    above = yield from self._upper(rank, upper, opp, f, None, u, up_lb)
                 elif entry[1] >= rank:
                     _stale_upper_hit(cache_key, entry, rank)
                 else:
@@ -385,84 +418,11 @@ class CoefficientEngine:
                 total += outer * lower * above
         return total
 
-    # Upper sums of the gray peel: the walks beyond v, whose f returns over
-    # the cut edge interleave with their own departures from v.
-
-    @_upper_sum(fam.S1, lambda opp, f, u, lb: u)
-    def _upper_s1(self, rank: int, opp: int, f: int, u: int, lb: int | None):
-        memo = self._memo
-        upper = 0
-        for v in range(u > 0, u + 1):
-            ref = (fam.S1, opp, u, None, v, None)
-            if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
-                _order_violated(ref, ref_rank, rank)
-            s1 = memo.get(ref)
-            if s1 is None:
-                s1 = yield ref
-            upper += binomial(f + v - 1, f - 1) * s1
-        return upper
-
-    @_upper_sum(fam.S1S, lambda opp, f, u, lb: u)
-    def _upper_s1_s1s(self, rank: int, opp: int, f: int, u: int, lb: int | None):
-        memo = self._memo
-        upper = 0
-        for v in range(u > 0, u + 1):
-            ref = (fam.S1, opp, u, None, v, None)
-            if (ref_rank := u << 5 | _STAGE[fam.S1]) >= rank:
-                _order_violated(ref, ref_rank, rank)
-            s1 = memo.get(ref)
-            if s1 is None:
-                s1 = yield ref
-            ref = (fam.S1S, opp, u, None, v, None)
-            if (ref_rank := u << 5 | _STAGE[fam.S1S]) >= rank:
-                _order_violated(ref, ref_rank, rank)
-            s1s = memo.get(ref)
-            if s1s is None:
-                s1s = yield ref
-            upper += binomial(f + v, f) * s1 + binomial(f + v - 1, f) * s1s
-        return upper
-
-    @_upper_sum(fam.NEQ_C, lambda opp, f, u, lb: u + lb)
-    def _upper_pair(self, rank: int, opp: int, f: int, u: int, lb: int):
-        memo = self._memo
-        upper = 0
-        for vg in range(u > 0, u + 1):
-            code_vg = binomial(f + vg - 1, f - 1)
-            for vb in range(0, lb + 1):
-                # (B) holds for EQ_C, whose blue walk is rooted at v, but not
-                # for NEQ_C, whose blue walk need not visit v.
-                eq = 0
-                if vb or not lb:
-                    ref = (fam.EQ_C, opp, u, lb, vg, vb)
-                    if (ref_rank := (u + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
-                        _order_violated(ref, ref_rank, rank)
-                    eq = memo.get(ref)
-                    if eq is None:
-                        eq = yield ref
-                ref = (fam.NEQ_C, opp, u, lb, vg, vb)
-                if (ref_rank := (u + lb) << 5 | _STAGE[fam.NEQ_C]) >= rank:
-                    _order_violated(ref, ref_rank, rank)
-                neq = memo.get(ref)
-                if neq is None:
-                    neq = yield ref
-                upper += code_vg * (eq + neq)
-        return upper
-
-    # tag -> (lower family at r, upper sum beyond v)
-    _GRAY = {
-        fam.S1: (fam.S1, _upper_s1),
-        fam.S1S: (fam.S1, _upper_s1_s1s),
-        fam.EQ_C_G: (fam.EQ_C, _upper_s1),
-        fam.NEQ_C_GD: (fam.NEQ_C, _upper_s1),
-        fam.NEQ_ANYC_SGD: (fam.NEQ_ANYC_S, _upper_s1),
-        fam.NEQ_C_GU: (fam.S1, _upper_pair),
-    }
-
     # -- red peel: blue uses the cut edge too -------------------------------
 
     def _red_peel(self, key: tuple, rank: int):
         tag, c, lg, lb, rg, rb = key
-        blue_code, lower_tag, upper = self._RED[tag]
+        blue_code, lower_tag, upper = _RED[tag]
         if rg > lg or rb > lb:
             return 0
         low_stage = _STAGE[lower_tag]
@@ -496,7 +456,7 @@ class CoefficientEngine:
                             continue
                         entry = uppers.get(cache_key := (upper, opp, fg, fb, ug, ub))
                         if entry is None:
-                            above = yield from upper(self, rank, opp, fg, fb, ug, ub)
+                            above = yield from self._upper(rank, upper, opp, fg, fb, ug, ub)
                         elif entry[1] >= rank:
                             _stale_upper_hit(cache_key, entry, rank)
                         else:
@@ -504,61 +464,39 @@ class CoefficientEngine:
                         total += outer * lower * above
         return total
 
-    # Upper sums of the red peel: the pair beyond v, whose fg gray and fb
-    # blue returns over the cut edge interleave with their departures from v.
+    # -- upper sums: the walks beyond v ------------------------------------
 
-    @_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
+    def _upper(self, parent: int, name: str, opp: int, fg: int, fb, ug: int, ub):
+        """Evaluate upper sum ``name`` for a peel at rank ``parent`` and cache it.
+
+        fg gray and fb blue returns over the cut edge interleave with the vg
+        and vb departures from v.  fb is None where blue does not cross the
+        cut edge, and ub and vb where the row reads single walks.
+        """
+        reads = _UPPERS[name]
+        rank = (ug + (ub or 0)) << 5 | _UPPER_STAGE[name]
+        if rank >= parent:
+            _order_violated(f"upper sum {name}{(opp, fg, fb, ug, ub)}", rank, parent)
         memo = self._memo
         upper = 0
         for vg in range(ug > 0, ug + 1):
-            code_vg = binomial(fg + vg - 1, fg - 1)
-            for vb in range(ub > 0, ub + 1):
-                ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
-                    _order_violated(ref, ref_rank, rank)
-                eq = memo.get(ref)
-                if eq is None:
-                    eq = yield ref
-                upper += code_vg * binomial(fb + vb - 1, fb - 1) * eq
+            for vb in (None,) if ub is None else range(0, ub + 1):
+                for tag, gray_code, blue_code in reads:
+                    if vb == 0 < ub and tag in _BLUE_AT_ROOT:
+                        continue
+                    ref = (tag, opp, ug, ub, vg, vb)
+                    # Reads may reach the sum's own rank, not beyond it.
+                    if (ref_rank := (ug + (ub or 0)) << 5 | _STAGE[tag]) > rank:
+                        _order_violated(ref, ref_rank, rank)
+                    value = memo.get(ref)
+                    if value is None:
+                        value = yield ref
+                    code = gray_code(fg, vg)
+                    if blue_code is not None:
+                        code *= blue_code(fb, vb)
+                    upper += code * value
+        self._uppers[(name, opp, fg, fb, ug, ub)] = (upper, rank)
         return upper
-
-    @_upper_sum(fam.NEQ_ANYC_S, lambda opp, fg, fb, ug, ub: ug + ub)
-    def _rooted_at_or_beyond_v(self, rank: int, opp: int, fg: int, fb: int, ug: int, ub: int):
-        memo = self._memo
-        upper = 0
-        for vg in range(ug > 0, ug + 1):
-            code_vg = binomial(fg + vg - 1, fg - 1)
-            for vb in range(ub > 0, ub + 1):
-                ref = (fam.EQ_ANYC, opp, ug, ub, vg, vb)
-                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.EQ_ANYC]) >= rank:
-                    _order_violated(ref, ref_rank, rank)
-                eq = memo.get(ref)
-                if eq is None:
-                    eq = yield ref
-                ref = (fam.NEQ_ANYC_S, opp, ug, ub, vg, vb)
-                if (ref_rank := (ug + ub) << 5 | _STAGE[fam.NEQ_ANYC_S]) >= rank:
-                    _order_violated(ref, ref_rank, rank)
-                neq = memo.get(ref)
-                if neq is None:
-                    neq = yield ref
-                # Either the upper pair shares the root v, or the blue root
-                # lies deeper and the upper blue walk merely visits v.
-                upper += code_vg * (binomial(fb + vb, fb) * eq + binomial(fb + vb - 1, fb) * neq)
-        return upper
-
-    # tag -> (blue root code, lower family at r, upper sum beyond v)
-    _RED = {
-        # Blue is rooted at r as well, but its final departure need not use
-        # the cut edge, hence the unshifted code count.
-        fam.EQ_C_R: (binomial, fam.EQ_ANYC, _rooted_at_v),
-        # Blue root sits beyond the cut edge, so blue's final departure from
-        # r must return through it.
-        fam.NEQ_C_RU: (lambda r, f: binomial(r - 1, f - 1), fam.EQ_ANYC, _rooted_at_or_beyond_v),
-        # Blue root on the r side: blue's final departure from r must stay
-        # below, leaving fb unconstrained slots among rb - 1.
-        fam.NEQ_C_RD: (lambda r, f: binomial(r - 1, f), fam.NEQ_ANYC_S, _rooted_at_v),
-    }
 
     # -- equations of their own shape --------------------------------------
 

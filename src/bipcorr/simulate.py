@@ -97,12 +97,6 @@ class WeightDistribution:
         u = rng.random(shape)
         return np.where(u < float(self._q), float(self._v1), float(self._v2))
 
-    def two_point_values(self):
-        """(v1, q, v2) as rationals; only for two-point laws."""
-        if self._kind != "two-point":
-            raise ValueError("not a two-point distribution")
-        return self._v1, self._q, self._v2
-
 
 def _part1_size(N: int, alpha) -> int:
     """floor(alpha * N), computed exactly."""
@@ -159,6 +153,10 @@ def validate_ensemble(spec: EnsembleSpec) -> None:
     _validate_parts(N, spec.params)
     if spec.seed < 0:
         raise InvalidParamsError("bad_seed", f"seed must be >= 0, got {spec.seed}")
+    # The generator is keyed by 64 bits of the seed; a larger seed would draw
+    # the samples of a smaller one.
+    if spec.seed > _MASK64:
+        raise InvalidParamsError("bad_seed", f"seed must be < 2^64, got {spec.seed}")
 
 
 def sample_entries(spec: EnsembleSpec, sample_index: int):
@@ -362,12 +360,6 @@ def estimate_correlators(
             stderr = 0.0
         out.append(MCEstimate(k, m, spec.matrix_size, samples, batches_eff, mean, stderr))
     return out
-
-
-def estimate_correlator(
-    spec: EnsembleSpec, k: int, m: int, samples: int, batches: int = 20, threads: int = 1
-) -> MCEstimate:
-    return estimate_correlators(spec, [(k, m)], samples, batches=batches, threads=threads)[0]
 
 
 # ---------------------------------------------------------------------------

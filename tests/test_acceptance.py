@@ -31,7 +31,6 @@ from bipcorr.recurrence import CoefficientEngine
 from bipcorr.simulate import (
     EnsembleSpec,
     WeightDistribution,
-    estimate_correlator,
     estimate_correlators,
     exact_finite_N,
 )
@@ -147,7 +146,7 @@ def test_sampler_calibrated_against_exact_finite_size():
     hits = 0
     for seed in range(20):
         spec = EnsembleSpec(2, params, WeightDistribution("constant:1"), seed)
-        est = estimate_correlator(spec, 2, 2, samples=10000)
+        est = estimate_correlators(spec, [(2, 2)], samples=10000)[0]
         if abs(est.mean - 0.5) <= 4 * est.stderr:
             hits += 1
     assert hits >= 19

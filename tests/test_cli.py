@@ -304,6 +304,16 @@ class TestSimulate:
             code, _, err = run(capsys, argv)
             assert code == 2 and err.startswith("error:"), argv
 
+    def test_seed_beyond_64_bits_rejected(self, capsys):
+        # The generator is keyed by 64 bits of the seed: 2^64 used to draw
+        # the samples of seed 0 and print their mean under its own seed.
+        argv = ["simulate", "--n", "40", "--k", "2", "--m", "2", "--p", "4", "--samples", "20"]
+        code, out, err = run(capsys, argv + ["--seed", str(2**64)])
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be < 2^64, got {2**64}\n"
+        code, out, _ = run(capsys, argv + ["--seed", str(2**64 - 1)])
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+
     def test_does_not_import_scipy(self):
         # numpy is the only runtime dependency; scipy.sparse alone would add
         # about 170 ms and 22 MB to every fresh simulate process.

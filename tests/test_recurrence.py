@@ -1,5 +1,6 @@
 """Recurrence engine: family values, coefficients, memo guards."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -181,25 +182,24 @@ class TestMemo:
         monkeypatch.undo()
 
     @pytest.mark.parametrize(
-        "warm, key, entry",
+        "warm, key, cache_key",
         [
-            # Gray peel: S1(1, 2, 2) hits _upper_s1(2, 1, 0, None) at f = 1, u = 0.
-            ((2, 4), fam.single_key(fam.S1, 1, 2, 2), ("_upper_s1", 2, 1, 0, None)),
-            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits _rooted_at_v(1, 1, 1, 1, 1)
+            # Gray peel: S1(1, 2, 2) hits s1(2, 1, None, 0, None) at f = 1, u = 0.
+            ((2, 4), fam.single_key(fam.S1, 1, 2, 2), ("s1", 2, 1, None, 0, None)),
+            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits rooted_at_v(1, 1, 1, 1, 1)
             # at fg = fb = ug = ub = 1.
-            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("_rooted_at_v", 1, 1, 1, 1, 1)),
+            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("rooted_at_v", 1, 1, 1, 1, 1)),
         ],
         ids=["gray", "red"],
     )
-    def test_upper_sum_hit_guard(self, warm, key, entry):
+    def test_upper_sum_hit_guard(self, warm, key, cache_key):
         # An upper-sum cache hit reads no family value, so the peel checks the
         # rank the entry stored for the reads it skips.  No stage can put an
         # upper sum at or above its peel, whose total is larger, so the test
         # moves the stored rank instead.  Warming with n_{warm} caches the
         # entry but never evaluates ``key``, and none of the keys ``key``
         # still lacks reads the entry, so only ``key``'s own hit is checked.
-        name, *args = entry
-        cache_key = (getattr(CoefficientEngine, name), *args)
+        name, *args = cache_key
         rank = recurrence._rank(key)
         expected = make_engine(1).s_value(key)
 
@@ -296,9 +296,31 @@ class TestMemo:
         # hold one entry per (opp, f, u), not one per blue length as well.
         engine = make_engine(1, count=14)
         engine.correlator_table(14, 14)
-        for name in ("_upper_s1", "_upper_s1_s1s"):
-            args = [key[1:] for key in engine._uppers if key[0].__name__ == name]
-            assert args and len(args) == len({a[:3] for a in args}), name
+        for name in ("s1", "s1_s1s"):
+            args = [key[1:] for key in engine._uppers if key[0] == name]
+            assert args and len(args) == len({(opp, f, u) for opp, f, _, u, _ in args}), name
+
+    def test_upper_sum_read_guard(self, monkeypatch):
+        # The rank of an upper sum is derived from its row, and every read is
+        # checked against it: a derived stage below the row's latest family
+        # fails on that family's first read.  NEQ_C_RU(2, 2, 1, 1, 1) runs
+        # rooted_at_or_beyond_v, whose latest family is NEQ_ANYC_S.
+        monkeypatch.setitem(
+            recurrence._UPPER_STAGE, "rooted_at_or_beyond_v", fam.STAGE[fam.EQ_ANYC]
+        )
+        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='NEQ_ANYC_S'"):
+            make_engine(1).s_value(fam.double_key(fam.NEQ_C_RU, 2, 2, 1, 1, 1))
+
+    def test_memo_order_is_frozen(self):
+        # The keys in evaluation order and the number of cached upper sums;
+        # a rewrite that reads the same keys in another order changes them.
+        engine = make_engine(1, count=10)
+        engine.correlator_table(10, 10)
+        keys = repr([tuple(key) for key, _ in engine.memo_items()])
+        assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
+            "46f3ee6bfe481c43b7c1108c0937baf00018962be9b6311c044eeb44412ac10c",
+            1090,
+        )
 
 
 # Families whose blue walk is rooted at r or passes through r, where rule (B)

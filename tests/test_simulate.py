@@ -12,7 +12,6 @@ from bipcorr.simulate import (
     EnsembleSpec,
     FiniteSizeCapError,
     WeightDistribution,
-    estimate_correlator,
     estimate_correlators,
     exact_finite_N,
     sample_entries,
@@ -45,7 +44,6 @@ class TestWeightDistribution:
 
     def test_two_point(self):
         dist = WeightDistribution("two-point:2,1/4,-1")
-        assert dist.two_point_values() == (F(2), F(1, 4), F(-1))
         rng = np.random.default_rng(0)
         values = dist.sample(rng, (2000,))
         assert set(np.unique(values)) <= {2.0, -1.0}
@@ -63,10 +61,6 @@ class TestWeightDistribution:
             with pytest.raises(ValueError):
                 WeightDistribution(bad)
 
-    def test_two_point_values_guarded(self):
-        with pytest.raises(ValueError):
-            WeightDistribution("rademacher").two_point_values()
-
 
 class TestEnsembleSpec:
     def test_part_size_floor(self):
@@ -81,6 +75,8 @@ class TestEnsembleSpec:
             (make_spec(p=F(1, 2)), "p_out_of_range"),
             (make_spec(N=4, p=F(5)), "p_out_of_range"),
             (make_spec(seed=-1), "bad_seed"),
+            # The generator takes 64 bits of the seed; 2^64 would alias 0.
+            (make_spec(seed=2**64), "bad_seed"),
             (make_spec(N=2, alpha=F(1, 3), p=F(1)), "empty_part"),
             (EnsembleSpec(8, ModelParams(F(3, 2), F(1)), WeightDistribution("rademacher"), 0),
              "alpha_out_of_range"),
@@ -204,32 +200,32 @@ class TestEstimates:
     def test_odd_pairs_are_exact_zeros(self):
         # No sampling happens, so a huge N stays instant.
         spec = make_spec(N=10**6)
-        est = estimate_correlator(spec, 3, 2, samples=100)
+        est = estimate_correlators(spec, [(3, 2)], samples=100)[0]
         assert est.mean == 0.0 and est.stderr == 0.0
         assert est.samples == 100
 
     def test_batch_clamping(self):
         spec = make_spec(N=8)
-        est = estimate_correlator(spec, 2, 2, samples=5, batches=20)
+        est = estimate_correlators(spec, [(2, 2)], samples=5, batches=20)[0]
         assert est.batches == 2
-        single = estimate_correlator(spec, 2, 2, samples=3, batches=1)
+        single = estimate_correlators(spec, [(2, 2)], samples=3, batches=1)[0]
         assert single.batches == 1 and single.stderr == 0.0
 
     def test_input_validation(self):
         spec = make_spec(N=8)
         with pytest.raises(ValueError):
-            estimate_correlator(spec, 2, 2, samples=1)
+            estimate_correlators(spec, [(2, 2)], samples=1)
         with pytest.raises(ValueError):
-            estimate_correlator(spec, 0, 2, samples=10)
+            estimate_correlators(spec, [(0, 2)], samples=10)
         with pytest.raises(ValueError, match="batch"):
-            estimate_correlator(spec, 2, 2, samples=10, batches=0)
+            estimate_correlators(spec, [(2, 2)], samples=10, batches=0)
         with pytest.raises(ValueError, match="thread"):
-            estimate_correlator(spec, 2, 2, samples=10, threads=0)
+            estimate_correlators(spec, [(2, 2)], samples=10, threads=0)
 
     def test_shared_stream_across_pairs(self):
         # Estimating (2,2) alone or together with (4,2) must not change it.
         spec = make_spec(N=40, seed=3)
-        alone = estimate_correlator(spec, 2, 2, samples=60)
+        alone = estimate_correlators(spec, [(2, 2)], samples=60)[0]
         together = estimate_correlators(spec, [(2, 2), (4, 2)], samples=60)
         assert together[0] == alone
 
@@ -242,8 +238,8 @@ class TestEstimates:
     def test_estimate_near_limit(self):
         # Limit value for (2,2) at alpha=1/2, p=4, rademacher is 1/4.
         spec = EnsembleSpec(400, ModelParams(F(1, 2), F(4)), WeightDistribution("rademacher"), 7)
-        est = estimate_correlator(spec, 2, 2, samples=500)
-        assert est == estimate_correlator(spec, 2, 2, samples=500)
+        est = estimate_correlators(spec, [(2, 2)], samples=500)[0]
+        assert est == estimate_correlators(spec, [(2, 2)], samples=500)[0]
         assert est.stderr > 0
         assert abs(est.mean - 0.25) < 4 * est.stderr
 
@@ -289,7 +285,7 @@ class TestExactFiniteN:
         hits = 0
         for seed in range(3):
             spec = EnsembleSpec(2, ModelParams(F(1, 2), F(1)), WeightDistribution("rademacher"), seed)
-            est = estimate_correlator(spec, 2, 2, samples=4000)
+            est = estimate_correlators(spec, [(2, 2)], samples=4000)[0]
             if abs(est.mean - exact) <= 4 * est.stderr:
                 hits += 1
         assert hits >= 2

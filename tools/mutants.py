@@ -7,8 +7,9 @@ Run from anywhere, with numpy and pytest installed:
 For each row the script copies the repository (without ``.git`` and caches)
 to a temporary directory, requires the row's old text to occur exactly once
 in its file, replaces it, and runs the row's pytest selector in the copy.
-The selector must fail (pytest exit code 1); a selector that passes, or that
-collects nothing, leaves the mutant alive.  A refactor that rewrites a
+The selector must fail (pytest exit code 1); a selector that passes, that
+collects nothing, or that runs over ``TIMEOUT_S`` seconds leaves the mutant
+alive, and the script goes on with the next row.  A refactor that rewrites a
 mutated line therefore has to update its row in the open.  The exit code is
 0 only if every mutant was killed.
 """
@@ -28,6 +29,8 @@ ENGINE = "src/bipcorr/recurrence.py"
 GUARDS = "tests/test_recurrence.py::TestMemo"
 ORACLE = "src/bipcorr/walks.py"
 MIRROR = "tests/test_walks.py::TestPartMirror"
+# A selector still running after this many seconds leaves its mutant alive.
+TIMEOUT_S = 600
 
 
 class Mutant(NamedTuple):
@@ -77,48 +80,71 @@ ROWS = (
         "return self._q ** total * self._c**total",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
-    # Upper-sum cache: the hit check and the rank each entry declares.
+    # Upper sums: the cache hit check, the rank the kernel derives from a
+    # row, the check of each read against it, a row's codes and rule (B).
     Mutant(
         "red-upper-hit-unchecked",
         ENGINE,
-        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
-        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif False:",
+        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
+        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif False:",
         f"{GUARDS}::test_upper_sum_hit_guard[red]",
     ),
     Mutant(
         "gray-upper-hit-unchecked",
         ENGINE,
-        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] >= rank:",
-        "upper(self, rank, opp, f, u, up_lb)\n                elif False:",
+        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] >= rank:",
+        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif False:",
         f"{GUARDS}::test_upper_sum_hit_guard[gray]",
     ),
     Mutant(
         "red-upper-hit-lenient",
         ENGINE,
-        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
-        "upper(self, rank, opp, fg, fb, ug, ub)\n                        elif entry[1] > rank:",
+        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
+        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] > rank:",
         f"{GUARDS}::test_upper_sum_hit_guard[red]",
     ),
     Mutant(
         "gray-upper-hit-lenient",
         ENGINE,
-        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] >= rank:",
-        "upper(self, rank, opp, f, u, up_lb)\n                elif entry[1] > rank:",
+        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] >= rank:",
+        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] > rank:",
         f"{GUARDS}::test_upper_sum_hit_guard[gray]",
     ),
     Mutant(
         "upper-rank-drops-blue-length",
         ENGINE,
-        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)",
-        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug)",
+        "rank = (ug + (ub or 0)) << 5 | _UPPER_STAGE[name]",
+        "rank = ug << 5 | _UPPER_STAGE[name]",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
     Mutant(
         "upper-rank-of-earlier-stage",
         ENGINE,
-        "@_upper_sum(fam.EQ_ANYC, lambda opp, fg, fb, ug, ub: ug + ub)",
-        "@_upper_sum(fam.EQ_C, lambda opp, fg, fb, ug, ub: ug + ub)",
+        "max(_STAGE[tag] for tag, _, _ in reads)",
+        "min(_STAGE[tag] for tag, _, _ in reads)",
         "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "upper-read-unchecked",
+        ENGINE,
+        "                    if (ref_rank := (ug + (ub or 0)) << 5 | _STAGE[tag]) > rank:\n"
+        "                        _order_violated(ref, ref_rank, rank)\n",
+        "",
+        f"{GUARDS}::test_upper_sum_read_guard",
+    ),
+    Mutant(
+        "s1s-upper-codes-swapped",
+        ENGINE,
+        '"s1_s1s": ((fam.S1, _EITHER, None), (fam.S1S, _AT_V, None)),',
+        '"s1_s1s": ((fam.S1, _AT_V, None), (fam.S1S, _EITHER, None)),',
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "upper-reads-blue-zero-keys",
+        ENGINE,
+        "if vb == 0 < ub and tag in _BLUE_AT_ROOT:",
+        "if False:",
+        f"{GUARDS}::test_evaluated_key_count_is_frozen",
     ),
     # Work stack: a read checks its rank before the memo, hit or miss.
     Mutant(
@@ -221,7 +247,8 @@ def _copy_repo(dest: Path) -> Path:
 
 
 def check(row: Mutant) -> str:
-    """'killed', or why the mutant is not: 'stale ...' or 'SURVIVED ...'."""
+    """'killed', or why the mutant is not: 'stale ...', 'timed out ...' or
+    'SURVIVED ...'."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         repo = _copy_repo(Path(tmp))
         path = repo / row.path
@@ -231,14 +258,17 @@ def check(row: Mutant) -> str:
             return f"stale: old text occurs {found} times in {row.path}"
         path.write_text(text.replace(row.old, row.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", row.selector],
-            cwd=repo,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", row.selector],
+                cwd=repo,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return f"timed out: pytest ran over {TIMEOUT_S} s"
     if done.returncode == 1:
         return "killed"
     tail = (done.stdout.strip().splitlines() or [""])[-1]
