@@ -78,6 +78,7 @@ class MomentSequence:
 
     def __init__(self, even_moments: Sequence[Scalar]):
         self._values = tuple(Fraction(v) for v in even_moments)
+        self._hash = hash(self._values)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -113,6 +114,9 @@ class MomentSequence:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentSequence) and self._values == other._values
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(format_scalar(v) for v in self._values)

@@ -24,11 +24,19 @@ Spectral moments
 ----------------
 For a bipartite matrix with cross block X, Tr(A^2j) = 2 Tr(G^j) with the
 Gram matrix G = X X^T, and every odd moment is exactly zero.  The sampler
-keeps X as its nonzero entries, forms G as a sparse product, and takes
-Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>, so the moments up
-to k = 4 need only the sum of squared weights and ||G||_F^2.  There is no
-dense matrix and no decomposition.  ``trace_moments`` takes a dense
-bipartite matrix and the size of its first part, and passes the cross
+keeps X as its nonzero entries and builds G from its structure, not from a
+general sparse product.  The diagonal of G holds the row sums of squared
+weights.  Two distinct rows meet only in a shared column, so an entry above
+the diagonal is the sum, over the pairs of entries of one column, of their
+products: the entries are put in column-major order, each is paired with the
+later entries of its column, and the pairs are keyed by their two rows.  A key
+repeats only where two rows share two or more columns, a 4-cycle of the
+graph, and its products are merged.  Then Tr(G) = sum x^2 and
+Tr(G^2) = sum diag^2 + 2 sum upper^2.  Higher orders take
+Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>, with the powers of G
+(diagonal, upper and lower entries in row-major order) from sparse products.
+There is no dense matrix and no decomposition.  ``trace_moments`` takes a
+dense bipartite matrix and the size of its first part, and passes the cross
 block's nonzeros to the same kernel.
 """
 
@@ -151,12 +159,16 @@ def validate_ensemble(spec: EnsembleSpec) -> None:
     if N < 1:
         raise InvalidParamsError("bad_matrix_size", f"matrix size must be >= 1, got {N}")
     _validate_parts(N, spec.params)
-    if spec.seed < 0:
-        raise InvalidParamsError("bad_seed", f"seed must be >= 0, got {spec.seed}")
-    # The generator is keyed by 64 bits of the seed; a larger seed would draw
-    # the samples of a smaller one.
-    if spec.seed > _MASK64:
-        raise InvalidParamsError("bad_seed", f"seed must be < 2^64, got {spec.seed}")
+    _check_seed(spec.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64): the generator is keyed by 64 bits of it,
+    so such a seed would draw the samples of another."""
+    if seed < 0:
+        raise InvalidParamsError("bad_seed", f"seed must be >= 0, got {seed}")
+    if seed > _MASK64:
+        raise InvalidParamsError("bad_seed", f"seed must be < 2^64, got {seed}")
 
 
 def sample_entries(spec: EnsembleSpec, sample_index: int):
@@ -180,12 +192,17 @@ def _keyed_generator(seed: int, sample_index: int) -> np.random.Generator:
     """This thread's generator, drawing exactly as ``Philox(key=(seed, sample_index))``.
 
     Building a ``Philox`` reads OS entropy even when a key is given, so the
-    thread's one bit generator is reset to counter 0 under the new key.
+    thread's one bit generator is reset to counter 0 under the new key.  A
+    seed or index outside [0, 2^64) is rejected, since it would draw the
+    sample of another.
     """
+    _check_seed(seed)
+    if not 0 <= sample_index <= _MASK64:
+        raise ValueError(f"sample index must be in [0, 2^64), got {sample_index}")
     rng = getattr(_thread_rng, "rng", None)
     if rng is None:
         rng = _thread_rng.rng = np.random.Generator(np.random.Philox(key=0))
-    key = np.array([seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
+    key = np.array([seed, sample_index], dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -240,11 +257,39 @@ def _inner(a, b, width: int) -> float:
     return float(np.dot(a[2][ia], b[2][ib]))
 
 
+def _gram(rows, cols, values, part_size: int):
+    """Diagonal and upper triangle of G = X X^T, X given by its distinct nonzeros.
+
+    Returns the dense diagonal and the entries above it as (keys, values),
+    keys i * part_size + i' with i < i' ascending.  Rows i and i' meet only in
+    a shared column, so each upper entry sums the products of the pairs of
+    entries in one column; a key repeats only where two rows share two or
+    more columns (a 4-cycle), and its products are merged.
+    """
+    diagonal = np.bincount(rows, weights=values * values, minlength=part_size)
+    # Column-major order: the rows ascend within each column.
+    order = np.argsort(cols * part_size + rows)
+    col_rows = rows[order]
+    col_values = values[order]
+    # Each entry pairs with the ``later`` entries after it in its column:
+    # ``second`` runs over first + 1 .. first + later[first].
+    index = np.arange(len(order))
+    later = np.cumsum(np.bincount(cols))[cols[order]] - index - 1
+    first = np.repeat(index, later)
+    second = np.arange(len(first)) + np.repeat(index + 1 - np.cumsum(later) + later, later)
+    keys, slot = np.unique(col_rows[first] * part_size + col_rows[second], return_inverse=True)
+    upper = np.bincount(
+        slot, weights=col_values[first] * col_values[second], minlength=len(keys)
+    )
+    return diagonal, keys, upper
+
+
 def _block_moments(rows, cols, values, part_size: int, size: int, kmax: int) -> np.ndarray:
     """M_k = Tr(A^k)/size, k = 1..kmax, of the bipartite A with cross block X.
 
-    X is given by its nonzeros; Tr(A^2j) = 2 Tr(G^j) with G = X X^T, from
-    Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>.
+    X is given by its distinct nonzeros; Tr(A^2j) = 2 Tr(G^j) with
+    G = X X^T.  Tr(G) = sum x^2 and Tr(G^2) = sum diag^2 + 2 sum upper^2; from
+    j = 3, Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>.
     """
     out = np.zeros(kmax)
     jmax = kmax // 2
@@ -252,14 +297,23 @@ def _block_moments(rows, cols, values, part_size: int, size: int, kmax: int) -> 
         return out
     traces = [float(np.dot(values, values))]
     if jmax >= 2:
-        order = np.argsort(cols, kind="stable")
-        gram = _sparse_product(
-            (rows, cols, values), (cols[order], rows[order], values[order]), part_size
+        diagonal, keys, upper = _gram(rows, cols, values, part_size)
+        traces.append(float(np.dot(diagonal, diagonal) + 2.0 * np.dot(upper, upper)))
+    if jmax >= 3:
+        # G as diagonal, upper and lower entries in row-major order; a zero
+        # diagonal entry adds nothing to any trace.
+        present = np.flatnonzero(diagonal)
+        upper_rows, upper_cols = np.divmod(keys, part_size)
+        flat = np.concatenate(
+            (present * (part_size + 1), keys, upper_cols * part_size + upper_rows)
         )
+        order = np.argsort(flat)
+        gram_rows, gram_cols = np.divmod(flat[order], part_size)
+        gram = gram_rows, gram_cols, np.concatenate((diagonal[present], upper, upper))[order]
         powers = [gram]  # powers[h - 1] = G^h
         while len(powers) < (jmax + 1) // 2:
             powers.append(_sparse_product(powers[-1], gram, part_size))
-        for j in range(2, jmax + 1):
+        for j in range(3, jmax + 1):
             low = powers[j // 2 - 1]
             if j % 2 == 0:
                 traces.append(float(np.dot(low[2], low[2])))

@@ -243,12 +243,8 @@ def _edge(a: Vertex, b: Vertex):
 
 
 @lru_cache(maxsize=None)
-def _profile_weigher(params: ModelParams, moment_values: tuple):
-    """The profile -> weight function of one context, weighing each profile once.
-
-    Keyed by the moment values, since ``MomentSequence`` is not hashable.
-    """
-    moments = MomentSequence(moment_values)
+def _profile_weigher(params: ModelParams, moments: MomentSequence):
+    """The profile -> weight function of one context, weighing each profile once."""
 
     @lru_cache(maxsize=None)
     def weight(profile) -> Fraction:
@@ -264,7 +260,7 @@ def _profile_weigher(params: ModelParams, moment_values: tuple):
 def _weight_sum(profiles, params: ModelParams, moments: MomentSequence) -> Fraction:
     total = Fraction(0)
     if profiles:
-        weight = _profile_weigher(params, moments.values)
+        weight = _profile_weigher(params, moments)
         for profile, count in profiles:
             total += count * weight(profile)
     return total

@@ -157,6 +157,23 @@ class TestSampleMatrix:
             A[n1 + cols, rows] = values
             assert np.array_equal(sample_matrix(spec, index), A)
 
+    @pytest.mark.parametrize("seed", [2**64, -1], ids=["2^64", "minus-one"])
+    @pytest.mark.parametrize("draw", [sample_matrix, sample_entries], ids=["matrix", "entries"])
+    def test_seed_outside_64_bits_rejected(self, draw, seed):
+        # Masked to 64 bits, seed 2^64 would draw seed 0's matrix and -1 seed
+        # 2^64 - 1's.
+        with pytest.raises(InvalidParamsError) as info:
+            draw(make_spec(N=40, seed=seed), 3)
+        assert info.value.code == "bad_seed"
+
+    @pytest.mark.parametrize("index", [2**64, -1], ids=["2^64", "minus-one"])
+    def test_index_outside_64_bits_rejected(self, index):
+        with pytest.raises(ValueError, match="sample index"):
+            sample_entries(make_spec(N=40), index)
+
+    def test_largest_seed_and_index_accepted(self):
+        assert sample_matrix(make_spec(N=40, seed=2**64 - 1), 2**64 - 1).shape == (40, 40)
+
     def test_edge_count_is_binomial(self):
         # Each of the n1*n2 cross pairs is present with probability p/N.
         spec = make_spec(N=40, alpha=F(1, 2), p=F(4), seed=8)
@@ -167,18 +184,66 @@ class TestSampleMatrix:
         assert abs(np.mean(counts) - pairs * q) <= 5 * stderr
 
 
+def spectral_moments(A: np.ndarray, kmax: int) -> np.ndarray:
+    """M_k = Tr(A^k)/N, k = 1..kmax, as eigenvalue power sums."""
+    eigenvalues = np.linalg.eigvalsh(A)
+    return np.array([np.sum(eigenvalues**k) for k in range(1, kmax + 1)]) / A.shape[0]
+
+
+def bipartite(block) -> np.ndarray:
+    """The symmetric matrix with cross block ``block`` and empty diagonal blocks."""
+    X = np.array(block, dtype=float)
+    n1, n2 = X.shape
+    A = np.zeros((n1 + n2, n1 + n2))
+    A[:n1, n1:] = X
+    A[n1:, :n1] = X.T
+    return A
+
+
 class TestTraceMoments:
     @pytest.mark.parametrize("kmax", [6, 10])
     @pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2)], ids=["third", "half"])
     def test_routes_agree_on_even_orders(self, kmax, alpha):
         # kmax = 10 reaches Tr(G^5) = <G^2, G^3>, so both the squared-norm and
         # the inner-product branch are compared up to G^2.
-        spec = make_spec(N=30, alpha=alpha)
-        A = sample_matrix(spec, 1)
-        eigenvalues = np.linalg.eigvalsh(A)
-        full = np.array([np.sum(eigenvalues**k) for k in range(1, kmax + 1)]) / spec.matrix_size
-        bipartite = trace_moments(A, kmax, part_size=spec.part1_size)
-        assert np.allclose(full[1::2], bipartite[1::2], rtol=1e-9, atol=1e-12)
+        for dist in ("rademacher", "gaussian:1", "two-point:1,1/2,2"):
+            spec = make_spec(N=30, alpha=alpha, dist=dist)
+            for index in range(1, 5):
+                A = sample_matrix(spec, index)
+                full = spectral_moments(A, kmax)
+                moments = trace_moments(A, kmax, part_size=spec.part1_size)
+                assert np.allclose(full[1::2], moments[1::2], rtol=1e-9, atol=1e-12), (dist, index)
+
+    def assert_block_moments(self, block):
+        A = bipartite(block)
+        for kmax in (2, 4, 6, 10):
+            full = spectral_moments(A, kmax)
+            moments = trace_moments(A, kmax, part_size=len(block))
+            assert np.allclose(full[1::2], moments[1::2], rtol=1e-9, atol=1e-12), kmax
+            assert not moments[0::2].any()
+
+    def test_block_with_four_cycle(self):
+        # Rows 0 and 1 share columns 0 and 2, so G[0, 1] = 1*3 + 2*(-1/2)
+        # merges two column pairs into one entry above the diagonal.
+        block = [[1.0, 0.0, 2.0, 0.0], [3.0, 0.5, -0.5, 0.0], [0.0, 1.5, 0.0, -2.0]]
+        rows, cols = np.nonzero(block)
+        values = np.array(block)[rows, cols]
+        _, keys, upper = simulate._gram(rows, cols, values, 3)
+        assert keys.tolist() == [0 * 3 + 1, 1 * 3 + 2]
+        assert upper.tolist() == [2.0, 0.75]
+        self.assert_block_moments(block)
+
+    def test_block_with_column_of_degree_three(self):
+        self.assert_block_moments([[2.0, 0.0], [-1.0, 0.0], [0.5, 3.0]])
+
+    def test_block_with_single_entry(self):
+        self.assert_block_moments([[0.0, 0.0, 0.0], [0.0, -1.5, 0.0]])
+
+    def test_block_with_unequal_weights(self):
+        # Every two rows share one column (a 6-cycle, no 4-cycle).
+        self.assert_block_moments(
+            [[0.25, 0.0, 0.0, -1.0], [0.0, 2.0, 0.0, 0.5], [-3.0, 0.75, 0.0, 0.0]]
+        )
 
     def test_all_zero_block(self):
         moments = trace_moments(np.zeros((12, 12)), 10, part_size=4)

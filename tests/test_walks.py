@@ -553,7 +553,7 @@ class TestWeights:
     def weight(self, index, gray, blue):
         params, moments = context(index)
         _, _, (profile, _, _, _) = leaf_of(gray, blue)
-        return _profile_weigher(params, moments.values)(profile)
+        return _profile_weigher(params, moments)(profile)
 
     def test_single_shared_edge(self):
         assert self.weight(1, "1:1 2:1 1:1", "1:1 2:1 1:1") == F(1, 4)

@@ -1,9 +1,11 @@
 """Check a benchmark result line read from stdin:
 
-    python3 perfbench/run.py --workload exact --seconds 1 | python tools/check_result_line.py
+    python3 perfbench/run.py --workload exact --seconds 1 2>&1 | python tools/check_result_line.py
 
-The last line must be JSON without NaN or Infinity, with ``correct`` true,
-``failed`` 0 and every metric value a finite int or float (``null`` fails).
+With standard error merged in, anything a run writes after its result line
+(an exit-time warning, say) fails the check.  The last line must be JSON
+without NaN or Infinity, with ``correct`` true, ``failed`` 0 and every
+metric value a finite int or float (``null`` fails).
 Exits 0 if so, else prints each fault to stderr and exits 1.
 """
 

@@ -29,6 +29,8 @@ ENGINE = "src/bipcorr/recurrence.py"
 GUARDS = "tests/test_recurrence.py::TestMemo"
 ORACLE = "src/bipcorr/walks.py"
 MIRROR = "tests/test_walks.py::TestPartMirror"
+SAMPLER = "src/bipcorr/simulate.py"
+MOMENTS = "tests/test_simulate.py::TestTraceMoments"
 # A selector still running after this many seconds leaves its mutant alive.
 TIMEOUT_S = 600
 
@@ -224,6 +226,21 @@ ROWS = (
         "if _leaf(gray, blue, n1, n2)[1] > 0",
         "if _leaf(gray, blue, n1, n2)[1] >= 0",
         "tests/test_walks.py::TestTreePruning::test_oracle_dump_bytes_frozen",
+    ),
+    # Sampler: the Gram matrix from pairs of entries in one column.
+    Mutant(
+        "gram-upper-not-merged",
+        SAMPLER,
+        "keys, slot = np.unique(col_rows[first] * part_size + col_rows[second], return_inverse=True)",
+        "keys = col_rows[first] * part_size + col_rows[second]; slot = np.arange(len(keys))",
+        f"{MOMENTS}::test_block_with_four_cycle",
+    ),
+    Mutant(
+        "gram-upper-counted-once",
+        SAMPLER,
+        "np.dot(diagonal, diagonal) + 2.0 * np.dot(upper, upper)",
+        "np.dot(diagonal, diagonal) + np.dot(upper, upper)",
+        f"{MOMENTS}::test_block_with_column_of_degree_three",
     ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
