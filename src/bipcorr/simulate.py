@@ -22,22 +22,32 @@ thread count.
 
 Spectral moments
 ----------------
-For a bipartite matrix with cross block X, Tr(A^2j) = 2 Tr(G^j) with the
-Gram matrix G = X X^T, and every odd moment is exactly zero.  The sampler
-keeps X as its nonzero entries and builds G from its structure, not from a
-general sparse product.  The diagonal of G holds the row sums of squared
-weights.  Two distinct rows meet only in a shared column, so an entry above
-the diagonal is the sum, over the pairs of entries of one column, of their
-products: the entries are put in column-major order, each is paired with the
-later entries of its column, and the pairs are keyed by their two rows.  A key
-repeats only where two rows share two or more columns, a 4-cycle of the
-graph, and its products are merged.  Then Tr(G) = sum x^2 and
-Tr(G^2) = sum diag^2 + 2 sum upper^2.  Higher orders take
-Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>, with the powers of G
+For a bipartite matrix with cross block X, Tr(A^2j) = 2 Tr(H^j) with the
+Gram matrix of the columns H = X^T X, and every odd moment is exactly zero.
+The sampler keeps X as its nonzero entries and builds H from its structure,
+not from a general sparse product.  The diagonal of H holds the column sums
+of squared weights.  Two distinct columns meet only in a shared row, so an
+entry above the diagonal is the sum, over the pairs of entries of one row, of
+their products: the entries already come in row-major order, each is paired
+with the later entries of its row, and the pairs are keyed by their two
+columns.  A key repeats only where two columns share two or more rows, a
+4-cycle of the graph, and its products are merged.  Then Tr(H) = sum x^2 and
+Tr(H^2) = sum diag^2 + 2 sum upper^2.  Higher orders take
+Tr(H^2h) = ||H^h||_F^2 and Tr(H^(2h+1)) = <H^h, H^(h+1)>, with the powers of H
 (diagonal, upper and lower entries in row-major order) from sparse products.
-There is no dense matrix and no decomposition.  ``trace_moments`` takes a
-dense bipartite matrix and the size of its first part, and passes the cross
-block's nonzeros to the same kernel.
+There is no dense matrix and no decomposition.
+
+The kernel takes a chunk of samples at once, to share numpy's per-call cost:
+it lays them out as one block-diagonal cross block, sample s at rows s * n1
+and columns s * n2 on, and splits every trace by block, so a sample's moments
+are bit-identical whichever samples share its chunk.  ``estimate_correlators``
+draws each sample on its own and hands the kernel chunks of about
+``_CHUNK_ENTRIES`` expected entries up to kmax 4, and of one sample from kmax
+6, where the sparse products outweigh the per-call cost.  The chunks depend on
+the ensemble and kmax alone, never on the thread count, and worker threads map
+chunks.  ``trace_moments`` takes a dense bipartite matrix and the size of its
+first part, and passes the cross block's nonzeros to the same kernel as a
+chunk of one.
 """
 
 from __future__ import annotations
@@ -56,9 +66,15 @@ from .model import InvalidParamsError, ModelParams
 from .rational import parse_scalar
 
 _MASK64 = (1 << 64) - 1
+_MAX_INT64 = (1 << 63) - 1
 
 # One generator per thread, re-keyed for every sample by ``_keyed_generator``.
 _thread_rng = threading.local()
+
+# Expected nonzeros per call of the moments kernel: 8 samples at N = 400 and 2
+# at N = 1600 (alpha 1/2, p 4).  Larger chunks save little per-call cost and
+# raise peak memory by their temporaries.
+_CHUNK_ENTRIES = 3200
 
 
 class FiniteSizeCapError(ValueError):
@@ -138,6 +154,14 @@ class EnsembleSpec:
     def weight_scale(self) -> float:
         """sqrt(p), which every drawn weight is divided by."""
         return math.sqrt(float(self.params.p))
+
+    @functools.cached_property
+    def chunk_size(self) -> int:
+        """Samples per moments call: about ``_CHUNK_ENTRIES`` over the
+        expected entry count p * n1 * n2 / N, and at least 1."""
+        n1 = self.part1_size
+        expected = Fraction(self.params.p) * n1 * (self.matrix_size - n1) / self.matrix_size
+        return max(1, math.floor(_CHUNK_ENTRIES / expected))
 
 
 def _validate_parts(N: int, params: ModelParams) -> None:
@@ -226,6 +250,24 @@ def sample_matrix(spec: EnsembleSpec, sample_index: int) -> np.ndarray:
     return A
 
 
+def _merge(keys, weights, bound: int):
+    """The distinct ``keys`` ascending, and the sum of the ``weights`` of each.
+
+    Every key is in [0, ``bound``).  Sorting key * n + i (n keys, i the
+    position of the key) groups equal keys in input order, so each sum adds
+    its weights in input order, and one ``np.sort`` costs less than the
+    argsort behind ``np.unique(..., return_inverse=True)``.
+    """
+    n = len(keys)
+    if bound * n > _MAX_INT64:
+        raise OverflowError(f"{n} keys below {bound} do not pack into int64")
+    ordered, index = np.divmod(np.sort(keys * n + np.arange(n)), n)
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return ordered[starts], np.bincount(np.cumsum(starts) - 1, weights=weights[index])
+
+
 def _sparse_product(left, right, width: int):
     """Product of two sparse matrices given as (rows, cols, values).
 
@@ -240,87 +282,97 @@ def _sparse_product(left, right, width: int):
     ends = np.cumsum(counts)
     picked = np.repeat(start - ends + counts, counts) + np.arange(total)
     owner = np.repeat(np.arange(len(left_values)), counts)
-    flat = left_rows[owner] * width + right_cols[picked]
-    positions, slot = np.unique(flat, return_inverse=True)
-    values = np.bincount(
-        slot, weights=left_values[owner] * right_values[picked], minlength=len(positions)
+    positions, values = _merge(
+        left_rows[owner] * width + right_cols[picked],
+        left_values[owner] * right_values[picked],
+        width * width,
     )
     rows, cols = np.divmod(positions, width)
     return rows, cols, values
 
 
-def _inner(a, b, width: int) -> float:
-    """Frobenius inner product of two outputs of ``_sparse_product`` of equal ``width``."""
+def _inner(a, b, width: int, block: int, count: int) -> np.ndarray:
+    """Frobenius inner products, block by block, of two outputs of
+    ``_sparse_product`` of equal ``width``; block s holds the rows
+    s * block .. (s + 1) * block - 1, for s < ``count``."""
     _, ia, ib = np.intersect1d(
         a[0] * width + a[1], b[0] * width + b[1], assume_unique=True, return_indices=True
     )
-    return float(np.dot(a[2][ia], b[2][ib]))
+    return np.bincount(a[0][ia] // block, weights=a[2][ia] * b[2][ib], minlength=count)
 
 
-def _gram(rows, cols, values, part_size: int):
-    """Diagonal and upper triangle of G = X X^T, X given by its distinct nonzeros.
+def _gram(rows, cols, values, width: int):
+    """Diagonal and upper triangle of H = X^T X, X given by its distinct
+    nonzeros in row-major order and ``width`` columns.
 
     Returns the dense diagonal and the entries above it as (keys, values),
-    keys i * part_size + i' with i < i' ascending.  Rows i and i' meet only in
-    a shared column, so each upper entry sums the products of the pairs of
-    entries in one column; a key repeats only where two rows share two or
-    more columns (a 4-cycle), and its products are merged.
+    keys j * width + j' with j < j' ascending.  Columns j and j' meet only in
+    a shared row, so each upper entry sums the products of the pairs of
+    entries in one row; a key repeats only where two columns share two or
+    more rows (a 4-cycle), and its products are merged.
     """
-    diagonal = np.bincount(rows, weights=values * values, minlength=part_size)
-    # Column-major order: the rows ascend within each column.
-    order = np.argsort(cols * part_size + rows)
-    col_rows = rows[order]
-    col_values = values[order]
-    # Each entry pairs with the ``later`` entries after it in its column:
+    diagonal = np.bincount(cols, weights=values * values, minlength=width)
+    # Each entry pairs with the ``later`` entries after it in its row:
     # ``second`` runs over first + 1 .. first + later[first].
-    index = np.arange(len(order))
-    later = np.cumsum(np.bincount(cols))[cols[order]] - index - 1
+    index = np.arange(len(rows))
+    later = np.cumsum(np.bincount(rows))[rows] - index - 1
     first = np.repeat(index, later)
     second = np.arange(len(first)) + np.repeat(index + 1 - np.cumsum(later) + later, later)
-    keys, slot = np.unique(col_rows[first] * part_size + col_rows[second], return_inverse=True)
-    upper = np.bincount(
-        slot, weights=col_values[first] * col_values[second], minlength=len(keys)
+    keys, upper = _merge(
+        cols[first] * width + cols[second], values[first] * values[second], width * width
     )
     return diagonal, keys, upper
 
 
-def _block_moments(rows, cols, values, part_size: int, size: int, kmax: int) -> np.ndarray:
-    """M_k = Tr(A^k)/size, k = 1..kmax, of the bipartite A with cross block X.
+def _block_moments(samples, n1: int, n2: int, size: int, kmax: int) -> np.ndarray:
+    """M_k = Tr(A^k)/size, k = 1..kmax (column k-1), one row per sample.
 
-    X is given by its distinct nonzeros; Tr(A^2j) = 2 Tr(G^j) with
-    G = X X^T.  Tr(G) = sum x^2 and Tr(G^2) = sum diag^2 + 2 sum upper^2; from
-    j = 3, Tr(G^2h) = ||G^h||_F^2 and Tr(G^(2h+1)) = <G^h, G^(h+1)>.
+    Each sample is the (rows, cols, values) of the distinct nonzeros, in
+    row-major order, of the n1 x n2 cross block X of a bipartite A.  The
+    samples form one block-diagonal cross block, sample s at rows s * n1 and
+    columns s * n2 on, and every trace is summed block by block, in the same
+    order as for the sample alone.  Tr(A^2j) = 2 Tr(H^j) with H = X^T X.
+    Tr(H) = sum x^2 and Tr(H^2) = sum diag^2 + 2 sum upper^2; from j = 3,
+    Tr(H^2h) = ||H^h||_F^2 and Tr(H^(2h+1)) = <H^h, H^(h+1)>.
     """
-    out = np.zeros(kmax)
+    count = len(samples)
+    out = np.zeros((count, kmax))
     jmax = kmax // 2
     if jmax == 0:
         return out
-    traces = [float(np.dot(values, values))]
+    sample_rows, sample_cols, sample_values = zip(*samples)
+    owner = np.repeat(np.arange(count), [len(values) for values in sample_values])
+    rows = np.concatenate(sample_rows) + owner * n1
+    cols = np.concatenate(sample_cols) + owner * n2
+    values = np.concatenate(sample_values)
+    width = count * n2
+    traces = [np.bincount(owner, weights=values * values, minlength=count)]
     if jmax >= 2:
-        diagonal, keys, upper = _gram(rows, cols, values, part_size)
-        traces.append(float(np.dot(diagonal, diagonal) + 2.0 * np.dot(upper, upper)))
+        diagonal, keys, upper = _gram(rows, cols, values, width)
+        traces.append(
+            np.bincount(np.arange(width) // n2, weights=diagonal * diagonal, minlength=count)
+            + 2.0 * np.bincount(keys // (n2 * width), weights=upper * upper, minlength=count)
+        )
     if jmax >= 3:
-        # G as diagonal, upper and lower entries in row-major order; a zero
+        # H as diagonal, upper and lower entries in row-major order; a zero
         # diagonal entry adds nothing to any trace.
         present = np.flatnonzero(diagonal)
-        upper_rows, upper_cols = np.divmod(keys, part_size)
-        flat = np.concatenate(
-            (present * (part_size + 1), keys, upper_cols * part_size + upper_rows)
-        )
+        upper_rows, upper_cols = np.divmod(keys, width)
+        flat = np.concatenate((present * (width + 1), keys, upper_cols * width + upper_rows))
         order = np.argsort(flat)
-        gram_rows, gram_cols = np.divmod(flat[order], part_size)
+        gram_rows, gram_cols = np.divmod(flat[order], width)
         gram = gram_rows, gram_cols, np.concatenate((diagonal[present], upper, upper))[order]
-        powers = [gram]  # powers[h - 1] = G^h
+        powers = [gram]  # powers[h - 1] = H^h
         while len(powers) < (jmax + 1) // 2:
-            powers.append(_sparse_product(powers[-1], gram, part_size))
+            powers.append(_sparse_product(powers[-1], gram, width))
         for j in range(3, jmax + 1):
             low = powers[j // 2 - 1]
             if j % 2 == 0:
-                traces.append(float(np.dot(low[2], low[2])))
+                traces.append(np.bincount(low[0] // n2, weights=low[2] * low[2], minlength=count))
             else:
-                traces.append(_inner(low, powers[j // 2], part_size))
+                traces.append(_inner(low, powers[j // 2], width, n2, count))
     for j, trace in enumerate(traces, start=1):
-        out[2 * j - 1] = 2.0 * trace / size
+        out[:, 2 * j - 1] = 2.0 * trace / size
     return out
 
 
@@ -332,7 +384,7 @@ def trace_moments(A: np.ndarray, kmax: int, part_size: int) -> np.ndarray:
     N = A.shape[0]
     block = A[:part_size, part_size:]
     rows, cols = np.nonzero(block)
-    return _block_moments(rows, cols, block[rows, cols], part_size, N, kmax)
+    return _block_moments([(rows, cols, block[rows, cols])], part_size, N - part_size, N, kmax)[0]
 
 
 @dataclass(frozen=True)
@@ -369,25 +421,34 @@ def estimate_correlators(
         raise ValueError(f"need at least 1 batch, got {batches}")
     if threads < 1:
         raise ValueError(f"need at least 1 thread, got {threads}")
+    if not pairs:
+        raise ValueError("need at least one (k, m) pair")
     for k, m in pairs:
         if k < 1 or m < 1:
             raise ValueError(f"moment indices must be >= 1, got ({k}, {m})")
-    kmax = max(max(k, m) for k, m in pairs)
-    even_needed = any(k % 2 == 0 and m % 2 == 0 for k, m in pairs)
+    # Odd pairs need no moments, so they do not raise kmax.
+    orders = [max(k, m) for k, m in pairs if k % 2 == 0 and m % 2 == 0]
 
-    if even_needed:
+    if orders:
+        kmax = max(orders)
         n1 = spec.part1_size
+        # Chunks share numpy's per-call cost, the larger part of a sample's
+        # moments up to kmax 4.  From kmax 6 each sample's sparse products
+        # cost far more, and a chunk's larger temporaries slow them down.
+        chunk = spec.chunk_size if kmax <= 4 else 1
 
-        def worker(index: int) -> np.ndarray:
-            rows, cols, values = sample_entries(spec, index)
-            return _block_moments(rows, cols, values, n1, spec.matrix_size, kmax)
+        def worker(start: int) -> np.ndarray:
+            stop = min(start + chunk, samples)
+            entries = [sample_entries(spec, index) for index in range(start, stop)]
+            return _block_moments(entries, n1, spec.matrix_size - n1, spec.matrix_size, kmax)
 
+        starts = range(0, samples, chunk)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(worker, range(samples)))
+                blocks = list(pool.map(worker, starts))
         else:
-            rows = [worker(index) for index in range(samples)]
-        moments = np.vstack(rows)
+            blocks = [worker(start) for start in starts]
+        moments = np.vstack(blocks)
 
     batches_eff = max(1, min(batches, samples // 2))
     boundaries = np.array_split(np.arange(samples), batches_eff)
@@ -401,10 +462,10 @@ def estimate_correlators(
         x = moments[:, k - 1]
         y = moments[:, m - 1]
         values = []
-        for chunk in boundaries:
-            xc = x[chunk]
-            yc = y[chunk]
-            cov = float(np.sum((xc - xc.mean()) * (yc - yc.mean())) / (len(chunk) - 1))
+        for batch in boundaries:
+            xc = x[batch]
+            yc = y[batch]
+            cov = float(np.sum((xc - xc.mean()) * (yc - yc.mean())) / (len(batch) - 1))
             values.append(spec.matrix_size * cov)
         values = np.array(values)
         mean = float(values.mean())

@@ -223,14 +223,14 @@ class TestTraceMoments:
             assert not moments[0::2].any()
 
     def test_block_with_four_cycle(self):
-        # Rows 0 and 1 share columns 0 and 2, so G[0, 1] = 1*3 + 2*(-1/2)
-        # merges two column pairs into one entry above the diagonal.
+        # Columns 0 and 2 meet in rows 0 and 1, so H[0, 2] = 1*2 + 3*(-1/2)
+        # merges two row pairs into one entry above the diagonal of X^T X.
         block = [[1.0, 0.0, 2.0, 0.0], [3.0, 0.5, -0.5, 0.0], [0.0, 1.5, 0.0, -2.0]]
         rows, cols = np.nonzero(block)
         values = np.array(block)[rows, cols]
-        _, keys, upper = simulate._gram(rows, cols, values, 3)
-        assert keys.tolist() == [0 * 3 + 1, 1 * 3 + 2]
-        assert upper.tolist() == [2.0, 0.75]
+        _, keys, upper = simulate._gram(rows, cols, values, 4)
+        assert keys.tolist() == [0 * 4 + 1, 0 * 4 + 2, 1 * 4 + 2, 1 * 4 + 3]
+        assert upper.tolist() == [1.5, 0.5, -0.25, -3.0]
         self.assert_block_moments(block)
 
     def test_block_with_column_of_degree_three(self):
@@ -244,6 +244,39 @@ class TestTraceMoments:
         self.assert_block_moments(
             [[0.25, 0.0, 0.0, -1.0], [0.0, 2.0, 0.0, 0.5], [-3.0, 0.75, 0.0, 0.0]]
         )
+
+    @pytest.mark.parametrize("kmax", [4, 10])
+    def test_chunk_equals_samples_alone(self, kmax):
+        # The second and third samples put entries at the same (row, col)
+        # positions; without the block offsets they would meet in false
+        # 4-cycles.  n1 != n2, so a trace split by the wrong block size
+        # moves sums between samples.
+        samples = [
+            [[1.0, 0.0, 2.0, 0.0], [3.0, 0.5, -0.5, 0.0], [0.0, 1.5, 0.0, -2.0]],
+            [[0.25, 0.0, 0.0, -1.0], [0.0, 2.0, 0.0, 0.5], [-3.0, 0.75, 0.0, 0.0]],
+            [[0.5, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 2.5], [1.5, 0.25, 0.0, 0.0]],
+        ]
+        entries = []
+        for block in samples:
+            rows, cols = np.nonzero(block)
+            entries.append((rows, cols, np.array(block)[rows, cols]))
+        alone = np.vstack([simulate._block_moments([e], 3, 4, 7, kmax) for e in entries])
+        together = simulate._block_moments(entries, 3, 4, 7, kmax)
+        assert np.array_equal(together, alone)
+        for row, block in zip(alone, samples):
+            full = spectral_moments(bipartite(block), kmax)
+            assert np.allclose(full[1::2], row[1::2], rtol=1e-9, atol=1e-12)
+
+    def test_merge_equals_unique(self):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 40, 300)
+        weights = rng.standard_normal(300)
+        distinct, slot = np.unique(keys, return_inverse=True)
+        merged, sums = simulate._merge(keys, weights, 40)
+        assert np.array_equal(merged, distinct)
+        assert np.array_equal(sums, np.bincount(slot, weights=weights))
+        with pytest.raises(OverflowError):
+            simulate._merge(keys[:2], weights[:2], 2**62)
 
     def test_all_zero_block(self):
         moments = trace_moments(np.zeros((12, 12)), 10, part_size=4)
@@ -280,6 +313,8 @@ class TestEstimates:
         spec = make_spec(N=8)
         with pytest.raises(ValueError):
             estimate_correlators(spec, [(2, 2)], samples=1)
+        with pytest.raises(ValueError, match="at least one"):
+            estimate_correlators(spec, [], samples=10)
         with pytest.raises(ValueError):
             estimate_correlators(spec, [(0, 2)], samples=10)
         with pytest.raises(ValueError, match="batch"):
@@ -293,6 +328,28 @@ class TestEstimates:
         alone = estimate_correlators(spec, [(2, 2)], samples=60)[0]
         together = estimate_correlators(spec, [(2, 2), (4, 2)], samples=60)
         assert together[0] == alone
+
+    def test_odd_pair_does_not_raise_kmax(self, monkeypatch):
+        # (7, 3) has covariance 0 by symmetry, so the moments stop at (2, 2)'s.
+        seen = []
+        block_moments = simulate._block_moments
+
+        def recorded(*args):
+            seen.append(args[-1])  # kmax
+            return block_moments(*args)
+
+        monkeypatch.setattr(simulate, "_block_moments", recorded)
+        spec = make_spec(N=40, seed=3)
+        alone = estimate_correlators(spec, [(2, 2)], samples=20)[0]
+        assert estimate_correlators(spec, [(2, 2), (7, 3)], samples=20)[0] == alone
+        assert set(seen) == {2}
+
+    def test_thread_count_does_not_change_results_over_many_chunks(self):
+        spec = make_spec(N=400, seed=13)
+        assert spec.chunk_size == 8
+        base = estimate_correlators(spec, [(2, 2), (4, 4)], samples=200, threads=1)
+        for threads in (2, 3):
+            assert estimate_correlators(spec, [(2, 2), (4, 4)], samples=200, threads=threads) == base
 
     def test_thread_count_does_not_change_results(self):
         spec = make_spec(N=60, seed=11)

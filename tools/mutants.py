@@ -227,20 +227,37 @@ ROWS = (
         "if _leaf(gray, blue, n1, n2)[1] >= 0",
         "tests/test_walks.py::TestTreePruning::test_oracle_dump_bytes_frozen",
     ),
-    # Sampler: the Gram matrix from pairs of entries in one column.
+    # Sampler: the Gram matrix of the columns from pairs of entries in one
+    # row, and the chunk laid out block-diagonally with traces split by block.
     Mutant(
         "gram-upper-not-merged",
         SAMPLER,
-        "keys, slot = np.unique(col_rows[first] * part_size + col_rows[second], return_inverse=True)",
-        "keys = col_rows[first] * part_size + col_rows[second]; slot = np.arange(len(keys))",
+        "keys, upper = _merge(\n"
+        "        cols[first] * width + cols[second], values[first] * values[second], width * width\n"
+        "    )\n",
+        "keys, upper = cols[first] * width + cols[second], values[first] * values[second]\n",
         f"{MOMENTS}::test_block_with_four_cycle",
     ),
     Mutant(
         "gram-upper-counted-once",
         SAMPLER,
-        "np.dot(diagonal, diagonal) + 2.0 * np.dot(upper, upper)",
-        "np.dot(diagonal, diagonal) + np.dot(upper, upper)",
+        "+ 2.0 * np.bincount(keys // (n2 * width), weights=upper * upper, minlength=count)",
+        "+ np.bincount(keys // (n2 * width), weights=upper * upper, minlength=count)",
         f"{MOMENTS}::test_block_with_column_of_degree_three",
+    ),
+    Mutant(
+        "chunk-columns-not-offset",
+        SAMPLER,
+        "cols = np.concatenate(sample_cols) + owner * n2",
+        "cols = np.concatenate(sample_cols)",
+        f"{MOMENTS}::test_chunk_equals_samples_alone",
+    ),
+    Mutant(
+        "chunk-upper-split-by-part-1",
+        SAMPLER,
+        "np.bincount(keys // (n2 * width),",
+        "np.bincount(keys // (n1 * width),",
+        f"{MOMENTS}::test_chunk_equals_samples_alone",
     ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
