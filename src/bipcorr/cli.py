@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -359,6 +360,15 @@ def _cmd_simulate(args) -> int:
             )[0]
         except ValueError as exc:
             raise _CliError(EXIT_CONFIG, str(exc))
+        except OverflowError as exc:
+            raise _CliError(EXIT_CONFIG, f"N = {size} is too large for the sampler: {exc}")
+        # NaN or infinity would print as invalid JSON or as "nan" in the CSV.
+        if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
+            raise _CliError(
+                EXIT_CONFIG,
+                f"estimate of N * Cov(M_{est.k}, M_{est.m}) at N = {size} is not finite:"
+                " the weights overflow float arithmetic",
+            )
         records.append((size, est))
 
     if sweep:

@@ -32,9 +32,11 @@ their products: the entries already come in row-major order, each is paired
 with the later entries of its row, and the pairs are keyed by their two
 columns.  A key repeats only where two columns share two or more rows, a
 4-cycle of the graph, and its products are merged.  Then Tr(H) = sum x^2 and
-Tr(H^2) = sum diag^2 + 2 sum upper^2.  Higher orders take
-Tr(H^2h) = ||H^h||_F^2 and Tr(H^(2h+1)) = <H^h, H^(h+1)>, with the powers of H
-(diagonal, upper and lower entries in row-major order) from sparse products.
+Tr(H^2) = sum diag^2 + 2 sum upper^2.  From j = 3, Tr(H^j) = ||B_j||_F^2 in one
+chain of sparse products: B_2 = H (diagonal, upper and lower entries in
+row-major order), B_j = X B_(j-1) for odd j and X^T B_(j-1) for even j.  So
+B_2h = H^h, and B_(2h+1) = X H^h has squared norm Tr(H^h X^T X H^h).  Every
+link multiplies by the sparse X or X^T, never by the denser H.
 There is no dense matrix and no decomposition.
 
 The kernel takes a chunk of samples at once, to share numpy's per-call cost:
@@ -43,7 +45,7 @@ and columns s * n2 on, and splits every trace by block, so a sample's moments
 are bit-identical whichever samples share its chunk.  ``estimate_correlators``
 draws each sample on its own and hands the kernel chunks of about
 ``_CHUNK_ENTRIES`` expected entries up to kmax 4, and of one sample from kmax
-6, where the sparse products outweigh the per-call cost.  The chunks depend on
+6, where the chain's products outweigh the per-call cost.  The chunks depend on
 the ensemble and kmax alone, never on the thread count, and worker threads map
 chunks.  ``trace_moments`` takes a dense bipartite matrix and the size of its
 first part, and passes the cross block's nonzeros to the same kernel as a
@@ -86,7 +88,7 @@ class WeightDistribution:
 
     Supported specs: ``rademacher``, ``constant:c``, ``gaussian:s``,
     ``two-point:v1,q,v2`` (value v1 with probability q, else v2; q and the
-    values are rational literals).
+    values are rational literals within float range).
     """
 
     def __init__(self, name: str):
@@ -98,18 +100,25 @@ class WeightDistribution:
             if arg:
                 raise ValueError("rademacher takes no argument")
         elif base == "constant":
-            self._c = float(parse_scalar(arg))
+            self._c = self._float(parse_scalar(arg))
         elif base == "gaussian":
-            self._sigma = float(parse_scalar(arg))
+            self._sigma = self._float(parse_scalar(arg))
         elif base == "two-point":
             parts = arg.split(",")
             if len(parts) != 3:
                 raise ValueError("two-point needs v1,q,v2")
-            self._v1, self._q, self._v2 = (parse_scalar(s) for s in parts)
-            if not 0 <= self._q <= 1:
-                raise ValueError(f"two-point probability out of range: {self._q}")
+            v1, q, v2 = (parse_scalar(s) for s in parts)
+            if not 0 <= q <= 1:
+                raise ValueError(f"two-point probability out of range: {q}")
+            self._v1, self._q, self._v2 = (self._float(x) for x in (v1, q, v2))
         else:
             raise ValueError(f"unknown weight distribution: {name!r}")
+
+    def _float(self, value: Fraction) -> float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"weight parameter out of float range in {self.name!r}") from None
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self._kind == "rademacher":
@@ -119,7 +128,7 @@ class WeightDistribution:
         if self._kind == "gaussian":
             return rng.standard_normal(shape) * self._sigma
         u = rng.random(shape)
-        return np.where(u < float(self._q), float(self._v1), float(self._v2))
+        return np.where(u < self._q, self._v1, self._v2)
 
 
 def _part1_size(N: int, alpha) -> int:
@@ -271,8 +280,9 @@ def _merge(keys, weights, bound: int):
 def _sparse_product(left, right, width: int):
     """Product of two sparse matrices given as (rows, cols, values).
 
-    ``right`` must be sorted by row; ``width`` bounds its column indices.  The
-    result has one entry per distinct position, in row-major order.
+    ``left`` may come in any order; ``right`` must be sorted by row.  ``width``
+    bounds the row indices of ``left`` and the column indices of ``right``.
+    The result has one entry per distinct position, in row-major order.
     """
     left_rows, left_cols, left_values = left
     right_rows, right_cols, right_values = right
@@ -289,16 +299,6 @@ def _sparse_product(left, right, width: int):
     )
     rows, cols = np.divmod(positions, width)
     return rows, cols, values
-
-
-def _inner(a, b, width: int, block: int, count: int) -> np.ndarray:
-    """Frobenius inner products, block by block, of two outputs of
-    ``_sparse_product`` of equal ``width``; block s holds the rows
-    s * block .. (s + 1) * block - 1, for s < ``count``."""
-    _, ia, ib = np.intersect1d(
-        a[0] * width + a[1], b[0] * width + b[1], assume_unique=True, return_indices=True
-    )
-    return np.bincount(a[0][ia] // block, weights=a[2][ia] * b[2][ib], minlength=count)
 
 
 def _gram(rows, cols, values, width: int):
@@ -333,7 +333,8 @@ def _block_moments(samples, n1: int, n2: int, size: int, kmax: int) -> np.ndarra
     columns s * n2 on, and every trace is summed block by block, in the same
     order as for the sample alone.  Tr(A^2j) = 2 Tr(H^j) with H = X^T X.
     Tr(H) = sum x^2 and Tr(H^2) = sum diag^2 + 2 sum upper^2; from j = 3,
-    Tr(H^2h) = ||H^h||_F^2 and Tr(H^(2h+1)) = <H^h, H^(h+1)>.
+    Tr(H^j) = ||B_j||_F^2 with B_2 = H, B_j = X B_(j-1) for odd j (split by n1)
+    and X^T B_(j-1) for even j (split by n2).
     """
     count = len(samples)
     out = np.zeros((count, kmax))
@@ -361,16 +362,14 @@ def _block_moments(samples, n1: int, n2: int, size: int, kmax: int) -> np.ndarra
         flat = np.concatenate((present * (width + 1), keys, upper_cols * width + upper_rows))
         order = np.argsort(flat)
         gram_rows, gram_cols = np.divmod(flat[order], width)
-        gram = gram_rows, gram_cols, np.concatenate((diagonal[present], upper, upper))[order]
-        powers = [gram]  # powers[h - 1] = H^h
-        while len(powers) < (jmax + 1) // 2:
-            powers.append(_sparse_product(powers[-1], gram, width))
+        link = gram_rows, gram_cols, np.concatenate((diagonal[present], upper, upper))[order]
+        # links[j % 2]: the left factor of B_j and the block size of its rows.
+        links = (((cols, rows, values), n2), ((rows, cols, values), n1))
+        span = count * max(n1, n2)
         for j in range(3, jmax + 1):
-            low = powers[j // 2 - 1]
-            if j % 2 == 0:
-                traces.append(np.bincount(low[0] // n2, weights=low[2] * low[2], minlength=count))
-            else:
-                traces.append(_inner(low, powers[j // 2], width, n2, count))
+            left, block = links[j % 2]
+            link = _sparse_product(left, link, span)
+            traces.append(np.bincount(link[0] // block, weights=link[2] * link[2], minlength=count))
     for j, trace in enumerate(traces, start=1):
         out[:, 2 * j - 1] = 2.0 * trace / size
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bipcorr
-from bipcorr import cli
+from bipcorr import cli, simulate
 from bipcorr import families as fam
 from bipcorr.recurrence import CoefficientEngine
 
@@ -303,6 +303,34 @@ class TestSimulate:
         for argv in cases:
             code, _, err = run(capsys, argv)
             assert code == 2 and err.startswith("error:"), argv
+
+    @pytest.mark.parametrize("dist", ["constant:1e400", "gaussian:1e400", "two-point:1e400,1/2,1"])
+    def test_weight_parameter_beyond_float_exit_config(self, capsys, dist):
+        argv = ["simulate", "--n", "30", "--k", "2", "--m", "2", "--samples", "4", "--dist", dist]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: weight parameter out of float range in {dist!r}\n"
+
+    def test_sample_too_large_to_pack_exit_config(self, capsys, monkeypatch):
+        # The moments kernel packs each (row, column) pair into one int64 key;
+        # a lowered limit stands in for a matrix too large to pack.
+        monkeypatch.setattr(simulate, "_MAX_INT64", 1000)
+        argv = ["simulate", "--n", "400", "--k", "4", "--m", "2", "--p", "4", "--samples", "4"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: N = 400 is too large for the sampler:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mode", [[], ["sweep"]], ids=["json", "sweep"])
+    def test_overflowing_estimate_exit_config(self, capsys, mode):
+        # Weights of 1e200 overflow the fourth moment, and the covariance is NaN.
+        argv = ["simulate", *mode, "--n", "30", "--k", "4", "--m", "2", "--samples", "4",
+                "--dist", "constant:1e200"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: estimate of N * Cov(M_4, M_2) at N = 30 is not finite")
 
     def test_seed_beyond_64_bits_rejected(self, capsys):
         # The generator is keyed by 64 bits of the seed: 2^64 used to draw

@@ -57,6 +57,9 @@ class TestWeightDistribution:
             "gaussian:x",
             "two-point:1,2",
             "two-point:1,3/2,-1",
+            "constant:1e400",
+            "gaussian:1e400",
+            "two-point:1e400,1/2,1",
         ):
             with pytest.raises(ValueError):
                 WeightDistribution(bad)
@@ -204,8 +207,8 @@ class TestTraceMoments:
     @pytest.mark.parametrize("kmax", [6, 10])
     @pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2)], ids=["third", "half"])
     def test_routes_agree_on_even_orders(self, kmax, alpha):
-        # kmax = 10 reaches Tr(G^5) = <G^2, G^3>, so both the squared-norm and
-        # the inner-product branch are compared up to G^2.
+        # kmax = 10 reaches Tr(H^5) = ||B_5||^2, so the chain is compared
+        # through two odd links (X) and one even link (X^T).
         for dist in ("rademacher", "gaussian:1", "two-point:1,1/2,2"):
             spec = make_spec(N=30, alpha=alpha, dist=dist)
             for index in range(1, 5):

@@ -259,6 +259,22 @@ ROWS = (
         "np.bincount(keys // (n1 * width),",
         f"{MOMENTS}::test_chunk_equals_samples_alone",
     ),
+    # Sampler: the chain B_j = X B_(j-1) (odd j, rows in part 1) and
+    # B_j = X^T B_(j-1) (even j, rows in part 2) behind Tr(H^j) from j = 3.
+    Mutant(
+        "chain-even-link-uses-x",
+        SAMPLER,
+        "((cols, rows, values), n2)",
+        "((rows, cols, values), n2)",
+        f"{MOMENTS}::test_routes_agree_on_even_orders",
+    ),
+    Mutant(
+        "chain-odd-trace-split-by-part-2",
+        SAMPLER,
+        "((rows, cols, values), n1)",
+        "((rows, cols, values), n2)",
+        f"{MOMENTS}::test_chunk_equals_samples_alone[10]",
+    ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
         "negative-moment-accepted",
