@@ -1,4 +1,4 @@
-"""Exact rational scalars and the handful of numeric helpers the engines share.
+"""Exact rational scalars and their text: parsing, formatting, decimal rendering.
 
 Every quantity the recurrence engine and the walk oracle produce is a rational
 number, so ``Scalar`` is an alias for :class:`fractions.Fraction` and all
@@ -7,31 +7,14 @@ engine computes in Python integers, each a family value times a fixed power
 of the context's denominators (see :mod:`bipcorr.recurrence`), and turns
 them into Fractions only where it returns them, so it pays no gcd per
 operation.  Floats appear only in the Monte Carlo module.
-
-The binomial helper returns a plain ``int``, which mixes exactly with
-Fractions and costs far less to multiply than a Fraction would.  It differs
-from :func:`math.comb` in one way that matters: ``binomial(n, k)`` is 0
-whenever ``k < 0`` or ``k > n``.  The recurrence equations are written with
-unconstrained inner summation indices and rely on out-of-range binomial
-factors vanishing instead of on explicit range guards.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 from fractions import Fraction
 
 Scalar = Fraction
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) as an int, 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def parse_scalar(text: str) -> Fraction:

@@ -14,23 +14,23 @@ gray edge (r, v).  Writing f for half the number of traversals of (r, v), the
 edge contributes ``edge_factor(2f) = V_2f / p^(f-1)``, and the rest of the
 pair falls apart into an "upper" piece beyond v and a "lower" piece at r,
 both of which are again family values with strictly smaller half-lengths.
-The combinatorial factors are binomial codes: a walk that departs the root
-r_g times, f of them through the cut edge, distributes those departures in
-``binomial(r_g - 1, f - 1)`` ways when its final return is forced through the
-cut edge (or ``binomial(r_g, f)`` style variants when it is not), and the
-upper walk interleaves with blue excursions in ``binomial(f + v - 1, f - 1)``
-ways.  Out-of-range binomials vanish, which silently kills every branch that
-would need a negative count; no explicit range guards appear in the sums.
+The combinatorial factors are binomial codes C(n, k) = ``math.comb(n, k)``:
+a walk that departs the root r_g times, f of them through the cut edge,
+distributes those departures in C(r_g - 1, f - 1) ways when its final return
+is forced through the cut edge (or C(r_g, f) style variants when it is not),
+and the upper walk interleaves with blue excursions in C(f + v - 1, f - 1)
+ways.  C(n, k) is 0 for k > n (NEQ_C_RD's C(r_b - 1, r_b), or ``_AT_V`` at
+v = 0), and it raises on a negative argument, which no loop range passes.
 
 Equation shapes
 ---------------
-Three shapes cover fourteen of the seventeen equations.  The sum table
-``_SUMS`` (EQ_C, NEQ_C, NEQ_C_G, NEQ_C_R, NEQ_ANYC_S) adds other families at
-the same key.  The gray peel (S1, S1S, EQ_C_G, NEQ_C_GD, NEQ_ANYC_SGD,
-NEQ_C_GU) cuts an edge only gray uses; its rows in ``_GRAY`` differ in the
-lower family and the upper sum.  The red peel (EQ_C_R, NEQ_C_RU, NEQ_C_RD)
-cuts an edge both walks use; its rows in ``_RED`` also differ in the blue
-root code.  EQ_ANYC, NEQ_ANYC_SN and TOP have equations of their own.
+Three shapes cover every equation but EQ_ANYC's.  The sum equation adds the
+keys ``_summands`` lists: a ``_SUMS`` row its parts at the same key, TOP EQ_C
+and NEQ_C over component and roots, NEQ_ANYC_SN the single walk S1S of its
+blue slots if the gray walk is empty.  The gray peel (S1, S1S, EQ_C_G,
+NEQ_C_GD, NEQ_ANYC_SGD, NEQ_C_GU) cuts an edge only gray uses, the red peel
+(EQ_C_R, NEQ_C_RU, NEQ_C_RD) one both walks use; the rows of ``_GRAY`` and
+``_RED`` differ in lower family and upper sum, and red rows in the blue code.
 
 Upper sums
 ----------
@@ -78,12 +78,11 @@ whenever x is positive.
 - ``_upper``: vg starts at 1 when ug > 0 (G); a family in ``_BLUE_AT_ROOT``
   (EQ_C, EQ_ANYC and NEQ_ANYC_S among those the rows read) is not read at
   vb = 0 < ub (B), but NEQ_C is.
-- ``_eval_top``: rg starts at 1 when lg > 0 (G); EQ_C is not read at rb = 0
-  < lb (B), but NEQ_C is.
+- ``_summands``: TOP's rg starts at 1 when lg > 0 (G); EQ_C is not read at
+  rb = 0 < lb (B), but NEQ_C is.
 
-The sum equations still read every part at their own key, and a key that is
-asked for directly, through ``s_value``, is evaluated by its own equation,
-which gives 0.
+The ``_SUMS`` rows read every part at their own key.  A key asked for
+directly, through ``s_value``, is evaluated by its own equation, giving 0.
 
 Scaled integers
 ---------------
@@ -122,7 +121,7 @@ reference's rank against the rank of its own key, then reads the memo inline;
 only on a miss does it ``yield`` the key.  ``_value`` keeps the pending
 equations on an explicit list: it pushes the equation of each key yielded,
 stores the value when that generator returns, and sends the value back to the
-generator below.  So a memo hit costs no Python call, and a deep key is
+generator below.  So a memo hit pushes no equation, and a deep key is
 limited by memory, not by the interpreter's recursion limit.
 
 The rank checks raise also under ``python -O``, so an accidentally circular
@@ -141,7 +140,6 @@ from typing import Iterable
 
 from . import families as fam
 from .model import ModelParams, MomentSequence, edge_factor, validate
-from .rational import binomial
 
 _STAGE = fam.STAGE
 
@@ -154,6 +152,23 @@ _SUMS = {
     fam.NEQ_ANYC_S: (fam.NEQ_C_R, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN),
 }
 
+
+def _summands(key: tuple) -> list:
+    """The keys whose values add up to a sum family's value, in read order."""
+    tag, c, lg, lb, rg, rb = key
+    if tag == fam.NEQ_ANYC_SN:
+        return [(fam.S1S, c, lb, None, rb, None)] if lg == 0 == rg else []
+    if tag != fam.TOP:
+        return [(part, c, lg, lb, rg, rb) for part in _SUMS[tag]]
+    return [
+        (part, component, lg, lb, rg, rb)
+        for component in (1, 2)
+        for rg in range(lg > 0, lg + 1)
+        for rb in range(0, lb + 1)
+        for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,))
+    ]
+
+
 # Rule (B) of the module docstring: the families whose blue walk is rooted at
 # r or passes through r, where a key with r_b = 0 < l_b is 0.
 _BLUE_AT_ROOT = frozenset({
@@ -164,9 +179,9 @@ _BLUE_AT_ROOT = frozenset({
 # Binomial codes: the orders of f returns over the cut edge and v departures
 # from v whose last step is over the cut edge, at v, or either.
 _OVER_CUT, _AT_V, _EITHER = (
-    lambda f, v: binomial(f + v - 1, f - 1),
-    lambda f, v: binomial(f + v - 1, f),
-    lambda f, v: binomial(f + v, f),
+    lambda f, v: math.comb(f + v - 1, f - 1),
+    lambda f, v: math.comb(f + v - 1, f),
+    lambda f, v: math.comb(f + v, f),
 )
 
 # Upper sums: name -> the families read at v, in read order, each with its
@@ -203,18 +218,18 @@ _GRAY = {
 _RED = {
     # Blue is rooted at r as well, but its final departure need not use
     # the cut edge, hence the unshifted code count.
-    fam.EQ_C_R: (binomial, fam.EQ_ANYC, "rooted_at_v"),
+    fam.EQ_C_R: (math.comb, fam.EQ_ANYC, "rooted_at_v"),
     # Blue root sits beyond the cut edge, so blue's final departure from
     # r must return through it.
-    fam.NEQ_C_RU: (lambda r, f: binomial(r - 1, f - 1), fam.EQ_ANYC, "rooted_at_or_beyond_v"),
+    fam.NEQ_C_RU: (lambda r, f: math.comb(r - 1, f - 1), fam.EQ_ANYC, "rooted_at_or_beyond_v"),
     # Blue root on the r side: blue's final departure from r must stay
     # below, leaving fb unconstrained slots among rb - 1.
-    fam.NEQ_C_RD: (lambda r, f: binomial(r - 1, f), fam.NEQ_ANYC_S, "rooted_at_v"),
+    fam.NEQ_C_RD: (lambda r, f: math.comb(r - 1, f), fam.NEQ_ANYC_S, "rooted_at_v"),
 }
 
 
 def _rank(key: tuple) -> int:
-    """``total << 5 | stage`` of a key; the equations compute it inline."""
+    """``total << 5 | stage`` of a key; the peels, ``_upper`` and EQ_ANYC compute it inline."""
     return (key[2] + (key[3] or 0)) << 5 | _STAGE[key[0]]
 
 
@@ -251,12 +266,10 @@ class CoefficientEngine:
         self._uppers: dict = {}
         self._edge_weights: dict = {}
         self._dispatch = {
-            **dict.fromkeys(_SUMS, self._eval_sum),
+            **dict.fromkeys((*_SUMS, fam.NEQ_ANYC_SN, fam.TOP), self._eval_sum),
             **dict.fromkeys(_GRAY, self._gray_peel),
             **dict.fromkeys(_RED, self._red_peel),
             fam.EQ_ANYC: self._eval_eq_anyc,
-            fam.NEQ_ANYC_SN: self._eval_neq_anyc_sn,
-            fam.TOP: self._eval_top,
         }
 
     # -- public API --------------------------------------------------------
@@ -358,15 +371,13 @@ class CoefficientEngine:
             cached = self._edge_weights[f] = scaled.numerator
         return cached
 
-    # -- sum equations -----------------------------------------------------
+    # -- the sum equation: TOP, NEQ_ANYC_SN and the _SUMS rows -------------
 
     def _eval_sum(self, key: tuple, rank: int):
-        tag, c, lg, lb, rg, rb = key
         memo = self._memo
         total = 0
-        for part in _SUMS[tag]:
-            ref = (part, c, lg, lb, rg, rb)
-            if (ref_rank := (lg + lb) << 5 | _STAGE[part]) >= rank:
+        for ref in _summands(key):
+            if (ref_rank := _rank(ref)) >= rank:
                 _order_violated(ref, ref_rank, rank)
             value = memo.get(ref)
             if value is None:
@@ -396,7 +407,7 @@ class CoefficientEngine:
         opp = 3 - c
         total = 0
         for f in range(1, r + 1):
-            outer = binomial(r - 1, f - 1) * self._w(f)
+            outer = math.comb(r - 1, f - 1) * self._w(f)
             # Cutting all r departures leaves the lower walk none, so (G)
             # allows it only the empty walk.
             for u in range(0, l - r + 1) if f < r else (l - r,):
@@ -438,7 +449,7 @@ class CoefficientEngine:
         ]
         total = 0
         for fg in range(1, rg + 1):
-            code_g = binomial(rg - 1, fg - 1)
+            code_g = math.comb(rg - 1, fg - 1)
             ugs = range(0, lg - rg + 1) if fg < rg else (lg - rg,)
             for fb, code_b, ubs in blues:
                 outer = code_g * code_b * self._w(fg + fb)
@@ -498,7 +509,7 @@ class CoefficientEngine:
         self._uppers[(name, opp, fg, fb, ug, ub)] = (upper, rank)
         return upper
 
-    # -- equations of their own shape --------------------------------------
+    # -- EQ_ANYC: the equation of its own shape ----------------------------
 
     def _eval_eq_anyc(self, key: tuple, rank: int):
         _, c, lg, lb, rg, rb = key
@@ -531,34 +542,3 @@ class CoefficientEngine:
         if shared is None:
             shared = yield ref
         return shared + glued
-
-    def _eval_neq_anyc_sn(self, key: tuple, rank: int):
-        _, c, lg, lb, rg, rb = key
-        if lg != 0 or rg != 0:
-            return 0
-        ref = (fam.S1S, c, lb, None, rb, None)
-        if (ref_rank := lb << 5 | _STAGE[fam.S1S]) >= rank:
-            _order_violated(ref, ref_rank, rank)
-        value = self._memo.get(ref)
-        if value is None:
-            value = yield ref
-        return value
-
-    def _eval_top(self, key: tuple, rank: int):
-        lg, lb = key[2], key[3]
-        memo = self._memo
-        total = 0
-        for component in (1, 2):
-            for rg in range(lg > 0, lg + 1):
-                for rb in range(0, lb + 1):
-                    # (B) holds for EQ_C but not for NEQ_C, whose blue walk
-                    # need not visit the gray root.
-                    for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,):
-                        ref = (tag, component, lg, lb, rg, rb)
-                        if (ref_rank := (lg + lb) << 5 | _STAGE[tag]) >= rank:
-                            _order_violated(ref, ref_rank, rank)
-                        value = memo.get(ref)
-                        if value is None:
-                            value = yield ref
-                        total += value
-        return total

@@ -116,9 +116,13 @@ class WeightDistribution:
 
     def _float(self, value: Fraction) -> float:
         try:
-            return float(value)
+            result = float(value)
         except OverflowError:
-            raise ValueError(f"weight parameter out of float range in {self.name!r}") from None
+            result = 0.0
+        # Beyond float range, or a nonzero value that would run as 0.0.
+        if result == 0.0 != value:
+            raise ValueError(f"weight parameter out of float range in {self.name!r}")
+        return result
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self._kind == "rademacher":
@@ -439,7 +443,9 @@ def estimate_correlators(
         def worker(start: int) -> np.ndarray:
             stop = min(start + chunk, samples)
             entries = [sample_entries(spec, index) for index in range(start, stop)]
-            return _block_moments(entries, n1, spec.matrix_size - n1, spec.matrix_size, kmax)
+            # Pool threads do not inherit numpy's error state; the caller rejects inf and NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _block_moments(entries, n1, spec.matrix_size - n1, spec.matrix_size, kmax)
 
         starts = range(0, samples, chunk)
         if threads > 1:
@@ -461,11 +467,12 @@ def estimate_correlators(
         x = moments[:, k - 1]
         y = moments[:, m - 1]
         values = []
-        for batch in boundaries:
-            xc = x[batch]
-            yc = y[batch]
-            cov = float(np.sum((xc - xc.mean()) * (yc - yc.mean())) / (len(batch) - 1))
-            values.append(spec.matrix_size * cov)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in boundaries:
+                xc = x[batch]
+                yc = y[batch]
+                cov = float(np.sum((xc - xc.mean()) * (yc - yc.mean())) / (len(batch) - 1))
+                values.append(spec.matrix_size * cov)
         values = np.array(values)
         mean = float(values.mean())
         if batches_eff > 1:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,25 @@ class TestCrosscheck:
         assert "MISMATCH" in out and out.splitlines()[-1] == "FAIL"
         assert err.startswith("crosscheck failed first at")
 
+    def test_tampered_coefficient_detected(self, capsys, monkeypatch):
+        # The family values stay right, so only the coefficient comparison
+        # can catch this engine.
+        class Tampered(CoefficientEngine):
+            def correlator_coefficient(self, k, m):
+                value = super().correlator_coefficient(k, m)
+                return value + 1 if (k, m) == (2, 2) else value
+
+        monkeypatch.setattr(cli, "CoefficientEngine", Tampered)
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "4", "--family-total", "1"]
+        )
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+            "MISMATCH coefficient (2,2): engine=2 oracle=1"
+        ]
+        assert out.splitlines()[-1] == "FAIL"
+        assert err.startswith("crosscheck failed first at coefficient (2,2)")
+
 
 class TestSimulate:
     def test_single_run_json(self, capsys):
@@ -304,12 +324,29 @@ class TestSimulate:
             code, _, err = run(capsys, argv)
             assert code == 2 and err.startswith("error:"), argv
 
-    @pytest.mark.parametrize("dist", ["constant:1e400", "gaussian:1e400", "two-point:1e400,1/2,1"])
+    @pytest.mark.parametrize("dist", [
+        "constant:1e400", "gaussian:1e400", "two-point:1e400,1/2,1",
+        # Nonzero parameters that round to 0.0 would run another law.
+        "constant:1e-400", "gaussian:1e-400", "two-point:1e-400,1/2,1", "two-point:1,1e-400,2",
+    ])
     def test_weight_parameter_beyond_float_exit_config(self, capsys, dist):
         argv = ["simulate", "--n", "30", "--k", "2", "--m", "2", "--samples", "4", "--dist", dist]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == f"error: weight parameter out of float range in {dist!r}\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_estimate_writes_only_the_error(self, capsys, threads):
+        # numpy's overflow warnings must not come before the error line, also
+        # from worker threads.
+        argv = ["simulate", "--n", "30", "--k", "4", "--m", "2", "--samples", "4",
+                "--threads", threads, "--dist", "constant:1e200"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: estimate of N * Cov(M_4, M_2) at N = 30 is not finite")
 
     def test_sample_too_large_to_pack_exit_config(self, capsys, monkeypatch):
         # The moments kernel packs each (row, column) pair into one int64 key;

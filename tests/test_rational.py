@@ -1,47 +1,11 @@
-"""Scalar helpers: binomial with out-of-range zeros, rational text, decimals."""
+"""Scalar helpers: rational text and decimal rendering."""
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from bipcorr.rational import binomial, format_scalar, parse_scalar, to_decimal
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(0, 0) == 1
-        assert binomial(4, 2) == 6
-        assert binomial(5, 0) == 1
-        assert binomial(5, 5) == 1
-        assert binomial(7, 3) == 35
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-        assert binomial(0, 1) == 0
-        assert binomial(0, -2) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_result_is_exact_scalar(self):
-        assert isinstance(binomial(6, 3), int)
-        assert isinstance(binomial(3, 5), int)
-
-    def test_pascal_rule(self):
-        rng = random.Random(20240811)
-        for _ in range(200):
-            n = rng.randint(1, 40)
-            k = rng.randint(-2, n + 2)
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    def test_agrees_with_math_comb_in_range(self):
-        for n in range(0, 12):
-            for k in range(0, n + 1):
-                assert binomial(n, k) == math.comb(n, k)
+from bipcorr.rational import format_scalar, parse_scalar, to_decimal
 
 
 class TestRationalText:

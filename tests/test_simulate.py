@@ -60,6 +60,11 @@ class TestWeightDistribution:
             "constant:1e400",
             "gaussian:1e400",
             "two-point:1e400,1/2,1",
+            # Nonzero parameters that round to 0.0 would run another law.
+            "constant:1e-400",
+            "gaussian:1e-400",
+            "two-point:1e-400,1/2,1",
+            "two-point:1,1e-400,2",
         ):
             with pytest.raises(ValueError):
                 WeightDistribution(bad)

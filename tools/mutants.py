@@ -30,6 +30,7 @@ GUARDS = "tests/test_recurrence.py::TestMemo"
 ORACLE = "src/bipcorr/walks.py"
 MIRROR = "tests/test_walks.py::TestPartMirror"
 SAMPLER = "src/bipcorr/simulate.py"
+CLI = "src/bipcorr/cli.py"
 MOMENTS = "tests/test_simulate.py::TestTraceMoments"
 # A selector still running after this many seconds leaves its mutant alive.
 TIMEOUT_S = 600
@@ -162,9 +163,16 @@ ROWS = (
     Mutant(
         "top-skips-neq-c-at-blue-zero",
         ENGINE,
-        "for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,):",
-        "for tag in (fam.EQ_C, fam.NEQ_C) if rb or not lb else ():",
+        "for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,))",
+        "for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else ())",
         "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
+    ),
+    Mutant(
+        "neq-anyc-sn-read-at-any-gray-root-zero",
+        ENGINE,
+        "if lg == 0 == rg else []",
+        "if rg == 0 else []",
+        "tests/test_recurrence.py::TestStructuralZeros::test_engine_evaluates_them_to_zero",
     ),
     Mutant(
         "gray-peel-empty-lower-off-by-one",
@@ -274,6 +282,38 @@ ROWS = (
         "((rows, cols, values), n1)",
         "((rows, cols, values), n2)",
         f"{MOMENTS}::test_chunk_equals_samples_alone[10]",
+    ),
+    # Sampler: the entries of one sample, scaled and in row-major order.
+    Mutant(
+        "entries-not-scaled",
+        SAMPLER,
+        "values = spec.dist.sample(rng, count) / spec.weight_scale",
+        "values = spec.dist.sample(rng, count)",
+        "tests/test_simulate.py::TestSampleMatrix::test_entry_values",
+    ),
+    Mutant(
+        "entries-unsorted",
+        SAMPLER,
+        "flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))",
+        "flat = rng.choice(pairs, size=count, replace=False, shuffle=True)",
+        "tests/test_simulate.py::TestSampleMatrix::test_entries_distinct_in_block_row_major",
+    ),
+    # Crosscheck: both engine-oracle comparisons count a mismatch.
+    Mutant(
+        "crosscheck-ignores-coefficients",
+        CLI,
+        "            if got != want:\n"
+        "                mismatches.append((f\"coefficient",
+        "            if False:\n"
+        "                mismatches.append((f\"coefficient",
+        "tests/test_cli.py::TestCrosscheck::test_tampered_coefficient_detected",
+    ),
+    Mutant(
+        "crosscheck-ignores-double-families",
+        CLI,
+        "                        if got != want:\n",
+        "                        if False:\n",
+        "tests/test_cli.py::TestCrosscheck::test_tampered_engine_detected",
     ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
