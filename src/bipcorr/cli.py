@@ -206,6 +206,8 @@ def _cmd_compute(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.k < 1 or args.m < 1:
         raise _CliError(EXIT_CONFIG, f"need k, m >= 1, got ({args.k}, {args.m})")
+    if args.cap < 0:
+        raise _CliError(EXIT_CONFIG, f"--cap must be >= 0, got {args.cap}")
     if args.k + args.m > args.cap:
         raise _CliError(
             EXIT_CAP,
@@ -295,6 +297,8 @@ def _cmd_crosscheck(args) -> int:
         raise _CliError(EXIT_CONFIG, f"--max-total must be >= 0, got {args.max_total}")
     if args.family_total is not None and args.family_total < 0:
         raise _CliError(EXIT_CONFIG, f"--family-total must be >= 0, got {args.family_total}")
+    if args.cap < 0:
+        raise _CliError(EXIT_CONFIG, f"--cap must be >= 0, got {args.cap}")
     family_total = args.family_total if args.family_total is not None else args.max_total // 2
     if args.max_total > args.cap:
         raise _CliError(

@@ -38,19 +38,17 @@ Beyond v the peels weigh an upper piece: the family values at v, each times
 binomial codes that interleave the f returns over the cut edge with the
 departures from v.  One generator, ``_upper``, evaluates every such sum from
 a row of the table ``_UPPERS``, which lists in read order the families read
-at v with their gray and blue codes.  A sum's rank is derived from its row:
-the total half-length of the keys it reads, with the stage of its latest
-family.
+at v with their gray and blue codes.
 
 The sums depend only on their arguments, yet the peels ask for the same ones
 many times (at n_{12,12}, ``rooted_at_v`` is asked 22,332 times for 882
-distinct arguments).  Each engine caches them in its own dict, keyed by the
-row's name and the arguments; no cache is shared between engines, because
-the values depend on the engine's params and moments.  A peel reads a cached
-sum inline, as it reads a memo value; only on a miss does it run ``_upper``,
-with ``yield from``, so the keys the sum still lacks go to the same work
-stack as the peel's own.  A hit reads no family value, so it adds no memo key
-and leaves the memo's insertion order as it was.
+distinct arguments).  Each engine caches their values in its own dict,
+keyed by the row's name and the arguments; no cache is shared between
+engines, because the values depend on the engine's params and moments.  A
+peel reads a cached sum inline, as it reads a memo value; only on a miss
+does it run ``_upper``, with ``yield from``, so the keys the sum still lacks
+go to the same work stack as the peel's own.  A hit reads no family value,
+so it adds no memo key and leaves the memo's insertion order as it was.
 
 Structural zeros
 ----------------
@@ -116,20 +114,20 @@ l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
 ``total << 5 | stage`` (every stage is below 32), so integer order is the
 order of the pair.
 
-Each equation is a generator.  Where it needs a family value it checks the
-reference's rank against the rank of its own key, then reads the memo inline;
-only on a miss does it ``yield`` the key.  ``_value`` keeps the pending
-equations on an explicit list: it pushes the equation of each key yielded,
-stores the value when that generator returns, and sends the value back to the
-generator below.  So a memo hit pushes no equation, and a deep key is
-limited by memory, not by the interpreter's recursion limit.
+Each equation is a generator.  Where it needs a family value it reads the
+memo inline; only on a miss does it ``yield`` the key.  ``_value`` keeps the
+pending equations on an explicit list: it pushes the equation of each key
+yielded, stores the value when that generator returns, and sends the value
+back to the generator below.  So a memo hit pushes no equation, and a deep
+key is limited by memory, not by the interpreter's recursion limit.
 
-The rank checks raise also under ``python -O``, so an accidentally circular
-edit fails loudly instead of looping.  ``_value`` checks each key it is asked
-to evaluate as well, so a miss is checked twice.  ``_upper`` checks the rank
-it derives for a sum against the peel's own and each read against that rank;
-the cache entry keeps the rank, and a peel checks the rank of every hit as if
-it had read those keys itself.
+The order is checked where it can fail, also under ``python -O``, so an
+accidentally circular edit fails loudly instead of looping.  ``_value``
+checks every key it pushes, which is every miss, so ranks strictly decrease
+down the stack.  The sum equation and EQ_ANYC read keys at their own total,
+where only the stage table orders them; each checks once per call the latest
+key it will read, memo hits included.  The peels need no check: the cut edge
+takes f >= 1 of the total, and an upper sum reads at most the total minus r.
 """
 
 from __future__ import annotations
@@ -200,9 +198,6 @@ _UPPERS = {
         (fam.NEQ_ANYC_S, _OVER_CUT, _AT_V),
     ),
 }
-# An upper sum reads keys of one total half-length, so its rank is that total
-# with the stage of its latest family.
-_UPPER_STAGE = {name: max(_STAGE[tag] for tag, _, _ in reads) for name, reads in _UPPERS.items()}
 
 # Gray peel: tag -> (lower family at r, upper sum beyond v).
 _GRAY = {
@@ -229,25 +224,25 @@ _RED = {
 
 
 def _rank(key: tuple) -> int:
-    """``total << 5 | stage`` of a key; the peels, ``_upper`` and EQ_ANYC compute it inline."""
+    """``total << 5 | stage`` of a key."""
     return (key[2] + (key[3] or 0)) << 5 | _STAGE[key[0]]
 
 
-def _order_violated(what, rank: int, parent: int):
-    """Raise for a reference at ``rank`` (a key or a named upper sum) from ``parent``."""
-    if isinstance(what, tuple):
-        what = fam.FamilyKey._make(what)
+def _order_violated(ref: tuple, rank: int, parent: int):
+    """Raise for a reference to ``ref``, at ``rank``, from a key at ``parent``."""
     raise AssertionError(
-        f"recursion order violated: {what} at rank {divmod(rank, 32)} "
+        f"recursion order violated: {fam.FamilyKey._make(ref)} at rank {divmod(rank, 32)} "
         f"referenced from rank {divmod(parent, 32)}"
     )
 
 
-def _stale_upper_hit(cache_key: tuple, entry: tuple, parent: int):
-    """Raise for a cache hit on ``(name, *args)`` whose ``(value, rank)`` entry
-    is not below ``parent``, the rank of the peel that reads it."""
-    name, *args = cache_key
-    _order_violated(f"cached upper sum {name}{tuple(args)}", entry[1], parent)
+def _check_order(key: tuple, refs) -> None:
+    """Raise unless the latest of ``refs``, the keys an equation of ``key``
+    reads at its own total half-length, ranks below ``key``."""
+    if refs:
+        ref = max(refs, key=_rank)
+        if (ref_rank := _rank(ref)) >= (rank := _rank(key)):
+            _order_violated(ref, ref_rank, rank)
 
 
 class CoefficientEngine:
@@ -320,10 +315,9 @@ class CoefficientEngine:
     #
     # Keys inside the engine are plain tuples laid out as ``fam.FamilyKey``,
     # which hash and compare equal to the named keys of the public API.  Each
-    # equation is a generator called with its key and that key's rank, and
-    # every read of a family value in it follows one pattern: build the key,
-    # check its rank against ``rank``, ``memo.get``, and ``yield`` the key only
-    # on a miss.
+    # equation is a generator called with its key, and every read of a family
+    # value in it follows one pattern: build the key, ``memo.get``, and
+    # ``yield`` the key only on a miss.
 
     def _value(self, key: tuple) -> int:
         """The scaled value of ``key``, evaluating what it lacks on a work stack."""
@@ -331,8 +325,7 @@ class CoefficientEngine:
         if value is not None:
             return value
         dispatch = self._dispatch
-        rank = _rank(key)
-        stack = [(key, rank, dispatch[key[0]](key, rank))]
+        stack = [(key, _rank(key), dispatch[key[0]](key))]
         while stack:
             key, rank, frame = stack[-1]
             try:
@@ -345,7 +338,7 @@ class CoefficientEngine:
             ref_rank = _rank(ref)
             if ref_rank >= rank:
                 _order_violated(ref, ref_rank, rank)
-            stack.append((ref, ref_rank, dispatch[ref[0]](ref, ref_rank)))
+            stack.append((ref, ref_rank, dispatch[ref[0]](ref)))
             value = None
         return value
 
@@ -373,12 +366,12 @@ class CoefficientEngine:
 
     # -- the sum equation: TOP, NEQ_ANYC_SN and the _SUMS rows -------------
 
-    def _eval_sum(self, key: tuple, rank: int):
+    def _eval_sum(self, key: tuple):
+        refs = _summands(key)
+        _check_order(key, refs)
         memo = self._memo
         total = 0
-        for ref in _summands(key):
-            if (ref_rank := _rank(ref)) >= rank:
-                _order_violated(ref, ref_rank, rank)
+        for ref in refs:
             value = memo.get(ref)
             if value is None:
                 value = yield ref
@@ -387,7 +380,7 @@ class CoefficientEngine:
 
     # -- gray peel: blue does not use the cut edge --------------------------
 
-    def _gray_peel(self, key: tuple, rank: int):
+    def _gray_peel(self, key: tuple):
         tag, c, l, lb, r, rb = key
         lower_tag, upper = _GRAY[tag]
         if tag == fam.S1 and l == 0:
@@ -402,7 +395,6 @@ class CoefficientEngine:
             low_lb, low_rb, up_lb = None, None, lb
         else:
             low_lb, low_rb, up_lb = lb, rb, None
-        low_total, low_stage = l + (low_lb or 0), _STAGE[lower_tag]
         memo, uppers = self._memo, self._uppers
         opp = 3 - c
         total = 0
@@ -412,31 +404,24 @@ class CoefficientEngine:
             # allows it only the empty walk.
             for u in range(0, l - r + 1) if f < r else (l - r,):
                 ref = (lower_tag, c, l - u - f, low_lb, r - f, low_rb)
-                if (ref_rank := (low_total - u - f) << 5 | low_stage) >= rank:
-                    _order_violated(ref, ref_rank, rank)
                 lower = memo.get(ref)
                 if lower is None:
                     lower = yield ref
                 if not lower:
                     continue
-                entry = uppers.get(cache_key := (upper, opp, f, None, u, up_lb))
-                if entry is None:
-                    above = yield from self._upper(rank, upper, opp, f, None, u, up_lb)
-                elif entry[1] >= rank:
-                    _stale_upper_hit(cache_key, entry, rank)
-                else:
-                    above = entry[0]
+                above = uppers.get((upper, opp, f, None, u, up_lb))
+                if above is None:
+                    above = yield from self._upper(upper, opp, f, None, u, up_lb)
                 total += outer * lower * above
         return total
 
     # -- red peel: blue uses the cut edge too -------------------------------
 
-    def _red_peel(self, key: tuple, rank: int):
+    def _red_peel(self, key: tuple):
         tag, c, lg, lb, rg, rb = key
         blue_code, lower_tag, upper = _RED[tag]
         if rg > lg or rb > lb:
             return 0
-        low_stage = _STAGE[lower_tag]
         memo, uppers = self._memo, self._uppers
         opp = 3 - c
         # Cutting all departures of a walk leaves its lower walk none, so (G)
@@ -458,36 +443,27 @@ class CoefficientEngine:
                 for ug in ugs:
                     for ub in ubs:
                         ref = (lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb)
-                        if (ref_rank := (lg + lb - ug - ub - fg - fb) << 5 | low_stage) >= rank:
-                            _order_violated(ref, ref_rank, rank)
                         lower = memo.get(ref)
                         if lower is None:
                             lower = yield ref
                         if not lower:
                             continue
-                        entry = uppers.get(cache_key := (upper, opp, fg, fb, ug, ub))
-                        if entry is None:
-                            above = yield from self._upper(rank, upper, opp, fg, fb, ug, ub)
-                        elif entry[1] >= rank:
-                            _stale_upper_hit(cache_key, entry, rank)
-                        else:
-                            above = entry[0]
+                        above = uppers.get((upper, opp, fg, fb, ug, ub))
+                        if above is None:
+                            above = yield from self._upper(upper, opp, fg, fb, ug, ub)
                         total += outer * lower * above
         return total
 
     # -- upper sums: the walks beyond v ------------------------------------
 
-    def _upper(self, parent: int, name: str, opp: int, fg: int, fb, ug: int, ub):
-        """Evaluate upper sum ``name`` for a peel at rank ``parent`` and cache it.
+    def _upper(self, name: str, opp: int, fg: int, fb, ug: int, ub):
+        """Evaluate upper sum ``name`` and cache it.
 
         fg gray and fb blue returns over the cut edge interleave with the vg
         and vb departures from v.  fb is None where blue does not cross the
         cut edge, and ub and vb where the row reads single walks.
         """
         reads = _UPPERS[name]
-        rank = (ug + (ub or 0)) << 5 | _UPPER_STAGE[name]
-        if rank >= parent:
-            _order_violated(f"upper sum {name}{(opp, fg, fb, ug, ub)}", rank, parent)
         memo = self._memo
         upper = 0
         for vg in range(ug > 0, ug + 1):
@@ -496,9 +472,6 @@ class CoefficientEngine:
                     if vb == 0 < ub and tag in _BLUE_AT_ROOT:
                         continue
                     ref = (tag, opp, ug, ub, vg, vb)
-                    # Reads may reach the sum's own rank, not beyond it.
-                    if (ref_rank := (ug + (ub or 0)) << 5 | _STAGE[tag]) > rank:
-                        _order_violated(ref, ref_rank, rank)
                     value = memo.get(ref)
                     if value is None:
                         value = yield ref
@@ -506,26 +479,24 @@ class CoefficientEngine:
                     if blue_code is not None:
                         code *= blue_code(fb, vb)
                     upper += code * value
-        self._uppers[(name, opp, fg, fb, ug, ub)] = (upper, rank)
+        self._uppers[(name, opp, fg, fb, ug, ub)] = upper
         return upper
 
     # -- EQ_ANYC: the equation of its own shape ----------------------------
 
-    def _eval_eq_anyc(self, key: tuple, rank: int):
+    def _eval_eq_anyc(self, key: tuple):
         _, c, lg, lb, rg, rb = key
+        gray_ref = (fam.S1, c, lg, None, rg, None)
+        blue_ref = (fam.S1, c, lb, None, rb, None)
+        shared_ref = (fam.EQ_C, c, lg, lb, rg, rb)
+        _check_order(key, (gray_ref, blue_ref, shared_ref))
         memo = self._memo
-        ref = (fam.S1, c, lg, None, rg, None)
-        if (ref_rank := lg << 5 | _STAGE[fam.S1]) >= rank:
-            _order_violated(ref, ref_rank, rank)
-        gray = memo.get(ref)
+        gray = memo.get(gray_ref)
         if gray is None:
-            gray = yield ref
-        ref = (fam.S1, c, lb, None, rb, None)
-        if (ref_rank := lb << 5 | _STAGE[fam.S1]) >= rank:
-            _order_violated(ref, ref_rank, rank)
-        blue = memo.get(ref)
+            gray = yield gray_ref
+        blue = memo.get(blue_ref)
         if blue is None:
-            blue = yield ref
+            blue = yield blue_ref
         # Pairs with no shared edge and a common root are exactly the pairs of
         # independent single walks glued at the root; the root's vertex factor
         # must not be counted twice.
@@ -535,10 +506,7 @@ class CoefficientEngine:
                 f"glue at {fam.FamilyKey._make(key)} is not divisible by the root factor "
                 f"a_{c} = {self._a[c]}"
             )
-        ref = (fam.EQ_C, c, lg, lb, rg, rb)
-        if (ref_rank := (lg + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:
-            _order_violated(ref, ref_rank, rank)
-        shared = memo.get(ref)
+        shared = memo.get(shared_ref)
         if shared is None:
-            shared = yield ref
+            shared = yield shared_ref
         return shared + glued

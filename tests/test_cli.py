@@ -149,6 +149,9 @@ class TestOracle:
         assert code == 4 and "cap" in err
         code, _, err = run(capsys, ["oracle", "--k", "2", "--m", "4", "--cap", "4"])
         assert code == 4
+        # A negative cap is a config error, not a cap that every pair exceeds.
+        code, out, err = run(capsys, ["oracle", "--k", "2", "--m", "2", "--cap", "-3"])
+        assert (code, out, err) == (2, "", "error: --cap must be >= 0, got -3\n")
 
     def test_bad_indices(self, capsys):
         code, _, _ = run(capsys, ["oracle", "--k", "0", "--m", "2"])
@@ -184,6 +187,11 @@ class TestCrosscheck:
         assert code == 4 and "cap" in err
         code, _, err = run(capsys, ["crosscheck", "--max-total", "4", "--family-total", "7"])
         assert code == 4
+        # A negative cap is a config error, not a cap that every pair exceeds.
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "0", "--family-total", "0", "--cap", "-1"]
+        )
+        assert (code, out, err) == (2, "", "error: --cap must be >= 0, got -1\n")
 
     def test_negative_family_total_rejected(self, capsys):
         code, out, err = run(

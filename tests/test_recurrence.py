@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -180,6 +179,16 @@ class TestMemo:
         with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='EQ_C'"):
             engine.s_value(fam.double_key(fam.EQ_ANYC, 1, 1, 1, 1, 1))
         monkeypatch.undo()
+        # A memo hit in the sum equation: with TOP(1, 1) taken out of the memo
+        # of n_{2,2}, every key it reads is a hit, so only the sum's own check
+        # sees EQ_C's stage moved after TOP's.
+        engine = make_engine(1)
+        engine.correlator_coefficient(2, 2)
+        del engine._memo[fam.top_key(1, 1)]
+        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.TOP] + 1)
+        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='EQ_C'"):
+            engine.s_value(fam.top_key(1, 1))
+        monkeypatch.undo()
 
     @pytest.mark.parametrize(
         "warm, key, cache_key",
@@ -192,33 +201,13 @@ class TestMemo:
         ],
         ids=["gray", "red"],
     )
-    def test_upper_sum_hit_guard(self, warm, key, cache_key):
-        # An upper-sum cache hit reads no family value, so the peel checks the
-        # rank the entry stored for the reads it skips.  No stage can put an
-        # upper sum at or above its peel, whose total is larger, so the test
-        # moves the stored rank instead.  Warming with n_{warm} caches the
-        # entry but never evaluates ``key``, and none of the keys ``key``
-        # still lacks reads the entry, so only ``key``'s own hit is checked.
-        name, *args = cache_key
-        rank = recurrence._rank(key)
-        expected = make_engine(1).s_value(key)
-
-        def warmed_with_entry_rank(stored):
-            engine = make_engine(1)
-            engine.correlator_coefficient(*warm)
-            assert key not in dict(engine.memo_items())
-            value, _ = engine._uppers[cache_key]
-            engine._uppers[cache_key] = (value, stored)
-            return engine
-
-        # A hit at the peel's own rank is a violation ...
-        engine = warmed_with_entry_rank(rank)
-        message = re.escape(f"violated: cached upper sum {name}{tuple(args)}")
-        with pytest.raises(AssertionError, match=message):
-            engine.s_value(key)
-        # ... one just below it is allowed and returns the cached value.
-        engine = warmed_with_entry_rank(rank - 1)
-        assert engine.s_value(key) == expected
+    def test_upper_sum_hit_gives_cold_value(self, warm, key, cache_key):
+        # Warming with n_{warm} caches the upper sum but never evaluates
+        # ``key``, so ``key``'s peel reads the sum as a cache hit.
+        engine = make_engine(1)
+        engine.correlator_coefficient(*warm)
+        assert key not in dict(engine.memo_items()) and cache_key in engine._uppers
+        assert engine.s_value(key) == make_engine(1).s_value(key)
 
     @pytest.mark.parametrize(
         "breach, message",
@@ -237,10 +226,9 @@ class TestMemo:
                 "memo conflict",
             ),
             (
-                "engine.correlator_coefficient(4, 4); "
-                "engine._uppers.update((k, (v, 1 << 20)) for k, (v, _) in engine._uppers.items()); "
-                "engine.correlator_coefficient(4, 6)",
-                "recursion order violated: cached upper sum",
+                "engine.correlator_coefficient(2, 2); del engine._memo[fam.top_key(1, 1)]; "
+                "fam.STAGE[fam.EQ_C] = 17; engine.s_value(fam.top_key(1, 1))",
+                "recursion order violated: FamilyKey(tag='EQ_C'",
             ),
             (
                 # alpha = 1/3 gives a_2 = 2; the S1 entry of value alpha2 *
@@ -259,7 +247,7 @@ class TestMemo:
                 "scaled edge weight for multiplicity 2 is not an integer",
             ),
         ],
-        ids=["order", "hit", "conflict", "upper", "divide", "edge"],
+        ids=["order", "hit", "conflict", "sum-hit", "divide", "edge"],
     )
     def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([
@@ -299,17 +287,6 @@ class TestMemo:
         for name in ("s1", "s1_s1s"):
             args = [key[1:] for key in engine._uppers if key[0] == name]
             assert args and len(args) == len({(opp, f, u) for opp, f, _, u, _ in args}), name
-
-    def test_upper_sum_read_guard(self, monkeypatch):
-        # The rank of an upper sum is derived from its row, and every read is
-        # checked against it: a derived stage below the row's latest family
-        # fails on that family's first read.  NEQ_C_RU(2, 2, 1, 1, 1) runs
-        # rooted_at_or_beyond_v, whose latest family is NEQ_ANYC_S.
-        monkeypatch.setitem(
-            recurrence._UPPER_STAGE, "rooted_at_or_beyond_v", fam.STAGE[fam.EQ_ANYC]
-        )
-        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='NEQ_ANYC_S'"):
-            make_engine(1).s_value(fam.double_key(fam.NEQ_C_RU, 2, 2, 1, 1, 1))
 
     def test_memo_order_is_frozen(self):
         # The keys in evaluation order and the number of cached upper sums;

@@ -4,12 +4,17 @@ Run from anywhere, with numpy and pytest installed:
 
     python tools/mutants.py
 
-For each row the script copies the repository (without ``.git`` and caches)
-to a temporary directory, requires the row's old text to occur exactly once
-in its file, replaces it, and runs the row's pytest selector in the copy.
-The selector must fail (pytest exit code 1); a selector that passes, that
-collects nothing, or that runs over ``TIMEOUT_S`` seconds leaves the mutant
-alive, and the script goes on with the next row.  A refactor that rewrites a
+First the script runs every distinct selector once, in one pytest call on an
+unmutated copy of the repository (without ``.git`` and caches).  A selector
+that fails there would count each of its mutants as killed, so if that run
+does not pass, the script says so and exits 1 before any mutant.
+
+For each row the script then copies the repository to a temporary
+directory, requires the row's old text to occur exactly once in its file,
+replaces it, and runs the row's pytest selector in the copy.  The selector
+must fail (pytest exit code 1); a selector that passes, that collects
+nothing, or that runs over ``TIMEOUT_S`` seconds leaves the mutant alive,
+and the script goes on with the next row.  A refactor that rewrites a
 mutated line therefore has to update its row in the open.  The exit code is
 0 only if every mutant was killed.
 """
@@ -83,58 +88,7 @@ ROWS = (
         "return self._q ** total * self._c**total",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
-    # Upper sums: the cache hit check, the rank the kernel derives from a
-    # row, the check of each read against it, a row's codes and rule (B).
-    Mutant(
-        "red-upper-hit-unchecked",
-        ENGINE,
-        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
-        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif False:",
-        f"{GUARDS}::test_upper_sum_hit_guard[red]",
-    ),
-    Mutant(
-        "gray-upper-hit-unchecked",
-        ENGINE,
-        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] >= rank:",
-        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif False:",
-        f"{GUARDS}::test_upper_sum_hit_guard[gray]",
-    ),
-    Mutant(
-        "red-upper-hit-lenient",
-        ENGINE,
-        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] >= rank:",
-        "self._upper(rank, upper, opp, fg, fb, ug, ub)\n                        elif entry[1] > rank:",
-        f"{GUARDS}::test_upper_sum_hit_guard[red]",
-    ),
-    Mutant(
-        "gray-upper-hit-lenient",
-        ENGINE,
-        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] >= rank:",
-        "self._upper(rank, upper, opp, f, None, u, up_lb)\n                elif entry[1] > rank:",
-        f"{GUARDS}::test_upper_sum_hit_guard[gray]",
-    ),
-    Mutant(
-        "upper-rank-drops-blue-length",
-        ENGINE,
-        "rank = (ug + (ub or 0)) << 5 | _UPPER_STAGE[name]",
-        "rank = ug << 5 | _UPPER_STAGE[name]",
-        "tests/test_recurrence.py::TestAgainstEnumeration",
-    ),
-    Mutant(
-        "upper-rank-of-earlier-stage",
-        ENGINE,
-        "max(_STAGE[tag] for tag, _, _ in reads)",
-        "min(_STAGE[tag] for tag, _, _ in reads)",
-        "tests/test_recurrence.py::TestAgainstEnumeration",
-    ),
-    Mutant(
-        "upper-read-unchecked",
-        ENGINE,
-        "                    if (ref_rank := (ug + (ub or 0)) << 5 | _STAGE[tag]) > rank:\n"
-        "                        _order_violated(ref, ref_rank, rank)\n",
-        "",
-        f"{GUARDS}::test_upper_sum_read_guard",
-    ),
+    # Upper sums: a row's codes and rule (B).
     Mutant(
         "s1s-upper-codes-swapped",
         ENGINE,
@@ -149,15 +103,44 @@ ROWS = (
         "if False:",
         f"{GUARDS}::test_evaluated_key_count_is_frozen",
     ),
-    # Work stack: a read checks its rank before the memo, hit or miss.
+    # Recursion order: the two equations that read at their own total check
+    # once per call, memo hits included.
     Mutant(
         "memo-hit-unchecked",
         ENGINE,
-        "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n"
-        "        if (ref_rank := (lg + lb) << 5 | _STAGE[fam.EQ_C]) >= rank:\n"
-        "            _order_violated(ref, ref_rank, rank)\n",
-        "        ref = (fam.EQ_C, c, lg, lb, rg, rb)\n",
+        "        _check_order(key, (gray_ref, blue_ref, shared_ref))\n",
+        "",
         f"{GUARDS}::test_recursion_order_guard",
+    ),
+    Mutant(
+        "sum-hit-unchecked",
+        ENGINE,
+        "        _check_order(key, refs)\n",
+        "",
+        f"{GUARDS}::test_guards_survive_optimized_mode[sum-hit]",
+    ),
+    # The peels are ordered by construction; a loop range that reaches the
+    # key's own total still fails, in ``math.comb`` or in ``_value``.
+    Mutant(
+        "gray-cut-from-zero",
+        ENGINE,
+        "        for f in range(1, r + 1):\n",
+        "        for f in range(0, r + 1):\n",
+        "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
+    Mutant(
+        "red-cut-from-zero",
+        ENGINE,
+        "        for fg in range(1, rg + 1):\n",
+        "        for fg in range(0, rg + 1):\n",
+        "tests/test_recurrence.py::TestAgainstEnumeration::test_shared_root_shared_edge_spot_value",
+    ),
+    Mutant(
+        "gray-lower-from-minus-one",
+        ENGINE,
+        "range(0, l - r + 1) if f < r",
+        "range(-1, l - r + 1) if f < r",
+        "tests/test_recurrence.py::TestDeepRegressions",
     ),
     # Structural zeros: a read is skipped only where its key is 0 by shape.
     Mutant(
@@ -336,6 +319,24 @@ def _copy_repo(dest: Path) -> Path:
     return target
 
 
+def _pytest(repo: Path, *selectors: str):
+    """Run ``selectors`` in one pytest call in ``repo``: its exit code, None
+    if it ran over ``TIMEOUT_S`` seconds, and the last line of its output."""
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors],
+            cwd=repo,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"ran over {TIMEOUT_S} s"
+    return done.returncode, (done.stdout.strip().splitlines() or [""])[-1]
+
+
 def check(row: Mutant) -> str:
     """'killed', or why the mutant is not: 'stale ...', 'timed out ...' or
     'SURVIVED ...'."""
@@ -347,25 +348,22 @@ def check(row: Mutant) -> str:
         if found != 1:
             return f"stale: old text occurs {found} times in {row.path}"
         path.write_text(text.replace(row.old, row.new), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", row.selector],
-                cwd=repo,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
-            return f"timed out: pytest ran over {TIMEOUT_S} s"
-    if done.returncode == 1:
+        code, tail = _pytest(repo, row.selector)
+    if code == 1:
         return "killed"
-    tail = (done.stdout.strip().splitlines() or [""])[-1]
-    return f"SURVIVED: pytest exit {done.returncode} ({tail})"
+    if code is None:
+        return f"timed out: pytest {tail}"
+    return f"SURVIVED: pytest exit {code} ({tail})"
 
 
 def main() -> int:
+    selectors = dict.fromkeys(row.selector for row in ROWS)
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        code, tail = _pytest(_copy_repo(Path(tmp)), *selectors)
+    if code != 0:
+        print(f"unmutated copy: {len(selectors)} selectors do not pass: pytest exit {code} ({tail})")
+        return 1
+    print(f"unmutated copy: {len(selectors)} selectors pass ({tail})", flush=True)
     failed = 0
     for row in ROWS:
         outcome = check(row)
