@@ -8,9 +8,10 @@ bookkeeping for several conditioned sub-sums.  Each sub-sum is a *family*:
 a set of walk pairs selected by structural predicates, together with a key
 recording the parameters the recurrence conditions on.
 
-Both the oracle (which evaluates a family by filtering enumerated walks) and
-the engine (which evaluates it by recursion) address families through the keys
-defined here, so the two routes cannot drift apart on what a family means.
+Both the oracle (which evaluates a family by counting its walk pairs by tree
+class) and the engine (which evaluates it by recursion) address families
+through the keys defined here, so the two routes cannot drift apart on what a
+family means.
 
 Key fields
 ----------

@@ -33,47 +33,52 @@ one of the stored even moments.  A pair is *essential* when its skeleton is a
 tree and at least one edge is used by both walks; n_{k,m} is the weight sum
 over essential pairs of half-lengths (k/2, m/2), and vanishes for odd k or m.
 
-Families are evaluated by sorting the same enumeration into the slots of
-:mod:`bipcorr.families`.  Enumeration order is deterministic: depth-first,
-visiting existing labels in increasing order before a new one.
+The censuses count pairs by tree class (below) without walking them.  Only
+``oracle --dump`` walks the essential pairs, depth-first, visiting existing
+labels in increasing order before a new one; a step that would close a
+cycle is never taken, since no later step removes it.
 
-Pruning
--------
-Only tree pairs carry weight, so the oracle walks no other: ``_tree_pairs``
-and ``_root_tree_walks`` grow the walks while tracking the skeleton's edge
-set.  A step to a new label adds a leaf.  A step to a used vertex is kept
-only if it reuses a skeleton edge, or if it leads a blue walk with a fresh
-root, still apart from the gray walk, into the gray walk's component and so
-joins the two.  Any other step adds an edge between two vertices already
-connected, which closes a cycle; later steps only add edges and vertices, so
-the cycle stays and no completion is a tree.  A blue walk that ends still
-apart leaves two components and is dropped too.  The generators therefore
-yield exactly the minimal pairs whose skeleton is a tree, in the enumeration
-order above.  The sums walk pairs of two nonempty walks in one loop only,
-in the family census ``_double_family_profiles``; the coefficient census is
-read from it (see below), and ``census`` counts all minimal pairs by a
-recursion over label counts instead of walking them.  Only ``oracle --dump``
-walks the pairs again, to list them.
-
-Profiles at the leaves
+Counting by tree class
 ----------------------
-A grown pair is read one way only, from facts gathered as it grows.  Facts
-of each gray walk (its edge counts, r_g and first edge) are gathered once and
-shared by every blue walk grown on it; at each leaf one pass over the blue
-walk gives the profile (vertex counts per part and sorted edge totals), the
-shared-edge count c, the blue traversals of the first gray edge and r_b.
-Each walk is connected and the two share a vertex, so the O(1) check
-"vertices = distinct edges + 1", which raises when it fails, stands in for
-the full tree test.  Each distinct profile is weighed once per context
-(alpha, p, moments).
+Let every edge e of a tree be crossed m_e >= 1 times each way and let d_y
+sum m_e over the edges at y.  By the BEST theorem on the doubled tree (van
+Aardenne-Ehrenfest and de Bruijn, 1951), the closed walks from x making
+exactly these crossings number
 
-``_slots`` turns these facts into family slots.  A pair with c > 0 fills
-EQ_C when its roots are equal and NEQ_C when they differ, never both, and a
-pair with c = 0 fills neither; the slot also fixes the gray root's part, r_g
-and r_b.  So each essential pair at half-lengths (l_g, l_b) lies in exactly
-one EQ_C or NEQ_C bucket of the family census, and those buckets add up to
-the essential census of n_{2 l_g, 2 l_b}.  An empty walk shares no edge, so
-no essential pair is left to the empty-walk censuses below.
+    W(x) = d_x * prod_y (d_y - 1)! / prod_e m_e! (m_e - 1)!  =  K d_x,
+
+and K m_e of them start along the edge e at x.  A pair's *class* is its
+skeleton rooted at the gray root r, up to isomorphism, each edge labelled
+with its gray and blue crossings each way (g_e, b_e), g_e + b_e >= 1, as in
+Bauer and Golinelli, J. Stat. Phys. 103 (2001).  The gray edges reach r, the
+blue edges are connected, sum g_e = l_g and sum b_e = l_b; r lies in part 1
+and the mirror (below) adds part 2.  The class fixes the profile (vertices
+at even and at odd depth, sorted 2 (g_e + b_e)), c (edges with g_e, b_e > 0),
+r_g = d_g(r) and r_b = d_b(r).
+
+The slot also reads the gray walk's first edge (r, v) and the blue root x:
+x = r gives the EQ slots, and otherwise x lies on the v side of (r, v)
+("upper"; a fresh x lies on the side of the first gray vertex its walk
+meets) or on the r side.  The blue walks from x number K_b d_b(x), and d_b
+adds up to r_b at r, to 2 (blue mass beyond v) + b_(r,v) on the v side and
+to the rest of 2 l_b on the r side.  So a slot holds K_g K_b
+sum_v g_(r,v) (weight of its x) pairs on a labelled tree of the class.
+Relabeling acts freely on these pairs, since a walk visits every vertex,
+and maps a pair onto a pair of the same tree exactly by an automorphism of
+the rooted labelled tree; so the class adds that count divided by |Aut|.
+The division is exact, and a remainder raises ``ValueError``.  A pair
+with c > 0 fills EQ_C or NEQ_C, by its roots, and one with c = 0 neither,
+so these buckets add up to the essential census of n_{2 l_g, 2 l_b}.
+
+A pair with an empty walk is a single tree walk.  With the blue walk empty
+at r, the single census of the gray walks, K_g r_g / |Aut| per class (the
+empty walk at a lone root is one), fills (EQ_ANYC, component, r_g, 0); an
+empty blue walk elsewhere fills no slot or leaves two components.  With the
+gray walk empty at r, a blue walk from r fills (EQ_ANYC, component, 0, r_b), and one from
+elsewhere must reach r; it fills NEQ_ANYC_S and NEQ_ANYC_SN with r_b the
+departures from r.  The marked census counts these on the class rooted at
+the marked vertex y: K (2 l - d_y) / |Aut| walks from the other roots, in
+the slot (part of y, d_y).
 
 Part symmetry
 -------------
@@ -84,38 +89,19 @@ onto those with gray root +1.  It keeps every fact the weights and family
 slots read except two: the vertex counts per part trade places, and so does
 the gray root's part.  The edge totals, c, r_g, r_b, the blue traversals of
 the first gray edge and the side of that edge the blue root lies on stay as
-they are.  The cached censuses therefore walk gray root part 1 only and add
-each bucket's mirror image: a profile (n1, n2, totals) becomes (n2, n1,
-totals), a double slot (tag, component, r_g, r_b) becomes (tag, 3 - component,
-r_g, r_b) and a single slot (component, r) becomes (3 - component, r).  A
-slot can be the mirror image of another slot of the same census, so the
-mirror adds counts.  The same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
-
-Empty walks
------------
-A family census walks pairs only when both walks are nonempty; a pair with
-an empty walk is a single tree walk, and its slots come from the
-single-walk censuses.  Suppose the gray walk is empty at x.  A blue walk
-rooted at x is a single walk: the roots are equal and no edge is shared, so
-the pair fills (EQ_ANYC, component, 0, r_b) only.  A blue walk rooted
-elsewhere must reach x, or the skeleton would have two components, so it is
-a single walk through a marked vertex other than its root, and the pair
-fills (NEQ_ANYC_S, ...) and (NEQ_ANYC_SN, ...) with r_b the departures from
-x.  Relabeling the blue root as the root of the single walk maps these
-minimal pairs one to one onto minimal single walks with a marked vertex,
-with the same vertex counts and edge totals; ``_marked_walk_profiles``
-counts them, and the component of the slot is the part of the marked
-vertex.  Suppose instead the blue walk is empty at y.  An empty blue walk
-at a fresh root is detached and never yielded, one at a gray vertex other
-than the root fills no slot, and one at the root fills (EQ_ANYC,
-component, r_g, 0), the single-walk census of the gray walk.
+they are.  The censuses therefore count component 1 only (the gray root,
+or the marked vertex, in part 1) and add each bucket's mirror image: a
+profile (n1, n2, totals) becomes (n2, n1, totals), a double slot (tag, 1,
+r_g, r_b) becomes (tag, 2, r_g, r_b) and a single slot (1, r) becomes
+(2, r).  The same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import factorial
 from typing import Iterator, NamedTuple, Optional
 
 from . import families as fam
@@ -267,7 +253,7 @@ def _weight_sum(profiles, params: ModelParams, moments: MomentSequence) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# Profiles at the leaves (see the module docstring)
+# Leaf facts, for ``oracle --dump``
 
 
 def _add_steps(counts: dict, walk: ClosedWalk) -> dict:
@@ -285,24 +271,14 @@ class _Gray(NamedTuple):
 
     walk: ClosedWalk
     counts: dict  # edge -> traversals
-    vertices: frozenset
-    r_g: int  # departures from the root r
-    cut: Optional[tuple]  # the first edge (r, v); None for the empty walk and single-walk leaves
-    upper: frozenset  # vertices on the v side of the cut
 
 
 def _gray_facts(walk: ClosedWalk) -> _Gray:
-    counts = _add_steps({}, walk)
-    r = walk[0]
-    cut, upper = None, frozenset()
-    if len(walk) > 1:
-        cut = _edge(r, walk[1])
-        upper = frozenset(_upper_vertices(counts, r, walk[1]))
-    return _Gray(walk, counts, frozenset(walk), _root_departures(walk, r), cut, upper)
+    return _Gray(walk, _add_steps({}, walk))
 
 
 def _leaf(gray: _Gray, blue: ClosedWalk, n1: int, n2: int):
-    """(profile, c, blue traversals of the cut edge, r_b) of a grown pair.
+    """(profile, c) of a grown pair: vertex counts and sorted edge totals, and shared edges.
 
     The pair uses ``n1``/``n2`` labels.  Each walk is connected and the two
     share a vertex, so the skeleton is a tree exactly when it has one vertex
@@ -315,16 +291,7 @@ def _leaf(gray: _Gray, blue: ClosedWalk, n1: int, n2: int):
         )
     # The blue walk's own skeleton is a subtree: one edge fewer than vertices.
     c = len(gray.counts) + len(set(blue)) - 1 - len(counts)
-    on_cut = 0 if gray.cut is None else counts[gray.cut] - gray.counts[gray.cut]
-    r_b = _root_departures(blue, gray.walk[0])
-    return (n1, n2, tuple(sorted(counts.values()))), c, on_cut, r_b
-
-
-def _leaf_slots(gray: _Gray, blue: ClosedWalk, c: int, on_cut: int, r_b: int) -> list:
-    """The family slots of a grown pair, from its ``_leaf`` facts."""
-    # A fresh blue root lies on the side of the first gray vertex its walk meets.
-    meet = next(x for x in blue if x in gray.vertices)
-    return _slots(gray.walk, blue, gray.r_g, r_b, c, on_cut, meet in gray.upper)
+    return (n1, n2, tuple(sorted(counts.values()))), c
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +353,14 @@ def _swap_parts(profiles: dict) -> dict:
 
 
 def _with_mirror(buckets: dict, mirror_slot) -> dict:
-    """Slot -> sorted ((profile, count), ...) for root part 1 and its mirror image.
+    """Slot -> sorted ((profile, count), ...) for component 1 and its mirror image.
 
-    ``buckets`` maps the slots of the walks rooted in part 1 to profile ->
-    count maps; ``mirror_slot`` gives the slot each one fills rooted in part 2.
-    A slot may also be the mirror image of another slot, so counts are added.
+    ``buckets`` maps slots of component 1 to profile -> count maps;
+    ``mirror_slot`` gives the slot of component 2 that mirrors each one.
     """
-    both: dict = {}
+    both = dict(buckets)
     for slot, bucket in buckets.items():
-        for target, image in ((slot, bucket), (mirror_slot(*slot), _swap_parts(bucket))):
-            merged = both.setdefault(target, {})
-            for profile, count in image.items():
-                merged[profile] = merged.get(profile, 0) + count
+        both[mirror_slot(*slot)] = _swap_parts(bucket)
     return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(both.items())}
 
 
@@ -406,7 +369,7 @@ def _essential_profiles(k: int, m: int):
     """((profile, count), ...) over the essential pairs at lengths (k, m).
 
     The sum of the EQ_C and NEQ_C buckets of the family census, which hold
-    each essential pair exactly once (see "Profiles at the leaves").
+    each essential pair exactly once (see "Counting by tree class").
     """
     if k < 1 or m < 1 or k % 2 != 0 or m % 2 != 0:
         return ()
@@ -437,82 +400,157 @@ def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fr
 
 
 # ---------------------------------------------------------------------------
+# Tree classes (see "Counting by tree class")
+
+
+class _Class(NamedTuple):
+    """A tree class seen from its root w: what the counts read of w and of the tree below it."""
+
+    branches: tuple  # ((g, b, child class), ...): w's edges, equal kinds side by side
+    blue: int  # sum of b_e over the edges below w
+    d_g: int  # sum of g_e over w's edges
+    d_b: int  # sum of b_e over w's edges
+    num: int  # product over the vertices y below w of (d_g(y) - 1)! (d_b(y) - 1)!
+    den: int  # product over the edges below w of g_e! (g_e - 1)! b_e! (b_e - 1)!
+    aut: int  # automorphisms that fix w and every edge label
+    even: int  # vertices at even depth from w, w included
+    odd: int  # vertices at odd depth from w
+    totals: tuple  # sorted 2 (g_e + b_e) over the edges below w
+    shared: int  # edges below w with g_e and b_e both positive
+
+
+def _k_vertex(d: int) -> int:
+    """(d - 1)!, a vertex's factor in K; 1 at a vertex the walk does not reach."""
+    return factorial(d - 1) if d else 1
+
+
+def _k_edge(m: int) -> int:
+    """m! (m - 1)!, an edge's divisor in K; 1 for an edge the walk does not cross."""
+    return factorial(m) * factorial(m - 1) if m else 1
+
+
+@lru_cache(maxsize=None)
+def _branches(gray: int, blue: int) -> tuple:
+    """The kinds (g, b, child class) of an edge from w with masses (gray, blue) on and beyond it.
+
+    The gray edges reach the root, so an edge without gray has none beyond
+    it; the blue beyond an edge with blue must reach it.
+    """
+    return tuple(
+        (g, b, child)
+        for g in (range(1, gray + 1) if gray else (0,))
+        for b in range(blue + 1)
+        if g + b
+        for child in _subtrees(gray - g, blue - b)
+        if child.d_b or not (b and child.blue)
+    )
+
+
+def _classes(gray: int, blue: int) -> Iterator:
+    """The tree classes with masses (gray, blue) below the root and connected blue edges."""
+    groups = [((g, b), _branches(g, b)) for g in range(gray + 1) for b in range(blue + 1) if g + b]
+    return filter(None, map(_class, _multisets(groups, len(groups), gray, blue)))
+
+
+@lru_cache(maxsize=None)
+def _subtrees(gray: int, blue: int) -> tuple:
+    """``_classes`` kept, for the classes beyond an edge; a census reads its own classes once."""
+    return tuple(_classes(gray, blue))
+
+
+def _multisets(groups: list, end: int, gray: int, blue: int) -> Iterator:
+    """Yield each multiset of the kinds in ``groups[:end]`` with masses (gray, blue).
+
+    ``groups`` pairs masses with the kinds of edge that carry them.  A
+    multiset is a tuple with its equal kinds next to each other.
+    """
+    if gray == blue == 0:
+        yield ()
+        return
+    for i in range(end - 1, -1, -1):
+        (g, b), kinds = groups[i]
+        copies = 1
+        while copies * g <= gray and copies * b <= blue:
+            for rest in _multisets(groups, i, gray - copies * g, blue - copies * b):
+                for chosen in combinations_with_replacement(kinds, copies):
+                    yield chosen + rest
+            copies += 1
+
+
+def _class(branches: tuple) -> Optional[_Class]:
+    """The class with these edges at its root, or None if its blue edges are not connected."""
+    blue = d_g = d_b = odd = shared = apart = 0
+    num = den = aut = even = 1
+    totals: tuple = ()
+    copies, last = 0, None
+    for kind in branches:
+        g, b, child = kind
+        copies, last = (copies + 1 if kind is last else 1), kind
+        blue += b + child.blue
+        d_g += g
+        d_b += b
+        num *= child.num * _k_vertex(g + child.d_g) * _k_vertex(b + child.d_b)
+        den *= child.den * _k_edge(g) * _k_edge(b)
+        aut *= child.aut * copies  # so a kind taken j times adds aut^j j!
+        even += child.odd
+        odd += child.even
+        totals += (2 * (g + b), *child.totals)
+        shared += child.shared + (g > 0 and b > 0)
+        apart += b == 0 and child.blue > 0  # blue beyond this edge does not reach w
+    if (d_b > 0) + apart > 1:
+        return None
+    return _Class(
+        branches, blue, d_g, d_b, num, den, aut, even, odd, tuple(sorted(totals)), shared
+    )
+
+
+def _orbits(tree: _Class, walks: int) -> int:
+    """The pairs up to relabeling among ``walks`` K_g K_b pairs on a labelled tree of ``tree``."""
+    count, rest = divmod(
+        tree.num * _k_vertex(tree.d_g) * _k_vertex(tree.d_b) * walks, tree.den * tree.aut
+    )
+    if rest:
+        raise ValueError(f"tree class pair count not a multiple of its {tree.aut} automorphisms")
+    return count
+
+
+@lru_cache(maxsize=None)
+def _tags(shared: bool, blue_at_root: bool, on_cut: bool, side: str) -> tuple:
+    """The tags a pair with a nonempty gray walk fills, by the side of its blue root x.
+
+    ``side`` is "eq" for x = r, "up" for x on the v side of the first gray
+    edge (r, v) and "down" for x on the r side; ``on_cut`` says whether the
+    blue walk crosses (r, v).
+    """
+    if side == "eq":
+        if not shared:
+            return (fam.EQ_ANYC,)
+        return (fam.EQ_ANYC, fam.EQ_C, fam.EQ_C_R if on_cut else fam.EQ_C_G)
+    tags: tuple = ()
+    if shared and on_cut:
+        tags = (fam.NEQ_C, fam.NEQ_C_R, fam.NEQ_C_RU if side == "up" else fam.NEQ_C_RD)
+    elif shared:
+        tags = (fam.NEQ_C, fam.NEQ_C_G, fam.NEQ_C_GU if side == "up" else fam.NEQ_C_GD)
+    if blue_at_root:
+        tags += (fam.NEQ_ANYC_S,) if on_cut else (fam.NEQ_ANYC_S, fam.NEQ_ANYC_SGD)
+    return tags
+
+
+# ---------------------------------------------------------------------------
 # Families
 
 
-def _root_departures(walk: ClosedWalk, r: Vertex) -> int:
-    return walk[:-1].count(r)
-
-
-def _upper_vertices(edges, r: Vertex, v: Vertex) -> set:
-    """Vertices on the v side of the tree with ``edges`` once edge (r, v) is removed."""
-    cut = _edge(r, v)
-    adjacency: dict = {}
-    for a, b in edges:
-        if (a, b) == cut:
-            continue
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in adjacency.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _slots(
-    gray: ClosedWalk, blue: ClosedWalk, r_g: int, r_b: int, c: int, on_cut: int, in_upper: bool
-) -> list:
-    """All (tag, component, r_g, r_b) family slots a tree-skeleton pair fills.
-
-    ``c`` counts the shared edges, ``on_cut`` the blue traversals of the
-    first gray edge (r, v), and ``in_upper`` says whether the blue root lies
-    on the v side of that edge; the last two are read only when the gray
-    walk is not empty.
-    """
-    r = gray[0]
-    roots_equal = blue[0] == r
-    shared = c > 0
-    tags = []
-    if roots_equal:
-        tags.append(fam.EQ_ANYC)
-        if shared:
-            tags.append(fam.EQ_C)
-    else:
-        if shared:
-            tags.append(fam.NEQ_C)
-        if r in blue:
-            tags.append(fam.NEQ_ANYC_S)
-            if len(gray) == 1:
-                tags.append(fam.NEQ_ANYC_SN)
-
-    if len(gray) > 1:
-        blue_uses_cut = on_cut > 0
-        if fam.EQ_C in tags:
-            tags.append(fam.EQ_C_R if blue_uses_cut else fam.EQ_C_G)
-        if fam.NEQ_ANYC_S in tags and not blue_uses_cut:
-            tags.append(fam.NEQ_ANYC_SGD)
-        if fam.NEQ_C in tags:
-            if blue_uses_cut:
-                tags.append(fam.NEQ_C_R)
-                tags.append(fam.NEQ_C_RU if in_upper else fam.NEQ_C_RD)
-            else:
-                tags.append(fam.NEQ_C_G)
-                tags.append(fam.NEQ_C_GU if in_upper else fam.NEQ_C_GD)
-    component = vertex_part(r)
-    return [(tag, component, r_g, r_b) for tag in tags]
+def _add(buckets: dict, slot, profile, count: int) -> None:
+    bucket = buckets.setdefault(slot, {})
+    bucket[profile] = bucket.get(profile, 0) + count
 
 
 @lru_cache(maxsize=None)
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b).
 
-    Pairs are walked only when both walks are nonempty; otherwise the slots
-    come from the single-walk censuses (see "Empty walks").
+    Counted by tree class; with an empty walk the slots come from the
+    single-walk censuses (see "Counting by tree class").
     """
     if l_b == 0:
         single = _single_family_profiles(l_g)
@@ -524,11 +562,19 @@ def _double_family_profiles(l_g: int, l_b: int):
             slots[(fam.NEQ_ANYC_S, c, 0, r)] = slots[(fam.NEQ_ANYC_SN, c, 0, r)] = bucket
         return dict(sorted(slots.items()))
     buckets: dict = {}
-    for gray, blue, n1, n2 in _tree_pairs_at(1, 2 * l_g, 2 * l_b):
-        profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
-        for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
-            bucket = buckets.setdefault(slot, {})
-            bucket[profile] = bucket.get(profile, 0) + 1
+    for tree in _classes(l_g, l_b):
+        r_g, r_b = tree.d_g, tree.d_b
+        walks: dict = {}
+        for g, b, child in tree.branches:
+            if g:  # a first gray edge (r, v)
+                upper = 2 * child.blue + b
+                for side, weight in (("eq", r_b), ("up", upper), ("down", 2 * l_b - r_b - upper)):
+                    if weight:
+                        for tag in _tags(tree.shared > 0, r_b > 0, b > 0, side):
+                            walks[tag] = walks.get(tag, 0) + g * weight
+        profile = (tree.even, tree.odd, tree.totals)
+        for tag, count in walks.items():
+            _add(buckets, (tag, 1, r_g, r_b), profile, _orbits(tree, count))
     return _with_mirror(buckets, lambda tag, component, r_g, r_b: (tag, 3 - component, r_g, r_b))
 
 
@@ -539,23 +585,21 @@ def _single_walk_censuses(l: int) -> tuple:
     Both map (component, r) -> ((profile, count), ...).  The single census
     reads the root: component is its part and r the departures from it.  The
     marked census counts each walk once per marked vertex y other than the
-    root: component is the part of y and r the departures from y.
+    root: component is the part of y and r the departures from y.  Both are
+    counted by tree class, the marked census on the class rooted at y.
     """
     single: dict = {}
     marked: dict = {}
-    for walk, n1, n2 in _root_tree_walks(1, 2 * l, set()):
-        root = walk[0]
-        departures = Counter(walk[:-1])
-        r_g = departures.pop(root, 0)
-        # The blue walk stays at the root and reads no cut, so the facts leave it out.
-        gray = _Gray(walk, _add_steps({}, walk), frozenset(walk), r_g, None, frozenset())
-        profile, _, _, _ = _leaf(gray, (root,), n1, n2)
-        bucket = single.setdefault((1, r_g), {})
-        bucket[profile] = bucket.get(profile, 0) + 1
-        for y, r in departures.items():
-            bucket = marked.setdefault((vertex_part(y), r), {})
-            bucket[profile] = bucket.get(profile, 0) + 1
-    return tuple(_with_mirror(b, lambda component, r: (3 - component, r)) for b in (single, marked))
+    for tree in _classes(l, 0):
+        d = tree.d_g
+        profile = (tree.even, tree.odd, tree.totals)
+        # The empty walk at a lone root is one walk.
+        _add(single, (1, d), profile, _orbits(tree, d or 1))
+        if l:
+            _add(marked, (1, d), profile, _orbits(tree, 2 * l - d))
+    return tuple(
+        _with_mirror(b, lambda component, r: (3 - component, r)) for b in (single, marked)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ Each test certifies one headline guarantee of the package:
 
 * the recurrence engine equals the enumeration oracle, both on full
   coefficients up to k + m = 14 and family by family up to total
-  half-length 5, with exact rational equality;
+  half-length 6, with exact rational equality;
 * the smallest coefficient matches its closed form in every context;
 * structural properties (parity, symmetry, part exchange, moment scaling)
   hold exactly;
@@ -77,12 +77,14 @@ def test_engine_equals_oracle_at_total_14(index):
 @pytest.mark.parametrize(
     "index, family_total, keys",
     [pytest.param(index, 4, 2059, id=str(index)) for index in CONTEXT_IDS]
-    + [pytest.param(index, 5, 3661, id=f"{index}-total5") for index in CONTEXT_IDS],
+    + [pytest.param(index, 5, 3661, id=f"{index}-total5") for index in CONTEXT_IDS]
+    + [pytest.param(index, 6, 6052, id=f"{index}-total6") for index in CONTEXT_IDS],
 )
 def test_engine_equals_oracle_family_by_family(index, family_total, keys):
     # Doubles and the top family over l_g + l_b <= family_total, single-walk
     # families to l <= family_total + 1, every admissible (component, r_g,
-    # r_b).  Total 5 is the reach of `crosscheck --family-total 5`.
+    # r_b).  Totals 5 and 6 are the reach of `crosscheck --family-total 5`
+    # and `--family-total 6`.
     params, moments = context(index, family_total + 1)
     engine = CoefficientEngine(params, moments)
     mismatches, lines = run_crosscheck(engine, max_total=2, family_total=family_total)

@@ -3,7 +3,8 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction as F
-from typing import NamedTuple
+from itertools import permutations
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -12,19 +13,20 @@ from bipcorr.model import MomentSequence, edge_factor
 from bipcorr.recurrence import CoefficientEngine
 from bipcorr.walks import census, essential_pair_lines, family_total_weight, format_walk, n_oracle
 from bipcorr.walks import (
+    _classes,
     _double_family_profiles,
     _edge,
     _essential_profiles,
     _gray_facts,
+    _k_vertex,
     _leaf,
-    _leaf_slots,
     _marked_walk_profiles,
     _minimal_closings,
     _minimal_pairs,
+    _orbits,
     _profile_weigher,
     _root_tree_walks,
     _single_family_profiles,
-    _slots,
     _tree_pairs,
     vertex_part,
 )
@@ -36,7 +38,9 @@ from conftest import CONTEXT_IDS, ORACLE_TABLES, context
 # The reference.  The unpruned enumeration defines minimality: it walks every
 # minimal pair, trees or not, in the order the oracle's pruned generators
 # keep.  ``skeleton`` reads a pair from scratch, as the oracle's ``_leaf``
-# facts must.  A pair is a (gray, blue) tuple of walks.
+# facts must, and ``pair_slots`` sorts a walked pair into its family slots; the
+# counted censuses must equal the walked ones.  A pair is a (gray, blue)
+# tuple of walks.
 
 
 def _extend(walk: list, n1: int, n2: int, remaining: int, root):
@@ -193,16 +197,105 @@ def skeleton(gray: tuple, blue: tuple) -> Skeleton:
     return Skeleton(edges, profile, c, is_tree)
 
 
-def memberships(gray: tuple, blue: tuple, sk: Skeleton) -> list:
-    """The family slots of a tree pair, with every fact ``_slots`` reads taken from ``sk``."""
+def pair_slots(
+    gray: tuple, blue: tuple, r_g: int, r_b: int, c: int, on_cut: bool, in_upper: bool
+) -> list:
+    """All (tag, component, r_g, r_b) family slots a tree-skeleton pair fills.
+
+    ``c`` counts the shared edges, ``on_cut`` says whether the blue walk
+    crosses the first gray edge (r, v), and ``in_upper`` whether the blue
+    root lies on the v side of that edge; the last two are read only when
+    the gray walk is not empty.
+    """
     r = gray[0]
-    on_cut, in_upper = 0, False
+    roots_equal = blue[0] == r
+    shared = c > 0
+    tags = []
+    if roots_equal:
+        tags.append(fam.EQ_ANYC)
+        if shared:
+            tags.append(fam.EQ_C)
+    else:
+        if shared:
+            tags.append(fam.NEQ_C)
+        if r in blue:
+            tags.append(fam.NEQ_ANYC_S)
+            if len(gray) == 1:
+                tags.append(fam.NEQ_ANYC_SN)
+
+    if len(gray) > 1:
+        if fam.EQ_C in tags:
+            tags.append(fam.EQ_C_R if on_cut else fam.EQ_C_G)
+        if fam.NEQ_ANYC_S in tags and not on_cut:
+            tags.append(fam.NEQ_ANYC_SGD)
+        if fam.NEQ_C in tags:
+            if on_cut:
+                tags.append(fam.NEQ_C_R)
+                tags.append(fam.NEQ_C_RU if in_upper else fam.NEQ_C_RD)
+            else:
+                tags.append(fam.NEQ_C_G)
+                tags.append(fam.NEQ_C_GU if in_upper else fam.NEQ_C_GD)
+    component = vertex_part(r)
+    return [(tag, component, r_g, r_b) for tag in tags]
+
+
+def memberships(gray: tuple, blue: tuple, sk: Skeleton) -> list:
+    """The family slots of a tree pair, with every fact ``pair_slots`` reads taken from ``sk``."""
+    r = gray[0]
+    on_cut, in_upper = False, False
     if len(gray) > 1:
         cut = _edge(r, gray[1])
-        on_cut = sk.edges[cut][1]
+        on_cut = sk.edges[cut][1] > 0
         in_upper = blue[0] in _reach(gray[1], sk.edges, cut)
     r_g, r_b = gray[:-1].count(r), blue[:-1].count(r)
-    return _slots(gray, blue, r_g, r_b, sk.c, on_cut, in_upper)
+    return pair_slots(gray, blue, r_g, r_b, sk.c, on_cut, in_upper)
+
+
+class GrayFacts(NamedTuple):
+    """Facts of one gray walk, read once for every blue walk grown on it."""
+
+    vertices: frozenset
+    r_g: int  # departures from the root r
+    cut: Optional[tuple]  # the first edge (r, v); None for the empty walk
+    upper: frozenset  # vertices on the v side of the cut
+
+
+def gray_facts(walk: tuple) -> GrayFacts:
+    r = walk[0]
+    cut, upper = None, frozenset()
+    if len(walk) > 1:
+        cut = _edge(r, walk[1])
+        upper = frozenset(_reach(walk[1], {_edge(a, b) for a, b in zip(walk, walk[1:])}, cut))
+    return GrayFacts(frozenset(walk), walk[:-1].count(r), cut, upper)
+
+
+def walked_slots(gray: tuple, facts: GrayFacts, blue: tuple, c: int) -> list:
+    """The family slots of a grown tree pair with ``c`` shared edges.
+
+    A fresh blue root lies on the side of the first gray vertex its walk meets.
+    """
+    on_cut = any(_edge(a, b) == facts.cut for a, b in zip(blue, blue[1:]))
+    meet = next(x for x in blue if x in facts.vertices)
+    r_b = blue[:-1].count(gray[0])
+    return pair_slots(gray, blue, facts.r_g, r_b, c, on_cut, meet in facts.upper)
+
+
+def walked_census(pairs) -> dict:
+    """Slot -> sorted ((profile, count), ...) over grown tree ``pairs``, by ``walked_slots``."""
+    buckets: dict = {}
+    last = facts = None
+    for gray, blue, n1, n2 in pairs:
+        if gray is not last:
+            last, facts = gray, gray_facts(gray.walk)
+        profile, c = _leaf(gray, blue, n1, n2)
+        for slot in walked_slots(gray.walk, facts, blue, c):
+            bucket = buckets.setdefault(slot, {})
+            bucket[profile] = bucket.get(profile, 0) + 1
+    return _sorted_buckets(buckets)
+
+
+def _sorted_buckets(buckets: dict) -> dict:
+    return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(buckets.items())}
 
 
 def walk_weight(gray: tuple, blue: tuple, params, moments) -> F:
@@ -360,26 +453,25 @@ class TestTreePruning:
 
 
 class TestLeafProfiles:
-    """The sums' leaf-built facts against the reference ``skeleton`` and ``memberships``."""
+    """Leaf facts and the walked slot rule against ``skeleton`` and ``memberships``."""
 
     @pytest.mark.parametrize("total", range(0, 11, 2))
     def test_pairs_equal_skeleton(self, total):
         for k in range(0, total + 1, 2):
             for gray, blue, n1, n2 in _tree_pairs(k, total - k):
                 sk = skeleton(gray.walk, blue)
-                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
+                profile, c = _leaf(gray, blue, n1, n2)
                 assert (profile, c) == (sk.profile, sk.c), format_pair((gray.walk, blue))
-                assert _leaf_slots(gray, blue, c, on_cut, r_b) == memberships(gray.walk, blue, sk)
+                facts = gray_facts(gray.walk)
+                assert walked_slots(gray.walk, facts, blue, c) == memberships(gray.walk, blue, sk)
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_single_walks_equal_skeleton(self, l):
         for component in (1, 2):
             for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
-                gray = _gray_facts(walk)
                 sk = skeleton(walk, (walk[0],))
-                profile, c, _, _ = _leaf(gray, (walk[0],), n1, n2)
+                profile, c = _leaf(_gray_facts(walk), (walk[0],), n1, n2)
                 assert (profile, c) == (sk.profile, sk.c), format_walk(walk)
-                assert gray.r_g == walk[:-1].count(walk[0])
 
     @pytest.mark.parametrize(
         "gray, blue",
@@ -390,34 +482,6 @@ class TestLeafProfiles:
         # The O(1) tree guard must hold under python -O too.
         with pytest.raises(ValueError, match="non-tree skeleton"):
             _leaf(_gray_facts(parse_walk(gray)), parse_walk(blue), 2, 2)
-
-    def test_sums_walk_each_pair_once(self, monkeypatch):
-        # Pairs of two nonempty walks are walked by the family census alone,
-        # once per (l_g, l_b) and from gray root part 1 only; the coefficient
-        # census is read from it.
-        walked = []
-        tree_pairs_at = walks._tree_pairs_at
-
-        def spy(*args):
-            walked.append(args)
-            return tree_pairs_at(*args)
-
-        monkeypatch.setattr(walks, "_tree_pairs_at", spy)
-        for cached in (
-            walks._essential_profiles,
-            walks._double_family_profiles,
-            walks._single_family_profiles,
-            walks._marked_walk_profiles,
-            walks._single_walk_censuses,
-            walks._profile_weigher,
-        ):
-            cached.cache_clear()
-        params, moments = context(3)
-        mismatches, lines = cli.run_crosscheck(
-            CoefficientEngine(params, moments), max_total=6, family_total=3
-        )
-        assert mismatches == [] and lines[-1] == "OK"
-        assert walked == [(1, 2, 2), (1, 2, 4), (1, 4, 2)]
 
 
 class TestEssentialCensus:
@@ -430,35 +494,22 @@ class TestEssentialCensus:
             m = total - k
             essential = Counter()
             for gray, blue, n1, n2 in _tree_pairs(k, m):
-                profile, c, _, _ = _leaf(gray, blue, n1, n2)
+                profile, c = _leaf(gray, blue, n1, n2)
                 if c > 0:
                     essential[profile] += 1
             assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
 
 
-def _sorted_buckets(buckets: dict) -> dict:
-    return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(buckets.items())}
-
-
 class TestPartMirror:
-    """The censuses, walked on gray root part 1 and mirrored, against walking both parts."""
+    """The censuses, counted on gray root part 1 and mirrored, against walking both parts."""
 
-    @pytest.mark.parametrize("total", range(0, 11))
+    @pytest.mark.parametrize("total", range(0, 13))
     def test_double_censuses_equal_both_parts(self, total):
-        for k in range(0, total + 1):
+        for k in range(0, total + 1, 2):
             m = total - k
-            essential, buckets = {}, {}
-            for gray, blue, n1, n2 in _tree_pairs(k, m):
-                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
-                if c > 0:
-                    essential[profile] = essential.get(profile, 0) + 1
-                for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
-                    bucket = buckets.setdefault(slot, {})
-                    bucket[profile] = bucket.get(profile, 0) + 1
-            assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
-            if k % 2 == 0 and m % 2 == 0:
+            if m % 2 == 0:
                 got = _double_family_profiles(k // 2, m // 2)
-                want = _sorted_buckets(buckets)
+                want = walked_census(_tree_pairs(k, m))
                 # Equal dicts may differ in order; the slots must come sorted.
                 assert list(got.items()) == list(want.items()), (k, m)
 
@@ -467,9 +518,8 @@ class TestPartMirror:
             buckets = {}
             for component in (1, 2):
                 for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
-                    gray = _gray_facts(walk)
-                    profile, _, _, _ = _leaf(gray, (walk[0],), n1, n2)
-                    bucket = buckets.setdefault((component, gray.r_g), {})
+                    profile, _ = _leaf(_gray_facts(walk), (walk[0],), n1, n2)
+                    bucket = buckets.setdefault((component, walk[:-1].count(walk[0])), {})
                     bucket[profile] = bucket.get(profile, 0) + 1
             want = _sorted_buckets(buckets)
             assert list(_single_family_profiles(l).items()) == list(want.items()), l
@@ -480,13 +530,7 @@ class TestPartMirror:
         # pairs are walked over both gray root parts, to l = 6 as verify reads.
         walked = {}
         for k, m in ((0, 2 * l), (2 * l, 0)):
-            buckets = {}
-            for gray, blue, n1, n2 in _tree_pairs(k, m):
-                profile, c, on_cut, r_b = _leaf(gray, blue, n1, n2)
-                for slot in _leaf_slots(gray, blue, c, on_cut, r_b):
-                    bucket = buckets.setdefault(slot, {})
-                    bucket[profile] = bucket.get(profile, 0) + 1
-            walked[k] = _sorted_buckets(buckets)
+            walked[k] = walked_census(_tree_pairs(k, m))
             got = _double_family_profiles(k // 2, m // 2)
             assert list(got.items()) == list(walked[k].items()), (k, m)
         marked = {
@@ -499,15 +543,111 @@ class TestPartMirror:
     def test_part_asymmetric_coefficient(self):
         # alpha = 1/3 weighs the two parts differently, so a mirror that kept
         # the vertex counts unswapped would change the value.
-        params, moments = context(2)
+        params, moments = context(2, 6)
         assert params.alpha == F(1, 3)
-        for k, m in ((2, 4), (4, 4)):
+        for k, m in ((2, 4), (4, 4), (4, 6), (6, 6)):
             want = sum(
                 walk_weight(gray.walk, blue, params, moments)
                 for gray, blue, _, _ in _tree_pairs(k, m)
                 if skeleton(gray.walk, blue).c > 0
             )
             assert n_oracle(k, m, params, moments) == want, (k, m)
+
+
+def labelled_tree(tree) -> dict:
+    """Edge (parent, child) -> gray crossings each way on a labelled tree of ``tree``; root 0."""
+    edges: dict = {}
+
+    def grow(w, below):
+        for g, _, child in below.branches:
+            y = len(edges) + 1
+            edges[(w, y)] = g
+            grow(y, child)
+
+    grow(0, tree)
+    return edges
+
+
+def closed_walks(edges: dict, x: int) -> int:
+    """The closed walks from ``x`` crossing each edge (a, b) edges[(a, b)] times each way."""
+    left = {}
+    for (a, b), m in edges.items():
+        left[(a, b)] = left[(b, a)] = m
+
+    def count(at, steps):
+        if steps == 0:
+            return int(at == x)
+        total = 0
+        for (a, b), m in left.items():
+            if a == at and m:
+                left[(a, b)] -= 1
+                total += count(b, steps - 1)
+                left[(a, b)] += 1
+        return total
+
+    return count(x, sum(left.values()))
+
+
+def automorphisms(edges: dict) -> int:
+    """The relabelings of the non-root vertices that keep every labelled edge, by brute force."""
+    others = sorted({y for _, y in edges})
+    keyed = {frozenset(edge): m for edge, m in edges.items()}
+    count = 0
+    for image in permutations(others):
+        relabel = {0: 0, **dict(zip(others, image))}
+        count += all(
+            keyed.get(frozenset((relabel[a], relabel[b]))) == m for (a, b), m in edges.items()
+        )
+    return count
+
+
+class TestTreeClasses:
+    """The counted censuses' parts: W(x), |Aut| and the orbit division, against brute force."""
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_walk_count_formula(self, l):
+        # Every class of total multiplicity l is a tree with crossings m_e;
+        # W(x) = K d_x from every start vertex x, not only the root.
+        for tree in _classes(l, 0):
+            edges = labelled_tree(tree)
+            k = F(tree.num * _k_vertex(tree.d_g), tree.den)
+            for x in {0, *(y for _, y in edges)}:
+                d_x = sum(m for edge, m in edges.items() if x in edge)
+                assert closed_walks(edges, x) == k * d_x, (tree.branches, x)
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_automorphism_count(self, l):
+        for tree in _classes(l, 0):
+            assert tree.aut == automorphisms(labelled_tree(tree)), tree.branches
+
+    def test_orbit_division_checked(self):
+        # The remainder check must hold under python -O too.
+        tree = next(tree for tree in _classes(1, 1) if tree.shared)  # one edge, g = b = 1
+        assert _orbits(tree, 1) == 1
+        with pytest.raises(ValueError, match="not a multiple"):
+            _orbits(tree._replace(aut=2), 1)
+
+    def test_sums_walk_no_pair(self, monkeypatch):
+        # The censuses count by tree class; neither pairs nor single walks are
+        # walked, for coefficients and families alike.
+        walked = []
+        for name in ("_tree_pairs_at", "_root_tree_walks"):
+            real = getattr(walks, name)
+
+            def spy(*args, real=real, name=name):
+                walked.append((name, args))
+                return real(*args)
+
+            monkeypatch.setattr(walks, name, spy)
+        for value in vars(walks).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        params, moments = context(3)
+        mismatches, lines = cli.run_crosscheck(
+            CoefficientEngine(params, moments), max_total=6, family_total=3
+        )
+        assert mismatches == [] and lines[-1] == "OK"
+        assert walked == []
 
 
 class TestSkeleton:
@@ -517,13 +657,13 @@ class TestSkeleton:
         sk = skeleton(*parse_pair("1:1 2:1 1:1 | 1:1 2:1 1:1"))
         assert sk.edges == {(-1, 1): [2, 2]}
         assert (sk.profile, sk.c, sk.is_tree) == ((1, 1, (4,)), 1, True)
-        _, _, (profile, c, on_cut, r_b) = leaf_of("1:1 2:1 1:1", "1:1 2:1 1:1")
-        assert (profile, c, on_cut, r_b) == ((1, 1, (4,)), 1, 2, 1)
+        _, _, (profile, c) = leaf_of("1:1 2:1 1:1", "1:1 2:1 1:1")
+        assert (profile, c) == ((1, 1, (4,)), 1)
 
     def test_tree_without_shared_edge(self):
         sk = skeleton(*parse_pair("1:1 2:1 1:1 | 2:1 1:2 2:1"))
         assert sk.is_tree and sk.c == 0
-        _, _, (profile, c, _, _) = leaf_of("1:1 2:1 1:1", "2:1 1:2 2:1")
+        _, _, (profile, c) = leaf_of("1:1 2:1 1:1", "2:1 1:2 2:1")
         assert (profile, c) == ((2, 1, (2, 2)), 0)
 
     def test_disjoint_blue_not_tree(self):
@@ -542,7 +682,7 @@ class TestSkeleton:
 
     def test_essential_pairs_have_even_edge_totals(self):
         for gray, blue, n1, n2 in _tree_pairs(4, 4):
-            (_, _, totals), c, _, _ = _leaf(gray, blue, n1, n2)
+            (_, _, totals), c = _leaf(gray, blue, n1, n2)
             if c > 0:
                 assert all(t % 2 == 0 for t in totals)
 
@@ -552,7 +692,7 @@ class TestWeights:
 
     def weight(self, index, gray, blue):
         params, moments = context(index)
-        _, _, (profile, _, _, _) = leaf_of(gray, blue)
+        _, _, (profile, _) = leaf_of(gray, blue)
         return _profile_weigher(params, moments)(profile)
 
     def test_single_shared_edge(self):
@@ -673,13 +813,14 @@ class TestFamilies:
         # Gray of half-length 2 rooted at 1:1, blue of half-length 3 rooted at
         # a fresh part-2 vertex; they share the edge (1:1, 2:1) and the blue
         # root sits on the r side of the first gray edge.
-        gray, blue, (_, c, on_cut, r_b) = leaf_of(
+        gray, blue, (profile, c) = leaf_of(
             "1:1 2:1 1:1 2:2 1:1", "2:3 1:2 2:3 1:1 2:1 1:1 2:3"
         )
         assert c > 0
-        slots = _leaf_slots(gray, blue, c, on_cut, r_b)
+        slots = walked_slots(gray.walk, gray_facts(gray.walk), blue, c)
         for tag in (fam.NEQ_C, fam.NEQ_ANYC_S, fam.NEQ_C_R, fam.NEQ_C_RD):
             assert (tag, 1, 2, 2) in slots
+            assert profile in dict(_double_family_profiles(2, 3)[(tag, 1, 2, 2)])
         for tag in (fam.NEQ_C_RU, fam.NEQ_C_G, fam.EQ_C, fam.NEQ_ANYC_SGD):
             assert (tag, 1, 2, 2) not in slots
 

@@ -186,21 +186,35 @@ ROWS = (
         "    if False:\n",
         "tests/test_walks.py::TestLeafProfiles::test_cyclic_pair_rejected",
     ),
-    # Oracle: the census of single walks with a marked vertex, which gives
-    # the pairs with an empty gray walk.
+    # Oracle: the count by tree class, W(x) = K d_x divided by |Aut|, with
+    # the blue roots summed by side of the first gray edge.
     Mutant(
-        "marked-census-counts-root",
+        "orbits-not-divided-by-aut",
         ORACLE,
-        "r_g = departures.pop(root, 0)",
-        "r_g = departures.get(root, 0)",
-        f"{MIRROR}::test_empty_walk_censuses_equal_walked_pairs",
+        "tree.den * tree.aut",
+        "tree.den",
+        f"{MIRROR}::test_double_censuses_equal_both_parts",
     ),
     Mutant(
-        "mirror-replaces-counts",
+        "blue-walks-not-by-root-degree",
         ORACLE,
-        "merged[profile] = merged.get(profile, 0) + count",
-        "merged[profile] = count",
-        f"{MIRROR}::test_empty_walk_censuses_equal_walked_pairs",
+        '(("eq", r_b), ("up", upper),',
+        '(("eq", 1), ("up", upper),',
+        f"{MIRROR}::test_double_censuses_equal_both_parts",
+    ),
+    Mutant(
+        "vertex-factor-d-factorial",
+        ORACLE,
+        "return factorial(d - 1) if d else 1",
+        "return factorial(d) if d else 1",
+        "tests/test_walks.py::TestTreeClasses::test_walk_count_formula",
+    ),
+    Mutant(
+        "upper-and-down-swapped",
+        ORACLE,
+        '("up", upper), ("down", 2 * l_b - r_b - upper)',
+        '("up", 2 * l_b - r_b - upper), ("down", upper)',
+        f"{MIRROR}::test_double_censuses_equal_both_parts",
     ),
     # Oracle: the coefficient census is the EQ_C and NEQ_C buckets of the
     # family census, and --dump lists the pairs that share an edge.
