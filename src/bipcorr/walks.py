@@ -186,38 +186,31 @@ def _root_tree_walks(root_component: int, length: int, edges: set) -> Iterator:
 
 
 def _tree_pairs(k: int, m: int) -> Iterator:
-    """Yield (gray facts, blue walk, n1, n2) for each minimal tree pair at lengths (k, m).
+    """Yield (gray walk, its edge counts, blue walk, n1, n2) for each minimal tree pair.
 
     The gray root ranges over both parts; blue roots over used vertices first
     (part 1 ascending, then part 2 ascending), then a fresh vertex in part 1,
-    then a fresh vertex in part 2.
-    """
-    yield from _tree_pairs_at(1, k, m)
-    yield from _tree_pairs_at(2, k, m)
-
-
-def _tree_pairs_at(root_component: int, k: int, m: int) -> Iterator:
-    """``_tree_pairs`` restricted to gray walks rooted in ``root_component``.
-
-    ``n1``/``n2`` are the labels the pair uses in each part, so its skeleton
-    has n1 + n2 vertices.  The ``_Gray`` facts are built once per gray walk
-    and shared by every blue walk grown on it.
+    then a fresh vertex in part 2.  ``n1``/``n2`` are the labels the pair uses
+    in each part, so its skeleton has n1 + n2 vertices.  The gray edge counts
+    (edge -> traversals) are built once per gray walk and shared by every blue
+    walk grown on it.
     """
     if k < 0 or m < 0:
         raise ValueError("walk lengths must be >= 0")
     # While a gray walk is yielded, ``edges`` holds exactly its edges; each
     # blue extension restores them when it is exhausted.
     edges: set = set()
-    for walk, g1, g2 in _root_tree_walks(root_component, k, edges):
-        gray = _gray_facts(walk)
-        for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
-            for blue, n1, n2 in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
-                yield gray, blue, n1, n2
-        bounds = (g1, g2)
-        for blue, n1, n2 in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
-            yield gray, blue, n1, n2
-        for blue, n1, n2 in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
-            yield gray, blue, n1, n2
+    for root_component in (1, 2):
+        for gray, g1, g2 in _root_tree_walks(root_component, k, edges):
+            counts = _add_steps({}, gray)
+            for blue_root in (*range(1, g1 + 1), *range(-1, -g2 - 1, -1)):
+                for blue, n1, n2 in _extend_tree([blue_root], g1, g2, m, blue_root, edges, None):
+                    yield gray, counts, blue, n1, n2
+            bounds = (g1, g2)
+            for blue, n1, n2 in _extend_tree([g1 + 1], g1 + 1, g2, m, g1 + 1, edges, bounds):
+                yield gray, counts, blue, n1, n2
+            for blue, n1, n2 in _extend_tree([-(g2 + 1)], g1, g2 + 1, m, -(g2 + 1), edges, bounds):
+                yield gray, counts, blue, n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +259,22 @@ def _add_steps(counts: dict, walk: ClosedWalk) -> dict:
     return counts
 
 
-class _Gray(NamedTuple):
-    """Facts of one tree gray walk, shared by every pair grown on it."""
-
-    walk: ClosedWalk
-    counts: dict  # edge -> traversals
-
-
-def _gray_facts(walk: ClosedWalk) -> _Gray:
-    return _Gray(walk, _add_steps({}, walk))
-
-
-def _leaf(gray: _Gray, blue: ClosedWalk, n1: int, n2: int):
+def _leaf(gray: ClosedWalk, gray_counts: dict, blue: ClosedWalk, n1: int, n2: int):
     """(profile, c) of a grown pair: vertex counts and sorted edge totals, and shared edges.
 
-    The pair uses ``n1``/``n2`` labels.  Each walk is connected and the two
-    share a vertex, so the skeleton is a tree exactly when it has one vertex
-    more than it has edges; anything else raises ``ValueError``.
+    ``gray_counts`` holds the gray walk's edge traversals, as ``_add_steps``
+    gives them, and the pair uses ``n1``/``n2`` labels.  Each walk is
+    connected and the two share a vertex, so the skeleton is a tree exactly
+    when it has one vertex more than it has edges; anything else raises
+    ``ValueError``.
     """
-    counts = _add_steps(dict(gray.counts), blue)
+    counts = _add_steps(dict(gray_counts), blue)
     if n1 + n2 != len(counts) + 1:
         raise ValueError(
-            f"walk pair has a non-tree skeleton: {format_walk(gray.walk)} | {format_walk(blue)}"
+            f"walk pair has a non-tree skeleton: {format_walk(gray)} | {format_walk(blue)}"
         )
     # The blue walk's own skeleton is a subtree: one edge fewer than vertices.
-    c = len(gray.counts) + len(set(blue)) - 1 - len(counts)
+    c = len(gray_counts) + len(set(blue)) - 1 - len(counts)
     return (n1, n2, tuple(sorted(counts.values()))), c
 
 
@@ -384,9 +368,9 @@ def _essential_profiles(k: int, m: int):
 def essential_pair_lines(k: int, m: int) -> list:
     """The essential pairs at lengths (k, m) as "gray | blue" text, in enumeration order."""
     return [
-        f"{format_walk(gray.walk)} | {format_walk(blue)}"
-        for gray, blue, n1, n2 in _tree_pairs(k, m)
-        if _leaf(gray, blue, n1, n2)[1] > 0
+        f"{format_walk(gray)} | {format_walk(blue)}"
+        for gray, counts, blue, n1, n2 in _tree_pairs(k, m)
+        if _leaf(gray, counts, blue, n1, n2)[1] > 0
     ]
 
 

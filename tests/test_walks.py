@@ -15,9 +15,9 @@ from bipcorr.walks import census, essential_pair_lines, family_total_weight, for
 from bipcorr.walks import (
     _classes,
     _double_family_profiles,
+    _add_steps,
     _edge,
     _essential_profiles,
-    _gray_facts,
     _k_vertex,
     _leaf,
     _marked_walk_profiles,
@@ -284,11 +284,11 @@ def walked_census(pairs) -> dict:
     """Slot -> sorted ((profile, count), ...) over grown tree ``pairs``, by ``walked_slots``."""
     buckets: dict = {}
     last = facts = None
-    for gray, blue, n1, n2 in pairs:
+    for gray, counts, blue, n1, n2 in pairs:
         if gray is not last:
-            last, facts = gray, gray_facts(gray.walk)
-        profile, c = _leaf(gray, blue, n1, n2)
-        for slot in walked_slots(gray.walk, facts, blue, c):
+            last, facts = gray, gray_facts(gray)
+        profile, c = _leaf(gray, counts, blue, n1, n2)
+        for slot in walked_slots(gray, facts, blue, c):
             bucket = buckets.setdefault(slot, {})
             bucket[profile] = bucket.get(profile, 0) + 1
     return _sorted_buckets(buckets)
@@ -307,13 +307,17 @@ def walk_weight(gray: tuple, blue: tuple, params, moments) -> F:
     return weight
 
 
+def leaf(gray: tuple, blue: tuple, n1: int, n2: int) -> tuple:
+    """``_leaf`` facts of a pair, with the gray edge counts built from the walk."""
+    return _leaf(gray, _add_steps({}, gray), blue, n1, n2)
+
+
 def leaf_of(gray_text: str, blue_text: str) -> tuple:
-    """(gray facts, blue walk, ``_leaf`` facts) of a pair written as text."""
+    """(gray walk, blue walk, ``_leaf`` facts) of a pair written as text."""
     gray, blue = parse_walk(gray_text), parse_walk(blue_text)
     vertices = set(gray) | set(blue)
     n1, n2 = sum(1 for v in vertices if v > 0), sum(1 for v in vertices if v < 0)
-    facts = _gray_facts(gray)
-    return facts, blue, _leaf(facts, blue, n1, n2)
+    return gray, blue, leaf(gray, blue, n1, n2)
 
 
 class TestText:
@@ -379,7 +383,7 @@ class TestTreePruning:
         for k in range(0, total + 1):
             m = total - k
             want = [pair for pair in iter_minimal_double_walks(k, m) if skeleton(*pair).is_tree]
-            assert [(gray.walk, blue) for gray, blue, _, _ in _tree_pairs(k, m)] == want, (k, m)
+            assert [(gray, blue) for gray, _, blue, _, _ in _tree_pairs(k, m)] == want, (k, m)
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_single_walks_equal_filtered_enumeration(self, l):
@@ -458,19 +462,19 @@ class TestLeafProfiles:
     @pytest.mark.parametrize("total", range(0, 11, 2))
     def test_pairs_equal_skeleton(self, total):
         for k in range(0, total + 1, 2):
-            for gray, blue, n1, n2 in _tree_pairs(k, total - k):
-                sk = skeleton(gray.walk, blue)
-                profile, c = _leaf(gray, blue, n1, n2)
-                assert (profile, c) == (sk.profile, sk.c), format_pair((gray.walk, blue))
-                facts = gray_facts(gray.walk)
-                assert walked_slots(gray.walk, facts, blue, c) == memberships(gray.walk, blue, sk)
+            for gray, counts, blue, n1, n2 in _tree_pairs(k, total - k):
+                sk = skeleton(gray, blue)
+                profile, c = _leaf(gray, counts, blue, n1, n2)
+                assert (profile, c) == (sk.profile, sk.c), format_pair((gray, blue))
+                facts = gray_facts(gray)
+                assert walked_slots(gray, facts, blue, c) == memberships(gray, blue, sk)
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_single_walks_equal_skeleton(self, l):
         for component in (1, 2):
             for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
                 sk = skeleton(walk, (walk[0],))
-                profile, c = _leaf(_gray_facts(walk), (walk[0],), n1, n2)
+                profile, c = leaf(walk, (walk[0],), n1, n2)
                 assert (profile, c) == (sk.profile, sk.c), format_walk(walk)
 
     @pytest.mark.parametrize(
@@ -481,7 +485,7 @@ class TestLeafProfiles:
     def test_cyclic_pair_rejected(self, gray, blue):
         # The O(1) tree guard must hold under python -O too.
         with pytest.raises(ValueError, match="non-tree skeleton"):
-            _leaf(_gray_facts(parse_walk(gray)), parse_walk(blue), 2, 2)
+            leaf(parse_walk(gray), parse_walk(blue), 2, 2)
 
 
 class TestEssentialCensus:
@@ -493,8 +497,8 @@ class TestEssentialCensus:
         for k in range(0, total + 1, 2):
             m = total - k
             essential = Counter()
-            for gray, blue, n1, n2 in _tree_pairs(k, m):
-                profile, c = _leaf(gray, blue, n1, n2)
+            for gray, counts, blue, n1, n2 in _tree_pairs(k, m):
+                profile, c = _leaf(gray, counts, blue, n1, n2)
                 if c > 0:
                     essential[profile] += 1
             assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
@@ -505,11 +509,20 @@ class TestPartMirror:
 
     @pytest.mark.parametrize("total", range(0, 13))
     def test_double_censuses_equal_both_parts(self, total):
-        for k in range(0, total + 1, 2):
+        # Every split, odd lengths included: there no pair is walked, and the
+        # essential census must come out empty too.
+        for k in range(0, total + 1):
             m = total - k
-            if m % 2 == 0:
+            pairs = list(_tree_pairs(k, m))
+            essential = Counter()
+            for gray, counts, blue, n1, n2 in pairs:
+                profile, c = _leaf(gray, counts, blue, n1, n2)
+                if c > 0:
+                    essential[profile] += 1
+            assert _essential_profiles(k, m) == tuple(sorted(essential.items())), (k, m)
+            if k % 2 == 0 and m % 2 == 0:
                 got = _double_family_profiles(k // 2, m // 2)
-                want = walked_census(_tree_pairs(k, m))
+                want = walked_census(pairs)
                 # Equal dicts may differ in order; the slots must come sorted.
                 assert list(got.items()) == list(want.items()), (k, m)
 
@@ -518,7 +531,7 @@ class TestPartMirror:
             buckets = {}
             for component in (1, 2):
                 for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
-                    profile, _ = _leaf(_gray_facts(walk), (walk[0],), n1, n2)
+                    profile, _ = leaf(walk, (walk[0],), n1, n2)
                     bucket = buckets.setdefault((component, walk[:-1].count(walk[0])), {})
                     bucket[profile] = bucket.get(profile, 0) + 1
             want = _sorted_buckets(buckets)
@@ -547,9 +560,9 @@ class TestPartMirror:
         assert params.alpha == F(1, 3)
         for k, m in ((2, 4), (4, 4), (4, 6), (6, 6)):
             want = sum(
-                walk_weight(gray.walk, blue, params, moments)
-                for gray, blue, _, _ in _tree_pairs(k, m)
-                if skeleton(gray.walk, blue).c > 0
+                walk_weight(gray, blue, params, moments)
+                for gray, _, blue, _, _ in _tree_pairs(k, m)
+                if skeleton(gray, blue).c > 0
             )
             assert n_oracle(k, m, params, moments) == want, (k, m)
 
@@ -631,7 +644,7 @@ class TestTreeClasses:
         # The censuses count by tree class; neither pairs nor single walks are
         # walked, for coefficients and families alike.
         walked = []
-        for name in ("_tree_pairs_at", "_root_tree_walks"):
+        for name in ("_tree_pairs", "_root_tree_walks"):
             real = getattr(walks, name)
 
             def spy(*args, real=real, name=name):
@@ -681,8 +694,8 @@ class TestSkeleton:
         assert len(sk.edges) == 4 and not sk.is_tree
 
     def test_essential_pairs_have_even_edge_totals(self):
-        for gray, blue, n1, n2 in _tree_pairs(4, 4):
-            (_, _, totals), c = _leaf(gray, blue, n1, n2)
+        for gray, counts, blue, n1, n2 in _tree_pairs(4, 4):
+            (_, _, totals), c = _leaf(gray, counts, blue, n1, n2)
             if c > 0:
                 assert all(t % 2 == 0 for t in totals)
 
@@ -817,7 +830,7 @@ class TestFamilies:
             "1:1 2:1 1:1 2:2 1:1", "2:3 1:2 2:3 1:1 2:1 1:1 2:3"
         )
         assert c > 0
-        slots = walked_slots(gray.walk, gray_facts(gray.walk), blue, c)
+        slots = walked_slots(gray, gray_facts(gray), blue, c)
         for tag in (fam.NEQ_C, fam.NEQ_ANYC_S, fam.NEQ_C_R, fam.NEQ_C_RD):
             assert (tag, 1, 2, 2) in slots
             assert profile in dict(_double_family_profiles(2, 3)[(tag, 1, 2, 2)])

@@ -226,10 +226,17 @@ ROWS = (
         "tests/test_walks.py::TestEssentialCensus::test_equals_walked_essential_pairs",
     ),
     Mutant(
+        "essential-census-keeps-odd-lengths",
+        ORACLE,
+        "if k < 1 or m < 1 or k % 2 != 0 or m % 2 != 0:",
+        "if k < 1 or m < 1:",
+        f"{MIRROR}::test_double_censuses_equal_both_parts",
+    ),
+    Mutant(
         "dump-keeps-unshared-pairs",
         ORACLE,
-        "if _leaf(gray, blue, n1, n2)[1] > 0",
-        "if _leaf(gray, blue, n1, n2)[1] >= 0",
+        "if _leaf(gray, counts, blue, n1, n2)[1] > 0",
+        "if _leaf(gray, counts, blue, n1, n2)[1] >= 0",
         "tests/test_walks.py::TestTreePruning::test_oracle_dump_bytes_frozen",
     ),
     # Sampler: the Gram matrix of the columns from pairs of entries in one
