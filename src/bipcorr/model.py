@@ -64,6 +64,14 @@ class ModelParams:
     alpha: Scalar
     p: Scalar
 
+    def __post_init__(self):
+        # Hashing two Fractions is slow, and caches keyed by the context
+        # hash it on every lookup; ``MomentSequence`` does the same.
+        object.__setattr__(self, "_hash", hash((self.alpha, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def alpha1(self) -> Scalar:
         return self.alpha

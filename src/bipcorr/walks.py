@@ -33,6 +33,17 @@ one of the stored even moments.  A pair is *essential* when its skeleton is a
 tree and at least one edge is used by both walks; n_{k,m} is the weight sum
 over essential pairs of half-lengths (k/2, m/2), and vanishes for odd k or m.
 
+Weighing
+--------
+The oracle picks its own scale, so that it weighs in integers.  With q the
+lcm of the denominators of alpha1 and alpha2, and c the numerator of p times
+the lcm of the moment denominators, a profile of total half-length
+L = sum_e f_e has at most L + 1 vertices and edge factors V_{2f}/p^(f-1), so
+its weight times D_L = q^(L+1) c^L is an integer.  Each profile is weighed
+once per context as that integer; the product is checked to be integral,
+also under ``python -O``, and a remainder raises ``ValueError``.  A family
+sums count * integer over its profiles and builds one Fraction, sum / D_L.
+
 The censuses count pairs by tree class (below) without walking them.  Only
 ``oracle --dump`` walks the essential pairs, depth-first, visiting existing
 labels in increasing order before a new one; a step that would close a
@@ -101,7 +112,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, NamedTuple, Optional
 
 from . import families as fam
@@ -221,28 +232,52 @@ def _edge(a: Vertex, b: Vertex):
     return (a, b) if a < b else (b, a)
 
 
+def _scale_base(params: ModelParams, moments: MomentSequence) -> tuple:
+    """(q, c) of the scale D_L = q^(L+1) c^L (see "Weighing")."""
+    q = lcm(Fraction(params.alpha1).denominator, Fraction(params.alpha2).denominator)
+    return q, Fraction(params.p).numerator * lcm(*(v.denominator for v in moments.values))
+
+
 @lru_cache(maxsize=None)
-def _profile_weigher(params: ModelParams, moments: MomentSequence):
-    """The profile -> weight function of one context, weighing each profile once."""
+def _profile_weigher(params: ModelParams, moments: MomentSequence) -> tuple:
+    """(weight, scale) of one context, weighing each profile once.
+
+    ``scale(L)`` is D_L and ``weight(profile, L)`` the profile's weight times
+    D_L, an int; a profile whose edge totals are not 2L, or whose scaled
+    weight is not an integer, raises ``ValueError``.
+    """
+    q, c = _scale_base(params, moments)
+
+    def scale(half_length: int) -> int:
+        return q ** (half_length + 1) * c**half_length
 
     @lru_cache(maxsize=None)
-    def weight(profile) -> Fraction:
+    def weight(profile, half_length: int) -> int:
         p1, p2, totals = profile
+        if sum(totals) != 2 * half_length:
+            raise ValueError(f"profile {profile} is not of half-length {half_length}")
         out = params.alpha1**p1 * params.alpha2**p2
         for total in totals:
             out *= edge_factor(moments, params, total)
-        return out
+        scaled = out * scale(half_length)
+        if scaled.denominator != 1:
+            raise ValueError(f"profile {profile} weight times its scale is not an integer")
+        return scaled.numerator
 
-    return weight
+    return weight, scale
 
 
-def _weight_sum(profiles, params: ModelParams, moments: MomentSequence) -> Fraction:
-    total = Fraction(0)
-    if profiles:
-        weight = _profile_weigher(params, moments)
-        for profile, count in profiles:
-            total += count * weight(profile)
-    return total
+def _weight_sum(
+    profiles, half_length: int, params: ModelParams, moments: MomentSequence
+) -> Fraction:
+    """The weight sum of ((profile, count), ...) of total half-length ``half_length``."""
+    if not profiles:
+        return Fraction(0)
+    weight, scale = _profile_weigher(params, moments)
+    total = 0
+    for profile, count in profiles:
+        total += count * weight(profile, half_length)
+    return Fraction(total, scale(half_length))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +415,7 @@ def n_oracle(k: int, m: int, params: ModelParams, moments: MomentSequence) -> Fr
         raise ValueError(f"need k, m >= 1, got ({k}, {m})")
     if k % 2 != 0 or m % 2 != 0:
         return Fraction(0)
-    return _weight_sum(_essential_profiles(k, m), params, moments)
+    return _weight_sum(_essential_profiles(k, m), (k + m) // 2, params, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -617,4 +652,5 @@ def family_total_weight(
         profiles = _double_family_profiles(key.l_g, key.l_b).get(
             (key.tag, key.component, key.r_g, key.r_b), ()
         )
-    return _weight_sum(profiles, params, moments)
+    # S1 and S1S keys carry no l_b.
+    return _weight_sum(profiles, key.l_g + (key.l_b or 0), params, moments)

@@ -1,5 +1,6 @@
 """Model layer: parameters, moment sequences, presets, edge weights."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -29,6 +30,19 @@ class TestModelParams:
         params = ModelParams(F(1, 2), F(1))
         with pytest.raises(AttributeError):
             params.alpha = F(1, 3)
+
+    def test_equal_params_hash_equal(self):
+        a, b = ModelParams(F(2, 3), F(5, 2)), ModelParams(F(2, 3), F(5, 2))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert hash(a) == hash((F(2, 3), F(5, 2)))
+
+    def test_replace_hashes_the_new_fields(self):
+        params = dataclasses.replace(ModelParams(F(1, 2), F(1)), alpha=F(1, 3))
+        assert params == ModelParams(F(1, 3), F(1))
+        assert hash(params) == hash(ModelParams(F(1, 3), F(1))) == hash((F(1, 3), F(1)))
+        assert repr(params) == "ModelParams(alpha=Fraction(1, 3), p=Fraction(1, 1))"
+        assert [field.name for field in dataclasses.fields(params)] == ["alpha", "p"]
 
 
 class TestEdgeFactor:

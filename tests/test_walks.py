@@ -706,7 +706,9 @@ class TestWeights:
     def weight(self, index, gray, blue):
         params, moments = context(index)
         _, _, (profile, _) = leaf_of(gray, blue)
-        return _profile_weigher(params, moments)(profile)
+        half_length = sum(profile[2]) // 2
+        weight, scale = _profile_weigher(params, moments)
+        return F(weight(profile, half_length), scale(half_length))
 
     def test_single_shared_edge(self):
         assert self.weight(1, "1:1 2:1 1:1", "1:1 2:1 1:1") == F(1, 4)
@@ -724,6 +726,49 @@ class TestWeights:
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError, match="non-tree skeleton"):
             self.weight(1, "1:1 2:1 1:1", "1:2 2:2 1:2")
+
+    @pytest.mark.parametrize("index", CONTEXT_IDS)
+    def test_scaled_weights_equal_fraction_products(self, index):
+        # Every profile the censuses weigh, as an integer over D_L, is its
+        # Fraction product alpha1^n1 alpha2^n2 prod edge_factor.
+        params, moments = context(index, 7)
+        profiles = set()
+        for l_g in range(7):
+            for l_b in range(7 - l_g):
+                for bucket in _double_family_profiles(l_g, l_b).values():
+                    profiles.update(profile for profile, _ in bucket)
+        for l in range(8):
+            for census in (_single_family_profiles(l), _marked_walk_profiles(l)):
+                for bucket in census.values():
+                    profiles.update(profile for profile, _ in bucket)
+        for total in range(2, 13, 2):
+            for k in range(total + 1):
+                profiles.update(profile for profile, _ in _essential_profiles(k, total - k))
+        weight, scale = _profile_weigher(params, moments)
+        for profile in profiles:
+            n1, n2, totals = profile
+            want = params.alpha1**n1 * params.alpha2**n2
+            for total in totals:
+                want *= edge_factor(moments, params, total)
+            half_length = sum(totals) // 2
+            scaled = weight(profile, half_length)
+            assert type(scaled) is int and F(scaled, scale(half_length)) == want, profile
+        assert len(profiles) > 100
+
+    def test_wrong_half_length_rejected(self):
+        params, moments = context(3)
+        with pytest.raises(ValueError, match="not of half-length 2"):
+            walks._weight_sum((((1, 1, (2,)), 1),), 2, params, moments)
+
+    def test_non_integral_scale_rejected(self, monkeypatch):
+        # The integrality check must hold under python -O too.  Context 3
+        # weighs the one-edge profile alpha1 alpha2 V_2 = 1/9, which a scale
+        # of 1 leaves fractional.
+        params, moments = context(3)
+        monkeypatch.setattr(walks, "_scale_base", lambda params, moments: (1, 1))
+        weight, scale = _profile_weigher.__wrapped__(params, moments)
+        with pytest.raises(ValueError, match="not an integer"):
+            weight((1, 1, (2,)), 1)
 
 
 class TestCensus:

@@ -186,6 +186,21 @@ ROWS = (
         "    if False:\n",
         "tests/test_walks.py::TestLeafProfiles::test_cyclic_pair_rejected",
     ),
+    # Oracle: each profile weighed as an int times D_L, one Fraction per family.
+    Mutant(
+        "weight-sum-wrong-scale",
+        ORACLE,
+        "return Fraction(total, scale(half_length))",
+        "return Fraction(total, scale(half_length + 1))",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "weight-integrality-unchecked",
+        ORACLE,
+        "        if scaled.denominator != 1:\n",
+        "        if False:\n",
+        "tests/test_walks.py::TestWeights::test_non_integral_scale_rejected",
+    ),
     # Oracle: the count by tree class, W(x) = K d_x divided by |Aut|, with
     # the blue roots summed by side of the first gray edge.
     Mutant(
