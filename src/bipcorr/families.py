@@ -95,30 +95,6 @@ DOUBLE_TAGS = frozenset(
 )
 ALL_TAGS = frozenset({TOP}) | SINGLE_TAGS | DOUBLE_TAGS
 
-# Evaluation stage order at fixed total half-length.  Any recursive reference
-# either strictly lowers l_g + l_b or stays at the same total and moves to an
-# earlier stage, which makes the system well founded; the engine asserts this
-# on every call.
-STAGE = {
-    S1: 0,
-    S1S: 1,
-    EQ_C_G: 2,
-    EQ_C_R: 3,
-    EQ_C: 4,
-    EQ_ANYC: 5,
-    NEQ_C_GU: 6,
-    NEQ_C_GD: 7,
-    NEQ_C_RU: 8,
-    NEQ_C_RD: 9,
-    NEQ_C_G: 10,
-    NEQ_C_R: 11,
-    NEQ_C: 12,
-    NEQ_ANYC_SGD: 13,
-    NEQ_ANYC_SN: 14,
-    NEQ_ANYC_S: 15,
-    TOP: 16,
-}
-
 
 class UnknownFamilyError(ValueError):
     pass

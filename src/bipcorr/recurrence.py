@@ -24,31 +24,51 @@ v = 0), and it raises on a negative argument, which no loop range passes.
 
 Equation shapes
 ---------------
-Three shapes cover every equation but EQ_ANYC's.  The sum equation adds the
-keys ``_summands`` lists: a ``_SUMS`` row its parts at the same key, TOP EQ_C
-and NEQ_C over component and roots, NEQ_ANYC_SN the single walk S1S of its
-blue slots if the gray walk is empty.  The gray peel (S1, S1S, EQ_C_G,
-NEQ_C_GD, NEQ_ANYC_SGD, NEQ_C_GU) cuts an edge only gray uses, the red peel
-(EQ_C_R, NEQ_C_RU, NEQ_C_RD) one both walks use; the rows of ``_GRAY`` and
-``_RED`` differ in lower family and upper sum, and red rows in the blue code.
+The fourteen double families at one site (c, l_g, l_b, r_g, r_b) are all
+peeled over the same cut edge (r, v), and they read the same lower sites.
+So the engine evaluates a site, not a family: one generator, ``_site``,
+computes the fourteen values in one pass and returns them as a tuple in the
+order of ``SITE_TAGS``.
+
+- The gray peel cuts an edge only gray uses.  One (f, u) loop gives EQ_C_G,
+  NEQ_C_GD and NEQ_ANYC_SGD: each step reads one lower site, for its EQ_C,
+  NEQ_C and NEQ_ANYC_S, and one ``s1`` upper sum.  NEQ_C_GU, whose lower
+  piece is the single walk S1, is a loop of its own.
+- The red peel cuts an edge both walks use.  One (fg, fb, ug, ub) loop gives
+  EQ_C_R, NEQ_C_RU and NEQ_C_RD, which differ in their blue code: each step
+  reads one lower site, for its EQ_ANYC and NEQ_ANYC_S, and one pair of
+  upper sums, ``rooted_at_v`` and ``rooted_at_or_beyond_v``.  It keeps three
+  sums per (fg, fb) and weighs each with the cut edge and its codes once.
+- The rest is straight-line code: the sums (EQ_C, NEQ_C_G, NEQ_C_R, NEQ_C,
+  NEQ_ANYC_S), the EQ_ANYC glue and NEQ_ANYC_SN, the single walk S1S of the
+  blue slots if the gray walk is empty.
+
+The single walks S1 and S1S stay one entry each per (tag, c, l, r); their
+gray peel, ``_peel_single``, is the loop NEQ_C_GU runs as well.  TOP adds
+EQ_C and NEQ_C over component and roots, one site read each.
 
 Upper sums
 ----------
 Beyond v the peels weigh an upper piece: the family values at v, each times
 binomial codes that interleave the f returns over the cut edge with the
-departures from v.  One generator, ``_upper``, evaluates every such sum from
-a row of the table ``_UPPERS``, which lists in read order the families read
-at v with their gray and blue codes.
+departures from v.  For a gray cut edge, ``_upper`` evaluates the sums of
+single walks from a row of the table ``_UPPERS``, which lists in read order
+the families read at v with their gray codes, and ``pair``, the sum of
+EQ_C and NEQ_C over the sites at v that NEQ_C_GU weighs.  For a red cut
+edge, ``_rooted`` evaluates both sums the red peel weighs, ``rooted_at_v``
+and ``rooted_at_or_beyond_v``, in one pass over the sites at v, and returns
+them as a pair.
 
 The sums depend only on their arguments, yet the peels ask for the same ones
-many times (at n_{12,12}, ``rooted_at_v`` is asked 22,332 times for 882
-distinct arguments).  Each engine caches their values in its own dict,
-keyed by the row's name and the arguments; no cache is shared between
+many times (at n_{12,12}, the red peel asks for 12,462 pairs of sums and
+882 are distinct).  Each engine caches their values in its own dict,
+keyed by the sum's name and its arguments; no cache is shared between
 engines, because the values depend on the engine's params and moments.  A
 peel reads a cached sum inline, as it reads a memo value; only on a miss
-does it run ``_upper``, with ``yield from``, so the keys the sum still lacks
-go to the same work stack as the peel's own.  A hit reads no family value,
-so it adds no memo key and leaves the memo's insertion order as it was.
+does it run ``_upper`` or ``_rooted``, with ``yield from``, so the keys the
+sum still lacks go to the same work stack as the peel's own.  A hit reads no
+family value, so it adds no memo entry and leaves the memo's insertion order
+as it was.
 
 Structural zeros
 ----------------
@@ -68,19 +88,21 @@ The equations do not read such keys; their loop ranges leave them out, so
 no read pays a lookup for the rule.  ``range(x > 0, x + 1)`` starts at 1
 whenever x is positive.
 
-- ``_gray_peel``: at f = r the lower walk has no departure left, so only
+- The gray peels: at f = r the lower walk has no departure left, so only
   u = l - r is read (G).
-- ``_red_peel``: likewise only ug = lg - rg at fg = rg (G), and only
-  ub = lb - rb at fb = rb (B: both lower tags, EQ_ANYC and NEQ_ANYC_S, root
-  or pass the blue walk at r).
-- ``_upper``: vg starts at 1 when ug > 0 (G); a family in ``_BLUE_AT_ROOT``
-  (EQ_C, EQ_ANYC and NEQ_ANYC_S among those the rows read) is not read at
-  vb = 0 < ub (B), but NEQ_C is.
-- ``_summands``: TOP's rg starts at 1 when lg > 0 (G); EQ_C is not read at
-  rb = 0 < lb (B), but NEQ_C is.
+- The red peel: likewise only ug = lg - rg at fg = rg (G), and only
+  ub = lb - rb at fb = rb (B: both lower families, EQ_ANYC and NEQ_ANYC_S,
+  root or pass the blue walk at r).
+- The upper sums: vg starts at 1 when ug > 0 (G).  EQ_C, EQ_ANYC and
+  NEQ_ANYC_S are not read at vb = 0 < ub (B): ``_rooted``'s vb starts at 1
+  when ub > 0, and ``pair`` reads only NEQ_C there.
+- The EQ_ANYC glue reads no single walk at r_b = 0 < l_b (B), where EQ_ANYC
+  is EQ_C.
+- TOP: r_g starts at 1 when l_g > 0 (G); EQ_C is not read at r_b = 0 < l_b
+  (B), but NEQ_C is.
 
-The ``_SUMS`` rows read every part at their own key.  A key asked for
-directly, through ``s_value``, is evaluated by its own equation, giving 0.
+A site asked for directly, through ``s_value``, is evaluated by its own
+equations, giving 0 where a rule says so.
 
 Scaled integers
 ---------------
@@ -108,71 +130,64 @@ remainder all the same, also under ``python -O``.
 
 Work stack and termination
 --------------------------
-Recursive references either strictly decrease the total half-length
-l_g + l_b, or keep it fixed and move to a strictly earlier evaluation stage
-(``families.STAGE``).  A key's rank packs the pair into one int,
-``total << 5 | stage`` (every stage is below 32), so integer order is the
+The memo holds three kinds of entry, each with its own generator: a single
+walk (``_single``), keyed as its ``FamilyKey``; a site (``_site``), keyed
+(c, l_g, l_b, r_g, r_b) and holding a 14-tuple; and TOP (``_top``), keyed as
+its ``FamilyKey``.  Every reference either strictly lowers the total
+half-length l_g + l_b, or keeps it and moves to an earlier kind: single
+walks before sites before TOP.  A site reads single walks at its own total
+(the glue and NEQ_ANYC_SN when a walk is empty), TOP reads the sites at its
+total, and every peel step lowers the total by f >= 1.  An entry's rank
+packs the pair into one int, ``total << 2 | kind``, so integer order is the
 order of the pair.
 
-Each equation is a generator.  Where it needs a family value it reads the
-memo inline; only on a miss does it ``yield`` the key.  ``_value`` keeps the
-pending equations on an explicit list: it pushes the equation of each key
-yielded, stores the value when that generator returns, and sends the value
-back to the generator below.  So a memo hit pushes no equation, and a deep
-key is limited by memory, not by the interpreter's recursion limit.
+Where a generator needs a value it reads the memo inline; only on a miss
+does it ``yield`` the key.  ``_value`` keeps the pending generators on an
+explicit list: it pushes the generator of each key yielded, stores the value
+when that generator returns, and sends the value back to the generator
+below.  So a memo hit pushes no generator, and a deep key is limited by
+memory, not by the interpreter's recursion limit.
 
-The order is checked where it can fail, also under ``python -O``, so an
-accidentally circular edit fails loudly instead of looping.  ``_value``
-checks every key it pushes, which is every miss, so ranks strictly decrease
-down the stack.  The sum equation and EQ_ANYC read keys at their own total,
-where only the stage table orders them; each checks once per call the latest
-key it will read, memo hits included.  The peels need no check: the cut edge
-takes f >= 1 of the total, and an upper sum reads at most the total minus r.
+``_value`` checks the rank of every key it pushes, which is every miss,
+also under ``python -O``, so ranks strictly decrease down the stack and an
+accidentally circular edit fails loudly instead of looping.  A hit needs no
+check: the kind and total of each read are fixed by the code that reads,
+not by a table an edit could reorder.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import families as fam
 from .model import ModelParams, MomentSequence, edge_factor, validate
 
-_STAGE = fam.STAGE
-
-# Families whose value is the plain sum of other families at the same key.
-_SUMS = {
-    fam.EQ_C: (fam.EQ_C_G, fam.EQ_C_R),
-    fam.NEQ_C: (fam.NEQ_C_G, fam.NEQ_C_R),
-    fam.NEQ_C_G: (fam.NEQ_C_GU, fam.NEQ_C_GD),
-    fam.NEQ_C_R: (fam.NEQ_C_RU, fam.NEQ_C_RD),
-    fam.NEQ_ANYC_S: (fam.NEQ_C_R, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN),
-}
-
-
-def _summands(key: tuple) -> list:
-    """The keys whose values add up to a sum family's value, in read order."""
-    tag, c, lg, lb, rg, rb = key
-    if tag == fam.NEQ_ANYC_SN:
-        return [(fam.S1S, c, lb, None, rb, None)] if lg == 0 == rg else []
-    if tag != fam.TOP:
-        return [(part, c, lg, lb, rg, rb) for part in _SUMS[tag]]
-    return [
-        (part, component, lg, lb, rg, rb)
-        for component in (1, 2)
-        for rg in range(lg > 0, lg + 1)
-        for rb in range(0, lb + 1)
-        for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,))
-    ]
+# The double families of one site, each sum after its parts; a site's memo
+# value lists them in this order.
+SITE_TAGS = (
+    fam.EQ_C_G, fam.EQ_C_R, fam.EQ_C, fam.EQ_ANYC,
+    fam.NEQ_C_GU, fam.NEQ_C_GD, fam.NEQ_C_RU, fam.NEQ_C_RD,
+    fam.NEQ_C_G, fam.NEQ_C_R, fam.NEQ_C,
+    fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN, fam.NEQ_ANYC_S,
+)
+_SLOT = {tag: slot for slot, tag in enumerate(SITE_TAGS)}
+_EQ_C, _EQ_ANYC, _NEQ_C, _NEQ_ANYC_S = (
+    _SLOT[fam.EQ_C], _SLOT[fam.EQ_ANYC], _SLOT[fam.NEQ_C], _SLOT[fam.NEQ_ANYC_S]
+)
+_ZERO_SITE = (0,) * len(SITE_TAGS)
 
 
-# Rule (B) of the module docstring: the families whose blue walk is rooted at
-# r or passes through r, where a key with r_b = 0 < l_b is 0.
-_BLUE_AT_ROOT = frozenset({
-    fam.EQ_C, fam.EQ_C_G, fam.EQ_C_R, fam.EQ_ANYC, fam.NEQ_C_R, fam.NEQ_C_RU,
-    fam.NEQ_C_RD, fam.NEQ_ANYC_S, fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN,
-})
+class Site(NamedTuple):
+    """The fields a site's fourteen families share; names a site in messages."""
+
+    component: int
+    l_g: int
+    l_b: int
+    r_g: int
+    r_b: int
+
 
 # Binomial codes: the orders of f returns over the cut edge and v departures
 # from v whose last step is over the cut edge, at v, or either.
@@ -182,67 +197,32 @@ _OVER_CUT, _AT_V, _EITHER = (
     lambda f, v: math.comb(f + v, f),
 )
 
-# Upper sums: name -> the families read at v, in read order, each with its
-# gray code and its blue code (None, counted 1, where blue does not cross the
-# cut edge).
+# Upper sums of single walks beyond a gray cut edge: name -> the families
+# read at v, in read order, each with its gray code.
 _UPPERS = {
-    "s1": ((fam.S1, _OVER_CUT, None),),
+    "s1": ((fam.S1, _OVER_CUT),),
     # The walk is rooted at v, or deeper and merely visits v.
-    "s1_s1s": ((fam.S1, _EITHER, None), (fam.S1S, _AT_V, None)),
-    "pair": ((fam.EQ_C, _OVER_CUT, None), (fam.NEQ_C, _OVER_CUT, None)),
-    "rooted_at_v": ((fam.EQ_ANYC, _OVER_CUT, _OVER_CUT),),
-    # The pair shares the root v, or the blue root is deeper and blue merely
-    # visits v.
-    "rooted_at_or_beyond_v": (
-        (fam.EQ_ANYC, _OVER_CUT, _EITHER),
-        (fam.NEQ_ANYC_S, _OVER_CUT, _AT_V),
-    ),
+    "s1_s1s": ((fam.S1, _EITHER), (fam.S1S, _AT_V)),
 }
 
-# Gray peel: tag -> (lower family at r, upper sum beyond v).
-_GRAY = {
-    fam.S1: (fam.S1, "s1"),
-    fam.S1S: (fam.S1, "s1_s1s"),
-    fam.EQ_C_G: (fam.EQ_C, "s1"),
-    fam.NEQ_C_GD: (fam.NEQ_C, "s1"),
-    fam.NEQ_ANYC_SGD: (fam.NEQ_ANYC_S, "s1"),
-    fam.NEQ_C_GU: (fam.S1, "pair"),
-}
-
-# Red peel: tag -> (blue root code, lower family at r, upper sum beyond v).
-_RED = {
-    # Blue is rooted at r as well, but its final departure need not use
-    # the cut edge, hence the unshifted code count.
-    fam.EQ_C_R: (math.comb, fam.EQ_ANYC, "rooted_at_v"),
-    # Blue root sits beyond the cut edge, so blue's final departure from
-    # r must return through it.
-    fam.NEQ_C_RU: (lambda r, f: math.comb(r - 1, f - 1), fam.EQ_ANYC, "rooted_at_or_beyond_v"),
-    # Blue root on the r side: blue's final departure from r must stay
-    # below, leaving fb unconstrained slots among rb - 1.
-    fam.NEQ_C_RD: (lambda r, f: math.comb(r - 1, f), fam.NEQ_ANYC_S, "rooted_at_v"),
-}
+# Kinds of memo entry, in the order they are evaluated at one total.
+_SINGLE, _SITE, _TOP = range(3)
 
 
 def _rank(key: tuple) -> int:
-    """``total << 5 | stage`` of a key."""
-    return (key[2] + (key[3] or 0)) << 5 | _STAGE[key[0]]
+    """``total << 2 | kind`` of a memo key."""
+    if len(key) == 5:
+        return (key[1] + key[2]) << 2 | _SITE
+    return (key[2] + (key[3] or 0)) << 2 | (_TOP if key[0] == fam.TOP else _SINGLE)
 
 
 def _order_violated(ref: tuple, rank: int, parent: int):
     """Raise for a reference to ``ref``, at ``rank``, from a key at ``parent``."""
+    name = Site._make(ref) if len(ref) == 5 else fam.FamilyKey._make(ref)
     raise AssertionError(
-        f"recursion order violated: {fam.FamilyKey._make(ref)} at rank {divmod(rank, 32)} "
-        f"referenced from rank {divmod(parent, 32)}"
+        f"recursion order violated: {name} at rank {divmod(rank, 4)} "
+        f"referenced from rank {divmod(parent, 4)}"
     )
-
-
-def _check_order(key: tuple, refs) -> None:
-    """Raise unless the latest of ``refs``, the keys an equation of ``key``
-    reads at its own total half-length, ranks below ``key``."""
-    if refs:
-        ref = max(refs, key=_rank)
-        if (ref_rank := _rank(ref)) >= (rank := _rank(key)):
-            _order_violated(ref, ref_rank, rank)
 
 
 class CoefficientEngine:
@@ -260,17 +240,13 @@ class CoefficientEngine:
         self._memo: dict = {}
         self._uppers: dict = {}
         self._edge_weights: dict = {}
-        self._dispatch = {
-            **dict.fromkeys((*_SUMS, fam.NEQ_ANYC_SN, fam.TOP), self._eval_sum),
-            **dict.fromkeys(_GRAY, self._gray_peel),
-            **dict.fromkeys(_RED, self._red_peel),
-            fam.EQ_ANYC: self._eval_eq_anyc,
-        }
 
     # -- public API --------------------------------------------------------
 
     def s_value(self, key: fam.FamilyKey) -> Fraction:
         fam.validate_key(key)
+        if key.tag in fam.DOUBLE_TAGS:
+            return self._unscaled(key, self._value(key[1:])[_SLOT[key.tag]])
         return self._unscaled(key, self._value(key))
 
     def correlator_coefficient(self, k: int, m: int) -> Fraction:
@@ -293,13 +269,20 @@ class CoefficientEngine:
 
     @property
     def memo_size(self) -> int:
-        return len(self._memo)
+        """The number of family values the memo holds, 14 per site."""
+        return sum(len(SITE_TAGS) if len(key) == 5 else 1 for key in self._memo)
 
     def memo_items(self) -> Iterable:
-        """(key, value) pairs in evaluation order, the values as Fractions."""
+        """(key, value) pairs in evaluation order, the values as Fractions; a
+        site gives its fourteen families in the order of ``SITE_TAGS``."""
         for key, value in self._memo.items():
-            key = fam.FamilyKey._make(key)
-            yield key, self._unscaled(key, value)
+            if len(key) == 5:
+                for tag, family_value in zip(SITE_TAGS, value):
+                    family_key = fam.FamilyKey(tag, *key)
+                    yield family_key, self._unscaled(family_key, family_value)
+            else:
+                key = fam.FamilyKey._make(key)
+                yield key, self._unscaled(key, value)
 
     # -- scaled integers ---------------------------------------------------
 
@@ -313,19 +296,18 @@ class CoefficientEngine:
 
     # -- evaluation machinery ---------------------------------------------
     #
-    # Keys inside the engine are plain tuples laid out as ``fam.FamilyKey``,
-    # which hash and compare equal to the named keys of the public API.  Each
-    # equation is a generator called with its key, and every read of a family
-    # value in it follows one pattern: build the key, ``memo.get``, and
-    # ``yield`` the key only on a miss.
+    # Keys inside the engine are plain tuples: a single walk or TOP laid out
+    # as ``fam.FamilyKey``, which hashes and compares equal to the named key
+    # of the public API, and a site as (c, l_g, l_b, r_g, r_b).  Every read
+    # follows one pattern: build the key, ``memo.get``, and ``yield`` the key
+    # only on a miss.
 
-    def _value(self, key: tuple) -> int:
+    def _value(self, key: tuple):
         """The scaled value of ``key``, evaluating what it lacks on a work stack."""
         value = self._memo.get(key)
         if value is not None:
             return value
-        dispatch = self._dispatch
-        stack = [(key, _rank(key), dispatch[key[0]](key))]
+        stack = [(key, _rank(key), self._equation(key))]
         while stack:
             key, rank, frame = stack[-1]
             try:
@@ -338,17 +320,30 @@ class CoefficientEngine:
             ref_rank = _rank(ref)
             if ref_rank >= rank:
                 _order_violated(ref, ref_rank, rank)
-            stack.append((ref, ref_rank, dispatch[ref[0]](ref)))
+            stack.append((ref, ref_rank, self._equation(ref)))
             value = None
         return value
 
-    def _store(self, key: tuple, value: int) -> None:
+    def _equation(self, key: tuple):
+        """The generator that evaluates ``key``."""
+        if len(key) == 5:
+            return self._site(key)
+        return self._top(key) if key[0] == fam.TOP else self._single(key)
+
+    def _store(self, key: tuple, value) -> None:
         existing = self._memo.get(key)
         if existing is not None and existing != value:
             raise AssertionError(
                 f"memo conflict for {key}: stored {existing}, new {value}"
             )
         self._memo[key] = value
+
+    def _get(self, ref: tuple):
+        """Read ``ref`` for a generator, yielding it on a miss."""
+        value = self._memo.get(ref)
+        if value is None:
+            value = yield ref
+        return value
 
     def _w(self, half_multiplicity: int) -> int:
         """Scaled edge weight W(f) for an edge traversed 2f times."""
@@ -364,149 +359,208 @@ class CoefficientEngine:
             cached = self._edge_weights[f] = scaled.numerator
         return cached
 
-    # -- the sum equation: TOP, NEQ_ANYC_SN and the _SUMS rows -------------
+    # -- single walks and TOP ----------------------------------------------
 
-    def _eval_sum(self, key: tuple):
-        refs = _summands(key)
-        _check_order(key, refs)
-        memo = self._memo
-        total = 0
-        for ref in refs:
-            value = memo.get(ref)
-            if value is None:
-                value = yield ref
-            total += value
-        return total
-
-    # -- gray peel: blue does not use the cut edge --------------------------
-
-    def _gray_peel(self, key: tuple):
-        tag, c, l, lb, r, rb = key
-        lower_tag, upper = _GRAY[tag]
+    def _single(self, key: tuple):
+        tag, c, l, _, r, _ = key
         if tag == fam.S1 and l == 0:
             return self._a[c] if r == 0 else 0
-        # With a single-walk lower piece, the blue walk lives beyond the cut
-        # edge and cannot touch r.
-        if r > l or (lb is not None and rb > lb) or (lower_tag == fam.S1 and rb):
+        if r > l:
             return 0
-        # The blue half-length goes to the piece that holds the blue walk, so
-        # upper sums of single walks are cached once per (opp, f, u).
-        if lower_tag == fam.S1:
-            low_lb, low_rb, up_lb = None, None, lb
-        else:
-            low_lb, low_rb, up_lb = lb, rb, None
+        return (yield from self._peel_single(c, l, r, "s1" if tag == fam.S1 else "s1_s1s", None))
+
+    def _peel_single(self, c: int, l: int, r: int, upper: str, ub):
+        """The gray peel with the single walk S1 as lower piece, the upper sum
+        ``upper`` beyond v, and ``ub`` its blue half-length (None if none)."""
         memo, uppers = self._memo, self._uppers
         opp = 3 - c
         total = 0
         for f in range(1, r + 1):
-            outer = math.comb(r - 1, f - 1) * self._w(f)
+            inner = 0
             # Cutting all r departures leaves the lower walk none, so (G)
             # allows it only the empty walk.
             for u in range(0, l - r + 1) if f < r else (l - r,):
-                ref = (lower_tag, c, l - u - f, low_lb, r - f, low_rb)
+                ref = (fam.S1, c, l - u - f, None, r - f, None)
                 lower = memo.get(ref)
                 if lower is None:
                     lower = yield ref
                 if not lower:
                     continue
-                above = uppers.get((upper, opp, f, None, u, up_lb))
+                above = uppers.get((upper, opp, f, u, ub))
                 if above is None:
-                    above = yield from self._upper(upper, opp, f, None, u, up_lb)
-                total += outer * lower * above
+                    above = yield from self._upper(upper, opp, f, u, ub)
+                inner += lower * above
+            total += math.comb(r - 1, f - 1) * self._w(f) * inner
         return total
 
-    # -- red peel: blue uses the cut edge too -------------------------------
-
-    def _red_peel(self, key: tuple):
-        tag, c, lg, lb, rg, rb = key
-        blue_code, lower_tag, upper = _RED[tag]
-        if rg > lg or rb > lb:
-            return 0
-        memo, uppers = self._memo, self._uppers
-        opp = 3 - c
-        # Cutting all departures of a walk leaves its lower walk none, so (G)
-        # and, as both lower tags root or pass the blue walk at r, (B) allow
-        # it only the empty walk.
-        blues = [
-            (fb, code, range(0, lb - rb + 1) if fb < rb else (lb - rb,))
-            for fb in range(1, rb + 1)
-            if (code := blue_code(rb, fb))
-        ]
+    def _top(self, key: tuple):
+        _, _, lg, lb, _, _ = key
+        memo = self._memo
         total = 0
+        for c in (1, 2):
+            for rg in range(lg > 0, lg + 1):
+                for rb in range(0, lb + 1):
+                    ref = (c, lg, lb, rg, rb)
+                    site = memo.get(ref)
+                    if site is None:
+                        site = yield ref
+                    total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
+        return total
+
+    # -- a site: the fourteen double families -------------------------------
+
+    def _site(self, key: tuple):
+        c, lg, lb, rg, rb = key
+        if rg > lg or rb > lb:
+            return _ZERO_SITE
+        memo, uppers, w = self._memo, self._uppers, self._w
+        opp = 3 - c
+
+        # Gray peel, blue below the cut edge: EQ_C_G, NEQ_C_GD, NEQ_ANYC_SGD.
+        eq_g = down_g = visit_g = 0
+        for f in range(1, rg + 1):
+            eq = down = visit = 0
+            for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):
+                ref = (c, lg - u - f, lb, rg - f, rb)
+                lower = memo.get(ref)
+                if lower is None:
+                    lower = yield ref
+                lower_eq, lower_neq, lower_visit = lower[_EQ_C], lower[_NEQ_C], lower[_NEQ_ANYC_S]
+                if not (lower_eq or lower_neq or lower_visit):
+                    continue
+                above = uppers.get(("s1", opp, f, u, None))
+                if above is None:
+                    above = yield from self._upper("s1", opp, f, u, None)
+                eq += lower_eq * above
+                down += lower_neq * above
+                visit += lower_visit * above
+            outer = math.comb(rg - 1, f - 1) * w(f)
+            eq_g += outer * eq
+            down_g += outer * down
+            visit_g += outer * visit
+
+        # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece is a
+        # single walk, so blue cannot touch r.
+        up_g = 0 if rb else (yield from self._peel_single(c, lg, rg, "pair", lb))
+
+        # Red peel: EQ_C_R, with blue rooted at r as well but free to leave
+        # last by another edge; NEQ_C_RU, with the blue root beyond the cut
+        # edge, so blue's last departure from r returns through it; NEQ_C_RD,
+        # with the blue root on the r side, so blue's last departure from r
+        # stays below.  Cutting all departures of a walk leaves its lower walk
+        # none, so (G) and, as both lower families root or pass the blue walk
+        # at r, (B) allow it only the empty walk.
+        blues = [
+            (fb, math.comb(rb, fb), math.comb(rb - 1, fb - 1), math.comb(rb - 1, fb),
+             range(0, lb - rb + 1) if fb < rb else (lb - rb,))
+            for fb in range(1, rb + 1)
+        ]
+        eq_r = up_r = down_r = 0
         for fg in range(1, rg + 1):
             code_g = math.comb(rg - 1, fg - 1)
             ugs = range(0, lg - rg + 1) if fg < rg else (lg - rg,)
-            for fb, code_b, ubs in blues:
-                outer = code_g * code_b * self._w(fg + fb)
-                if not outer:
-                    continue
+            low_rg = rg - fg
+            for fb, code_eq, code_up, code_down, ubs in blues:
+                eq = up = down = 0
+                low_rb = rb - fb
                 for ug in ugs:
+                    low_lg = lg - ug - fg
                     for ub in ubs:
-                        ref = (lower_tag, c, lg - ug - fg, lb - ub - fb, rg - fg, rb - fb)
+                        ref = (c, low_lg, lb - ub - fb, low_rg, low_rb)
                         lower = memo.get(ref)
                         if lower is None:
                             lower = yield ref
-                        if not lower:
+                        lower_anyc, lower_visit = lower[_EQ_ANYC], lower[_NEQ_ANYC_S]
+                        if not (lower_anyc or lower_visit):
                             continue
-                        above = uppers.get((upper, opp, fg, fb, ug, ub))
-                        if above is None:
-                            above = yield from self._upper(upper, opp, fg, fb, ug, ub)
-                        total += outer * lower * above
-        return total
+                        rooted = uppers.get(("rooted", opp, fg, fb, ug, ub))
+                        if rooted is None:
+                            rooted = yield from self._rooted(opp, fg, fb, ug, ub)
+                        at_v, beyond = rooted
+                        eq += lower_anyc * at_v
+                        up += lower_anyc * beyond
+                        down += lower_visit * at_v
+                weight = code_g * w(fg + fb)
+                eq_r += weight * code_eq * eq
+                up_r += weight * code_up * up
+                down_r += weight * code_down * down
+
+        eq_c = eq_g + eq_r
+        eq_anyc = eq_c
+        if rb or not lb:
+            # Pairs with no shared edge and a common root are exactly the
+            # pairs of independent single walks glued at the root; the root's
+            # vertex factor must not be counted twice.
+            gray = yield from self._get((fam.S1, c, lg, None, rg, None))
+            blue = yield from self._get((fam.S1, c, lb, None, rb, None))
+            glued, rest = divmod(gray * blue, self._a[c])
+            if rest:
+                raise AssertionError(
+                    f"glue at {fam.FamilyKey(fam.EQ_ANYC, *key)} is not divisible by the "
+                    f"root factor a_{c} = {self._a[c]}"
+                )
+            eq_anyc += glued
+        empty = (yield from self._get((fam.S1S, c, lb, None, rb, None))) if lg == 0 == rg else 0
+        neq_g = up_g + down_g
+        neq_r = up_r + down_r
+        return (
+            eq_g, eq_r, eq_c, eq_anyc,
+            up_g, down_g, up_r, down_r,
+            neq_g, neq_r, neq_g + neq_r,
+            visit_g, empty, neq_r + visit_g + empty,
+        )
 
     # -- upper sums: the walks beyond v ------------------------------------
 
-    def _upper(self, name: str, opp: int, fg: int, fb, ug: int, ub):
-        """Evaluate upper sum ``name`` and cache it.
+    def _upper(self, name: str, opp: int, f: int, u: int, ub):
+        """Evaluate and cache an upper sum of a gray cut edge: a row of
+        ``_UPPERS`` if ub is None, else ``pair``, EQ_C plus NEQ_C of the sites
+        at v with blue half-length ub.
 
-        fg gray and fb blue returns over the cut edge interleave with the vg
-        and vb departures from v.  fb is None where blue does not cross the
-        cut edge, and ub and vb where the row reads single walks.
+        The f gray returns over the cut edge interleave with the vg gray
+        departures from v.
         """
-        reads = _UPPERS[name]
         memo = self._memo
         upper = 0
-        for vg in range(ug > 0, ug + 1):
-            for vb in (None,) if ub is None else range(0, ub + 1):
-                for tag, gray_code, blue_code in reads:
-                    if vb == 0 < ub and tag in _BLUE_AT_ROOT:
-                        continue
-                    ref = (tag, opp, ug, ub, vg, vb)
+        for vg in range(u > 0, u + 1):
+            if ub is None:
+                for tag, code in _UPPERS[name]:
+                    ref = (tag, opp, u, None, vg, None)
                     value = memo.get(ref)
                     if value is None:
                         value = yield ref
-                    code = gray_code(fg, vg)
-                    if blue_code is not None:
-                        code *= blue_code(fb, vb)
-                    upper += code * value
-        self._uppers[(name, opp, fg, fb, ug, ub)] = upper
+                    upper += code(f, vg) * value
+                continue
+            code = _OVER_CUT(f, vg)
+            for vb in range(0, ub + 1):
+                ref = (opp, u, ub, vg, vb)
+                site = memo.get(ref)
+                if site is None:
+                    site = yield ref
+                upper += code * (site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C])
+        self._uppers[(name, opp, f, u, ub)] = upper
         return upper
 
-    # -- EQ_ANYC: the equation of its own shape ----------------------------
+    def _rooted(self, opp: int, fg: int, fb: int, ug: int, ub: int):
+        """Evaluate and cache the upper sums of a red cut edge, a pair.
 
-    def _eval_eq_anyc(self, key: tuple):
-        _, c, lg, lb, rg, rb = key
-        gray_ref = (fam.S1, c, lg, None, rg, None)
-        blue_ref = (fam.S1, c, lb, None, rb, None)
-        shared_ref = (fam.EQ_C, c, lg, lb, rg, rb)
-        _check_order(key, (gray_ref, blue_ref, shared_ref))
+        ``rooted_at_v``: the pair shares the root v.  ``rooted_at_or_beyond_v``:
+        it does, or the blue root is deeper and blue merely visits v.  fg gray
+        and fb blue returns over the cut edge interleave with the vg and vb
+        departures from v.  Both read EQ_ANYC and NEQ_ANYC_S at v, which (B)
+        makes 0 at vb = 0 < ub.
+        """
         memo = self._memo
-        gray = memo.get(gray_ref)
-        if gray is None:
-            gray = yield gray_ref
-        blue = memo.get(blue_ref)
-        if blue is None:
-            blue = yield blue_ref
-        # Pairs with no shared edge and a common root are exactly the pairs of
-        # independent single walks glued at the root; the root's vertex factor
-        # must not be counted twice.
-        glued, rest = divmod(gray * blue, self._a[c])
-        if rest:
-            raise AssertionError(
-                f"glue at {fam.FamilyKey._make(key)} is not divisible by the root factor "
-                f"a_{c} = {self._a[c]}"
-            )
-        shared = memo.get(shared_ref)
-        if shared is None:
-            shared = yield shared_ref
-        return shared + glued
+        at_v = beyond = 0
+        for vg in range(ug > 0, ug + 1):
+            gray = _OVER_CUT(fg, vg)
+            for vb in range(ub > 0, ub + 1):
+                ref = (opp, ug, ub, vg, vb)
+                site = memo.get(ref)
+                if site is None:
+                    site = yield ref
+                anyc = gray * site[_EQ_ANYC]
+                at_v += _OVER_CUT(fb, vb) * anyc
+                beyond += _EITHER(fb, vb) * anyc + _AT_V(fb, vb) * gray * site[_NEQ_ANYC_S]
+        rooted = self._uppers[("rooted", opp, fg, fb, ug, ub)] = (at_v, beyond)
+        return rooted

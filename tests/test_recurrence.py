@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -152,6 +153,38 @@ class TestDeepRegressions:
         assert engine.correlator_coefficient(10, 10) == expected
 
 
+# Site (1, 1, 1, 1, 1) made to read site (1, 2, 0, 1, 0), of equal rank: a
+# script for ``exec``, which finds ``engine`` and ``fam`` in its globals.
+EQUAL_RANK_BREACH = """\
+site = engine._site
+def circular(key):
+    if key == (1, 1, 1, 1, 1):
+        return (yield (1, 2, 0, 1, 0))
+    return (yield from site(key))
+engine._site = circular
+engine.s_value(fam.double_key(fam.EQ_C, 1, 1, 1, 1, 1))"""
+EQUAL_RANK_MESSAGE = (
+    "recursion order violated: Site(component=1, l_g=2, l_b=0, r_g=1, r_b=0) at rank (2, 1) "
+    "referenced from rank (2, 1)"
+)
+
+
+def every_key(max_total):
+    """Every single and double key with total half-length <= max_total."""
+    for tag in sorted(fam.SINGLE_TAGS):
+        for component in (1, 2):
+            for l in range(max_total + 1):
+                for r in range(l + 1):
+                    yield fam.single_key(tag, component, l, r)
+    for tag in sorted(fam.DOUBLE_TAGS):
+        for component in (1, 2):
+            for lg in range(max_total + 1):
+                for lb in range(max_total - lg + 1):
+                    for rg in range(lg + 1):
+                        for rb in range(lb + 1):
+                            yield fam.double_key(tag, component, lg, lb, rg, rb)
+
+
 class TestMemo:
     def test_write_once(self):
         engine = make_engine(1)
@@ -162,42 +195,34 @@ class TestMemo:
         with pytest.raises(AssertionError):
             engine._store(key, scaled + 1)
 
-    def test_recursion_order_guard(self, monkeypatch):
-        # A miss: TOP reads EQ_C at its own total half-length, so an EQ_C
-        # stage after TOP's makes the first read a violation.
+    def test_recursion_order_guard(self):
+        # Site (1, 1, 1, 1, 1) made to read site (1, 2, 0, 1, 0): both at total
+        # 2, so of equal rank, which the check on every push must refuse.
         engine = make_engine(1)
-        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.TOP] + 1)
-        with pytest.raises(AssertionError, match="recursion order violated"):
-            engine.s_value(fam.top_key(1, 1))
-        monkeypatch.undo()
-        # A memo hit: EQ_ANYC reads the EQ_C value at its own key, which
-        # n_{2,2} has already stored, so the read never reaches the work stack.
+        with pytest.raises(AssertionError, match=re.escape(EQUAL_RANK_MESSAGE)):
+            exec(EQUAL_RANK_BREACH, {"engine": engine, "fam": fam})
+        # A single walk made to read a site at its own total: single walks
+        # rank before sites.
         engine = make_engine(1)
-        engine.correlator_coefficient(2, 2)
-        assert fam.double_key(fam.EQ_C, 1, 1, 1, 1, 1) in dict(engine.memo_items())
-        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.EQ_ANYC] + 1)
-        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='EQ_C'"):
-            engine.s_value(fam.double_key(fam.EQ_ANYC, 1, 1, 1, 1, 1))
-        monkeypatch.undo()
-        # A memo hit in the sum equation: with TOP(1, 1) taken out of the memo
-        # of n_{2,2}, every key it reads is a hit, so only the sum's own check
-        # sees EQ_C's stage moved after TOP's.
-        engine = make_engine(1)
-        engine.correlator_coefficient(2, 2)
-        del engine._memo[fam.top_key(1, 1)]
-        monkeypatch.setitem(recurrence._STAGE, fam.EQ_C, fam.STAGE[fam.TOP] + 1)
-        with pytest.raises(AssertionError, match=r"violated: FamilyKey\(tag='EQ_C'"):
-            engine.s_value(fam.top_key(1, 1))
-        monkeypatch.undo()
+        single = engine._single
+
+        def reads_site(key):
+            if key == (fam.S1, 1, 2, None, 2, None):
+                return (yield (1, 1, 1, 1, 1))
+            return (yield from single(key))
+
+        engine._single = reads_site
+        with pytest.raises(AssertionError, match=r"violated: Site\(component=1, l_g=1, l_b=1"):
+            engine.s_value(fam.single_key(fam.S1, 1, 2, 2))
 
     @pytest.mark.parametrize(
         "warm, key, cache_key",
         [
-            # Gray peel: S1(1, 2, 2) hits s1(2, 1, None, 0, None) at f = 1, u = 0.
-            ((2, 4), fam.single_key(fam.S1, 1, 2, 2), ("s1", 2, 1, None, 0, None)),
-            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits rooted_at_v(1, 1, 1, 1, 1)
-            # at fg = fb = ug = ub = 1.
-            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("rooted_at_v", 1, 1, 1, 1, 1)),
+            # Gray peel: S1(1, 2, 2) hits s1(2, 1, 0, None) at f = 1, u = 0.
+            ((2, 2), fam.single_key(fam.S1, 1, 2, 2), ("s1", 2, 1, 0, None)),
+            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits rooted(1, 1, 1, 1, 1) at
+            # fg = fb = ug = ub = 1.
+            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("rooted", 1, 1, 1, 1, 1)),
         ],
         ids=["gray", "red"],
     )
@@ -212,23 +237,10 @@ class TestMemo:
     @pytest.mark.parametrize(
         "breach, message",
         [
-            (
-                "fam.STAGE[fam.EQ_C] = 17; engine.s_value(fam.top_key(1, 1))",
-                "recursion order violated",
-            ),
-            (
-                "engine.correlator_coefficient(2, 2); fam.STAGE[fam.EQ_C] = 6; "
-                "engine.s_value(fam.double_key(fam.EQ_ANYC, 1, 1, 1, 1, 1))",
-                "recursion order violated: FamilyKey(tag='EQ_C'",
-            ),
+            (EQUAL_RANK_BREACH, EQUAL_RANK_MESSAGE),
             (
                 "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
                 "memo conflict",
-            ),
-            (
-                "engine.correlator_coefficient(2, 2); del engine._memo[fam.top_key(1, 1)]; "
-                "fam.STAGE[fam.EQ_C] = 17; engine.s_value(fam.top_key(1, 1))",
-                "recursion order violated: FamilyKey(tag='EQ_C'",
             ),
             (
                 # alpha = 1/3 gives a_2 = 2; the S1 entry of value alpha2 *
@@ -247,7 +259,7 @@ class TestMemo:
                 "scaled edge weight for multiplicity 2 is not an integer",
             ),
         ],
-        ids=["order", "hit", "conflict", "sum-hit", "divide", "edge"],
+        ids=["order", "conflict", "divide", "edge"],
     )
     def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([
@@ -258,7 +270,7 @@ class TestMemo:
             "assert False, 'not optimized'",
             "engine = CoefficientEngine(ModelParams(F(1, 2), F(1)), MomentSequence([F(1)] * 5))",
             "try:",
-            f"    {breach}",
+            *(f"    {line}" for line in breach.splitlines()),
             "except AssertionError as exc:",
             "    print('raised', exc)",
         ])
@@ -273,11 +285,14 @@ class TestMemo:
 
     def test_evaluated_key_count_is_frozen(self):
         # A rewrite of the equations that evaluates other sub-sums, or prunes
-        # some, changes this count.  It was 7081 before the equations stopped
-        # reading keys that are zero by their shape.
+        # some, changes these counts: memo entries, of which sites, and the
+        # family values they hold.  The family-by-family engine evaluated 7081
+        # keys before the equations stopped reading keys that are zero by
+        # their shape, and 4289 after.
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
-        assert engine.memo_size == 4289
+        sites = sum(len(key) == 5 for key in engine._memo)
+        assert (len(engine._memo), sites, engine.memo_size) == (501, 434, 6143)
 
     def test_single_walk_upper_sums_cached_once(self):
         # These upper sums never read the blue half-length, so the cache must
@@ -286,7 +301,7 @@ class TestMemo:
         engine.correlator_table(14, 14)
         for name in ("s1", "s1_s1s"):
             args = [key[1:] for key in engine._uppers if key[0] == name]
-            assert args and len(args) == len({(opp, f, u) for opp, f, _, u, _ in args}), name
+            assert args and len(args) == len({(opp, f, u) for opp, f, u, _ in args}), name
 
     def test_memo_order_is_frozen(self):
         # The keys in evaluation order and the number of cached upper sums;
@@ -295,8 +310,19 @@ class TestMemo:
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
         assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
-            "46f3ee6bfe481c43b7c1108c0937baf00018962be9b6311c044eeb44412ac10c",
-            1090,
+            "78f8e3ce6bf78fa8fd5d47dac00e834649a9365474058a42ad7bf7ed6cd6ceb6",
+            680,
+        )
+
+    def test_family_values_are_frozen(self):
+        # Every single and double key with total half-length <= 8, the most
+        # context 3's eight moments reach, and its value.  Printed by the
+        # engine that evaluated one family per memo key.
+        engine = make_engine(3, count=8)
+        pairs = sorted((tuple(key), engine.s_value(key)) for key in every_key(8))
+        assert len(pairs) == 14040
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+            "d46b5e285d2cefed413afb1f608398e4c20c4fc7767b9132e6cc1e8532fe5354"
         )
 
 
@@ -315,18 +341,9 @@ STRUCTURAL_CONTEXTS = {
 
 def zero_by_shape(max_total):
     """Every key with l_g + l_b <= max_total (r <= l) that rule (G) or (B) calls 0."""
-    for tag in sorted(fam.SINGLE_TAGS):
-        for component in (1, 2):
-            for l in range(1, max_total + 1):
-                yield fam.single_key(tag, component, l, 0)
-    for tag in sorted(fam.DOUBLE_TAGS):
-        for component in (1, 2):
-            for lg in range(max_total + 1):
-                for lb in range(max_total - lg + 1):
-                    for rg in range(lg + 1):
-                        for rb in range(lb + 1):
-                            if rg == 0 < lg or (tag in _BLUE_AT_ROOT and rb == 0 < lb):
-                                yield fam.double_key(tag, component, lg, lb, rg, rb)
+    for key in every_key(max_total):
+        if key.r_g == 0 < key.l_g or (key.tag in _BLUE_AT_ROOT and key.r_b == 0 < key.l_b):
+            yield key
 
 
 class TestStructuralZeros:
@@ -344,6 +361,24 @@ class TestStructuralZeros:
         params, moments = STRUCTURAL_CONTEXTS[name]
         keys = list(zero_by_shape(5))
         assert [key for key in keys if family_total_weight(key, params, moments) != 0] == []
+
+    @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
+    def test_eq_c_unread_at_blue_root_zero(self, name):
+        # TOP and the ``pair`` upper sum read a site at r_b = 0 < l_b for its
+        # NEQ_C only.  An engine whose memo holds the sites at r_b = 0 < l_b
+        # below total 6 with EQ_C set to 1 gives the same n_{6,6}: it
+        # evaluates the sites at total 6, whose gray peels read those EQ_C
+        # into their own and whose NEQ_C_GU reads them through ``pair``.
+        params, moments = STRUCTURAL_CONTEXTS[name]
+        cold = CoefficientEngine(params, moments)
+        expected = cold.correlator_coefficient(6, 6)
+        seeded = CoefficientEngine(params, moments)
+        slot = recurrence.SITE_TAGS.index(fam.EQ_C)
+        for key, site in cold._memo.items():
+            if len(key) == 5 and key[4] == 0 < key[2] and key[1] + key[2] < 6:
+                seeded._memo[key] = (*site[:slot], 1, *site[slot + 1:])
+        assert len(seeded._memo) > 5
+        assert seeded.correlator_coefficient(6, 6) == expected
 
     @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
     def test_blue_rooted_elsewhere_is_not_zero(self, name):

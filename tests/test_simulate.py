@@ -365,6 +365,11 @@ class TestEstimates:
         for threads in (2, 5):
             assert estimate_correlators(spec, [(2, 2), (4, 4)], samples=80, threads=threads) == base
 
+    def test_pair_with_first_moment_is_exact_zero(self):
+        # k = 1 is a valid index, and odd, so its covariance is exactly 0.
+        est = estimate_correlators(make_spec(N=8), [(1, 2)], samples=10)[0]
+        assert (est.k, est.m, est.mean, est.stderr) == (1, 2, 0.0, 0.0)
+
     def test_estimate_near_limit(self):
         # Limit value for (2,2) at alpha=1/2, p=4, rademacher is 1/4.
         spec = EnsembleSpec(400, ModelParams(F(1, 2), F(4)), WeightDistribution("rademacher"), 7)
@@ -398,6 +403,35 @@ class TestExactFiniteN:
     def test_size_cap(self):
         with pytest.raises(FiniteSizeCapError):
             exact_finite_N(7, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 2, 2)
+
+    def test_largest_size_equals_float_enumeration(self):
+        # N = 6 is the cap itself, so it is evaluated: 3 x 3 cross pairs, each
+        # absent or present with the constant weight 1 / sqrt(p), give 2^9
+        # layouts, enumerated here in floats from the full matrix A.
+        N, p, k, m = 6, 2, 2, 4
+        value = exact_finite_N(N, ModelParams(F(1, 2), F(p)), (F(1), F(1), F(1)), k, m)
+        present = p / N
+        mean_k = mean_m = mean_km = 0.0
+        for layout in range(2**9):
+            edges = [(i, 3 + j) for i in range(3) for j in range(3) if layout >> (3 * i + j) & 1]
+            prob = present ** len(edges) * (1 - present) ** (9 - len(edges))
+            A = np.zeros((N, N))
+            for i, j in edges:
+                A[i, j] = A[j, i] = 1 / math.sqrt(p)
+            moment_k = np.trace(np.linalg.matrix_power(A, k)) / N
+            moment_m = np.trace(np.linalg.matrix_power(A, m)) / N
+            mean_k += prob * moment_k
+            mean_m += prob * moment_m
+            mean_km += prob * moment_k * moment_m
+        assert float(value) == pytest.approx(N * (mean_km - mean_k * mean_m), rel=1e-12)
+
+    def test_single_vertex_has_an_empty_part(self):
+        with pytest.raises(InvalidParamsError) as info:
+            exact_finite_N(1, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 2, 2)
+        assert info.value.code == "empty_part"
+
+    def test_first_moment_vanishes(self):
+        assert exact_finite_N(3, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 1, 2) == 0
 
     def test_param_validation(self):
         with pytest.raises(InvalidParamsError):

@@ -37,6 +37,7 @@ MIRROR = "tests/test_walks.py::TestPartMirror"
 SAMPLER = "src/bipcorr/simulate.py"
 CLI = "src/bipcorr/cli.py"
 MOMENTS = "tests/test_simulate.py::TestTraceMoments"
+FINITE = "tests/test_simulate.py::TestExactFiniteN"
 # A selector still running after this many seconds leaves its mutant alive.
 TIMEOUT_S = 600
 
@@ -54,8 +55,8 @@ ROWS = (
     Mutant(
         "glue-remainder-unchecked",
         ENGINE,
-        "        if rest:\n",
-        "        if False:\n",
+        "            if rest:\n",
+        "            if False:\n",
         f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
     ),
     Mutant(
@@ -92,32 +93,40 @@ ROWS = (
     Mutant(
         "s1s-upper-codes-swapped",
         ENGINE,
-        '"s1_s1s": ((fam.S1, _EITHER, None), (fam.S1S, _AT_V, None)),',
-        '"s1_s1s": ((fam.S1, _AT_V, None), (fam.S1S, _EITHER, None)),',
+        '"s1_s1s": ((fam.S1, _EITHER), (fam.S1S, _AT_V)),',
+        '"s1_s1s": ((fam.S1, _AT_V), (fam.S1S, _EITHER)),',
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
     Mutant(
         "upper-reads-blue-zero-keys",
         ENGINE,
-        "if vb == 0 < ub and tag in _BLUE_AT_ROOT:",
-        "if False:",
+        "site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C]",
+        "site[_EQ_C] + site[_NEQ_C]",
+        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
+    ),
+    Mutant(
+        "rooted-reads-blue-zero-sites",
+        ENGINE,
+        "for vb in range(ub > 0, ub + 1):",
+        "for vb in range(0, ub + 1):",
         f"{GUARDS}::test_evaluated_key_count_is_frozen",
     ),
-    # Recursion order: the two equations that read at their own total check
-    # once per call, memo hits included.
+    # Red peel: the blue code of each family.
     Mutant(
-        "memo-hit-unchecked",
+        "red-blue-codes-eq-and-up-swapped",
         ENGINE,
-        "        _check_order(key, (gray_ref, blue_ref, shared_ref))\n",
-        "",
-        f"{GUARDS}::test_recursion_order_guard",
+        "(fb, math.comb(rb, fb), math.comb(rb - 1, fb - 1), math.comb(rb - 1, fb),",
+        "(fb, math.comb(rb - 1, fb - 1), math.comb(rb, fb), math.comb(rb - 1, fb),",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
+    # Recursion order: every push is checked, and a reference of equal rank
+    # is refused.
     Mutant(
-        "sum-hit-unchecked",
+        "push-check-allows-equal-rank",
         ENGINE,
-        "        _check_order(key, refs)\n",
-        "",
-        f"{GUARDS}::test_guards_survive_optimized_mode[sum-hit]",
+        "            if ref_rank >= rank:\n",
+        "            if ref_rank > rank:\n",
+        f"{GUARDS}::test_guards_survive_optimized_mode[order]",
     ),
     # The peels are ordered by construction; a loop range that reaches the
     # key's own total still fails, in ``math.comb`` or in ``_value``.
@@ -146,15 +155,22 @@ ROWS = (
     Mutant(
         "top-skips-neq-c-at-blue-zero",
         ENGINE,
-        "for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else (fam.NEQ_C,))",
-        "for part in ((fam.EQ_C, fam.NEQ_C) if rb or not lb else ())",
+        "if rb or not lb else site[_NEQ_C]",
+        "if rb or not lb else 0",
         "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
+    ),
+    Mutant(
+        "top-reads-eq-c-at-blue-zero",
+        ENGINE,
+        "total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]",
+        "total += site[_EQ_C] + site[_NEQ_C]",
+        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
     ),
     Mutant(
         "neq-anyc-sn-read-at-any-gray-root-zero",
         ENGINE,
-        "if lg == 0 == rg else []",
-        "if rg == 0 else []",
+        "if lg == 0 == rg else 0",
+        "if rg == 0 else 0",
         "tests/test_recurrence.py::TestStructuralZeros::test_engine_evaluates_them_to_zero",
     ),
     Mutant(
@@ -316,6 +332,36 @@ ROWS = (
         "flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))",
         "flat = rng.choice(pairs, size=count, replace=False, shuffle=True)",
         "tests/test_simulate.py::TestSampleMatrix::test_entries_distinct_in_block_row_major",
+    ),
+    # Sampler: the guards of the exact finite-size evaluator and of the
+    # estimator, each at its boundary value.
+    Mutant(
+        "finite-n-cap-excludes-six",
+        SAMPLER,
+        "    if N > 6:\n",
+        "    if N >= 6:\n",
+        f"{FINITE}::test_largest_size_equals_float_enumeration",
+    ),
+    Mutant(
+        "finite-n-rejects-one",
+        SAMPLER,
+        '    """\n    if N < 1:\n',
+        '    """\n    if N <= 1:\n',
+        f"{FINITE}::test_single_vertex_has_an_empty_part",
+    ),
+    Mutant(
+        "finite-n-rejects-first-moment",
+        SAMPLER,
+        "\n    if k < 1 or m < 1:\n",
+        "\n    if k <= 1 or m < 1:\n",
+        f"{FINITE}::test_first_moment_vanishes",
+    ),
+    Mutant(
+        "estimate-rejects-first-moment",
+        SAMPLER,
+        "        if k < 1 or m < 1:\n",
+        "        if k <= 1 or m < 1:\n",
+        "tests/test_simulate.py::TestEstimates::test_pair_with_first_moment_is_exact_zero",
     ),
     # Crosscheck: both engine-oracle comparisons count a mismatch.
     Mutant(
