@@ -17,58 +17,74 @@ both of which are again family values with strictly smaller half-lengths.
 The combinatorial factors are binomial codes C(n, k) = ``math.comb(n, k)``:
 a walk that departs the root r_g times, f of them through the cut edge,
 distributes those departures in C(r_g - 1, f - 1) ways when its final return
-is forced through the cut edge (or C(r_g, f) style variants when it is not),
-and the upper walk interleaves with blue excursions in C(f + v - 1, f - 1)
-ways.  C(n, k) is 0 for k > n (NEQ_C_RD's C(r_b - 1, r_b), or ``_AT_V`` at
-v = 0), and it raises on a negative argument, which no loop range passes.
+is forced through the cut edge (gray), or C(r_b, f) ways when it is not
+(blue), and the upper walk interleaves with the f returns over the cut edge
+in C(f + v - 1, f - 1) ways.
+
+Moving the blue root
+--------------------
+Fix a gray walk and the blue edges of a tree pair, each with the number of
+times blue crosses it each way.  Every closed blue walk with these crossings
+departs a vertex x the same number of times, d(x); the d(x) add up to 2 l_b,
+and d(r) = r_b.  Read cyclically from one of its departures from x, a walk
+from y becomes a walk from x with one marked departure from y, the old
+start, and reading it from the mark undoes this.  So N(y) d(x) = N(x) d(y),
+where N(x) counts the walks from x.  The weight of a pair, its shared edges,
+whether blue crosses (r, v) and every site field depend on the edges alone.
+So if r_b > 0, a family whose blue root ranges over a set X of vertices
+without r is its twin rooted at r, times the sum of d(x) over X, over r_b:
+
+- X all vertices but r, with 2 l_b - r_b departures: rho = (2 l_b - r_b) /
+  r_b moves EQ_C to NEQ_C, EQ_C_G to NEQ_C_G, EQ_C_R to NEQ_C_R and EQ_ANYC
+  to NEQ_ANYC_S; with an empty gray walk, S1S(c, l, r) = S1 (2l - r) / r.
+- X the vertices beyond v: a term of the red peel crosses the cut edge fb
+  times each way and has blue half-length ub beyond v, so 2 ub + fb
+  departures.  NEQ_C_RU weighs each EQ_C_R term with them, over r_b.
 
 Equation shapes
 ---------------
-The fourteen double families at one site (c, l_g, l_b, r_g, r_b) are all
-peeled over the same cut edge (r, v), and they read the same lower sites.
-So the engine evaluates a site, not a family: one generator, ``_site``,
-computes the fourteen values in one pass and returns them as a tuple in the
-order of ``SITE_TAGS``.
+The fourteen double families at one site (c, l_g, l_b, r_g, r_b) are
+evaluated together: one generator, ``_site``, returns them as a tuple in the
+order of ``SITE_TAGS``.  It peels only what moving the blue root cannot
+give, in three cases.
 
-- The gray peel cuts an edge only gray uses.  One (f, u) loop gives EQ_C_G,
-  NEQ_C_GD and NEQ_ANYC_SGD: each step reads one lower site, for its EQ_C,
-  NEQ_C and NEQ_ANYC_S, and one ``s1`` upper sum.  NEQ_C_GU, whose lower
-  piece is the single walk S1, is a loop of its own.
-- The red peel cuts an edge both walks use.  One (fg, fb, ug, ub) loop gives
-  EQ_C_R, NEQ_C_RU and NEQ_C_RD, which differ in their blue code: each step
-  reads one lower site, for its EQ_ANYC and NEQ_ANYC_S, and one pair of
-  upper sums, ``rooted_at_v`` and ``rooted_at_or_beyond_v``.  It keeps three
-  sums per (fg, fb) and weighs each with the cut edge and its codes once.
-- The rest is straight-line code: the sums (EQ_C, NEQ_C_G, NEQ_C_R, NEQ_C,
-  NEQ_ANYC_S), the EQ_ANYC glue and NEQ_ANYC_SN, the single walk S1S of the
-  blue slots if the gray walk is empty.
+- l_b = 0: the blue walk is empty at r, so EQ_ANYC = S1(c, l_g, r_g) and
+  every other family is 0.
+- r_b = 0 < l_b: the blue walk never visits r, so only NEQ_C_GD and NEQ_C_GU
+  and their sums are not 0.  The gray peel, one (f, u) loop over a cut edge
+  only gray uses, gives NEQ_C_GD: each step reads the NEQ_C of one lower
+  site and one ``s1`` upper sum.  NEQ_C_GU, whose lower piece is the single
+  walk S1, is ``_peel_single`` with the ``pair`` upper sum.
+- r_b > 0: the same gray loop, reading the lower EQ_C, gives EQ_C_G.  The
+  red peel, one (fg, fb, ug, ub) loop over a cut edge both walks use, gives
+  EQ_C_R: each step reads the EQ_ANYC of one lower site and one ``rooted``
+  upper sum, and each (fg, fb) weighs its sum with the cut edge and codes
+  once.  The same terms give NEQ_C_RU.  The rest is moved: NEQ_C_GD =
+  NEQ_C_G = EQ_C_G rho, NEQ_C_GU = 0, NEQ_C_R = EQ_C_R rho, NEQ_C_RD =
+  NEQ_C_R - NEQ_C_RU, and EQ_ANYC adds the glue to EQ_C, so NEQ_ANYC_SGD =
+  (EQ_C_G + glue) rho if l_g > 0, else NEQ_ANYC_SN = glue rho.
 
-The single walks S1 and S1S stay one entry each per (tag, c, l, r); their
-gray peel, ``_peel_single``, is the loop NEQ_C_GU runs as well.  TOP adds
-EQ_C and NEQ_C over component and roots, one site read each.
+The single walk S1 is one memo entry per (c, l, r); its gray peel,
+``_peel_single``, is the loop NEQ_C_GU runs as well.  S1S has no entry:
+``s_value`` moves the root of S1.  TOP adds EQ_C and NEQ_C over component and
+roots, one site read each.
 
 Upper sums
 ----------
 Beyond v the peels weigh an upper piece: the family values at v, each times
-binomial codes that interleave the f returns over the cut edge with the
-departures from v.  For a gray cut edge, ``_upper`` evaluates the sums of
-single walks from a row of the table ``_UPPERS``, which lists in read order
-the families read at v with their gray codes, and ``pair``, the sum of
-EQ_C and NEQ_C over the sites at v that NEQ_C_GU weighs.  For a red cut
-edge, ``_rooted`` evaluates both sums the red peel weighs, ``rooted_at_v``
-and ``rooted_at_or_beyond_v``, in one pass over the sites at v, and returns
-them as a pair.
+the binomial code that interleaves the f returns over the cut edge with the
+departures from v.  For a gray cut edge, ``_upper`` evaluates ``s1``, the sum
+of the single walks S1 rooted at v, or ``pair``, the sum of EQ_C and NEQ_C
+over the sites at v that NEQ_C_GU weighs.  For a red cut edge, ``_rooted``
+evaluates ``rooted``, the sum of EQ_ANYC over the sites at v.
 
-The sums depend only on their arguments, yet the peels ask for the same ones
-many times (at n_{12,12}, the red peel asks for 12,462 pairs of sums and
-882 are distinct).  Each engine caches their values in its own dict,
-keyed by the sum's name and its arguments; no cache is shared between
-engines, because the values depend on the engine's params and moments.  A
-peel reads a cached sum inline, as it reads a memo value; only on a miss
-does it run ``_upper`` or ``_rooted``, with ``yield from``, so the keys the
-sum still lacks go to the same work stack as the peel's own.  A hit reads no
-family value, so it adds no memo entry and leaves the memo's insertion order
-as it was.
+The peels ask for the same sums many times (at n_{12,12}, the red peel
+asks for 12,462 and 882 are distinct), so each engine caches them in its own
+dict, keyed by the sum's name and arguments; the values depend on the
+engine's params and moments.  A peel reads a cached sum inline, as it reads
+a memo value; only on a miss does it run ``_upper`` or ``_rooted``, with
+``yield from``, so the keys the sum still lacks go to the same work stack as
+the peel's own.  A hit adds no memo entry and leaves the memo's order.
 
 Structural zeros
 ----------------
@@ -89,15 +105,13 @@ no read pays a lookup for the rule.  ``range(x > 0, x + 1)`` starts at 1
 whenever x is positive.
 
 - The gray peels: at f = r the lower walk has no departure left, so only
-  u = l - r is read (G).
+  u = l - r is read (G).  A site's stops before f = r_g: EQ_C and NEQ_C
+  need a shared edge, so a lower site with no gray walk gives 0 to both.
 - The red peel: likewise only ug = lg - rg at fg = rg (G), and only
-  ub = lb - rb at fb = rb (B: both lower families, EQ_ANYC and NEQ_ANYC_S,
-  root or pass the blue walk at r).
-- The upper sums: vg starts at 1 when ug > 0 (G).  EQ_C, EQ_ANYC and
-  NEQ_ANYC_S are not read at vb = 0 < ub (B): ``_rooted``'s vb starts at 1
-  when ub > 0, and ``pair`` reads only NEQ_C there.
-- The EQ_ANYC glue reads no single walk at r_b = 0 < l_b (B), where EQ_ANYC
-  is EQ_C.
+  ub = lb - rb at fb = rb (B: the lower EQ_ANYC roots the blue walk at r).
+- The upper sums: vg starts at 1 when ug > 0 (G).  EQ_C and EQ_ANYC are not
+  read at vb = 0 < ub (B): ``_rooted``'s vb starts at 1 when ub > 0, and
+  ``pair`` reads only NEQ_C there.
 - TOP: r_g starts at 1 when l_g > 0 (G); EQ_C is not read at r_b = 0 < l_b
   (B), but NEQ_C is.
 
@@ -122,24 +136,24 @@ and converts to a Fraction only at the public boundary (``s_value``,
 lower piece and the upper piece split the half-length as L = f + L_lower +
 L_upper, so the scales of the three factors multiply to the scale of the
 key: the equations keep their shape, with W(f) in place of w(f), and the
-empty walk S1(l=0, r=0) becomes a_c.  The one other place that changes is
-the EQ_ANYC glue of two single walks at a common root, value s1 * s2 /
-alpha_c: scaled, it is X1 * X2 // a_c.  That division is exact because every
-term of X1 carries the root's vertex factor a_c; the engine checks the
+empty walk S1(l=0, r=0) becomes a_c.  Two steps divide: the EQ_ANYC glue
+of single walks at a common root, s1 * s2 / alpha_c, is X1 * X2 / a_c,
+exact as every term of X1 carries the root's factor a_c; moving the blue
+root is exact as each N(x) is an integer.  ``_exact`` checks every
 remainder all the same, also under ``python -O``.
 
 Work stack and termination
 --------------------------
 The memo holds three kinds of entry, each with its own generator: a single
-walk (``_single``), keyed as its ``FamilyKey``; a site (``_site``), keyed
+walk S1 (``_single``), keyed as its ``FamilyKey``; a site (``_site``), keyed
 (c, l_g, l_b, r_g, r_b) and holding a 14-tuple; and TOP (``_top``), keyed as
 its ``FamilyKey``.  Every reference either strictly lowers the total
 half-length l_g + l_b, or keeps it and moves to an earlier kind: single
 walks before sites before TOP.  A site reads single walks at its own total
-(the glue and NEQ_ANYC_SN when a walk is empty), TOP reads the sites at its
-total, and every peel step lowers the total by f >= 1.  An entry's rank
-packs the pair into one int, ``total << 2 | kind``, so integer order is the
-order of the pair.
+(the glue, and EQ_ANYC at l_b = 0), TOP reads the sites at its total, and
+every peel step lowers the total by f >= 1.  An entry's rank packs the pair
+into one int, ``total << 2 | kind``, so integer order is the order of the
+pair.
 
 Where a generator needs a value it reads the memo inline; only on a miss
 does it ``yield`` the key.  ``_value`` keeps the pending generators on an
@@ -149,10 +163,9 @@ below.  So a memo hit pushes no generator, and a deep key is limited by
 memory, not by the interpreter's recursion limit.
 
 ``_value`` checks the rank of every key it pushes, which is every miss,
-also under ``python -O``, so ranks strictly decrease down the stack and an
-accidentally circular edit fails loudly instead of looping.  A hit needs no
-check: the kind and total of each read are fixed by the code that reads,
-not by a table an edit could reorder.
+also under ``python -O``, so ranks strictly decrease down the stack and a
+circular edit fails loudly instead of looping.  A hit needs no check: the
+kind and total of each read are fixed by the code that reads.
 """
 
 from __future__ import annotations
@@ -173,9 +186,7 @@ SITE_TAGS = (
     fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN, fam.NEQ_ANYC_S,
 )
 _SLOT = {tag: slot for slot, tag in enumerate(SITE_TAGS)}
-_EQ_C, _EQ_ANYC, _NEQ_C, _NEQ_ANYC_S = (
-    _SLOT[fam.EQ_C], _SLOT[fam.EQ_ANYC], _SLOT[fam.NEQ_C], _SLOT[fam.NEQ_ANYC_S]
-)
+_EQ_C, _EQ_ANYC, _NEQ_C = _SLOT[fam.EQ_C], _SLOT[fam.EQ_ANYC], _SLOT[fam.NEQ_C]
 _ZERO_SITE = (0,) * len(SITE_TAGS)
 
 
@@ -189,21 +200,16 @@ class Site(NamedTuple):
     r_b: int
 
 
-# Binomial codes: the orders of f returns over the cut edge and v departures
-# from v whose last step is over the cut edge, at v, or either.
-_OVER_CUT, _AT_V, _EITHER = (
-    lambda f, v: math.comb(f + v - 1, f - 1),
-    lambda f, v: math.comb(f + v - 1, f),
-    lambda f, v: math.comb(f + v, f),
-)
-
-# Upper sums of single walks beyond a gray cut edge: name -> the families
-# read at v, in read order, each with its gray code.
-_UPPERS = {
-    "s1": ((fam.S1, _OVER_CUT),),
-    # The walk is rooted at v, or deeper and merely visits v.
-    "s1_s1s": ((fam.S1, _EITHER), (fam.S1S, _AT_V)),
-}
+def _exact(dividend: int, divisor: int, what: str, key: tuple, by: str) -> int:
+    """``dividend / divisor``, which must be an integer, for ``what`` at the
+    family ``key``, with ``by`` naming the divisor; checked also under
+    ``python -O``."""
+    quotient, rest = divmod(dividend, divisor)
+    if rest:
+        raise AssertionError(
+            f"{what} at {fam.FamilyKey._make(key)} is not divisible by {by} = {divisor}"
+        )
+    return quotient
 
 # Kinds of memo entry, in the order they are evaluated at one total.
 _SINGLE, _SITE, _TOP = range(3)
@@ -244,10 +250,18 @@ class CoefficientEngine:
     # -- public API --------------------------------------------------------
 
     def s_value(self, key: fam.FamilyKey) -> Fraction:
+        """The value of ``key``; needs V_2 .. V_2L at its total half-length L."""
         fam.validate_key(key)
+        self.moments.require(2 * (key.l_g + (key.l_b or 0)))
         if key.tag in fam.DOUBLE_TAGS:
             return self._unscaled(key, self._value(key[1:])[_SLOT[key.tag]])
-        return self._unscaled(key, self._value(key))
+        if key.tag != fam.S1S:
+            return self._unscaled(key, self._value(key))
+        _, c, l, _, r, _ = key
+        if r == 0:
+            return Fraction(0)
+        s1 = self._value((fam.S1, c, l, None, r, None))
+        return self._unscaled(key, _exact(s1 * (2 * l - r), r, "moved root", key, "r"))
 
     def correlator_coefficient(self, k: int, m: int) -> Fraction:
         """n_{k,m}: the large-N limit of N * Cov(moment k, moment m)."""
@@ -362,12 +376,12 @@ class CoefficientEngine:
     # -- single walks and TOP ----------------------------------------------
 
     def _single(self, key: tuple):
-        tag, c, l, _, r, _ = key
-        if tag == fam.S1 and l == 0:
-            return self._a[c] if r == 0 else 0
+        _, c, l, _, r, _ = key
         if r > l:
             return 0
-        return (yield from self._peel_single(c, l, r, "s1" if tag == fam.S1 else "s1_s1s", None))
+        if l == 0:
+            return self._a[c]
+        return (yield from self._peel_single(c, l, r, "s1", None))
 
     def _peel_single(self, c: int, l: int, r: int, upper: str, ub):
         """The gray peel with the single walk S1 as lower piece, the upper sum
@@ -413,55 +427,55 @@ class CoefficientEngine:
         c, lg, lb, rg, rb = key
         if rg > lg or rb > lb:
             return _ZERO_SITE
+        if lb == 0:
+            gray = yield from self._get((fam.S1, c, lg, None, rg, None))
+            return (0, 0, 0, gray, *_ZERO_SITE[4:])
         memo, uppers, w = self._memo, self._uppers, self._w
         opp = 3 - c
 
-        # Gray peel, blue below the cut edge: EQ_C_G, NEQ_C_GD, NEQ_ANYC_SGD.
-        eq_g = down_g = visit_g = 0
-        for f in range(1, rg + 1):
-            eq = down = visit = 0
-            for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):
+        # Gray peel, blue below the cut edge: EQ_C_G if blue visits r, else
+        # NEQ_C_GD.  Cutting all r_g departures leaves the lower gray walk
+        # empty, and then its EQ_C and NEQ_C, which need a shared edge, are 0.
+        slot = _EQ_C if rb else _NEQ_C
+        gray_peel = 0
+        for f in range(1, rg):
+            inner = 0
+            for u in range(0, lg - rg + 1):
                 ref = (c, lg - u - f, lb, rg - f, rb)
                 lower = memo.get(ref)
                 if lower is None:
                     lower = yield ref
-                lower_eq, lower_neq, lower_visit = lower[_EQ_C], lower[_NEQ_C], lower[_NEQ_ANYC_S]
-                if not (lower_eq or lower_neq or lower_visit):
+                lower = lower[slot]
+                if not lower:
                     continue
                 above = uppers.get(("s1", opp, f, u, None))
                 if above is None:
                     above = yield from self._upper("s1", opp, f, u, None)
-                eq += lower_eq * above
-                down += lower_neq * above
-                visit += lower_visit * above
-            outer = math.comb(rg - 1, f - 1) * w(f)
-            eq_g += outer * eq
-            down_g += outer * down
-            visit_g += outer * visit
+                inner += lower * above
+            gray_peel += math.comb(rg - 1, f - 1) * w(f) * inner
 
-        # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece is a
-        # single walk, so blue cannot touch r.
-        up_g = 0 if rb else (yield from self._peel_single(c, lg, rg, "pair", lb))
+        if not rb:
+            # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece
+            # is a single walk, so blue cannot touch r.
+            up_g = yield from self._peel_single(c, lg, rg, "pair", lb)
+            neq_g = up_g + gray_peel
+            return (0, 0, 0, 0, up_g, gray_peel, 0, 0, neq_g, 0, neq_g, 0, 0, 0)
 
-        # Red peel: EQ_C_R, with blue rooted at r as well but free to leave
-        # last by another edge; NEQ_C_RU, with the blue root beyond the cut
-        # edge, so blue's last departure from r returns through it; NEQ_C_RD,
-        # with the blue root on the r side, so blue's last departure from r
-        # stays below.  Cutting all departures of a walk leaves its lower walk
-        # none, so (G) and, as both lower families root or pass the blue walk
-        # at r, (B) allow it only the empty walk.
+        # Red peel: EQ_C_R, blue rooted at r but free to leave it last by
+        # another edge, and NEQ_C_RU, each term times its blue departures
+        # beyond the cut edge.  A lower walk cut off all its departures is
+        # empty (G, B).
         blues = [
-            (fb, math.comb(rb, fb), math.comb(rb - 1, fb - 1), math.comb(rb - 1, fb),
-             range(0, lb - rb + 1) if fb < rb else (lb - rb,))
+            (fb, math.comb(rb, fb), range(0, lb - rb + 1) if fb < rb else (lb - rb,))
             for fb in range(1, rb + 1)
         ]
-        eq_r = up_r = down_r = 0
+        eq_r = up_r = 0
         for fg in range(1, rg + 1):
             code_g = math.comb(rg - 1, fg - 1)
             ugs = range(0, lg - rg + 1) if fg < rg else (lg - rg,)
             low_rg = rg - fg
-            for fb, code_eq, code_up, code_down, ubs in blues:
-                eq = up = down = 0
+            for fb, code_b, ubs in blues:
+                eq = up = 0
                 low_rb = rb - fb
                 for ug in ugs:
                     low_lg = lg - ug - fg
@@ -470,68 +484,59 @@ class CoefficientEngine:
                         lower = memo.get(ref)
                         if lower is None:
                             lower = yield ref
-                        lower_anyc, lower_visit = lower[_EQ_ANYC], lower[_NEQ_ANYC_S]
-                        if not (lower_anyc or lower_visit):
+                        lower = lower[_EQ_ANYC]
+                        if not lower:
                             continue
                         rooted = uppers.get(("rooted", opp, fg, fb, ug, ub))
                         if rooted is None:
                             rooted = yield from self._rooted(opp, fg, fb, ug, ub)
-                        at_v, beyond = rooted
-                        eq += lower_anyc * at_v
-                        up += lower_anyc * beyond
-                        down += lower_visit * at_v
-                weight = code_g * w(fg + fb)
-                eq_r += weight * code_eq * eq
-                up_r += weight * code_up * up
-                down_r += weight * code_down * down
+                        term = lower * rooted
+                        eq += term
+                        up += (2 * ub + fb) * term
+                weight = code_g * code_b * w(fg + fb)
+                eq_r += weight * eq
+                up_r += weight * up
 
-        eq_c = eq_g + eq_r
-        eq_anyc = eq_c
-        if rb or not lb:
-            # Pairs with no shared edge and a common root are exactly the
-            # pairs of independent single walks glued at the root; the root's
-            # vertex factor must not be counted twice.
-            gray = yield from self._get((fam.S1, c, lg, None, rg, None))
-            blue = yield from self._get((fam.S1, c, lb, None, rb, None))
-            glued, rest = divmod(gray * blue, self._a[c])
-            if rest:
-                raise AssertionError(
-                    f"glue at {fam.FamilyKey(fam.EQ_ANYC, *key)} is not divisible by the "
-                    f"root factor a_{c} = {self._a[c]}"
-                )
-            eq_anyc += glued
-        empty = (yield from self._get((fam.S1S, c, lb, None, rb, None))) if lg == 0 == rg else 0
-        neq_g = up_g + down_g
-        neq_r = up_r + down_r
+        # Pairs with no shared edge and a common root are exactly the pairs
+        # of independent single walks glued at the root; the root's vertex
+        # factor must not be counted twice.
+        gray = yield from self._get((fam.S1, c, lg, None, rg, None))
+        blue = yield from self._get((fam.S1, c, lb, None, rb, None))
+        glue = _exact(gray * blue, self._a[c], "glue", (fam.EQ_ANYC, *key), f"the root factor a_{c}")
+
+        # Moving the blue root off r.
+        moved = 2 * lb - rb
+        neq_g = _exact(gray_peel * moved, rb, "moved root", (fam.NEQ_C_G, *key), "r_b")
+        neq_r = _exact(eq_r * moved, rb, "moved root", (fam.NEQ_C_R, *key), "r_b")
+        up_r = _exact(up_r, rb, "moved root", (fam.NEQ_C_RU, *key), "r_b")
+        visit = _exact((gray_peel + glue) * moved, rb, "moved root", (fam.NEQ_ANYC_S, *key), "r_b")
+        visit_g, empty = (visit, 0) if lg else (0, visit)
+        eq_c = gray_peel + eq_r
         return (
-            eq_g, eq_r, eq_c, eq_anyc,
-            up_g, down_g, up_r, down_r,
+            gray_peel, eq_r, eq_c, eq_c + glue,
+            0, neq_g, up_r, neq_r - up_r,
             neq_g, neq_r, neq_g + neq_r,
-            visit_g, empty, neq_r + visit_g + empty,
+            visit_g, empty, neq_r + visit,
         )
 
     # -- upper sums: the walks beyond v ------------------------------------
 
     def _upper(self, name: str, opp: int, f: int, u: int, ub):
-        """Evaluate and cache an upper sum of a gray cut edge: a row of
-        ``_UPPERS`` if ub is None, else ``pair``, EQ_C plus NEQ_C of the sites
-        at v with blue half-length ub.
-
-        The f gray returns over the cut edge interleave with the vg gray
-        departures from v.
-        """
+        """Evaluate and cache an upper sum of a gray cut edge: ``s1``, the
+        single walks S1 at v, if ub is None, else ``pair``, EQ_C plus NEQ_C
+        of the sites at v with blue half-length ub.  The f gray returns over
+        the cut edge interleave with the vg gray departures from v."""
         memo = self._memo
         upper = 0
         for vg in range(u > 0, u + 1):
+            code = math.comb(f + vg - 1, f - 1)
             if ub is None:
-                for tag, code in _UPPERS[name]:
-                    ref = (tag, opp, u, None, vg, None)
-                    value = memo.get(ref)
-                    if value is None:
-                        value = yield ref
-                    upper += code(f, vg) * value
+                ref = (fam.S1, opp, u, None, vg, None)
+                value = memo.get(ref)
+                if value is None:
+                    value = yield ref
+                upper += code * value
                 continue
-            code = _OVER_CUT(f, vg)
             for vb in range(0, ub + 1):
                 ref = (opp, u, ub, vg, vb)
                 site = memo.get(ref)
@@ -542,25 +547,18 @@ class CoefficientEngine:
         return upper
 
     def _rooted(self, opp: int, fg: int, fb: int, ug: int, ub: int):
-        """Evaluate and cache the upper sums of a red cut edge, a pair.
-
-        ``rooted_at_v``: the pair shares the root v.  ``rooted_at_or_beyond_v``:
-        it does, or the blue root is deeper and blue merely visits v.  fg gray
-        and fb blue returns over the cut edge interleave with the vg and vb
-        departures from v.  Both read EQ_ANYC and NEQ_ANYC_S at v, which (B)
-        makes 0 at vb = 0 < ub.
-        """
+        """Evaluate and cache ``rooted``, the upper sum of a red cut edge:
+        EQ_ANYC of the sites at v, which (B) makes 0 at vb = 0 < ub, with fg
+        gray and fb blue returns interleaved with vg and vb departures."""
         memo = self._memo
-        at_v = beyond = 0
+        rooted = 0
         for vg in range(ug > 0, ug + 1):
-            gray = _OVER_CUT(fg, vg)
+            gray = math.comb(fg + vg - 1, fg - 1)
             for vb in range(ub > 0, ub + 1):
                 ref = (opp, ug, ub, vg, vb)
                 site = memo.get(ref)
                 if site is None:
                     site = yield ref
-                anyc = gray * site[_EQ_ANYC]
-                at_v += _OVER_CUT(fb, vb) * anyc
-                beyond += _EITHER(fb, vb) * anyc + _AT_V(fb, vb) * gray * site[_NEQ_ANYC_S]
-        rooted = self._uppers[("rooted", opp, fg, fb, ug, ub)] = (at_v, beyond)
+                rooted += gray * math.comb(fb + vb - 1, fb - 1) * site[_EQ_ANYC]
+        self._uppers[("rooted", opp, fg, fb, ug, ub)] = rooted
         return rooted

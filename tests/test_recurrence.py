@@ -114,6 +114,30 @@ class TestCoefficientApi:
         with pytest.raises(InsufficientMomentsError):
             short.correlator_coefficient(2, 2)
 
+    @pytest.mark.parametrize(
+        "deep, key",
+        [
+            (fam.single_key(fam.S1, 1, 9, 1), fam.single_key(fam.S1, 1, 8, 1)),
+            (fam.single_key(fam.S1S, 2, 9, 1), fam.single_key(fam.S1S, 2, 8, 1)),
+            (fam.double_key(fam.EQ_C, 1, 5, 4, 1, 1), fam.double_key(fam.EQ_C, 1, 4, 4, 1, 1)),
+            (
+                fam.double_key(fam.NEQ_C_GU, 2, 5, 4, 2, 0),
+                fam.double_key(fam.NEQ_C_GU, 2, 4, 4, 2, 0),
+            ),
+            (fam.top_key(4, 5), fam.top_key(4, 4)),
+        ],
+        ids=["S1", "S1S", "EQ_C", "NEQ_C_GU", "TOP"],
+    )
+    def test_family_moments_checked_first(self, deep, key):
+        # Eight moments reach V_16, so total half-length 8 but not 9: a key at
+        # total 9 raises before it evaluates anything, and one at total 8
+        # evaluates.
+        engine = make_engine(3, count=8)
+        with pytest.raises(InsufficientMomentsError):
+            engine.s_value(deep)
+        assert engine._memo == {} and engine._uppers == {}
+        assert engine.s_value(key) == family_total_weight(key, *context(3, 8))
+
     def test_malformed_key_rejected(self):
         engine = make_engine(1)
         with pytest.raises(fam.UnknownFamilyError):
@@ -252,6 +276,14 @@ class TestMemo:
                 "is not divisible",
             ),
             (
+                # S1S(1, 4, 3) moves the root of S1(1, 4, 3) by (2 * 4 - 3) / 3;
+                # seeded with the scaled value 1, that is 5/3.
+                "engine._memo[fam.single_key(fam.S1, 1, 4, 3)] = 1; "
+                "engine.s_value(fam.single_key(fam.S1S, 1, 4, 3))",
+                "moved root at FamilyKey(tag='S1S', component=1, l_g=4, l_b=None, r_g=3, "
+                "r_b=None) is not divisible by r = 3",
+            ),
+            (
                 # V2 = 1/3 needs c = 9; with c = 1 the scaled weight W(1) = V2 * c is 1/3.
                 "engine = CoefficientEngine(ModelParams(F(1, 2), F(3, 2)), "
                 "MomentSequence([F(1, 3)] * 5)); engine._c = 1; "
@@ -259,7 +291,7 @@ class TestMemo:
                 "scaled edge weight for multiplicity 2 is not an integer",
             ),
         ],
-        ids=["order", "conflict", "divide", "edge"],
+        ids=["order", "conflict", "divide", "moved", "edge"],
     )
     def test_guards_survive_optimized_mode(self, breach, message):
         script = "\n".join([
@@ -292,16 +324,15 @@ class TestMemo:
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
         sites = sum(len(key) == 5 for key in engine._memo)
-        assert (len(engine._memo), sites, engine.memo_size) == (501, 434, 6143)
+        assert (len(engine._memo), sites, engine.memo_size) == (467, 434, 6109)
 
     def test_single_walk_upper_sums_cached_once(self):
-        # These upper sums never read the blue half-length, so the cache must
-        # hold one entry per (opp, f, u), not one per blue length as well.
+        # The ``s1`` upper sum never reads the blue half-length, so the cache
+        # must hold one entry per (opp, f, u), not one per blue length as well.
         engine = make_engine(1, count=14)
         engine.correlator_table(14, 14)
-        for name in ("s1", "s1_s1s"):
-            args = [key[1:] for key in engine._uppers if key[0] == name]
-            assert args and len(args) == len({(opp, f, u) for opp, f, u, _ in args}), name
+        args = [key[1:] for key in engine._uppers if key[0] == "s1"]
+        assert args and len(args) == len({(opp, f, u) for opp, f, u, _ in args})
 
     def test_memo_order_is_frozen(self):
         # The keys in evaluation order and the number of cached upper sums;
@@ -310,8 +341,8 @@ class TestMemo:
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
         assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
-            "78f8e3ce6bf78fa8fd5d47dac00e834649a9365474058a42ad7bf7ed6cd6ceb6",
-            680,
+            "39df8cfd686c165851b4c261c0fda42aa80c998b5e3e1e95d38bc4be52941257",
+            630,
         )
 
     def test_family_values_are_frozen(self):
@@ -366,19 +397,21 @@ class TestStructuralZeros:
     def test_eq_c_unread_at_blue_root_zero(self, name):
         # TOP and the ``pair`` upper sum read a site at r_b = 0 < l_b for its
         # NEQ_C only.  An engine whose memo holds the sites at r_b = 0 < l_b
-        # below total 6 with EQ_C set to 1 gives the same n_{6,6}: it
-        # evaluates the sites at total 6, whose gray peels read those EQ_C
-        # into their own and whose NEQ_C_GU reads them through ``pair``.
+        # up to a total with EQ_C set to 1 gives the same n_{6,6}.  Seeded up
+        # to total 5, it evaluates the sites at total 6, whose NEQ_C_GU reads
+        # the seeded ones through ``pair``; seeded up to total 6, TOP reads
+        # them.
         params, moments = STRUCTURAL_CONTEXTS[name]
         cold = CoefficientEngine(params, moments)
         expected = cold.correlator_coefficient(6, 6)
-        seeded = CoefficientEngine(params, moments)
         slot = recurrence.SITE_TAGS.index(fam.EQ_C)
-        for key, site in cold._memo.items():
-            if len(key) == 5 and key[4] == 0 < key[2] and key[1] + key[2] < 6:
-                seeded._memo[key] = (*site[:slot], 1, *site[slot + 1:])
-        assert len(seeded._memo) > 5
-        assert seeded.correlator_coefficient(6, 6) == expected
+        for seeded_total in (5, 6):
+            seeded = CoefficientEngine(params, moments)
+            for key, site in cold._memo.items():
+                if len(key) == 5 and key[4] == 0 < key[2] and key[1] + key[2] <= seeded_total:
+                    seeded._memo[key] = (*site[:slot], 1, *site[slot + 1:])
+            assert len(seeded._memo) > 5
+            assert seeded.correlator_coefficient(6, 6) == expected, seeded_total
 
     @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
     def test_blue_rooted_elsewhere_is_not_zero(self, name):

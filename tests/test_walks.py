@@ -567,6 +567,41 @@ class TestPartMirror:
             assert n_oracle(k, m, params, moments) == want, (k, m)
 
 
+# Each family whose blue walk is rooted off r, beside its twin rooted at r.
+_MOVED_TWINS = {fam.NEQ_C: fam.EQ_C, fam.NEQ_C_R: fam.EQ_C_R, fam.NEQ_ANYC_S: fam.EQ_ANYC}
+
+
+class TestMovedBlueRoot:
+    """On walked pairs: blue walks from x number in proportion to d_B(x)."""
+
+    def test_rooted_elsewhere_is_twin_times_rho(self):
+        # For a gray walk and blue edges fixed, the blue walks from x number
+        # K d_B(x), and d_B adds up to 2 l_b, r_b of it at r.  So, profile by
+        # profile, r_b times a family rooted off r is (2 l_b - r_b) times its
+        # twin rooted at r; at l_g = 0, NEQ_ANYC_S against EQ_ANYC is S1S
+        # against S1.  The engine moves its blue root by this rule.
+        checks = 0
+        for total in range(0, 11, 2):
+            for k in range(0, total + 1, 2):
+                l_b = (total - k) // 2
+                census = walked_census(_tree_pairs(k, 2 * l_b))
+                slots = {
+                    (moved_tag, component, r_g, r_b)
+                    for tag, component, r_g, r_b in census
+                    for moved_tag, twin_tag in _MOVED_TWINS.items()
+                    if tag in (moved_tag, twin_tag) and r_b > 0
+                }
+                for tag, component, r_g, r_b in slots:
+                    moved = dict(census.get((tag, component, r_g, r_b), ()))
+                    twin = dict(census.get((_MOVED_TWINS[tag], component, r_g, r_b), ()))
+                    for profile in moved.keys() | twin.keys():
+                        checks += 1
+                        assert r_b * moved.get(profile, 0) == (2 * l_b - r_b) * twin.get(
+                            profile, 0
+                        ), (tag, k, component, r_g, r_b, profile)
+        assert checks == 1066
+
+
 def labelled_tree(tree) -> dict:
     """Edge (parent, child) -> gray crossings each way on a labelled tree of ``tree``; root 0."""
     edges: dict = {}

@@ -51,20 +51,28 @@ class Mutant(NamedTuple):
 
 
 ROWS = (
-    # Scaled integers: the EQ_ANYC glue and the integral edge weight.
+    # Scaled integers: the exact divisions of the EQ_ANYC glue and of the
+    # moved blue root, and the integral edge weight.
     Mutant(
         "glue-remainder-unchecked",
         ENGINE,
-        "            if rest:\n",
-        "            if False:\n",
+        "    if rest:\n",
+        "    if False:\n",
         f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
     ),
     Mutant(
         "glue-by-floor-division",
         ENGINE,
-        "glued, rest = divmod(gray * blue, self._a[c])",
-        "glued, rest = gray * blue // self._a[c], 0",
+        'glue = _exact(gray * blue, self._a[c], "glue", (fam.EQ_ANYC, *key), f"the root factor a_{c}")',
+        "glue = gray * blue // self._a[c]",
         f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
+    ),
+    Mutant(
+        "moved-root-remainder-unchecked",
+        ENGINE,
+        "    if rest:\n",
+        "    if False:\n",
+        f"{GUARDS}::test_guards_survive_optimized_mode[moved]",
     ),
     Mutant(
         "edge-weight-unchecked",
@@ -89,14 +97,36 @@ ROWS = (
         "return self._q ** total * self._c**total",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
-    # Upper sums: a row's codes and rule (B).
+    # Moving the blue root: the departures off r and beyond v.
     Mutant(
-        "s1s-upper-codes-swapped",
+        "s1s-departures-not-doubled",
         ENGINE,
-        '"s1_s1s": ((fam.S1, _EITHER), (fam.S1S, _AT_V)),',
-        '"s1_s1s": ((fam.S1, _AT_V), (fam.S1S, _EITHER)),',
+        "s1 * (2 * l - r)",
+        "s1 * (l - r)",
+        "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
+    Mutant(
+        "rho-with-gray-length",
+        ENGINE,
+        "moved = 2 * lb - rb",
+        "moved = 2 * lg - rb",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
+    Mutant(
+        "ru-weight-without-fb",
+        ENGINE,
+        "up += (2 * ub + fb) * term",
+        "up += 2 * ub * term",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "neq-anyc-sgd-and-sn-swapped",
+        ENGINE,
+        "visit_g, empty = (visit, 0) if lg else (0, visit)",
+        "visit_g, empty = (0, visit) if lg else (visit, 0)",
+        f"{GUARDS}::test_family_values_are_frozen",
+    ),
+    # Upper sums: rule (B).
     Mutant(
         "upper-reads-blue-zero-keys",
         ENGINE,
@@ -111,12 +141,12 @@ ROWS = (
         "for vb in range(0, ub + 1):",
         f"{GUARDS}::test_evaluated_key_count_is_frozen",
     ),
-    # Red peel: the blue code of each family.
+    # Red peel: blue may leave r last by another edge than the cut edge.
     Mutant(
-        "red-blue-codes-eq-and-up-swapped",
+        "red-blue-code-forces-last-return",
         ENGINE,
-        "(fb, math.comb(rb, fb), math.comb(rb - 1, fb - 1), math.comb(rb - 1, fb),",
-        "(fb, math.comb(rb - 1, fb - 1), math.comb(rb, fb), math.comb(rb - 1, fb),",
+        "(fb, math.comb(rb, fb), range(",
+        "(fb, math.comb(rb - 1, fb - 1), range(",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
     # Recursion order: every push is checked, and a reference of equal rank
@@ -165,13 +195,6 @@ ROWS = (
         "total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]",
         "total += site[_EQ_C] + site[_NEQ_C]",
         "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
-    ),
-    Mutant(
-        "neq-anyc-sn-read-at-any-gray-root-zero",
-        ENGINE,
-        "if lg == 0 == rg else 0",
-        "if rg == 0 else 0",
-        "tests/test_recurrence.py::TestStructuralZeros::test_engine_evaluates_them_to_zero",
     ),
     Mutant(
         "gray-peel-empty-lower-off-by-one",
