@@ -18,11 +18,12 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, families as fam, model, walks
 from .rational import format_scalar, parse_scalar, to_decimal
-from .recurrence import CoefficientEngine
+from .recurrence import SITE_TAGS, CoefficientEngine
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -238,6 +239,11 @@ def run_crosscheck(engine: CoefficientEngine, max_total: int, family_total: int)
     the report lines include every comparison group and any offenders.
     Separated from the subcommand so tests can drive it with a tampered
     engine.
+
+    The double families are compared one (l_g, l_b) block at a time, as
+    the scaled integers both routes hand out, each over its own D_L:
+    x_engine / D_engine = x_oracle / D_oracle.  A Fraction is built only for
+    a mismatch, and the mismatches are reported in key order.
     """
     params, moments = engine.params, engine.moments
     mismatches = []
@@ -250,24 +256,34 @@ def run_crosscheck(engine: CoefficientEngine, max_total: int, family_total: int)
             if got != want:
                 mismatches.append((f"coefficient ({k},{m})", got, want))
     family_count = 0
-    for tag in sorted(fam.DOUBLE_TAGS) + [fam.TOP]:
-        for component in (1, 2) if tag != fam.TOP else (None,):
-            for l_g in range(0, family_total + 1):
-                for l_b in range(0, family_total - l_g + 1):
-                    if tag == fam.TOP:
-                        keys = [fam.top_key(l_g, l_b)]
-                    else:
-                        keys = [
-                            fam.double_key(tag, component, l_g, l_b, r_g, r_b)
-                            for r_g in range(0, l_g + 1)
-                            for r_b in range(0, l_b + 1)
-                        ]
-                    for key in keys:
-                        family_count += 1
-                        got = engine.s_value(key)
-                        want = walks.family_total_weight(key, params, moments)
-                        if got != want:
-                            mismatches.append((f"family {key}", got, want))
+    double_mismatches = []
+    for l_g in range(0, family_total + 1):
+        for l_b in range(0, family_total - l_g + 1):
+            oracle_scale, oracle = walks.double_family_block(l_g, l_b, params, moments)
+            for component in (1, 2):
+                for r_g in range(0, l_g + 1):
+                    for r_b in range(0, l_b + 1):
+                        site = (component, l_g, l_b, r_g, r_b)
+                        engine_scale, values = engine.scaled_site(site)
+                        family_count += len(values)
+                        for tag, got in zip(SITE_TAGS, values):
+                            want = oracle.get((tag, component, r_g, r_b), 0)
+                            if got * oracle_scale != want * engine_scale:
+                                double_mismatches.append((
+                                    fam.double_key(tag, *site),
+                                    Fraction(got, engine_scale),
+                                    Fraction(want, oracle_scale),
+                                ))
+    double_mismatches.sort()
+    mismatches += [(f"family {key}", got, want) for key, got, want in double_mismatches]
+    for l_g in range(0, family_total + 1):
+        for l_b in range(0, family_total - l_g + 1):
+            key = fam.top_key(l_g, l_b)
+            family_count += 1
+            got = engine.s_value(key)
+            want = walks.family_total_weight(key, params, moments)
+            if got != want:
+                mismatches.append((f"family {key}", got, want))
     for tag in sorted(fam.SINGLE_TAGS):
         for component in (1, 2):
             for l in range(0, family_total + 2):

@@ -132,11 +132,17 @@ therefore stores, for a family value of total half-length L, the integer
     X = value * q^(L+1) * c^L
 
 and converts to a Fraction only at the public boundary (``s_value``,
-``correlator_coefficient``, ``memo_items``).  In both peels the cut edge, the
+``correlator_coefficient``, ``memo_items``).  One public reader hands out the
+integers: ``scaled_site`` returns a site's fourteen X in the order of
+``SITE_TAGS`` together with D_L = q^(L+1) c^L, so that a caller comparing
+whole sites, as ``crosscheck`` does, builds no Fraction; the double branch
+of ``s_value`` reads through it.  In both peels the cut edge, the
 lower piece and the upper piece split the half-length as L = f + L_lower +
 L_upper, so the scales of the three factors multiply to the scale of the
 key: the equations keep their shape, with W(f) in place of w(f), and the
-empty walk S1(l=0, r=0) becomes a_c.  Two steps divide: the EQ_ANYC glue
+empty walk S1(l=0, r=0) becomes a_c.  The W(f) sit in a list indexed by
+f, which ``_value`` fills up to the total of the key it evaluates, checking
+each W(f) to be an integer.  Two steps divide: the EQ_ANYC glue
 of single walks at a common root, s1 * s2 / alpha_c, is X1 * X2 / a_c,
 exact as every term of X1 carries the root's factor a_c; moving the blue
 root is exact as each N(x) is an integer.  ``_exact`` checks every
@@ -245,16 +251,19 @@ class CoefficientEngine:
         )
         self._memo: dict = {}
         self._uppers: dict = {}
-        self._edge_weights: dict = {}
+        # W(f) at index f, filled by ``_value`` up to the total of the key it
+        # evaluates; no edge is crossed 0 times, so index 0 holds a 0.
+        self._weights: list = [0]
 
     # -- public API --------------------------------------------------------
 
     def s_value(self, key: fam.FamilyKey) -> Fraction:
         """The value of ``key``; needs V_2 .. V_2L at its total half-length L."""
         fam.validate_key(key)
-        self.moments.require(2 * (key.l_g + (key.l_b or 0)))
         if key.tag in fam.DOUBLE_TAGS:
-            return self._unscaled(key, self._value(key[1:])[_SLOT[key.tag]])
+            scale, site = self.scaled_site(key[1:])
+            return Fraction(site[_SLOT[key.tag]], scale)
+        self.moments.require(2 * (key.l_g + (key.l_b or 0)))
         if key.tag != fam.S1S:
             return self._unscaled(key, self._value(key))
         _, c, l, _, r, _ = key
@@ -262,6 +271,16 @@ class CoefficientEngine:
             return Fraction(0)
         s1 = self._value((fam.S1, c, l, None, r, None))
         return self._unscaled(key, _exact(s1 * (2 * l - r), r, "moved root", key, "r"))
+
+    def scaled_site(self, site: tuple) -> tuple:
+        """(D_L, values) of ``site``, a ``Site`` or its 5-tuple: the fourteen
+        family values at the site in the order of ``SITE_TAGS``, each times
+        D_L = q^(L+1) c^L as an int, L = l_g + l_b; needs V_2 .. V_2L."""
+        component, l_g, l_b, r_g, r_b = site
+        if component not in (1, 2) or min(l_g, l_b, r_g, r_b) < 0:
+            raise fam.UnknownFamilyError(f"malformed site {Site(*site)}")
+        self.moments.require(2 * (l_g + l_b))
+        return self._scale(l_g + l_b), self._value(tuple(site))
 
     def correlator_coefficient(self, k: int, m: int) -> Fraction:
         """n_{k,m}: the large-N limit of N * Cov(moment k, moment m)."""
@@ -321,7 +340,11 @@ class CoefficientEngine:
         value = self._memo.get(key)
         if value is not None:
             return value
-        stack = [(key, _rank(key), self._equation(key))]
+        rank = _rank(key)
+        # No key the work stack pushes has a higher total than ``key``, and a
+        # peel's cut edge has f at most the total of the key it peels.
+        self._fill_weights(rank >> 2)
+        stack = [(key, rank, self._equation(key))]
         while stack:
             key, rank, frame = stack[-1]
             try:
@@ -359,19 +382,18 @@ class CoefficientEngine:
             value = yield ref
         return value
 
-    def _w(self, half_multiplicity: int) -> int:
-        """Scaled edge weight W(f) for an edge traversed 2f times."""
-        f = half_multiplicity
-        cached = self._edge_weights.get(f)
-        if cached is None:
+    def _fill_weights(self, total: int) -> None:
+        """Append the scaled edge weights W(f), for an edge traversed 2f
+        times, to ``_weights`` up to f = ``total``."""
+        weights = self._weights
+        for f in range(len(weights), total + 1):
             scaled = edge_factor(self.moments, self.params, 2 * f) * self._c**f * self._q**(f - 1)
             if scaled.denominator != 1:
                 raise AssertionError(
                     f"scaled edge weight for multiplicity {2 * f} is not an integer: "
                     f"{scaled} at c={self._c}, q={self._q}"
                 )
-            cached = self._edge_weights[f] = scaled.numerator
-        return cached
+            weights.append(scaled.numerator)
 
     # -- single walks and TOP ----------------------------------------------
 
@@ -386,7 +408,7 @@ class CoefficientEngine:
     def _peel_single(self, c: int, l: int, r: int, upper: str, ub):
         """The gray peel with the single walk S1 as lower piece, the upper sum
         ``upper`` beyond v, and ``ub`` its blue half-length (None if none)."""
-        memo, uppers = self._memo, self._uppers
+        memo, uppers, w = self._memo, self._uppers, self._weights
         opp = 3 - c
         total = 0
         for f in range(1, r + 1):
@@ -404,7 +426,7 @@ class CoefficientEngine:
                 if above is None:
                     above = yield from self._upper(upper, opp, f, u, ub)
                 inner += lower * above
-            total += math.comb(r - 1, f - 1) * self._w(f) * inner
+            total += math.comb(r - 1, f - 1) * w[f] * inner
         return total
 
     def _top(self, key: tuple):
@@ -430,7 +452,7 @@ class CoefficientEngine:
         if lb == 0:
             gray = yield from self._get((fam.S1, c, lg, None, rg, None))
             return (0, 0, 0, gray, *_ZERO_SITE[4:])
-        memo, uppers, w = self._memo, self._uppers, self._w
+        memo, uppers, w = self._memo, self._uppers, self._weights
         opp = 3 - c
 
         # Gray peel, blue below the cut edge: EQ_C_G if blue visits r, else
@@ -452,7 +474,7 @@ class CoefficientEngine:
                 if above is None:
                     above = yield from self._upper("s1", opp, f, u, None)
                 inner += lower * above
-            gray_peel += math.comb(rg - 1, f - 1) * w(f) * inner
+            gray_peel += math.comb(rg - 1, f - 1) * w[f] * inner
 
         if not rb:
             # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece
@@ -493,7 +515,7 @@ class CoefficientEngine:
                         term = lower * rooted
                         eq += term
                         up += (2 * ub + fb) * term
-                weight = code_g * code_b * w(fg + fb)
+                weight = code_g * code_b * w[fg + fb]
                 eq_r += weight * eq
                 up_r += weight * up
 

@@ -42,7 +42,10 @@ L = sum_e f_e has at most L + 1 vertices and edge factors V_{2f}/p^(f-1), so
 its weight times D_L = q^(L+1) c^L is an integer.  Each profile is weighed
 once per context as that integer; the product is checked to be integral,
 also under ``python -O``, and a remainder raises ``ValueError``.  A family
-sums count * integer over its profiles and builds one Fraction, sum / D_L.
+sums count * integer over its profiles; ``family_total_weight`` builds one
+Fraction, sum / D_L, and ``double_family_block`` hands out the sums of
+every double family at one (l_g, l_b) with D_L, so that ``crosscheck``
+compares integers.
 
 The censuses count pairs by tree class (below) without walking them.  Only
 ``oracle --dump`` walks the essential pairs, depth-first, visiting existing
@@ -267,6 +270,15 @@ def _profile_weigher(params: ModelParams, moments: MomentSequence) -> tuple:
     return weight, scale
 
 
+def _scaled_sum(profiles, half_length: int, weight) -> int:
+    """The weight sum of ((profile, count), ...) of total half-length
+    ``half_length`` times D_L, with ``weight`` from ``_profile_weigher``."""
+    total = 0
+    for profile, count in profiles:
+        total += count * weight(profile, half_length)
+    return total
+
+
 def _weight_sum(
     profiles, half_length: int, params: ModelParams, moments: MomentSequence
 ) -> Fraction:
@@ -274,9 +286,7 @@ def _weight_sum(
     if not profiles:
         return Fraction(0)
     weight, scale = _profile_weigher(params, moments)
-    total = 0
-    for profile, count in profiles:
-        total += count * weight(profile, half_length)
+    total = _scaled_sum(profiles, half_length, weight)
     return Fraction(total, scale(half_length))
 
 
@@ -631,6 +641,23 @@ def _single_family_profiles(l: int):
 def _marked_walk_profiles(l: int):
     """Map (component, r) -> ((profile, count), ...) for tree single walks with a marked vertex."""
     return _single_walk_censuses(l)[1]
+
+
+def double_family_block(l_g: int, l_b: int, params: ModelParams, moments: MomentSequence):
+    """(D_L, {(tag, component, r_g, r_b): int}) of the double families at (l_g, l_b).
+
+    Each int is the family value times D_L = q^(L+1) c^L, L = l_g + l_b (see
+    "Weighing"); a slot the census does not hold is a family of value 0.
+    """
+    if l_g < 0 or l_b < 0:
+        raise ValueError(f"half-lengths must be >= 0, got ({l_g}, {l_b})")
+    weight, scale = _profile_weigher(params, moments)
+    half_length = l_g + l_b
+    slots = {
+        slot: _scaled_sum(profiles, half_length, weight)
+        for slot, profiles in _double_family_profiles(l_g, l_b).items()
+    }
+    return scale(half_length), slots
 
 
 def family_total_weight(

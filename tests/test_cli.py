@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import bipcorr
-from bipcorr import cli, simulate
+from bipcorr import cli, model, simulate, walks
 from bipcorr import families as fam
-from bipcorr.recurrence import CoefficientEngine
+from bipcorr.rational import format_scalar
+from bipcorr.recurrence import SITE_TAGS, CoefficientEngine
 
 
 def run(capsys, argv):
@@ -26,6 +28,24 @@ def negative_moments_file(tmp_path) -> str:
     path = tmp_path / "moments.json"
     path.write_text(json.dumps({"even_moments": ["-1", "2"]}))
     return str(path)
+
+
+def tamper_sites(monkeypatch, tags, where=lambda site: True):
+    """Make crosscheck's engine add 1 to the families ``tags`` at the sites
+    ``where`` accepts, through the block reader; returns the engine class."""
+
+    class Tampered(CoefficientEngine):
+        def scaled_site(self, site):
+            scale, values = super().scaled_site(site)
+            if where(site):
+                values = tuple(
+                    value + scale if tag in tags else value
+                    for tag, value in zip(SITE_TAGS, values)
+                )
+            return scale, values
+
+    monkeypatch.setattr(cli, "CoefficientEngine", Tampered)
+    return Tampered
 
 
 def assert_moment_rejected(code, out, err):
@@ -231,18 +251,65 @@ class TestCrosscheck:
     def test_tampered_engine_detected(self, capsys, monkeypatch):
         # Negative control: a deliberately wrong engine must trip the check,
         # proving the comparison is not vacuous.
-        class Tampered(CoefficientEngine):
-            def s_value(self, key):
-                value = super().s_value(key)
-                return value + 1 if key.tag == fam.EQ_C else value
-
-        monkeypatch.setattr(cli, "CoefficientEngine", Tampered)
+        tamper_sites(monkeypatch, {fam.EQ_C})
         code, out, err = run(
             capsys, ["crosscheck", "--max-total", "4", "--family-total", "1"]
         )
         assert code == 1
         assert "MISMATCH" in out and out.splitlines()[-1] == "FAIL"
         assert err.startswith("crosscheck failed first at")
+
+    def test_slot_missing_from_census_detected(self, capsys, monkeypatch):
+        # NEQ_C_GU is 0 at r_b > 0: a blue walk that visits r and is rooted
+        # beyond the first gray edge crosses it.  The census holds no bucket
+        # there, so the comparison must read the missing slot as 0.
+        tamper_sites(monkeypatch, {fam.NEQ_C_GU}, lambda site: site[4] > 0)
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "4", "--family-total", "1"]
+        )
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+            f"MISMATCH family {fam.double_key(fam.NEQ_C_GU, c, 0, 1, 0, 1)}: engine=1 oracle=0"
+            for c in (1, 2)
+        ]
+        assert out.splitlines()[-1] == "FAIL"
+        assert err.startswith(
+            f"crosscheck failed first at family {fam.double_key(fam.NEQ_C_GU, 1, 0, 1, 0, 1)}"
+        )
+
+    def test_mismatches_reported_in_key_order(self, capsys, monkeypatch):
+        # Sites hold their tags in another order than the report: every
+        # mismatch of EQ_ANYC comes before any of EQ_C_G, each in (component,
+        # l_g, l_b, r_g, r_b) order, as a loop key by key finds them.
+        tags = (fam.EQ_ANYC, fam.EQ_C_G)
+        tampered = tamper_sites(monkeypatch, set(tags))
+        # crosscheck's default context.
+        params, moments = model.ModelParams(F(1, 2), F(1)), model.moments_preset("rademacher", 2)
+        engine = tampered(params, moments)
+        want = []
+        for tag in sorted(tags):
+            for component in (1, 2):
+                for l_g in range(2):
+                    for l_b in range(2 - l_g):
+                        for r_g in range(l_g + 1):
+                            for r_b in range(l_b + 1):
+                                key = fam.double_key(tag, component, l_g, l_b, r_g, r_b)
+                                got = engine.s_value(key)
+                                oracle = walks.family_total_weight(key, params, moments)
+                                if got != oracle:
+                                    want.append(
+                                        f"family {key}: engine={format_scalar(got)}"
+                                        f" oracle={format_scalar(oracle)}"
+                                    )
+        assert len(want) == 20
+        code, out, err = run(
+            capsys, ["crosscheck", "--max-total", "4", "--family-total", "1"]
+        )
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+            f"MISMATCH {line}" for line in want
+        ]
+        assert err == f"crosscheck failed first at {want[0]}\n"
 
     def test_tampered_coefficient_detected(self, capsys, monkeypatch):
         # The family values stay right, so only the coefficient comparison

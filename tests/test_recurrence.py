@@ -142,6 +142,9 @@ class TestCoefficientApi:
         engine = make_engine(1)
         with pytest.raises(fam.UnknownFamilyError):
             engine.s_value(fam.FamilyKey(fam.EQ_C, 1, 1, None, 1, 1))
+        for site in [(3, 1, 1, 1, 1), (1, 1, 1, -1, 0)]:
+            with pytest.raises(fam.UnknownFamilyError, match="malformed site"):
+                engine.scaled_site(site)
 
 
 def _stirling2_row(n):
@@ -462,6 +465,18 @@ class TestScaledIntegers:
         engine = CoefficientEngine(AWKWARD_PARAMS, AWKWARD_MOMENTS[name])
         for (k, m), expected in AWKWARD_FROZEN[name].items():
             assert engine.correlator_coefficient(k, m) == expected, (k, m)
+
+    @pytest.mark.parametrize("index", CONTEXT_IDS)
+    def test_scaled_sites_are_family_values(self, index):
+        # The block reader crosscheck compares: every double family with
+        # l_g + l_b <= 4, as its site's int over the engine's D_L.
+        engine = make_engine(index)
+        keys = [key for key in every_key(4) if key.tag in fam.DOUBLE_TAGS]
+        for key in keys:
+            scale, values = engine.scaled_site(recurrence.Site(*key[1:]))
+            value = values[recurrence.SITE_TAGS.index(key.tag)]
+            assert type(value) is int and F(value, scale) == engine.s_value(key), key
+        assert len(keys) == 14 * 2 * 70
 
     @pytest.mark.parametrize("name", AWKWARD_MOMENTS)
     def test_memo_items_are_family_values(self, name):

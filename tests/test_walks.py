@@ -790,6 +790,31 @@ class TestWeights:
             assert type(scaled) is int and F(scaled, scale(half_length)) == want, profile
         assert len(profiles) > 100
 
+    @pytest.mark.parametrize("index", CONTEXT_IDS)
+    def test_double_blocks_are_family_values(self, index):
+        # The block reader crosscheck compares: every double family with
+        # l_g + l_b <= 4, as its slot's int over the oracle's D_L, a slot
+        # the census lacks reading 0; the block holds no other slot.
+        params, moments = context(index)
+        for l_g in range(5):
+            for l_b in range(5 - l_g):
+                scale, block = walks.double_family_block(l_g, l_b, params, moments)
+                slots = [
+                    (tag, component, r_g, r_b)
+                    for tag in fam.DOUBLE_TAGS
+                    for component in (1, 2)
+                    for r_g in range(l_g + 1)
+                    for r_b in range(l_b + 1)
+                ]
+                assert set(block) <= set(slots)
+                for slot in slots:
+                    key = fam.double_key(slot[0], slot[1], l_g, l_b, *slot[2:])
+                    value = block.get(slot, 0)
+                    assert type(value) is int, key
+                    assert F(value, scale) == family_total_weight(key, params, moments), key
+        with pytest.raises(ValueError, match="half-lengths must be >= 0"):
+            walks.double_family_block(1, -1, params, moments)
+
     def test_wrong_half_length_rejected(self):
         params, moments = context(3)
         with pytest.raises(ValueError, match="not of half-length 2"):

@@ -234,6 +234,13 @@ ROWS = (
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
     Mutant(
+        "block-wrong-scale",
+        ORACLE,
+        "return scale(half_length), slots",
+        "return scale(half_length + 1), slots",
+        "tests/test_walks.py::TestWeights::test_double_blocks_are_family_values",
+    ),
+    Mutant(
         "weight-integrality-unchecked",
         ORACLE,
         "        if scaled.denominator != 1:\n",
@@ -386,7 +393,7 @@ ROWS = (
         "        if k <= 1 or m < 1:\n",
         "tests/test_simulate.py::TestEstimates::test_pair_with_first_moment_is_exact_zero",
     ),
-    # Crosscheck: both engine-oracle comparisons count a mismatch.
+    # Crosscheck: the coefficient comparison counts a mismatch.
     Mutant(
         "crosscheck-ignores-coefficients",
         CLI,
@@ -396,12 +403,30 @@ ROWS = (
         "                mismatches.append((f\"coefficient",
         "tests/test_cli.py::TestCrosscheck::test_tampered_coefficient_detected",
     ),
+    # Crosscheck: the double families, one (l_g, l_b) block at a time, a slot
+    # the census lacks reading 0, reported in key order.
     Mutant(
         "crosscheck-ignores-double-families",
         CLI,
-        "                        if got != want:\n",
-        "                        if False:\n",
+        "                            if got * oracle_scale != want * engine_scale:\n",
+        "                            if False:\n",
         "tests/test_cli.py::TestCrosscheck::test_tampered_engine_detected",
+    ),
+    Mutant(
+        "crosscheck-skips-slots-missing-from-census",
+        CLI,
+        "                            want = oracle.get((tag, component, r_g, r_b), 0)\n",
+        "                            if (tag, component, r_g, r_b) not in oracle:\n"
+        "                                continue\n"
+        "                            want = oracle[(tag, component, r_g, r_b)]\n",
+        "tests/test_cli.py::TestCrosscheck::test_slot_missing_from_census_detected",
+    ),
+    Mutant(
+        "crosscheck-mismatches-in-block-order",
+        CLI,
+        "    double_mismatches.sort()\n",
+        "",
+        "tests/test_cli.py::TestCrosscheck::test_mismatches_reported_in_key_order",
     ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
