@@ -8,17 +8,30 @@ to validate the sampler itself.
 
 Sampling layout
 ---------------
-A sampled matrix is determined by (seed, sample_index) alone.  Each sample
-uses a counter-based generator (Philox) keyed by the pair, and draws
-only the entries that are present, in this fixed order: the edge count, from
-Binomial(n1 * n2, p / N); then that many distinct flat positions in the
-n1 x n2 cross block, sorted so the entries come in row-major order; then
-that many weights.  Each cross pair is still present independently with
-probability p / N, so the law of the matrix is that of the dense layout that
-drew a presence uniform and a weight for every cross pair; the values drawn
-for a given (seed, sample_index) differ from that layout's.  Worker threads
-cannot affect any sampled value, and estimates are bit-identical for any
-thread count.
+Samples are drawn a chunk at a time.  Chunk j holds samples j * c to
+j * c + c - 1, with c = ``EnsembleSpec.chunk_size``, which depends on N,
+alpha and p alone.  The chunk lays its samples out as one block-diagonal
+cross block of c * n1 * n2 cells, sample s at rows s * n1 and columns s * n2
+on, and uses one counter-based generator (Philox) keyed by (seed, j).  It
+draws only the entries that are present, in this fixed order: the edge
+count, from Binomial(c * n1 * n2, p / N); then that many distinct cells,
+sorted so the entries come in row-major order; then that many weights.
+
+This is the law of the dense layout that drew a presence and a weight for
+every cross pair of every sample.  A Binomial(n, q) count followed by a
+uniform subset of that size puts each of the n cells in the subset
+independently with probability q, so every cell of the chunk is present
+independently with probability p / N and carries its own independent
+weight.  The blocks share no cell, so they are independent samples of the
+ensemble, and chunks are independent by their keys.
+
+A sampled matrix is therefore determined by (seed, sample_index) alone, as
+block sample_index mod c of chunk sample_index // c: the whole chunk is
+always drawn, and the blocks after the last sample asked for are cut off.
+The values drawn for a given (seed, sample_index) differ from those of the
+dense layout and of a layout keyed by the sample.  The sample count, kmax
+and worker threads cannot affect any sampled value, and estimates are
+bit-identical for any thread count.
 
 Spectral moments
 ----------------
@@ -40,16 +53,14 @@ link multiplies by the sparse X or X^T, never by the denser H.
 There is no dense matrix and no decomposition.
 
 The kernel takes a chunk of samples at once, to share numpy's per-call cost:
-it lays them out as one block-diagonal cross block, sample s at rows s * n1
-and columns s * n2 on, and splits every trace by block, so a sample's moments
-are bit-identical whichever samples share its chunk.  ``estimate_correlators``
-draws each sample on its own and hands the kernel chunks of about
-``_CHUNK_ENTRIES`` expected entries up to kmax 4, and of one sample from kmax
-6, where the chain's products outweigh the per-call cost.  The chunks depend on
-the ensemble and kmax alone, never on the thread count, and worker threads map
-chunks.  ``trace_moments`` takes a dense bipartite matrix and the size of its
-first part, and passes the cross block's nonzeros to the same kernel as a
-chunk of one.
+it reads the block-diagonal layout as drawn and splits every trace by block,
+so a sample's moments are bit-identical whichever samples share its chunk.
+``estimate_correlators`` hands the kernel each drawn chunk whole up to kmax
+4, and one sample of it at a time from kmax 6, where the chain's products
+outweigh the per-call cost.  The chunks depend on the ensemble alone, never
+on the thread count, and worker threads map chunks.  ``trace_moments`` takes
+a dense bipartite matrix and the size of its first part, and passes the
+cross block's nonzeros to the same kernel as a chunk of one.
 """
 
 from __future__ import annotations
@@ -70,12 +81,12 @@ from .rational import parse_scalar
 _MASK64 = (1 << 64) - 1
 _MAX_INT64 = (1 << 63) - 1
 
-# One generator per thread, re-keyed for every sample by ``_keyed_generator``.
+# One generator per thread, re-keyed for every chunk by ``_keyed_generator``.
 _thread_rng = threading.local()
 
-# Expected nonzeros per call of the moments kernel: 8 samples at N = 400 and 2
-# at N = 1600 (alpha 1/2, p 4).  Larger chunks save little per-call cost and
-# raise peak memory by their temporaries.
+# Expected nonzeros per drawn chunk, and per call of the moments kernel up to
+# kmax 4: 8 samples at N = 400 and 2 at N = 1600 (alpha 1/2, p 4).  Larger
+# chunks save little per-call cost and raise peak memory by their temporaries.
 _CHUNK_ENTRIES = 3200
 
 
@@ -170,7 +181,7 @@ class EnsembleSpec:
 
     @functools.cached_property
     def chunk_size(self) -> int:
-        """Samples per moments call: about ``_CHUNK_ENTRIES`` over the
+        """Samples per drawn chunk: about ``_CHUNK_ENTRIES`` over the
         expected entry count p * n1 * n2 / N, and at least 1."""
         n1 = self.part1_size
         expected = Fraction(self.params.p) * n1 * (self.matrix_size - n1) / self.matrix_size
@@ -208,38 +219,60 @@ def _check_seed(seed: int) -> None:
         raise InvalidParamsError("bad_seed", f"seed must be < 2^64, got {seed}")
 
 
+def _draw_chunk(spec: EnsembleSpec, chunk: int):
+    """Nonzeros (rows, cols, values) of the ``spec.chunk_size`` samples of ``chunk``.
+
+    The samples form one block-diagonal cross block, sample s of the chunk
+    at rows s * n1 and columns s * n2 on; the entries are in row-major order.
+    """
+    n1 = spec.part1_size
+    n2 = spec.matrix_size - n1
+    cells = spec.chunk_size * n1 * n2
+    rng = _keyed_generator(spec.seed, chunk)
+    count = int(rng.binomial(cells, spec.edge_probability))
+    flat = np.sort(rng.choice(cells, size=count, replace=False, shuffle=False))
+    values = spec.dist.sample(rng, count) / spec.weight_scale
+    # Cell s * n1 * n2 + i * n2 + j is (s * n1 + i) * n2 + j: its row is
+    # already the block-diagonal one, and its column moves by s * n2.
+    rows, cols = np.divmod(flat, n2)
+    cols += rows // n1 * n2
+    return rows, cols, values
+
+
+def _block(entries, block: int, n1: int, n2: int):
+    """The entries of sample ``block`` of a chunk, in its own rows and columns."""
+    rows, cols, values = entries
+    start, stop = np.searchsorted(rows, (block * n1, block * n1 + n1))
+    return rows[start:stop] - block * n1, cols[start:stop] - block * n2, values[start:stop]
+
+
 def sample_entries(spec: EnsembleSpec, sample_index: int):
     """Nonzeros (rows, cols, values) of the cross block for (spec.seed, sample_index).
 
     Rows index part 1 and columns part 2, both from zero; the entries are in
-    row-major order and independent of call history.
+    row-major order and independent of call history.  The whole chunk of the
+    sample is drawn, and its block is cut out.
     """
-    N = spec.matrix_size
+    if not 0 <= sample_index <= _MASK64:
+        raise ValueError(f"sample index must be in [0, 2^64), got {sample_index}")
     n1 = spec.part1_size
-    pairs = n1 * (N - n1)
-    rng = _keyed_generator(spec.seed, sample_index)
-    count = int(rng.binomial(pairs, spec.edge_probability))
-    flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))
-    values = spec.dist.sample(rng, count) / spec.weight_scale
-    rows, cols = np.divmod(flat, N - n1)
-    return rows, cols, values
+    chunk, block = divmod(sample_index, spec.chunk_size)
+    return _block(_draw_chunk(spec, chunk), block, n1, spec.matrix_size - n1)
 
 
-def _keyed_generator(seed: int, sample_index: int) -> np.random.Generator:
-    """This thread's generator, drawing exactly as ``Philox(key=(seed, sample_index))``.
+def _keyed_generator(seed: int, chunk: int) -> np.random.Generator:
+    """This thread's generator, drawing exactly as ``Philox(key=(seed, chunk))``.
 
     Building a ``Philox`` reads OS entropy even when a key is given, so the
     thread's one bit generator is reset to counter 0 under the new key.  A
-    seed or index outside [0, 2^64) is rejected, since it would draw the
-    sample of another.
+    seed outside [0, 2^64) is rejected, since it would draw the samples of
+    another.
     """
     _check_seed(seed)
-    if not 0 <= sample_index <= _MASK64:
-        raise ValueError(f"sample index must be in [0, 2^64), got {sample_index}")
     rng = getattr(_thread_rng, "rng", None)
     if rng is None:
         rng = _thread_rng.rng = np.random.Generator(np.random.Philox(key=0))
-    key = np.array([seed, sample_index], dtype=np.uint64)
+    key = np.array([seed, chunk], dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -328,30 +361,26 @@ def _gram(rows, cols, values, width: int):
     return diagonal, keys, upper
 
 
-def _block_moments(samples, n1: int, n2: int, size: int, kmax: int) -> np.ndarray:
+def _block_moments(entries, count: int, n1: int, n2: int, size: int, kmax: int) -> np.ndarray:
     """M_k = Tr(A^k)/size, k = 1..kmax (column k-1), one row per sample.
 
-    Each sample is the (rows, cols, values) of the distinct nonzeros, in
-    row-major order, of the n1 x n2 cross block X of a bipartite A.  The
-    samples form one block-diagonal cross block, sample s at rows s * n1 and
-    columns s * n2 on, and every trace is summed block by block, in the same
-    order as for the sample alone.  Tr(A^2j) = 2 Tr(H^j) with H = X^T X.
+    Each of the ``count`` samples is the n1 x n2 cross block X of a bipartite
+    A.  ``entries`` is the (rows, cols, values) of the distinct nonzeros, in
+    row-major order, of the block-diagonal cross block they form, sample s
+    at rows s * n1 and columns s * n2 on.  Every trace is summed block by
+    block, in the same order as for the sample alone.  Tr(A^2j) = 2 Tr(H^j)
+    with H = X^T X.
     Tr(H) = sum x^2 and Tr(H^2) = sum diag^2 + 2 sum upper^2; from j = 3,
     Tr(H^j) = ||B_j||_F^2 with B_2 = H, B_j = X B_(j-1) for odd j (split by n1)
     and X^T B_(j-1) for even j (split by n2).
     """
-    count = len(samples)
     out = np.zeros((count, kmax))
     jmax = kmax // 2
     if jmax == 0:
         return out
-    sample_rows, sample_cols, sample_values = zip(*samples)
-    owner = np.repeat(np.arange(count), [len(values) for values in sample_values])
-    rows = np.concatenate(sample_rows) + owner * n1
-    cols = np.concatenate(sample_cols) + owner * n2
-    values = np.concatenate(sample_values)
+    rows, cols, values = entries
     width = count * n2
-    traces = [np.bincount(owner, weights=values * values, minlength=count)]
+    traces = [np.bincount(rows // n1, weights=values * values, minlength=count)]
     if jmax >= 2:
         diagonal, keys, upper = _gram(rows, cols, values, width)
         traces.append(
@@ -387,7 +416,7 @@ def trace_moments(A: np.ndarray, kmax: int, part_size: int) -> np.ndarray:
     N = A.shape[0]
     block = A[:part_size, part_size:]
     rows, cols = np.nonzero(block)
-    return _block_moments([(rows, cols, block[rows, cols])], part_size, N - part_size, N, kmax)[0]
+    return _block_moments((rows, cols, block[rows, cols]), 1, part_size, N - part_size, N, kmax)[0]
 
 
 @dataclass(frozen=True)
@@ -434,18 +463,29 @@ def estimate_correlators(
 
     if orders:
         kmax = max(orders)
+        N = spec.matrix_size
         n1 = spec.part1_size
-        # Chunks share numpy's per-call cost, the larger part of a sample's
-        # moments up to kmax 4.  From kmax 6 each sample's sparse products
-        # cost far more, and a chunk's larger temporaries slow them down.
-        chunk = spec.chunk_size if kmax <= 4 else 1
+        n2 = N - n1
+        chunk = spec.chunk_size
 
         def worker(start: int) -> np.ndarray:
-            stop = min(start + chunk, samples)
-            entries = [sample_entries(spec, index) for index in range(start, stop)]
+            count = min(chunk, samples - start)
+            rows, cols, values = _draw_chunk(spec, start // chunk)
+            # Cut off the blocks past the last sample.
+            stop = np.searchsorted(rows, count * n1)
+            entries = rows[:stop], cols[:stop], values[:stop]
             # Pool threads do not inherit numpy's error state; the caller rejects inf and NaN.
             with np.errstate(over="ignore", invalid="ignore"):
-                return _block_moments(entries, n1, spec.matrix_size - n1, spec.matrix_size, kmax)
+                # A chunk shares numpy's per-call cost, the larger part of a
+                # sample's moments up to kmax 4.  From kmax 6 each sample's
+                # sparse products cost far more, and a chunk's larger
+                # temporaries slow them down.
+                if kmax <= 4:
+                    return _block_moments(entries, count, n1, n2, N, kmax)
+                return np.vstack([
+                    _block_moments(_block(entries, s, n1, n2), 1, n1, n2, N, kmax)
+                    for s in range(count)
+                ])
 
         starts = range(0, samples, chunk)
         if threads > 1:

@@ -137,22 +137,33 @@ class TestSampleMatrix:
 
     def test_entries_equal_freshly_keyed_philox(self, monkeypatch):
         # The per-thread generator is re-keyed, not rebuilt; the draws must be
-        # those of a new Philox keyed by (seed, index), whatever came before.
+        # those of a new Philox keyed by (seed, index // chunk_size), whatever
+        # came before.  Spec 0 has chunks of 80 samples: indices 0, 5 and 79
+        # share chunk 0, 79 is its last block and 80 opens chunk 1.  Spec 2
+        # has chunks of 213, so 212 is the last block of chunk 0.
         specs = [
             make_spec(N=30, alpha=F(1, 3), p=F(6), dist="gaussian:1", seed=0),
             make_spec(N=17, p=F(3), seed=7),
             make_spec(N=24, p=F(5, 2), dist="two-point:1,1/3,-1/2", seed=2**40),
         ]
-        order = [(0, 5), (1, 0), (2, 3), (0, 5), (1, 2**33), (0, 0), (2, 3)]
+        assert [spec.chunk_size for spec in specs] == [80, 251, 213]
+        order = [
+            (0, 5), (1, 0), (2, 3), (0, 79), (0, 5), (1, 2**33), (0, 0), (2, 212), (0, 80),
+            (2, 3),
+        ]
         got = [sample_entries(specs[s], index) for s, index in order]
+        keys = []
 
-        def fresh(seed, index):
-            key = np.array([seed, index], dtype=np.uint64)
+        def fresh(seed, chunk):
+            keys.append((seed, chunk))
+            key = np.array([seed, chunk], dtype=np.uint64)
             return np.random.Generator(np.random.Philox(key=key))
 
         monkeypatch.setattr(simulate, "_keyed_generator", fresh)
         for (s, index), entries in zip(order, got):
-            for got_array, want_array in zip(entries, sample_entries(specs[s], index)):
+            want = sample_entries(specs[s], index)
+            assert keys.pop() == (specs[s].seed, index // specs[s].chunk_size)
+            for got_array, want_array in zip(entries, want):
                 assert np.array_equal(got_array, want_array), (s, index)
 
     def test_matrix_is_dense_form_of_entries(self):
@@ -190,6 +201,25 @@ class TestSampleMatrix:
         counts = [sample_entries(spec, index)[0].size for index in range(samples)]
         stderr = math.sqrt(pairs * q * (1 - q) / samples)
         assert abs(np.mean(counts) - pairs * q) <= 5 * stderr
+
+    def test_edge_counts_of_a_chunk_are_independent(self):
+        # 400 samples at N = 40 fill 5 chunks of 80.  Independent
+        # Binomial(n1*n2, q) counts have variance n1*n2*q*(1-q), and the sample
+        # variance has standard error about var * sqrt(2 / (samples - 1)); the
+        # correlation of neighbouring counts has standard error about
+        # 1 / sqrt(samples - 1).  A chunk that shared one count among its
+        # blocks would leave neighbours correlated near 1, and one that drew
+        # a single block's count for the whole chunk would shrink the variance.
+        spec = make_spec(N=40, alpha=F(1, 2), p=F(4), seed=1729)
+        assert spec.chunk_size == 80
+        samples = 400
+        pairs, q = 20 * 20, 4 / 40
+        counts = np.array([sample_entries(spec, index)[0].size for index in range(samples)])
+        variance = pairs * q * (1 - q)
+        assert abs(counts.var(ddof=1) - variance) <= 5 * variance * math.sqrt(2 / (samples - 1))
+        centred = counts - counts.mean()
+        lag_one = np.sum(centred[1:] * centred[:-1]) / np.sum(centred * centred)
+        assert abs(lag_one) <= 5 / math.sqrt(samples - 1)
 
 
 def spectral_moments(A: np.ndarray, kmax: int) -> np.ndarray:
@@ -268,8 +298,14 @@ class TestTraceMoments:
         for block in samples:
             rows, cols = np.nonzero(block)
             entries.append((rows, cols, np.array(block)[rows, cols]))
-        alone = np.vstack([simulate._block_moments([e], 3, 4, 7, kmax) for e in entries])
-        together = simulate._block_moments(entries, 3, 4, 7, kmax)
+        alone = np.vstack([simulate._block_moments(e, 1, 3, 4, 7, kmax) for e in entries])
+        # Sample s at rows 3s and columns 4s on.
+        chunk = (
+            np.concatenate([rows + 3 * s for s, (rows, _, _) in enumerate(entries)]),
+            np.concatenate([cols + 4 * s for s, (_, cols, _) in enumerate(entries)]),
+            np.concatenate([values for _, _, values in entries]),
+        )
+        together = simulate._block_moments(chunk, 3, 3, 4, 7, kmax)
         assert np.array_equal(together, alone)
         for row, block in zip(alone, samples):
             full = spectral_moments(bipartite(block), kmax)
@@ -351,6 +387,37 @@ class TestEstimates:
         alone = estimate_correlators(spec, [(2, 2)], samples=20)[0]
         assert estimate_correlators(spec, [(2, 2), (7, 3)], samples=20)[0] == alone
         assert set(seen) == {2}
+
+    @pytest.mark.parametrize("kmax", [4, 6])
+    def test_chunk_stream_equals_samples_alone(self, monkeypatch, kmax):
+        # N = 40 has chunks of 80 samples, so 83 samples end in a partial
+        # chunk of 3.  The moment rows the estimate takes, a chunk at a time
+        # up to kmax 4 and a sample at a time from kmax 6, must be those of
+        # each sample drawn alone, and must not depend on how many samples
+        # follow.
+        spec = make_spec(N=40, seed=4)
+        assert spec.chunk_size == 80
+        n1 = spec.part1_size
+        block_moments = simulate._block_moments
+        alone = np.vstack([
+            block_moments(sample_entries(spec, index), 1, n1, 40 - n1, 40, kmax)
+            for index in range(83)
+        ])
+
+        def taken(samples):
+            rows = []
+
+            def recorded(*args):
+                rows.append(block_moments(*args))
+                return rows[-1]
+
+            monkeypatch.setattr(simulate, "_block_moments", recorded)
+            estimate_correlators(spec, [(kmax, 2)], samples=samples)
+            return np.vstack(rows)
+
+        got = taken(83)
+        assert np.array_equal(got, alone)
+        assert np.array_equal(taken(80), got[:80])
 
     def test_thread_count_does_not_change_results_over_many_chunks(self):
         spec = make_spec(N=400, seed=13)

@@ -38,6 +38,8 @@ SAMPLER = "src/bipcorr/simulate.py"
 CLI = "src/bipcorr/cli.py"
 MOMENTS = "tests/test_simulate.py::TestTraceMoments"
 FINITE = "tests/test_simulate.py::TestExactFiniteN"
+ENTRIES = "tests/test_simulate.py::TestSampleMatrix"
+STREAM = "tests/test_simulate.py::TestEstimates::test_chunk_stream_equals_samples_alone"
 # A selector still running after this many seconds leaves its mutant alive.
 TIMEOUT_S = 600
 
@@ -319,13 +321,6 @@ ROWS = (
         f"{MOMENTS}::test_block_with_column_of_degree_three",
     ),
     Mutant(
-        "chunk-columns-not-offset",
-        SAMPLER,
-        "cols = np.concatenate(sample_cols) + owner * n2",
-        "cols = np.concatenate(sample_cols)",
-        f"{MOMENTS}::test_chunk_equals_samples_alone",
-    ),
-    Mutant(
         "chunk-upper-split-by-part-1",
         SAMPLER,
         "np.bincount(keys // (n2 * width),",
@@ -348,20 +343,50 @@ ROWS = (
         "((rows, cols, values), n2)",
         f"{MOMENTS}::test_chunk_equals_samples_alone[10]",
     ),
-    # Sampler: the entries of one sample, scaled and in row-major order.
+    # Sampler: a chunk drawn at once, one Binomial(c * n1 * n2, p / N) count
+    # over all its cells, sorted, scaled, laid out block-diagonally, and cut
+    # off after the last sample.
+    Mutant(
+        "count-drawn-over-one-block",
+        SAMPLER,
+        "count = int(rng.binomial(cells, spec.edge_probability))",
+        "count = int(rng.binomial(n1 * n2, spec.edge_probability))",
+        f"{ENTRIES}::test_edge_counts_of_a_chunk_are_independent",
+    ),
     Mutant(
         "entries-not-scaled",
         SAMPLER,
         "values = spec.dist.sample(rng, count) / spec.weight_scale",
         "values = spec.dist.sample(rng, count)",
-        "tests/test_simulate.py::TestSampleMatrix::test_entry_values",
+        f"{ENTRIES}::test_entry_values",
     ),
     Mutant(
         "entries-unsorted",
         SAMPLER,
-        "flat = np.sort(rng.choice(pairs, size=count, replace=False, shuffle=False))",
-        "flat = rng.choice(pairs, size=count, replace=False, shuffle=True)",
-        "tests/test_simulate.py::TestSampleMatrix::test_entries_distinct_in_block_row_major",
+        "flat = np.sort(rng.choice(cells, size=count, replace=False, shuffle=False))",
+        "flat = rng.choice(cells, size=count, replace=False, shuffle=True)",
+        f"{ENTRIES}::test_entries_distinct_in_block_row_major",
+    ),
+    Mutant(
+        "chunk-columns-not-offset",
+        SAMPLER,
+        "    cols += rows // n1 * n2\n",
+        "",
+        f"{ENTRIES}::test_entries_distinct_in_block_row_major",
+    ),
+    Mutant(
+        "chunk-cells-split-by-wrong-block",
+        SAMPLER,
+        "cols += rows // n1 * n2",
+        "cols += rows // n2 * n2",
+        f"{ENTRIES}::test_entries_distinct_in_block_row_major",
+    ),
+    Mutant(
+        "last-chunk-not-truncated",
+        SAMPLER,
+        "count = min(chunk, samples - start)",
+        "count = chunk",
+        STREAM,
     ),
     # Sampler: the guards of the exact finite-size evaluator and of the
     # estimator, each at its boundary value.
