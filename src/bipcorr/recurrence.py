@@ -48,8 +48,9 @@ evaluated together: one generator, ``_site``, returns them as a tuple in the
 order of ``SITE_TAGS``.  It peels only what moving the blue root cannot
 give, in three cases.
 
-- l_b = 0: the blue walk is empty at r, so EQ_ANYC = S1(c, l_g, r_g) and
-  every other family is 0.
+- l_b = 0: the blue walk is empty at r, so EQ_ANYC is the single walk
+  S1(c, l_g, r_g) and every other family is 0.  S1 is a_c at l_g = 0, else
+  the gray peel ``_peel_single`` with the ``s1`` upper sum.
 - r_b = 0 < l_b: the blue walk never visits r, so only NEQ_C_GD and NEQ_C_GU
   and their sums are not 0.  The gray peel, one (f, u) loop over a cut edge
   only gray uses, gives NEQ_C_GD: each step reads the NEQ_C of one lower
@@ -64,18 +65,20 @@ give, in three cases.
   NEQ_C_R - NEQ_C_RU, and EQ_ANYC adds the glue to EQ_C, so NEQ_ANYC_SGD =
   (EQ_C_G + glue) rho if l_g > 0, else NEQ_ANYC_SN = glue rho.
 
-The single walk S1 is one memo entry per (c, l, r); its gray peel,
-``_peel_single``, is the loop NEQ_C_GU runs as well.  S1S has no entry:
-``s_value`` moves the root of S1.  TOP adds EQ_C and NEQ_C over component and
-roots, one site read each.
+Every read of the single walk S1(c, l, r) reads the site (c, l, 0, r, 0);
+the gray peel of S1, ``_peel_single``, is the loop NEQ_C_GU runs as well.
+S1S and TOP are not memo entries but what ``s_value`` makes of sites: S1S
+moves the root of S1, and TOP adds EQ_C and NEQ_C over component and roots,
+one site each.
 
 Upper sums
 ----------
 Beyond v the peels weigh an upper piece: the family values at v, each times
 the binomial code that interleaves the f returns over the cut edge with the
 departures from v.  For a gray cut edge, ``_upper`` evaluates ``s1``, the sum
-of the single walks S1 rooted at v, or ``pair``, the sum of EQ_C and NEQ_C
-over the sites at v that NEQ_C_GU weighs.  For a red cut edge, ``_rooted``
+of the single walks S1 rooted at v, read as the EQ_ANYC of the sites at v
+with no blue walk, or ``pair``, the sum of EQ_C and NEQ_C over the sites at
+v that NEQ_C_GU weighs.  For a red cut edge, ``_rooted``
 evaluates ``rooted``, the sum of EQ_ANYC over the sites at v.
 
 The peels ask for the same sums many times (at n_{12,12}, the red peel
@@ -150,15 +153,14 @@ remainder all the same, also under ``python -O``.
 
 Work stack and termination
 --------------------------
-The memo holds three kinds of entry, each with its own generator: a single
-walk S1 (``_single``), keyed as its ``FamilyKey``; a site (``_site``), keyed
-(c, l_g, l_b, r_g, r_b) and holding a 14-tuple; and TOP (``_top``), keyed as
-its ``FamilyKey``.  Every reference either strictly lowers the total
-half-length l_g + l_b, or keeps it and moves to an earlier kind: single
-walks before sites before TOP.  A site reads single walks at its own total
-(the glue, and EQ_ANYC at l_b = 0), TOP reads the sites at its total, and
-every peel step lowers the total by f >= 1.  An entry's rank packs the pair
-into one int, ``total << 2 | kind``, so integer order is the order of the
+The memo holds one kind of entry: a site, keyed (c, l_g, l_b, r_g, r_b) and
+holding its 14-tuple, which ``_site`` evaluates.  Every reference either
+strictly lowers the total half-length l_g + l_b, or keeps it and moves from
+a site with l_b > 0 to one with l_b = 0.  Only the glue of a site with
+l_g = 0 does the latter: it reads its blue walk's S1, the site
+(c, l_b, 0, r_b, 0).  The glue's gray walk lowers the total by l_b, and
+every peel step and upper sum by f >= 1.  A site's rank packs the pair into
+one int, ``total << 1 | (l_b > 0)``, so integer order is the order of the
 pair.
 
 Where a generator needs a value it reads the memo inline; only on a miss
@@ -171,7 +173,7 @@ memory, not by the interpreter's recursion limit.
 ``_value`` checks the rank of every key it pushes, which is every miss,
 also under ``python -O``, so ranks strictly decrease down the stack and a
 circular edit fails loudly instead of looping.  A hit needs no check: the
-kind and total of each read are fixed by the code that reads.
+total and l_b of each read are fixed by the code that reads.
 """
 
 from __future__ import annotations
@@ -217,23 +219,17 @@ def _exact(dividend: int, divisor: int, what: str, key: tuple, by: str) -> int:
         )
     return quotient
 
-# Kinds of memo entry, in the order they are evaluated at one total.
-_SINGLE, _SITE, _TOP = range(3)
 
-
-def _rank(key: tuple) -> int:
-    """``total << 2 | kind`` of a memo key."""
-    if len(key) == 5:
-        return (key[1] + key[2]) << 2 | _SITE
-    return (key[2] + (key[3] or 0)) << 2 | (_TOP if key[0] == fam.TOP else _SINGLE)
+def _rank(site: tuple) -> int:
+    """``total << 1 | (l_b > 0)`` of a site."""
+    return (site[1] + site[2]) << 1 | (site[2] > 0)
 
 
 def _order_violated(ref: tuple, rank: int, parent: int):
-    """Raise for a reference to ``ref``, at ``rank``, from a key at ``parent``."""
-    name = Site._make(ref) if len(ref) == 5 else fam.FamilyKey._make(ref)
+    """Raise for a reference to site ``ref``, at ``rank``, from a site at ``parent``."""
     raise AssertionError(
-        f"recursion order violated: {name} at rank {divmod(rank, 4)} "
-        f"referenced from rank {divmod(parent, 4)}"
+        f"recursion order violated: {Site._make(ref)} at rank {divmod(rank, 2)} "
+        f"referenced from rank {divmod(parent, 2)}"
     )
 
 
@@ -264,12 +260,21 @@ class CoefficientEngine:
             scale, site = self.scaled_site(key[1:])
             return Fraction(site[_SLOT[key.tag]], scale)
         self.moments.require(2 * (key.l_g + (key.l_b or 0)))
-        if key.tag != fam.S1S:
-            return self._unscaled(key, self._value(key))
+        if key.tag == fam.TOP:
+            _, _, lg, lb, _, _ = key
+            total = 0
+            for c in (1, 2):
+                for rg in range(lg > 0, lg + 1):
+                    for rb in range(0, lb + 1):
+                        site = self._value((c, lg, lb, rg, rb))
+                        total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
+            return self._unscaled(key, total)
         _, c, l, _, r, _ = key
-        if r == 0:
+        if key.tag == fam.S1S and r == 0:
             return Fraction(0)
-        s1 = self._value((fam.S1, c, l, None, r, None))
+        s1 = self._value((c, l, 0, r, 0))[_EQ_ANYC]
+        if key.tag == fam.S1:
+            return self._unscaled(key, s1)
         return self._unscaled(key, _exact(s1 * (2 * l - r), r, "moved root", key, "r"))
 
     def scaled_site(self, site: tuple) -> tuple:
@@ -287,8 +292,7 @@ class CoefficientEngine:
         validate(self.params, self.moments, k, m)
         if k % 2 != 0 or m % 2 != 0:
             return Fraction(0)
-        key = fam.top_key(k // 2, m // 2)
-        return self._unscaled(key, self._value(key))
+        return self.s_value(fam.top_key(k // 2, m // 2))
 
     def correlator_table(self, kmax: int, mmax: int) -> dict:
         """All coefficients for 1 <= k <= kmax, 1 <= m <= mmax."""
@@ -302,19 +306,18 @@ class CoefficientEngine:
 
     @property
     def memo_size(self) -> int:
-        """The number of family values the memo holds, 14 per site."""
-        return sum(len(SITE_TAGS) if len(key) == 5 else 1 for key in self._memo)
+        """The number of family values the memo holds: 14 per site, the only
+        kind of entry."""
+        return len(SITE_TAGS) * len(self._memo)
 
     def memo_items(self) -> Iterable:
-        """(key, value) pairs in evaluation order, the values as Fractions; a
-        site gives its fourteen families in the order of ``SITE_TAGS``."""
-        for key, value in self._memo.items():
-            if len(key) == 5:
-                for tag, family_value in zip(SITE_TAGS, value):
-                    family_key = fam.FamilyKey(tag, *key)
-                    yield family_key, self._unscaled(family_key, family_value)
-            else:
-                key = fam.FamilyKey._make(key)
+        """(key, value) pairs in evaluation order, the values as Fractions:
+        each site gives its fourteen double families in the order of
+        ``SITE_TAGS``.  A single walk S1 is listed as the EQ_ANYC of its site
+        with l_b = 0; S1S and TOP are not memo entries."""
+        for site, values in self._memo.items():
+            for tag, value in zip(SITE_TAGS, values):
+                key = fam.FamilyKey(tag, *site)
                 yield key, self._unscaled(key, value)
 
     # -- scaled integers ---------------------------------------------------
@@ -329,22 +332,21 @@ class CoefficientEngine:
 
     # -- evaluation machinery ---------------------------------------------
     #
-    # Keys inside the engine are plain tuples: a single walk or TOP laid out
-    # as ``fam.FamilyKey``, which hashes and compares equal to the named key
-    # of the public API, and a site as (c, l_g, l_b, r_g, r_b).  Every read
-    # follows one pattern: build the key, ``memo.get``, and ``yield`` the key
-    # only on a miss.
+    # A memo key is a site as the plain tuple (c, l_g, l_b, r_g, r_b).  Every
+    # read follows one pattern: build the key, ``memo.get``, and ``yield`` the
+    # key only on a miss.
 
     def _value(self, key: tuple):
-        """The scaled value of ``key``, evaluating what it lacks on a work stack."""
+        """The scaled values of site ``key``, evaluating what it lacks on a
+        work stack."""
         value = self._memo.get(key)
         if value is not None:
             return value
         rank = _rank(key)
         # No key the work stack pushes has a higher total than ``key``, and a
         # peel's cut edge has f at most the total of the key it peels.
-        self._fill_weights(rank >> 2)
-        stack = [(key, rank, self._equation(key))]
+        self._fill_weights(rank >> 1)
+        stack = [(key, rank, self._site(key))]
         while stack:
             key, rank, frame = stack[-1]
             try:
@@ -357,15 +359,9 @@ class CoefficientEngine:
             ref_rank = _rank(ref)
             if ref_rank >= rank:
                 _order_violated(ref, ref_rank, rank)
-            stack.append((ref, ref_rank, self._equation(ref)))
+            stack.append((ref, ref_rank, self._site(ref)))
             value = None
         return value
-
-    def _equation(self, key: tuple):
-        """The generator that evaluates ``key``."""
-        if len(key) == 5:
-            return self._site(key)
-        return self._top(key) if key[0] == fam.TOP else self._single(key)
 
     def _store(self, key: tuple, value) -> None:
         existing = self._memo.get(key)
@@ -395,19 +391,12 @@ class CoefficientEngine:
                 )
             weights.append(scaled.numerator)
 
-    # -- single walks and TOP ----------------------------------------------
-
-    def _single(self, key: tuple):
-        _, c, l, _, r, _ = key
-        if r > l:
-            return 0
-        if l == 0:
-            return self._a[c]
-        return (yield from self._peel_single(c, l, r, "s1", None))
+    # -- the single walk as a lower piece ----------------------------------
 
     def _peel_single(self, c: int, l: int, r: int, upper: str, ub):
-        """The gray peel with the single walk S1 as lower piece, the upper sum
-        ``upper`` beyond v, and ``ub`` its blue half-length (None if none)."""
+        """The gray peel with the single walk S1, a site with l_b = 0, as
+        lower piece, the upper sum ``upper`` beyond v, and ``ub`` its blue
+        half-length (None if none)."""
         memo, uppers, w = self._memo, self._uppers, self._weights
         opp = 3 - c
         total = 0
@@ -416,10 +405,11 @@ class CoefficientEngine:
             # Cutting all r departures leaves the lower walk none, so (G)
             # allows it only the empty walk.
             for u in range(0, l - r + 1) if f < r else (l - r,):
-                ref = (fam.S1, c, l - u - f, None, r - f, None)
+                ref = (c, l - u - f, 0, r - f, 0)
                 lower = memo.get(ref)
                 if lower is None:
                     lower = yield ref
+                lower = lower[_EQ_ANYC]
                 if not lower:
                     continue
                 above = uppers.get((upper, opp, f, u, ub))
@@ -429,20 +419,6 @@ class CoefficientEngine:
             total += math.comb(r - 1, f - 1) * w[f] * inner
         return total
 
-    def _top(self, key: tuple):
-        _, _, lg, lb, _, _ = key
-        memo = self._memo
-        total = 0
-        for c in (1, 2):
-            for rg in range(lg > 0, lg + 1):
-                for rb in range(0, lb + 1):
-                    ref = (c, lg, lb, rg, rb)
-                    site = memo.get(ref)
-                    if site is None:
-                        site = yield ref
-                    total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
-        return total
-
     # -- a site: the fourteen double families -------------------------------
 
     def _site(self, key: tuple):
@@ -450,7 +426,7 @@ class CoefficientEngine:
         if rg > lg or rb > lb:
             return _ZERO_SITE
         if lb == 0:
-            gray = yield from self._get((fam.S1, c, lg, None, rg, None))
+            gray = (yield from self._peel_single(c, lg, rg, "s1", None)) if lg else self._a[c]
             return (0, 0, 0, gray, *_ZERO_SITE[4:])
         memo, uppers, w = self._memo, self._uppers, self._weights
         opp = 3 - c
@@ -522,8 +498,8 @@ class CoefficientEngine:
         # Pairs with no shared edge and a common root are exactly the pairs
         # of independent single walks glued at the root; the root's vertex
         # factor must not be counted twice.
-        gray = yield from self._get((fam.S1, c, lg, None, rg, None))
-        blue = yield from self._get((fam.S1, c, lb, None, rb, None))
+        gray = (yield from self._get((c, lg, 0, rg, 0)))[_EQ_ANYC]
+        blue = (yield from self._get((c, lb, 0, rb, 0)))[_EQ_ANYC]
         glue = _exact(gray * blue, self._a[c], "glue", (fam.EQ_ANYC, *key), f"the root factor a_{c}")
 
         # Moving the blue root off r.
@@ -545,19 +521,20 @@ class CoefficientEngine:
 
     def _upper(self, name: str, opp: int, f: int, u: int, ub):
         """Evaluate and cache an upper sum of a gray cut edge: ``s1``, the
-        single walks S1 at v, if ub is None, else ``pair``, EQ_C plus NEQ_C
-        of the sites at v with blue half-length ub.  The f gray returns over
-        the cut edge interleave with the vg gray departures from v."""
+        single walks S1 at v (EQ_ANYC of the sites with l_b = 0), if ub is
+        None, else ``pair``, EQ_C plus NEQ_C of the sites at v with blue
+        half-length ub.  The f gray returns over the cut edge interleave
+        with the vg gray departures from v."""
         memo = self._memo
         upper = 0
         for vg in range(u > 0, u + 1):
             code = math.comb(f + vg - 1, f - 1)
             if ub is None:
-                ref = (fam.S1, opp, u, None, vg, None)
-                value = memo.get(ref)
-                if value is None:
-                    value = yield ref
-                upper += code * value
+                ref = (opp, u, 0, vg, 0)
+                site = memo.get(ref)
+                if site is None:
+                    site = yield ref
+                upper += code * site[_EQ_ANYC]
                 continue
             for vb in range(0, ub + 1):
                 ref = (opp, u, ub, vg, vb)

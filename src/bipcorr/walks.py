@@ -582,12 +582,12 @@ def _double_family_profiles(l_g: int, l_b: int):
     single-walk censuses (see "Counting by tree class").
     """
     if l_b == 0:
-        single = _single_family_profiles(l_g)
+        single, _ = _single_walk_censuses(l_g)
         return {(fam.EQ_ANYC, c, r, 0): bucket for (c, r), bucket in single.items()}
     if l_g == 0:
-        single = _single_family_profiles(l_b)
+        single, marked = _single_walk_censuses(l_b)
         slots = {(fam.EQ_ANYC, c, 0, r): bucket for (c, r), bucket in single.items()}
-        for (c, r), bucket in _marked_walk_profiles(l_b).items():
+        for (c, r), bucket in marked.items():
             slots[(fam.NEQ_ANYC_S, c, 0, r)] = slots[(fam.NEQ_ANYC_SN, c, 0, r)] = bucket
         return dict(sorted(slots.items()))
     buckets: dict = {}
@@ -631,18 +631,6 @@ def _single_walk_censuses(l: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _single_family_profiles(l: int):
-    """Map (component, r) -> ((profile, count), ...) for tree single walks."""
-    return _single_walk_censuses(l)[0]
-
-
-@lru_cache(maxsize=None)
-def _marked_walk_profiles(l: int):
-    """Map (component, r) -> ((profile, count), ...) for tree single walks with a marked vertex."""
-    return _single_walk_censuses(l)[1]
-
-
 def double_family_block(l_g: int, l_b: int, params: ModelParams, moments: MomentSequence):
     """(D_L, {(tag, component, r_g, r_b): int}) of the double families at (l_g, l_b).
 
@@ -669,8 +657,12 @@ def family_total_weight(
         if key.l_g == 0 or key.l_b == 0:
             return Fraction(0)
         return n_oracle(2 * key.l_g, 2 * key.l_b, params, moments)
+    # S1 is the EQ_ANYC slot of its block with no blue walk, and S1S the
+    # NEQ_ANYC_SN slot of its block with no gray walk.
     if key.tag == fam.S1:
-        profiles = _single_family_profiles(key.l_g).get((key.component, key.r_g), ())
+        profiles = _double_family_profiles(key.l_g, 0).get(
+            (fam.EQ_ANYC, key.component, key.r_g, 0), ()
+        )
     elif key.tag == fam.S1S:
         profiles = _double_family_profiles(0, key.l_g).get(
             (fam.NEQ_ANYC_SN, key.component, 0, key.r_g), ()

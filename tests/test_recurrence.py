@@ -180,18 +180,19 @@ class TestDeepRegressions:
         assert engine.correlator_coefficient(10, 10) == expected
 
 
-# Site (1, 1, 1, 1, 1) made to read site (1, 2, 0, 1, 0), of equal rank: a
-# script for ``exec``, which finds ``engine`` and ``fam`` in its globals.
+# Site (1, 1, 1, 1, 1) made to read site (1, 0, 2, 0, 1): both at total 2
+# with l_b > 0, so of equal rank.  A script for ``exec``, which finds
+# ``engine`` and ``fam`` in its globals.
 EQUAL_RANK_BREACH = """\
 site = engine._site
 def circular(key):
     if key == (1, 1, 1, 1, 1):
-        return (yield (1, 2, 0, 1, 0))
+        return (yield (1, 0, 2, 0, 1))
     return (yield from site(key))
 engine._site = circular
 engine.s_value(fam.double_key(fam.EQ_C, 1, 1, 1, 1, 1))"""
 EQUAL_RANK_MESSAGE = (
-    "recursion order violated: Site(component=1, l_g=2, l_b=0, r_g=1, r_b=0) at rank (2, 1) "
+    "recursion order violated: Site(component=1, l_g=0, l_b=2, r_g=0, r_b=1) at rank (2, 1) "
     "referenced from rank (2, 1)"
 )
 
@@ -215,30 +216,29 @@ def every_key(max_total):
 class TestMemo:
     def test_write_once(self):
         engine = make_engine(1)
-        key = fam.top_key(1, 1)
-        engine.s_value(key)
+        engine.correlator_coefficient(2, 2)
+        key = (1, 1, 1, 1, 1)
         scaled = engine._memo[key]
         engine._store(key, scaled)  # same value is fine
         with pytest.raises(AssertionError):
-            engine._store(key, scaled + 1)
+            engine._store(key, (*scaled[:-1], scaled[-1] + 1))
 
     def test_recursion_order_guard(self):
-        # Site (1, 1, 1, 1, 1) made to read site (1, 2, 0, 1, 0): both at total
-        # 2, so of equal rank, which the check on every push must refuse.
+        # Two sites of equal rank, which the check on every push must refuse.
         engine = make_engine(1)
         with pytest.raises(AssertionError, match=re.escape(EQUAL_RANK_MESSAGE)):
             exec(EQUAL_RANK_BREACH, {"engine": engine, "fam": fam})
-        # A single walk made to read a site at its own total: single walks
-        # rank before sites.
+        # The site of the single walk S1(1, 2, 2) made to read a site with
+        # l_b > 0 at its own total: sites with l_b = 0 rank first.
         engine = make_engine(1)
-        single = engine._single
+        site = engine._site
 
-        def reads_site(key):
-            if key == (fam.S1, 1, 2, None, 2, None):
+        def reads_blue(key):
+            if key == (1, 2, 0, 2, 0):
                 return (yield (1, 1, 1, 1, 1))
-            return (yield from single(key))
+            return (yield from site(key))
 
-        engine._single = reads_site
+        engine._site = reads_blue
         with pytest.raises(AssertionError, match=r"violated: Site\(component=1, l_g=1, l_b=1"):
             engine.s_value(fam.single_key(fam.S1, 1, 2, 2))
 
@@ -266,22 +266,24 @@ class TestMemo:
         [
             (EQUAL_RANK_BREACH, EQUAL_RANK_MESSAGE),
             (
-                "engine._store(fam.top_key(1, 1), F(1)); engine._store(fam.top_key(1, 1), F(2))",
+                "engine._store((1, 1, 1, 1, 1), (1,) * 14); "
+                "engine._store((1, 1, 1, 1, 1), (2,) * 14)",
                 "memo conflict",
             ),
             (
-                # alpha = 1/3 gives a_2 = 2; the S1 entry of value alpha2 *
-                # alpha1 * V2 is scaled to 2, and 1 is no multiple of a_2.
+                # alpha = 1/3 gives a_2 = 2; S1(2, 1, 1), of value alpha2 *
+                # alpha1 * V2, is scaled to 2, and 1 is no multiple of a_2.
+                # Its site holds it as EQ_ANYC, the fourth value.
                 "engine = CoefficientEngine(ModelParams(F(1, 3), F(1)), engine.moments); "
-                "engine._memo[fam.single_key(fam.S1, 2, 1, 1)] = 1; "
+                "engine._memo[(2, 1, 0, 1, 0)] = (0, 0, 0, 1) + (0,) * 10; "
                 "engine.s_value(fam.double_key(fam.EQ_ANYC, 2, 1, 1, 1, 1))",
                 "glue at FamilyKey(tag='EQ_ANYC', component=2, l_g=1, l_b=1, r_g=1, r_b=1) "
                 "is not divisible",
             ),
             (
                 # S1S(1, 4, 3) moves the root of S1(1, 4, 3) by (2 * 4 - 3) / 3;
-                # seeded with the scaled value 1, that is 5/3.
-                "engine._memo[fam.single_key(fam.S1, 1, 4, 3)] = 1; "
+                # its site seeded with the scaled value 1, that is 5/3.
+                "engine._memo[(1, 4, 0, 3, 0)] = (0, 0, 0, 1) + (0,) * 10; "
                 "engine.s_value(fam.single_key(fam.S1S, 1, 4, 3))",
                 "moved root at FamilyKey(tag='S1S', component=1, l_g=4, l_b=None, r_g=3, "
                 "r_b=None) is not divisible by r = 3",
@@ -323,11 +325,33 @@ class TestMemo:
         # some, changes these counts: memo entries, of which sites, and the
         # family values they hold.  The family-by-family engine evaluated 7081
         # keys before the equations stopped reading keys that are zero by
-        # their shape, and 4289 after.
+        # their shape, and 4289 after.  With single walks and TOP as memo
+        # entries of their own the counts were (467, 434, 6109); since S1 is
+        # read from its site with l_b = 0 and TOP is a sum, ten sites of
+        # single walks that nothing else read are new and 33 entries are gone.
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
         sites = sum(len(key) == 5 for key in engine._memo)
-        assert (len(engine._memo), sites, engine.memo_size) == (467, 434, 6109)
+        assert (len(engine._memo), sites, engine.memo_size) == (444, 444, 6216)
+
+    def test_memo_holds_only_sites(self):
+        # A single walk is read as the EQ_ANYC of its site with l_b = 0, and
+        # S1S and TOP are sums over sites, so no other kind of entry is kept.
+        engine = make_engine(1, count=10)
+        engine.correlator_table(10, 10)
+        for key in [
+            fam.single_key(fam.S1, 1, 9, 4),
+            fam.single_key(fam.S1S, 2, 7, 3),
+            fam.top_key(3, 6),
+        ]:
+            engine.s_value(key)
+        assert all(len(key) == 5 for key in engine._memo)
+        assert engine.memo_size == 14 * len(engine._memo)
+        for c in (1, 2):
+            for l in range(9):
+                for r in range(l + 1):
+                    s1 = engine.s_value(fam.single_key(fam.S1, c, l, r))
+                    assert s1 == engine.s_value(fam.double_key(fam.EQ_ANYC, c, l, 0, r, 0))
 
     def test_single_walk_upper_sums_cached_once(self):
         # The ``s1`` upper sum never reads the blue half-length, so the cache
@@ -340,11 +364,14 @@ class TestMemo:
     def test_memo_order_is_frozen(self):
         # The keys in evaluation order and the number of cached upper sums;
         # a rewrite that reads the same keys in another order changes them.
+        # The hash changed from 39df8cfd... when the single walks and TOP left
+        # the memo: their keys are gone from the list, and the sites of single
+        # walks that nothing else read are in it.
         engine = make_engine(1, count=10)
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
         assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
-            "39df8cfd686c165851b4c261c0fda42aa80c998b5e3e1e95d38bc4be52941257",
+            "78ce5d7fe0f97b0f237bd188142b43f201f74e6f6bb88c3879b44cae0f4b2b64",
             630,
         )
 

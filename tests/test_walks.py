@@ -20,13 +20,12 @@ from bipcorr.walks import (
     _essential_profiles,
     _k_vertex,
     _leaf,
-    _marked_walk_profiles,
     _minimal_closings,
     _minimal_pairs,
     _orbits,
     _profile_weigher,
     _root_tree_walks,
-    _single_family_profiles,
+    _single_walk_censuses,
     _tree_pairs,
     vertex_part,
 )
@@ -415,7 +414,7 @@ class TestTreePruning:
         # filtering the unpruned enumeration with the reference skeleton.
         if key.tag == fam.S1:
             pairs = [(w, (w[0],)) for w in iter_minimal_walks(key.l_g, key.component)]
-            got = _single_family_profiles(key.l_g).get((key.component, key.r_g), ())
+            got = _single_walk_censuses(key.l_g)[0].get((key.component, key.r_g), ())
 
             def member(gray, blue, sk):
                 return gray[:-1].count(gray[0]) == key.r_g
@@ -535,7 +534,7 @@ class TestPartMirror:
                     bucket = buckets.setdefault((component, walk[:-1].count(walk[0])), {})
                     bucket[profile] = bucket.get(profile, 0) + 1
             want = _sorted_buckets(buckets)
-            assert list(_single_family_profiles(l).items()) == list(want.items()), l
+            assert list(_single_walk_censuses(l)[0].items()) == list(want.items()), l
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_empty_walk_censuses_equal_walked_pairs(self, l):
@@ -551,7 +550,7 @@ class TestPartMirror:
             for (tag, component, _, r_b), bucket in walked[0].items()
             if tag == fam.NEQ_ANYC_SN
         }
-        assert list(_marked_walk_profiles(l).items()) == list(marked.items()), l
+        assert list(_single_walk_censuses(l)[1].items()) == list(marked.items()), l
 
     def test_part_asymmetric_coefficient(self):
         # alpha = 1/3 weighs the two parts differently, so a mirror that kept
@@ -773,7 +772,7 @@ class TestWeights:
                 for bucket in _double_family_profiles(l_g, l_b).values():
                     profiles.update(profile for profile, _ in bucket)
         for l in range(8):
-            for census in (_single_family_profiles(l), _marked_walk_profiles(l)):
+            for census in _single_walk_censuses(l):
                 for bucket in census.values():
                     profiles.update(profile for profile, _ in bucket)
         for total in range(2, 13, 2):
@@ -912,7 +911,7 @@ class TestFamilies:
 
     def test_s1_members(self):
         def members(l, r):
-            return _single_family_profiles(l).get((1, r), ())
+            return _single_walk_censuses(l)[0].get((1, r), ())
 
         assert members(0, 0) == (((1, 0, ()), 1),)
         assert members(1, 1) == (((1, 1, (2,)), 1),)

@@ -151,14 +151,21 @@ ROWS = (
         "(fb, math.comb(rb - 1, fb - 1), range(",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
-    # Recursion order: every push is checked, and a reference of equal rank
-    # is refused.
+    # Recursion order: every push is checked, a reference of equal rank is
+    # refused, and a site with l_b = 0 ranks before the others at its total.
     Mutant(
         "push-check-allows-equal-rank",
         ENGINE,
         "            if ref_rank >= rank:\n",
         "            if ref_rank > rank:\n",
         f"{GUARDS}::test_guards_survive_optimized_mode[order]",
+    ),
+    Mutant(
+        "rank-without-blue-bit",
+        ENGINE,
+        "return (site[1] + site[2]) << 1 | (site[2] > 0)",
+        "return (site[1] + site[2]) << 1",
+        GUARDS,
     ),
     # The peels are ordered by construction; a loop range that reaches the
     # key's own total still fails, in ``math.comb`` or in ``_value``.
