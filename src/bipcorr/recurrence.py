@@ -46,27 +46,32 @@ Equation shapes
 The fourteen double families at one site (c, l_g, l_b, r_g, r_b) are
 evaluated together: one generator, ``_site``, returns them as a tuple in the
 order of ``SITE_TAGS``.  It peels only what moving the blue root cannot
-give, in three cases.
+give, with two loops: the gray peel ``_gray_peel``, one (f, u) loop over a
+cut edge only gray uses, and the red peel, one (fg, fb, ug, ub) loop over a
+cut edge both walks use.  Each step of the gray peel reads one family of one
+lower site at r and one upper sum beyond v: the single walks at v, or
+``pair`` at the blue half-length ub beyond v.  Three cases:
 
 - l_b = 0: the blue walk is empty at r, so EQ_ANYC is the single walk
   S1(c, l_g, r_g) and every other family is 0.  S1 is a_c at l_g = 0, else
-  the gray peel ``_peel_single`` with the ``s1`` upper sum.
+  the gray peel reading the EQ_ANYC of the lower sites with l_b = 0 (single
+  walks) and the single walks at v.
 - r_b = 0 < l_b: the blue walk never visits r, so only NEQ_C_GD and NEQ_C_GU
-  and their sums are not 0.  The gray peel, one (f, u) loop over a cut edge
-  only gray uses, gives NEQ_C_GD: each step reads the NEQ_C of one lower
-  site and one ``s1`` upper sum.  NEQ_C_GU, whose lower piece is the single
-  walk S1, is ``_peel_single`` with the ``pair`` upper sum.
-- r_b > 0: the same gray loop, reading the lower EQ_C, gives EQ_C_G.  The
-  red peel, one (fg, fb, ug, ub) loop over a cut edge both walks use, gives
-  EQ_C_R: each step reads the EQ_ANYC of one lower site and one ``rooted``
-  upper sum, and each (fg, fb) weighs its sum with the cut edge and codes
-  once.  The same terms give NEQ_C_RU.  The rest is moved: NEQ_C_GD =
-  NEQ_C_G = EQ_C_G rho, NEQ_C_GU = 0, NEQ_C_R = EQ_C_R rho, NEQ_C_RD =
-  NEQ_C_R - NEQ_C_RU, and EQ_ANYC adds the glue to EQ_C, so NEQ_ANYC_SGD =
-  (EQ_C_G + glue) rho if l_g > 0, else NEQ_ANYC_SN = glue rho.
+  and their sums are not 0.  The gray peel reading the NEQ_C of the lower
+  sites (c, ., l_b, ., 0) and the single walks at v gives NEQ_C_GD; reading
+  the single walks at r, as S1 does, and ``pair`` at ub = l_b, it gives
+  NEQ_C_GU.
+- r_b > 0: the gray peel reading the EQ_C of the lower sites
+  (c, ., l_b, ., r_b) and the single walks at v gives EQ_C_G.  The red peel
+  gives EQ_C_R: each step reads the EQ_ANYC of one lower site and one
+  ``rooted`` upper sum, and each (fg, fb) weighs its sum with the cut edge
+  and codes once.  The same terms give NEQ_C_RU.  The rest is moved:
+  NEQ_C_GD = NEQ_C_G = EQ_C_G rho, NEQ_C_GU = 0, NEQ_C_R = EQ_C_R rho,
+  NEQ_C_RD = NEQ_C_R - NEQ_C_RU, and EQ_ANYC adds the glue to EQ_C, so
+  NEQ_ANYC_SGD = (EQ_C_G + glue) rho if l_g > 0, else NEQ_ANYC_SN = glue
+  rho.
 
-Every read of the single walk S1(c, l, r) reads the site (c, l, 0, r, 0);
-the gray peel of S1, ``_peel_single``, is the loop NEQ_C_GU runs as well.
+Every read of the single walk S1(c, l, r) reads the site (c, l, 0, r, 0).
 S1S and TOP are not memo entries but what ``s_value`` makes of sites: S1S
 moves the root of S1, and TOP adds EQ_C and NEQ_C over component and roots,
 one site each.
@@ -75,19 +80,26 @@ Upper sums
 ----------
 Beyond v the peels weigh an upper piece: the family values at v, each times
 the binomial code that interleaves the f returns over the cut edge with the
-departures from v.  For a gray cut edge, ``_upper`` evaluates ``s1``, the sum
-of the single walks S1 rooted at v, read as the EQ_ANYC of the sites at v
-with no blue walk, or ``pair``, the sum of EQ_C and NEQ_C over the sites at
-v that NEQ_C_GU weighs.  For a red cut edge, ``_rooted``
-evaluates ``rooted``, the sum of EQ_ANYC over the sites at v.
+departures from v.  There are two sums:
 
-The peels ask for the same sums many times (at n_{12,12}, the red peel
-asks for 12,462 and 882 are distinct), so each engine caches them in its own
-dict, keyed by the sum's name and arguments; the values depend on the
-engine's params and moments.  A peel reads a cached sum inline, as it reads
-a memo value; only on a miss does it run ``_upper`` or ``_rooted``, with
-``yield from``, so the keys the sum still lacks go to the same work stack as
-the peel's own.  A hit adds no memo entry and leaves the memo's order.
+- ``rooted``, evaluated by ``_rooted``: the sum of EQ_ANYC over the sites
+  (opp, ug, ub, vg, vb) at v, with the fg gray and fb blue returns over the
+  cut edge interleaved with the vg and vb departures from v.  The red peel
+  reads it.  The single walks at v, which the gray peel reads, are
+  ``rooted`` with fb = 1 and ub = 0: with no blue walk at v only vb = 0 is
+  read, its blue code is C(fb + 0 - 1, fb - 1) = C(0, 0) = 1, and the
+  EQ_ANYC of a site with l_b = 0 is its single walk S1.
+- ``pair``, evaluated by ``_pair``: the sum of EQ_C and NEQ_C over the sites
+  at v with blue half-length ub, which NEQ_C_GU weighs.
+
+The peels ask for the same sums many times (at n_{12,12} they ask for
+14,786 and 924 are distinct, 882 of them ``rooted``), so each engine caches
+them in its own dict, keyed by the sum's name and arguments; the values
+depend on the engine's params and moments.  A peel reads a cached sum
+inline, as it reads a memo value; only on a miss does it run ``_pair`` or
+``_rooted``, with ``yield from``, so the keys the sum still lacks go to the
+same work stack as the peel's own.  A hit adds no memo entry and leaves the
+memo's order.
 
 Structural zeros
 ----------------
@@ -107,9 +119,10 @@ The equations do not read such keys; their loop ranges leave them out, so
 no read pays a lookup for the rule.  ``range(x > 0, x + 1)`` starts at 1
 whenever x is positive.
 
-- The gray peels: at f = r the lower walk has no departure left, so only
-  u = l - r is read (G).  A site's stops before f = r_g: EQ_C and NEQ_C
-  need a shared edge, so a lower site with no gray walk gives 0 to both.
+- The gray peel: at f = r_g the lower walk has no departure left, so only
+  u = l_g - r_g is read (G).  With l_b = 0 that lower piece is the empty
+  walk a_c.  With l_b > 0 it is a site with no gray walk, whose EQ_C and
+  NEQ_C, which need a shared edge, are 0, so the f loop stops before r_g.
 - The red peel: likewise only ug = lg - rg at fg = rg (G), and only
   ub = lb - rb at fb = rb (B: the lower EQ_ANYC roots the blue walk at r).
 - The upper sums: vg starts at 1 when ug > 0 (G).  EQ_C and EQ_ANYC are not
@@ -391,32 +404,37 @@ class CoefficientEngine:
                 )
             weights.append(scaled.numerator)
 
-    # -- the single walk as a lower piece ----------------------------------
+    # -- the gray peel -----------------------------------------------------
 
-    def _peel_single(self, c: int, l: int, r: int, upper: str, ub):
-        """The gray peel with the single walk S1, a site with l_b = 0, as
-        lower piece, the upper sum ``upper`` beyond v, and ``ub`` its blue
-        half-length (None if none)."""
+    def _gray_peel(self, c: int, lg: int, lb: int, rg: int, rb: int, slot: int, ub):
+        """The gray peel of a cut edge only gray uses: each step reads family
+        ``slot`` of the lower site (c, ., lb, ., rb) at r and, beyond v, the
+        ``pair`` upper sum at blue half-length ``ub``, or the single walks S1
+        at v, ``rooted`` with one blue return and ub = 0, if ``ub`` is None."""
         memo, uppers, w = self._memo, self._uppers, self._weights
         opp = 3 - c
         total = 0
-        for f in range(1, r + 1):
+        # Cutting all r_g departures leaves the lower gray walk empty: the
+        # empty walk a_c if lb = 0, else a site whose EQ_C and NEQ_C, which
+        # need a shared edge, are 0.
+        for f in range(1, rg + 1 - (lb > 0)):
             inner = 0
-            # Cutting all r departures leaves the lower walk none, so (G)
-            # allows it only the empty walk.
-            for u in range(0, l - r + 1) if f < r else (l - r,):
-                ref = (c, l - u - f, 0, r - f, 0)
+            # At f = r_g, (G) allows the lower walk only the empty walk.
+            for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):
+                ref = (c, lg - u - f, lb, rg - f, rb)
                 lower = memo.get(ref)
                 if lower is None:
                     lower = yield ref
-                lower = lower[_EQ_ANYC]
+                lower = lower[slot]
                 if not lower:
                     continue
-                above = uppers.get((upper, opp, f, u, ub))
+                name = ("rooted", opp, f, 1, u, 0) if ub is None else ("pair", opp, f, u, ub)
+                above = uppers.get(name)
                 if above is None:
-                    above = yield from self._upper(upper, opp, f, u, ub)
+                    upper = self._rooted(opp, f, 1, u, 0) if ub is None else self._pair(opp, f, u, ub)
+                    above = yield from upper
                 inner += lower * above
-            total += math.comb(r - 1, f - 1) * w[f] * inner
+            total += math.comb(rg - 1, f - 1) * w[f] * inner
         return total
 
     # -- a site: the fourteen double families -------------------------------
@@ -426,36 +444,17 @@ class CoefficientEngine:
         if rg > lg or rb > lb:
             return _ZERO_SITE
         if lb == 0:
-            gray = (yield from self._peel_single(c, lg, rg, "s1", None)) if lg else self._a[c]
+            gray = (yield from self._gray_peel(c, lg, 0, rg, 0, _EQ_ANYC, None)) if lg else self._a[c]
             return (0, 0, 0, gray, *_ZERO_SITE[4:])
-        memo, uppers, w = self._memo, self._uppers, self._weights
-        opp = 3 - c
 
         # Gray peel, blue below the cut edge: EQ_C_G if blue visits r, else
-        # NEQ_C_GD.  Cutting all r_g departures leaves the lower gray walk
-        # empty, and then its EQ_C and NEQ_C, which need a shared edge, are 0.
-        slot = _EQ_C if rb else _NEQ_C
-        gray_peel = 0
-        for f in range(1, rg):
-            inner = 0
-            for u in range(0, lg - rg + 1):
-                ref = (c, lg - u - f, lb, rg - f, rb)
-                lower = memo.get(ref)
-                if lower is None:
-                    lower = yield ref
-                lower = lower[slot]
-                if not lower:
-                    continue
-                above = uppers.get(("s1", opp, f, u, None))
-                if above is None:
-                    above = yield from self._upper("s1", opp, f, u, None)
-                inner += lower * above
-            gray_peel += math.comb(rg - 1, f - 1) * w[f] * inner
+        # NEQ_C_GD.
+        gray_peel = yield from self._gray_peel(c, lg, lb, rg, rb, _EQ_C if rb else _NEQ_C, None)
 
         if not rb:
             # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece
             # is a single walk, so blue cannot touch r.
-            up_g = yield from self._peel_single(c, lg, rg, "pair", lb)
+            up_g = yield from self._gray_peel(c, lg, 0, rg, 0, _EQ_ANYC, lb)
             neq_g = up_g + gray_peel
             return (0, 0, 0, 0, up_g, gray_peel, 0, 0, neq_g, 0, neq_g, 0, 0, 0)
 
@@ -463,6 +462,8 @@ class CoefficientEngine:
         # another edge, and NEQ_C_RU, each term times its blue departures
         # beyond the cut edge.  A lower walk cut off all its departures is
         # empty (G, B).
+        memo, uppers, w = self._memo, self._uppers, self._weights
+        opp = 3 - c
         blues = [
             (fb, math.comb(rb, fb), range(0, lb - rb + 1) if fb < rb else (lb - rb,))
             for fb in range(1, rb + 1)
@@ -519,36 +520,29 @@ class CoefficientEngine:
 
     # -- upper sums: the walks beyond v ------------------------------------
 
-    def _upper(self, name: str, opp: int, f: int, u: int, ub):
-        """Evaluate and cache an upper sum of a gray cut edge: ``s1``, the
-        single walks S1 at v (EQ_ANYC of the sites with l_b = 0), if ub is
-        None, else ``pair``, EQ_C plus NEQ_C of the sites at v with blue
-        half-length ub.  The f gray returns over the cut edge interleave
-        with the vg gray departures from v."""
+    def _pair(self, opp: int, f: int, u: int, ub: int):
+        """Evaluate and cache ``pair``, the upper sum of NEQ_C_GU: EQ_C plus
+        NEQ_C of the sites at v with blue half-length ub, with the f gray
+        returns over the cut edge interleaved with the vg gray departures
+        from v."""
         memo = self._memo
-        upper = 0
+        pair = 0
         for vg in range(u > 0, u + 1):
             code = math.comb(f + vg - 1, f - 1)
-            if ub is None:
-                ref = (opp, u, 0, vg, 0)
-                site = memo.get(ref)
-                if site is None:
-                    site = yield ref
-                upper += code * site[_EQ_ANYC]
-                continue
             for vb in range(0, ub + 1):
                 ref = (opp, u, ub, vg, vb)
                 site = memo.get(ref)
                 if site is None:
                     site = yield ref
-                upper += code * (site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C])
-        self._uppers[(name, opp, f, u, ub)] = upper
-        return upper
+                pair += code * (site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C])
+        self._uppers[("pair", opp, f, u, ub)] = pair
+        return pair
 
     def _rooted(self, opp: int, fg: int, fb: int, ug: int, ub: int):
         """Evaluate and cache ``rooted``, the upper sum of a red cut edge:
         EQ_ANYC of the sites at v, which (B) makes 0 at vb = 0 < ub, with fg
-        gray and fb blue returns interleaved with vg and vb departures."""
+        gray and fb blue returns interleaved with vg and vb departures.  At
+        fb = 1 and ub = 0 it is the single walks beyond a gray cut edge."""
         memo = self._memo
         rooted = 0
         for vg in range(ug > 0, ug + 1):

@@ -547,3 +547,62 @@ class TestParser:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --moments" in err and "mode" not in err
+
+
+class TestExitCodeGrid:
+    # A small grid of bad and good flag values across the four subcommands.
+    # Values go in as ``--flag=value`` so that a leading "-" is never taken
+    # for a flag by the parser.
+    ALPHAS = ("1/2", "1/3", "0", "1", "-1/2", "3/2", "x", "1/0")
+    PS = ("1", "5/2", "0", "-1", "x")
+    GOOD_ALPHAS = ("1/2", "1/3")
+    GOOD_PS = ("1", "5/2")
+    BASES = {
+        "compute": ["compute", "--k", "2", "--m", "4"],
+        "oracle": ["oracle", "--k", "2", "--m", "2"],
+        "crosscheck": ["crosscheck", "--max-total", "4"],
+        "simulate": ["simulate", "--n", "40", "--k", "2", "--m", "2",
+                     "--samples", "16", "--batches", "4"],
+    }
+    PRESETS = ("rademacher", "constant:2", "gaussian:1/3", "gaussian:-1",
+               "constant:0", "rademacher:1", "gaussian:x", "uniform")
+    LAWS = ("rademacher", "gaussian:1", "two-point:1,1/2,2", "constant:2",
+            "two-point:1,2,2", "gaussian:x", "uniform")
+    SIZES = ("40", "40,80", "0", "-5", "x", ",")
+
+    def grid(self, short_moments):
+        """(argv, whether alpha and p are both valid) for every call;
+        ``short_moments`` names a moments file too short for any call."""
+        for name, base in self.BASES.items():
+            for alpha in self.ALPHAS:
+                for p in self.PS:
+                    good = alpha in self.GOOD_ALPHAS and p in self.GOOD_PS
+                    yield base + [f"--alpha={alpha}", f"--p={p}"], good
+            if name != "simulate":
+                for preset in self.PRESETS:
+                    yield base + [f"--moments={preset}"], True
+                yield base + [f"--moments-file={short_moments}"], True
+            if name in ("oracle", "crosscheck"):
+                for cap in ("2", "-1"):
+                    yield base + [f"--cap={cap}"], True
+        for law in self.LAWS:
+            for size in self.SIZES:
+                argv = ["simulate", f"--n={size}", "--k", "2", "--m", "2",
+                        "--samples", "16", "--batches", "4", f"--dist={law}"]
+                yield argv, True
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_exit_code_is_documented(self, capsys, tmp_path):
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"even_moments": ["1"]}))
+        codes = []
+        for argv, good in self.grid(short):
+            code, _, err = run(capsys, argv)
+            assert type(code) is int and 0 <= code <= 4, (argv, code)
+            if not good:
+                assert code != 0, argv
+            if code:
+                assert any(line.startswith("error:") for line in err.splitlines()), (argv, err)
+            codes.append(code)
+        # Every exit code but a crosscheck mismatch is reached.
+        assert len(codes) == 233 and set(codes) == {0, 2, 3, 4}

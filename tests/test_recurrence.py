@@ -1,6 +1,7 @@
 """Recurrence engine: family values, coefficients, memo guards."""
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -245,8 +246,12 @@ class TestMemo:
     @pytest.mark.parametrize(
         "warm, key, cache_key",
         [
-            # Gray peel: S1(1, 2, 2) hits s1(2, 1, 0, None) at f = 1, u = 0.
-            ((2, 2), fam.single_key(fam.S1, 1, 2, 2), ("s1", 2, 1, 0, None)),
+            # Gray peel: S1(1, 2, 2) hits rooted(2, 1, 1, 0, 0) at f = 1,
+            # u = 0.  The single walks beyond v are the ``rooted`` sum with one
+            # blue return and ub = 0, whose blue code is C(0, 0) = 1; the
+            # engine cached them as ("s1", 2, 1, 0, None) before the two
+            # sums were one.
+            ((2, 2), fam.single_key(fam.S1, 1, 2, 2), ("rooted", 2, 1, 1, 0, 0)),
             # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits rooted(1, 1, 1, 1, 1) at
             # fg = fb = ug = ub = 1.
             ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("rooted", 1, 1, 1, 1, 1)),
@@ -255,10 +260,11 @@ class TestMemo:
     )
     def test_upper_sum_hit_gives_cold_value(self, warm, key, cache_key):
         # Warming with n_{warm} caches the upper sum but never evaluates
-        # ``key``, so ``key``'s peel reads the sum as a cache hit.
+        # ``key``'s site, so ``key``'s peel reads the sum as a cache hit.
         engine = make_engine(1)
         engine.correlator_coefficient(*warm)
-        assert key not in dict(engine.memo_items()) and cache_key in engine._uppers
+        site = (key.component, key.l_g, key.l_b or 0, key.r_g, key.r_b or 0)
+        assert site not in engine._memo and cache_key in engine._uppers
         assert engine.s_value(key) == make_engine(1).s_value(key)
 
     @pytest.mark.parametrize(
@@ -354,25 +360,35 @@ class TestMemo:
                     assert s1 == engine.s_value(fam.double_key(fam.EQ_ANYC, c, l, 0, r, 0))
 
     def test_single_walk_upper_sums_cached_once(self):
-        # The ``s1`` upper sum never reads the blue half-length, so the cache
-        # must hold one entry per (opp, f, u), not one per blue length as well.
+        # The single walks beyond v never read the blue half-length of the
+        # site peeled, so the cache must hold one entry per (opp, f, u), not
+        # one per blue length as well.  They are cached as ``rooted`` with
+        # fb = 1 and ub = 0 (as ``s1`` until the two sums were one), and
+        # ``pair`` and ``rooted`` are the only upper sums.
         engine = make_engine(1, count=14)
         engine.correlator_table(14, 14)
-        args = [key[1:] for key in engine._uppers if key[0] == "s1"]
-        assert args and len(args) == len({(opp, f, u) for opp, f, u, _ in args})
+        assert {key[0] for key in engine._uppers} == {"pair", "rooted"}
+        args = [
+            key[1:] for key in engine._uppers if key[0] == "rooted" and key[3] == 1 and key[5] == 0
+        ]
+        assert args and len(args) == len({(opp, f, u) for opp, f, _, u, _ in args})
 
     def test_memo_order_is_frozen(self):
         # The keys in evaluation order and the number of cached upper sums;
         # a rewrite that reads the same keys in another order changes them.
         # The hash changed from 39df8cfd... when the single walks and TOP left
         # the memo: their keys are gone from the list, and the sites of single
-        # walks that nothing else read are in it.
+        # walks that nothing else read are in it.  The count went from 630 to
+        # 600 when the single walks beyond v became the ``rooted`` sum with
+        # fb = 1 and ub = 0: the red peel asks for each of the 30 sums of
+        # single walks as well, and they are now cached once, under one key.
+        # Both read the same sites in the same order, so the hash stayed.
         engine = make_engine(1, count=10)
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
         assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
             "78ce5d7fe0f97b0f237bd188142b43f201f74e6f6bb88c3879b44cae0f4b2b64",
-            630,
+            600,
         )
 
     def test_family_values_are_frozen(self):
@@ -385,6 +401,39 @@ class TestMemo:
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
             "d46b5e285d2cefed413afb1f608398e4c20c4fc7767b9132e6cc1e8532fe5354"
         )
+
+
+def drive(engine, frame):
+    """Run the generator ``frame`` of ``engine`` to its value, evaluating
+    each site it yields."""
+    value = None
+    while True:
+        try:
+            ref = frame.send(value)
+        except StopIteration as done:
+            return done.value
+        value = engine._value(ref)
+
+
+class TestUpperSums:
+    @pytest.mark.parametrize("index", CONTEXT_IDS)
+    def test_rooted_at_blue_length_zero_is_single_walks(self, index):
+        # The gray peel reads the single walks beyond v as ``rooted`` with
+        # one blue return and ub = 0: with no blue walk at v, the blue code
+        # is C(fb + 0 - 1, fb - 1) = 1 for every fb, so the sum is that of
+        # the S1 at v, each times the gray code C(f + vg - 1, f - 1).
+        engine = make_engine(index, count=6)
+        for opp in (1, 2):
+            for f in range(1, 5):
+                for u in range(7):
+                    single = sum(
+                        math.comb(f + vg - 1, f - 1)
+                        * engine.s_value(fam.single_key(fam.S1, opp, u, vg))
+                        for vg in range(u + 1)
+                    )
+                    for fb in (1, 2, 3):
+                        rooted = drive(engine, engine._rooted(opp, f, fb, u, 0))
+                        assert F(rooted, engine._scale(u)) == single, (opp, f, u, fb)
 
 
 # Families whose blue walk is rooted at r or passes through r, where rule (B)

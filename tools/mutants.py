@@ -172,8 +172,8 @@ ROWS = (
     Mutant(
         "gray-cut-from-zero",
         ENGINE,
-        "        for f in range(1, r + 1):\n",
-        "        for f in range(0, r + 1):\n",
+        "        for f in range(1, rg + 1 - (lb > 0)):\n",
+        "        for f in range(0, rg + 1 - (lb > 0)):\n",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     Mutant(
@@ -186,9 +186,27 @@ ROWS = (
     Mutant(
         "gray-lower-from-minus-one",
         ENGINE,
-        "range(0, l - r + 1) if f < r",
-        "range(-1, l - r + 1) if f < r",
+        "range(0, lg - rg + 1) if f < rg",
+        "range(-1, lg - rg + 1) if f < rg",
         "tests/test_recurrence.py::TestDeepRegressions",
+    ),
+    # The gray peel: a lower site with l_b > 0 and no gray walk is not read,
+    # and the single walks beyond v are ``rooted`` at ub = 0.  Reading that
+    # site gives the same values and the same memo keys (the upper sums read
+    # each such site anyway), but evaluates it earlier.
+    Mutant(
+        "gray-peel-reads-empty-lower-site",
+        ENGINE,
+        "for f in range(1, rg + 1 - (lb > 0)):",
+        "for f in range(1, rg + 1):",
+        f"{GUARDS}::test_memo_order_is_frozen",
+    ),
+    Mutant(
+        "single-upper-at-blue-half-length-one",
+        ENGINE,
+        "self._rooted(opp, f, 1, u, 0)",
+        "self._rooted(opp, f, 1, u, 1)",
+        "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     # Structural zeros: a read is skipped only where its key is 0 by shape.
     Mutant(
@@ -208,8 +226,8 @@ ROWS = (
     Mutant(
         "gray-peel-empty-lower-off-by-one",
         ENGINE,
-        "for u in range(0, l - r + 1) if f < r else (l - r,):",
-        "for u in range(0, l - r + 1) if f < r else (l - r + 1,):",
+        "for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):",
+        "for u in range(0, lg - rg + 1) if f < rg else (lg - rg + 1,):",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     # Oracle: the part mirror of the censuses and the O(1) tree guard.
