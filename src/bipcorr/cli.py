@@ -276,24 +276,23 @@ def run_crosscheck(engine: CoefficientEngine, max_total: int, family_total: int)
                                 ))
     double_mismatches.sort()
     mismatches += [(f"family {key}", got, want) for key, got, want in double_mismatches]
-    for l_g in range(0, family_total + 1):
-        for l_b in range(0, family_total - l_g + 1):
-            key = fam.top_key(l_g, l_b)
-            family_count += 1
-            got = engine.s_value(key)
-            want = walks.family_total_weight(key, params, moments)
-            if got != want:
-                mismatches.append((f"family {key}", got, want))
-    for tag in sorted(fam.SINGLE_TAGS):
-        for component in (1, 2):
-            for l in range(0, family_total + 2):
-                for r in range(0, l + 1):
-                    key = fam.single_key(tag, component, l, r)
-                    family_count += 1
-                    got = engine.s_value(key)
-                    want = walks.family_total_weight(key, params, moments)
-                    if got != want:
-                        mismatches.append((f"family {key}", got, want))
+    keys = [
+        fam.top_key(l_g, l_b)
+        for l_g in range(0, family_total + 1)
+        for l_b in range(0, family_total - l_g + 1)
+    ] + [
+        fam.single_key(tag, component, l, r)
+        for tag in sorted(fam.SINGLE_TAGS)
+        for component in (1, 2)
+        for l in range(0, family_total + 2)
+        for r in range(0, l + 1)
+    ]
+    family_count += len(keys)
+    for key in keys:
+        got = engine.s_value(key)
+        want = walks.family_total_weight(key, params, moments)
+        if got != want:
+            mismatches.append((f"family {key}", got, want))
 
     lines = [
         f"alpha={format_scalar(params.alpha)} p={format_scalar(params.p)}",

@@ -29,9 +29,11 @@ part containing v and a "lower" part containing r.
 ``TOP``            essential pairs: tree skeleton, shared edge, any roots;
                    key is (l_g, l_b) only.  n_{k,m} = TOP(k/2, m/2).
 ``S1``             single closed walk with tree skeleton; key (component,
-                   l, r) stored in the gray slots.
+                   l, r) stored in the gray slots.  The site slot EQ_ANYC at
+                   (component, l, 0, r, 0).
 ``S1S``            gray walk empty at r; blue walk rooted elsewhere but
                    visiting r; key (component, l, r) describes the blue walk.
+                   The site slot NEQ_ANYC_SN at (component, 0, l, 0, r).
 ``EQ_C``           roots equal, at least one shared edge.
 ``EQ_C_G``         EQ_C and blue does not use (r, v).
 ``EQ_C_R``         EQ_C and blue uses (r, v).
@@ -50,6 +52,8 @@ part containing v and a "lower" part containing r.
 
 ``S1`` and ``S1S`` keys use ``l_g``/``r_g`` to carry their single pair
 (l, r); ``l_b``/``r_b`` are None.  ``TOP`` carries only the half-lengths.
+Each single key names the same value as one double key, which ``site_key``
+gives.
 """
 
 from __future__ import annotations
@@ -125,6 +129,23 @@ def double_key(tag: str, component: int, l_g: int, l_b: int, r_g: int, r_b: int)
     if tag not in DOUBLE_TAGS:
         raise UnknownFamilyError(f"{tag!r} is not a double-walk family tag")
     return FamilyKey(tag, component, l_g, l_b, r_g, r_b)
+
+
+def site_key(key: FamilyKey) -> FamilyKey:
+    """The double key of the same value as ``key``, a key other than TOP.
+
+    S1(c, l, r) is EQ_ANYC at (c, l, 0, r, 0): with an empty blue walk the
+    roots are equal, no edge is shared, and the pair is its gray walk.
+    S1S(c, l, r) is NEQ_ANYC_SN at (c, 0, l, 0, r): the gray walk is empty
+    at r, and the blue walk of half-length l, rooted elsewhere, departs r
+    r times.  A double key is returned unchanged.
+    """
+    tag, component, l, _, r, _ = key
+    if tag == S1:
+        return FamilyKey(EQ_ANYC, component, l, 0, r, 0)
+    if tag == S1S:
+        return FamilyKey(NEQ_ANYC_SN, component, 0, l, 0, r)
+    return key
 
 
 def validate_key(key: FamilyKey) -> None:

@@ -36,7 +36,8 @@ without r is its twin rooted at r, times the sum of d(x) over X, over r_b:
 
 - X all vertices but r, with 2 l_b - r_b departures: rho = (2 l_b - r_b) /
   r_b moves EQ_C to NEQ_C, EQ_C_G to NEQ_C_G, EQ_C_R to NEQ_C_R and EQ_ANYC
-  to NEQ_ANYC_S; with an empty gray walk, S1S(c, l, r) = S1 (2l - r) / r.
+  to NEQ_ANYC_S.  With an empty gray walk the last is NEQ_ANYC_SN, the
+  single family S1S(c, l_b, r_b): its blue walk S1(c, l_b, r_b) moved.
 - X the vertices beyond v: a term of the red peel crosses the cut edge fb
   times each way and has blue half-length ub beyond v, so 2 ub + fb
   departures.  NEQ_C_RU weighs each EQ_C_R term with them, over r_b.
@@ -72,9 +73,10 @@ lower site at r and one upper sum beyond v: the single walks at v, or
   rho.
 
 Every read of the single walk S1(c, l, r) reads the site (c, l, 0, r, 0).
-S1S and TOP are not memo entries but what ``s_value`` makes of sites: S1S
-moves the root of S1, and TOP adds EQ_C and NEQ_C over component and roots,
-one site each.
+``s_value`` reads a single key through ``families.site_key``, as one slot of
+the site of the same value: S1 is EQ_ANYC at (c, l, 0, r, 0) and S1S is
+NEQ_ANYC_SN at (c, 0, l, 0, r).  TOP is not a memo entry but a sum: it adds
+EQ_C and NEQ_C over component and roots, one site each.
 
 Upper sums
 ----------
@@ -151,8 +153,8 @@ and converts to a Fraction only at the public boundary (``s_value``,
 ``correlator_coefficient``, ``memo_items``).  One public reader hands out the
 integers: ``scaled_site`` returns a site's fourteen X in the order of
 ``SITE_TAGS`` together with D_L = q^(L+1) c^L, so that a caller comparing
-whole sites, as ``crosscheck`` does, builds no Fraction; the double branch
-of ``s_value`` reads through it.  In both peels the cut edge, the
+whole sites, as ``crosscheck`` does, builds no Fraction; ``s_value`` reads
+every key but TOP through it.  In both peels the cut edge, the
 lower piece and the upper piece split the half-length as L = f + L_lower +
 L_upper, so the scales of the three factors multiply to the scale of the
 key: the equations keep their shape, with W(f) in place of w(f), and the
@@ -269,26 +271,19 @@ class CoefficientEngine:
     def s_value(self, key: fam.FamilyKey) -> Fraction:
         """The value of ``key``; needs V_2 .. V_2L at its total half-length L."""
         fam.validate_key(key)
-        if key.tag in fam.DOUBLE_TAGS:
+        if key.tag != fam.TOP:
+            key = fam.site_key(key)
             scale, site = self.scaled_site(key[1:])
             return Fraction(site[_SLOT[key.tag]], scale)
-        self.moments.require(2 * (key.l_g + (key.l_b or 0)))
-        if key.tag == fam.TOP:
-            _, _, lg, lb, _, _ = key
-            total = 0
-            for c in (1, 2):
-                for rg in range(lg > 0, lg + 1):
-                    for rb in range(0, lb + 1):
-                        site = self._value((c, lg, lb, rg, rb))
-                        total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
-            return self._unscaled(key, total)
-        _, c, l, _, r, _ = key
-        if key.tag == fam.S1S and r == 0:
-            return Fraction(0)
-        s1 = self._value((c, l, 0, r, 0))[_EQ_ANYC]
-        if key.tag == fam.S1:
-            return self._unscaled(key, s1)
-        return self._unscaled(key, _exact(s1 * (2 * l - r), r, "moved root", key, "r"))
+        _, _, lg, lb, _, _ = key
+        self.moments.require(2 * (lg + lb))
+        total = 0
+        for c in (1, 2):
+            for rg in range(lg > 0, lg + 1):
+                for rb in range(0, lb + 1):
+                    site = self._value((c, lg, lb, rg, rb))
+                    total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
+        return self._unscaled(key, total)
 
     def scaled_site(self, site: tuple) -> tuple:
         """(D_L, values) of ``site``, a ``Site`` or its 5-tuple: the fourteen
@@ -326,8 +321,8 @@ class CoefficientEngine:
     def memo_items(self) -> Iterable:
         """(key, value) pairs in evaluation order, the values as Fractions:
         each site gives its fourteen double families in the order of
-        ``SITE_TAGS``.  A single walk S1 is listed as the EQ_ANYC of its site
-        with l_b = 0; S1S and TOP are not memo entries."""
+        ``SITE_TAGS``.  A single key is listed as the double key
+        ``families.site_key`` gives; TOP is not a memo entry."""
         for site, values in self._memo.items():
             for tag, value in zip(SITE_TAGS, values):
                 key = fam.FamilyKey(tag, *site)
@@ -341,7 +336,7 @@ class CoefficientEngine:
 
     def _unscaled(self, key: fam.FamilyKey, value: int) -> Fraction:
         """The family value that the scaled integer ``value`` of ``key`` stands for."""
-        return Fraction(value, self._scale(key.l_g + (key.l_b or 0)))
+        return Fraction(value, self._scale(key.l_g + key.l_b))
 
     # -- evaluation machinery ---------------------------------------------
     #
@@ -522,9 +517,9 @@ class CoefficientEngine:
 
     def _pair(self, opp: int, f: int, u: int, ub: int):
         """Evaluate and cache ``pair``, the upper sum of NEQ_C_GU: EQ_C plus
-        NEQ_C of the sites at v with blue half-length ub, with the f gray
-        returns over the cut edge interleaved with the vg gray departures
-        from v."""
+        NEQ_C of the sites at v with blue half-length ub > 0, which (B) makes
+        NEQ_C alone at vb = 0, with the f gray returns over the cut edge
+        interleaved with the vg gray departures from v."""
         memo = self._memo
         pair = 0
         for vg in range(u > 0, u + 1):
@@ -534,7 +529,7 @@ class CoefficientEngine:
                 site = memo.get(ref)
                 if site is None:
                     site = yield ref
-                pair += code * (site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C])
+                pair += code * (site[_EQ_C] + site[_NEQ_C] if vb else site[_NEQ_C])
         self._uppers[("pair", opp, f, u, ub)] = pair
         return pair
 

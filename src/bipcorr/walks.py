@@ -654,22 +654,11 @@ def family_total_weight(
     """Weight sum over a family, from the cached profile census."""
     fam.validate_key(key)
     if key.tag == fam.TOP:
-        if key.l_g == 0 or key.l_b == 0:
-            return Fraction(0)
-        return n_oracle(2 * key.l_g, 2 * key.l_b, params, moments)
-    # S1 is the EQ_ANYC slot of its block with no blue walk, and S1S the
-    # NEQ_ANYC_SN slot of its block with no gray walk.
-    if key.tag == fam.S1:
-        profiles = _double_family_profiles(key.l_g, 0).get(
-            (fam.EQ_ANYC, key.component, key.r_g, 0), ()
-        )
-    elif key.tag == fam.S1S:
-        profiles = _double_family_profiles(0, key.l_g).get(
-            (fam.NEQ_ANYC_SN, key.component, 0, key.r_g), ()
-        )
+        profiles = _essential_profiles(2 * key.l_g, 2 * key.l_b)
     else:
+        # A single key reads the slot of the double key of the same value.
+        key = fam.site_key(key)
         profiles = _double_family_profiles(key.l_g, key.l_b).get(
             (key.tag, key.component, key.r_g, key.r_b), ()
         )
-    # S1 and S1S keys carry no l_b.
-    return _weight_sum(profiles, key.l_g + (key.l_b or 0), params, moments)
+    return _weight_sum(profiles, key.l_g + key.l_b, params, moments)

@@ -280,7 +280,11 @@ class TestCrosscheck:
     def test_mismatches_reported_in_key_order(self, capsys, monkeypatch):
         # Sites hold their tags in another order than the report: every
         # mismatch of EQ_ANYC comes before any of EQ_C_G, each in (component,
-        # l_g, l_b, r_g, r_b) order, as a loop key by key finds them.
+        # l_g, l_b, r_g, r_b) order, as a loop key by key finds them.  The
+        # single keys come last: each S1 is read as the EQ_ANYC of its site
+        # (c, l, 0, r, 0) through ``scaled_site``, so the tampered sites
+        # change all twelve S1 to l = 2 as well; TOP sums sites past it, and
+        # S1S reads NEQ_ANYC_SN.
         tags = (fam.EQ_ANYC, fam.EQ_C_G)
         tampered = tamper_sites(monkeypatch, set(tags))
         # crosscheck's default context.
@@ -302,6 +306,16 @@ class TestCrosscheck:
                                         f" oracle={format_scalar(oracle)}"
                                     )
         assert len(want) == 20
+        for component in (1, 2):
+            for l in range(3):
+                for r in range(l + 1):
+                    key = fam.single_key(fam.S1, component, l, r)
+                    got = engine.s_value(key)
+                    oracle = walks.family_total_weight(key, params, moments)
+                    assert got == oracle + 1
+                    want.append(
+                        f"family {key}: engine={format_scalar(got)} oracle={format_scalar(oracle)}"
+                    )
         code, out, err = run(
             capsys, ["crosscheck", "--max-total", "4", "--family-total", "1"]
         )

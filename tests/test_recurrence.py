@@ -263,7 +263,7 @@ class TestMemo:
         # ``key``'s site, so ``key``'s peel reads the sum as a cache hit.
         engine = make_engine(1)
         engine.correlator_coefficient(*warm)
-        site = (key.component, key.l_g, key.l_b or 0, key.r_g, key.r_b or 0)
+        site = fam.site_key(key)[1:]
         assert site not in engine._memo and cache_key in engine._uppers
         assert engine.s_value(key) == make_engine(1).s_value(key)
 
@@ -288,11 +288,14 @@ class TestMemo:
             ),
             (
                 # S1S(1, 4, 3) moves the root of S1(1, 4, 3) by (2 * 4 - 3) / 3;
-                # its site seeded with the scaled value 1, that is 5/3.
+                # its site seeded with the scaled value 1, that is 5/3.  S1S is
+                # read as NEQ_ANYC_SN of the site (1, 0, 4, 0, 3), so the move
+                # fails in that site's NEQ_ANYC_S (it failed in ``s_value``,
+                # at the S1S key, before single keys were read through sites).
                 "engine._memo[(1, 4, 0, 3, 0)] = (0, 0, 0, 1) + (0,) * 10; "
                 "engine.s_value(fam.single_key(fam.S1S, 1, 4, 3))",
-                "moved root at FamilyKey(tag='S1S', component=1, l_g=4, l_b=None, r_g=3, "
-                "r_b=None) is not divisible by r = 3",
+                "moved root at FamilyKey(tag='NEQ_ANYC_S', component=1, l_g=0, l_b=4, r_g=0, "
+                "r_b=3) is not divisible by r_b = 3",
             ),
             (
                 # V2 = 1/3 needs c = 9; with c = 1 the scaled weight W(1) = V2 * c is 1/3.

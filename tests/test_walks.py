@@ -926,6 +926,32 @@ class TestFamilies:
         slot = (fam.NEQ_ANYC_SN, 2, 0, 1)
         assert _double_family_profiles(0, 1)[slot] == (((1, 1, (2,)), 1),)
 
+    def test_site_key_names_the_single_walk_value(self):
+        # S1(c, l, r) is EQ_ANYC at (c, l, 0, r, 0) and S1S(c, l, r) is
+        # NEQ_ANYC_SN at (c, 0, l, 0, r).  The engine's value at that slot,
+        # which it evaluates by recursion, equals the weight of the oracle's
+        # single census (S1) and marked census (S1S) at (c, r).
+        params, moments = context(2, 6)
+        engine = CoefficientEngine(params, moments)
+        for l in range(7):
+            censuses = dict(zip((fam.S1, fam.S1S), _single_walk_censuses(l)))
+            for tag, want in [
+                (fam.S1, lambda c, r: fam.FamilyKey(fam.EQ_ANYC, c, l, 0, r, 0)),
+                (fam.S1S, lambda c, r: fam.FamilyKey(fam.NEQ_ANYC_SN, c, 0, l, 0, r)),
+            ]:
+                for c in (1, 2):
+                    for r in range(l + 1):
+                        site = fam.site_key(fam.single_key(tag, c, l, r))
+                        assert site == want(c, r)
+                        profiles = censuses[tag].get((c, r), ())
+                        assert engine.s_value(site) == walks._weight_sum(
+                            profiles, l, params, moments
+                        ), site
+        for tag in sorted(fam.DOUBLE_TAGS):
+            for site in [(1, 2, 0, 1, 0), (2, 0, 3, 0, 2), (1, 2, 3, 1, 2)]:
+                key = fam.double_key(tag, *site)
+                assert fam.site_key(key) is key
+
     def test_membership_example(self):
         # Gray of half-length 2 rooted at 1:1, blue of half-length 3 rooted at
         # a fresh part-2 vertex; they share the edge (1:1, 2:1) and the blue

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "src/bipcorr/recurrence.py"
 GUARDS = "tests/test_recurrence.py::TestMemo"
 ORACLE = "src/bipcorr/walks.py"
+FAMILIES = "src/bipcorr/families.py"
 MIRROR = "tests/test_walks.py::TestPartMirror"
 SAMPLER = "src/bipcorr/simulate.py"
 CLI = "src/bipcorr/cli.py"
@@ -99,14 +100,8 @@ ROWS = (
         "return self._q ** total * self._c**total",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
-    # Moving the blue root: the departures off r and beyond v.
-    Mutant(
-        "s1s-departures-not-doubled",
-        ENGINE,
-        "s1 * (2 * l - r)",
-        "s1 * (l - r)",
-        "tests/test_recurrence.py::TestSingleWalkValues",
-    ),
+    # Moving the blue root: the departures off r and beyond v.  S1S moves
+    # its root in the site it is read from, so this is the one move.
     Mutant(
         "rho-with-gray-length",
         ENGINE,
@@ -132,7 +127,7 @@ ROWS = (
     Mutant(
         "upper-reads-blue-zero-keys",
         ENGINE,
-        "site[_EQ_C] + site[_NEQ_C] if vb or not ub else site[_NEQ_C]",
+        "site[_EQ_C] + site[_NEQ_C] if vb else site[_NEQ_C]",
         "site[_EQ_C] + site[_NEQ_C]",
         "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
     ),
@@ -229,6 +224,21 @@ ROWS = (
         "for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):",
         "for u in range(0, lg - rg + 1) if f < rg else (lg - rg + 1,):",
         "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
+    # Single keys: each names the slot of the site of the same value.
+    Mutant(
+        "s1s-site-lengths-swapped",
+        FAMILIES,
+        "return FamilyKey(NEQ_ANYC_SN, component, 0, l, 0, r)",
+        "return FamilyKey(NEQ_ANYC_SN, component, l, 0, r, 0)",
+        "tests/test_recurrence.py::TestSingleWalkValues::test_visiting_family_base",
+    ),
+    Mutant(
+        "s1-site-wrong-slot",
+        FAMILIES,
+        "return FamilyKey(EQ_ANYC, component, l, 0, r, 0)",
+        "return FamilyKey(EQ_C, component, l, 0, r, 0)",
+        "tests/test_walks.py::TestFamilies::test_site_key_names_the_single_walk_value",
     ),
     # Oracle: the part mirror of the censuses and the O(1) tree guard.
     Mutant(
