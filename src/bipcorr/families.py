@@ -105,7 +105,9 @@ class UnknownFamilyError(ValueError):
 
 
 class FamilyKey(NamedTuple):
-    """Address of one family value; hashable, used directly as a memo key."""
+    """Address of one family value; hashable.  The engine's memo is keyed by
+    sites (component, l_g, l_b, r_g, r_b), and ``site_key`` maps a single key
+    onto the double key of the same value."""
 
     tag: str
     component: Optional[int]

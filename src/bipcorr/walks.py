@@ -84,15 +84,16 @@ The division is exact, and a remainder raises ``ValueError``.  A pair
 with c > 0 fills EQ_C or NEQ_C, by its roots, and one with c = 0 neither,
 so these buckets add up to the essential census of n_{2 l_g, 2 l_b}.
 
-A pair with an empty walk is a single tree walk.  With the blue walk empty
-at r, the single census of the gray walks, K_g r_g / |Aut| per class (the
-empty walk at a lone root is one), fills (EQ_ANYC, component, r_g, 0); an
-empty blue walk elsewhere fills no slot or leaves two components.  With the
-gray walk empty at r, a blue walk from r fills (EQ_ANYC, component, 0, r_b), and one from
-elsewhere must reach r; it fills NEQ_ANYC_S and NEQ_ANYC_SN with r_b the
-departures from r.  The marked census counts these on the class rooted at
-the marked vertex y: K (2 l - d_y) / |Aut| walks from the other roots, in
-the slot (part of y, d_y).
+A pair with an empty walk is a single tree walk, so the same loop counts
+it on the classes of one walk of half-length l = l_g + l_b, read as gray
+ones, with d = d(r) the departures from the root.  With the blue walk empty
+at r, the K d / |Aut| walks from r (the empty walk at a lone root is one)
+fill (EQ_ANYC, component, d, 0); an empty blue walk elsewhere fills no slot
+or leaves two components.  With the gray walk empty at r, a blue walk from
+r fills (EQ_ANYC, component, 0, d), and one from elsewhere must reach r; it
+fills NEQ_ANYC_S and NEQ_ANYC_SN, with r_b the departures from r.  On the
+class rooted at r these number K (2 l - d) / |Aut|, the walks from every
+other root, in the slot (component, 0, d) of both tags.
 
 Part symmetry
 -------------
@@ -103,11 +104,10 @@ onto those with gray root +1.  It keeps every fact the weights and family
 slots read except two: the vertex counts per part trade places, and so does
 the gray root's part.  The edge totals, c, r_g, r_b, the blue traversals of
 the first gray edge and the side of that edge the blue root lies on stay as
-they are.  The censuses therefore count component 1 only (the gray root,
-or the marked vertex, in part 1) and add each bucket's mirror image: a
-profile (n1, n2, totals) becomes (n2, n1, totals), a double slot (tag, 1,
-r_g, r_b) becomes (tag, 2, r_g, r_b) and a single slot (1, r) becomes
-(2, r).  The same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
+they are.  The censuses therefore count component 1 only (the gray root in
+part 1) and add each bucket's mirror image: a profile (n1, n2, totals)
+becomes (n2, n1, totals) and a slot (tag, 1, r_g, r_b) becomes (tag, 2,
+r_g, r_b).  The same map is why n_{k,m}(alpha) = n_{k,m}(1 - alpha).
 """
 
 from __future__ import annotations
@@ -381,15 +381,15 @@ def _swap_parts(profiles: dict) -> dict:
     return {(n2, n1, totals): count for (n1, n2, totals), count in profiles.items()}
 
 
-def _with_mirror(buckets: dict, mirror_slot) -> dict:
+def _with_mirror(buckets: dict) -> dict:
     """Slot -> sorted ((profile, count), ...) for component 1 and its mirror image.
 
-    ``buckets`` maps slots of component 1 to profile -> count maps;
-    ``mirror_slot`` gives the slot of component 2 that mirrors each one.
+    ``buckets`` maps slots (tag, 1, r_g, r_b) to profile -> count maps; the
+    mirror of each is the slot (tag, 2, r_g, r_b) with the parts swapped.
     """
     both = dict(buckets)
-    for slot, bucket in buckets.items():
-        both[mirror_slot(*slot)] = _swap_parts(bucket)
+    for (tag, _, r_g, r_b), bucket in buckets.items():
+        both[(tag, 2, r_g, r_b)] = _swap_parts(bucket)
     return {slot: tuple(sorted(bucket.items())) for slot, bucket in sorted(both.items())}
 
 
@@ -569,66 +569,40 @@ def _tags(shared: bool, blue_at_root: bool, on_cut: bool, side: str) -> tuple:
 # Families
 
 
-def _add(buckets: dict, slot, profile, count: int) -> None:
-    bucket = buckets.setdefault(slot, {})
-    bucket[profile] = bucket.get(profile, 0) + count
-
-
 @lru_cache(maxsize=None)
 def _double_family_profiles(l_g: int, l_b: int):
     """Map (tag, component, r_g, r_b) -> ((profile, count), ...) at (l_g, l_b).
 
-    Counted by tree class; with an empty walk the slots come from the
-    single-walk censuses (see "Counting by tree class").
+    Counted by tree class; with an empty walk the classes are those of the
+    single walk, read as gray ones (see "Counting by tree class").
     """
-    if l_b == 0:
-        single, _ = _single_walk_censuses(l_g)
-        return {(fam.EQ_ANYC, c, r, 0): bucket for (c, r), bucket in single.items()}
-    if l_g == 0:
-        single, marked = _single_walk_censuses(l_b)
-        slots = {(fam.EQ_ANYC, c, 0, r): bucket for (c, r), bucket in single.items()}
-        for (c, r), bucket in marked.items():
-            slots[(fam.NEQ_ANYC_S, c, 0, r)] = slots[(fam.NEQ_ANYC_SN, c, 0, r)] = bucket
-        return dict(sorted(slots.items()))
+    empty = not (l_g and l_b)
     buckets: dict = {}
-    for tree in _classes(l_g, l_b):
-        r_g, r_b = tree.d_g, tree.d_b
+    for tree in _subtrees(l_g + l_b, 0) if empty else _classes(l_g, l_b):
         walks: dict = {}
-        for g, b, child in tree.branches:
-            if g:  # a first gray edge (r, v)
-                upper = 2 * child.blue + b
-                for side, weight in (("eq", r_b), ("up", upper), ("down", 2 * l_b - r_b - upper)):
-                    if weight:
-                        for tag in _tags(tree.shared > 0, r_b > 0, b > 0, side):
-                            walks[tag] = walks.get(tag, 0) + g * weight
+        if empty:
+            d = tree.d_g
+            r_g, r_b = (d, 0) if l_g else (0, d)
+            walks[fam.EQ_ANYC] = d or 1  # the empty walk at a lone root is one walk
+            if l_b:
+                walks[fam.NEQ_ANYC_S] = walks[fam.NEQ_ANYC_SN] = 2 * l_b - d
+        else:
+            r_g, r_b = tree.d_g, tree.d_b
+            for g, b, child in tree.branches:
+                if g:  # a first gray edge (r, v)
+                    upper = 2 * child.blue + b
+                    for side, weight in (("eq", r_b), ("up", upper), ("down", 2 * l_b - r_b - upper)):
+                        if weight:
+                            for tag in _tags(tree.shared > 0, r_b > 0, b > 0, side):
+                                walks[tag] = walks.get(tag, 0) + g * weight
         profile = (tree.even, tree.odd, tree.totals)
+        orbits: dict = {}
         for tag, count in walks.items():
-            _add(buckets, (tag, 1, r_g, r_b), profile, _orbits(tree, count))
-    return _with_mirror(buckets, lambda tag, component, r_g, r_b: (tag, 3 - component, r_g, r_b))
-
-
-@lru_cache(maxsize=None)
-def _single_walk_censuses(l: int) -> tuple:
-    """(single census, marked census) of the tree single walks of half-length ``l``.
-
-    Both map (component, r) -> ((profile, count), ...).  The single census
-    reads the root: component is its part and r the departures from it.  The
-    marked census counts each walk once per marked vertex y other than the
-    root: component is the part of y and r the departures from y.  Both are
-    counted by tree class, the marked census on the class rooted at y.
-    """
-    single: dict = {}
-    marked: dict = {}
-    for tree in _classes(l, 0):
-        d = tree.d_g
-        profile = (tree.even, tree.odd, tree.totals)
-        # The empty walk at a lone root is one walk.
-        _add(single, (1, d), profile, _orbits(tree, d or 1))
-        if l:
-            _add(marked, (1, d), profile, _orbits(tree, 2 * l - d))
-    return tuple(
-        _with_mirror(b, lambda component, r: (3 - component, r)) for b in (single, marked)
-    )
+            if count not in orbits:
+                orbits[count] = _orbits(tree, count)
+            bucket = buckets.setdefault((tag, 1, r_g, r_b), {})
+            bucket[profile] = bucket.get(profile, 0) + orbits[count]
+    return _with_mirror(buckets)
 
 
 def double_family_block(l_g: int, l_b: int, params: ModelParams, moments: MomentSequence):

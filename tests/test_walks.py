@@ -25,7 +25,6 @@ from bipcorr.walks import (
     _orbits,
     _profile_weigher,
     _root_tree_walks,
-    _single_walk_censuses,
     _tree_pairs,
     vertex_part,
 )
@@ -414,7 +413,8 @@ class TestTreePruning:
         # filtering the unpruned enumeration with the reference skeleton.
         if key.tag == fam.S1:
             pairs = [(w, (w[0],)) for w in iter_minimal_walks(key.l_g, key.component)]
-            got = _single_walk_censuses(key.l_g)[0].get((key.component, key.r_g), ())
+            slot = (fam.EQ_ANYC, key.component, key.r_g, 0)
+            got = _double_family_profiles(key.l_g, 0).get(slot, ())
 
             def member(gray, blue, sk):
                 return gray[:-1].count(gray[0]) == key.r_g
@@ -531,26 +531,19 @@ class TestPartMirror:
             for component in (1, 2):
                 for walk, n1, n2 in _root_tree_walks(component, 2 * l, set()):
                     profile, _ = leaf(walk, (walk[0],), n1, n2)
-                    bucket = buckets.setdefault((component, walk[:-1].count(walk[0])), {})
+                    slot = (fam.EQ_ANYC, component, walk[:-1].count(walk[0]), 0)
+                    bucket = buckets.setdefault(slot, {})
                     bucket[profile] = bucket.get(profile, 0) + 1
             want = _sorted_buckets(buckets)
-            assert list(_single_walk_censuses(l)[0].items()) == list(want.items()), l
+            assert list(_double_family_profiles(l, 0).items()) == list(want.items()), l
 
     @pytest.mark.parametrize("l", range(0, 7))
     def test_empty_walk_censuses_equal_walked_pairs(self, l):
-        # The censuses with an empty walk come from single walks; here the
+        # The censuses with an empty walk count single-walk classes; here the
         # pairs are walked over both gray root parts, to l = 6 as verify reads.
-        walked = {}
         for k, m in ((0, 2 * l), (2 * l, 0)):
-            walked[k] = walked_census(_tree_pairs(k, m))
             got = _double_family_profiles(k // 2, m // 2)
-            assert list(got.items()) == list(walked[k].items()), (k, m)
-        marked = {
-            (component, r_b): bucket
-            for (tag, component, _, r_b), bucket in walked[0].items()
-            if tag == fam.NEQ_ANYC_SN
-        }
-        assert list(_single_walk_censuses(l)[1].items()) == list(marked.items()), l
+            assert list(got.items()) == list(walked_census(_tree_pairs(k, m)).items()), (k, m)
 
     def test_part_asymmetric_coefficient(self):
         # alpha = 1/3 weighs the two parts differently, so a mirror that kept
@@ -772,7 +765,7 @@ class TestWeights:
                 for bucket in _double_family_profiles(l_g, l_b).values():
                     profiles.update(profile for profile, _ in bucket)
         for l in range(8):
-            for census in _single_walk_censuses(l):
+            for census in (_double_family_profiles(l, 0), _double_family_profiles(0, l)):
                 for bucket in census.values():
                     profiles.update(profile for profile, _ in bucket)
         for total in range(2, 13, 2):
@@ -911,7 +904,7 @@ class TestFamilies:
 
     def test_s1_members(self):
         def members(l, r):
-            return _single_walk_censuses(l)[0].get((1, r), ())
+            return _double_family_profiles(l, 0).get((fam.EQ_ANYC, 1, r, 0), ())
 
         assert members(0, 0) == (((1, 0, ()), 1),)
         assert members(1, 1) == (((1, 1, (2,)), 1),)
@@ -930,11 +923,10 @@ class TestFamilies:
         # S1(c, l, r) is EQ_ANYC at (c, l, 0, r, 0) and S1S(c, l, r) is
         # NEQ_ANYC_SN at (c, 0, l, 0, r).  The engine's value at that slot,
         # which it evaluates by recursion, equals the weight of the oracle's
-        # single census (S1) and marked census (S1S) at (c, r).
+        # census at that slot of the (l, 0) block (S1) or (0, l) block (S1S).
         params, moments = context(2, 6)
         engine = CoefficientEngine(params, moments)
         for l in range(7):
-            censuses = dict(zip((fam.S1, fam.S1S), _single_walk_censuses(l)))
             for tag, want in [
                 (fam.S1, lambda c, r: fam.FamilyKey(fam.EQ_ANYC, c, l, 0, r, 0)),
                 (fam.S1S, lambda c, r: fam.FamilyKey(fam.NEQ_ANYC_SN, c, 0, l, 0, r)),
@@ -943,7 +935,9 @@ class TestFamilies:
                     for r in range(l + 1):
                         site = fam.site_key(fam.single_key(tag, c, l, r))
                         assert site == want(c, r)
-                        profiles = censuses[tag].get((c, r), ())
+                        profiles = _double_family_profiles(site.l_g, site.l_b).get(
+                            (site.tag, c, site.r_g, site.r_b), ()
+                        )
                         assert engine.s_value(site) == walks._weight_sum(
                             profiles, l, params, moments
                         ), site

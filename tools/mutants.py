@@ -251,8 +251,8 @@ ROWS = (
     Mutant(
         "mirror-keeps-component",
         ORACLE,
-        "lambda tag, component, r_g, r_b: (tag, 3 - component, r_g, r_b)",
-        "lambda tag, component, r_g, r_b: (tag, component, r_g, r_b)",
+        "both[(tag, 2, r_g, r_b)] = _swap_parts(bucket)",
+        "both[(tag, 1, r_g, r_b)] = _swap_parts(bucket)",
         MIRROR,
     ),
     Mutant(
@@ -313,6 +313,29 @@ ROWS = (
         '("up", upper), ("down", 2 * l_b - r_b - upper)',
         '("up", 2 * l_b - r_b - upper), ("down", upper)',
         f"{MIRROR}::test_double_censuses_equal_both_parts",
+    ),
+    # Oracle: a block with an empty walk, counted on the single walk's
+    # classes read as gray ones.
+    Mutant(
+        "marked-walks-not-by-departures",
+        ORACLE,
+        "walks[fam.NEQ_ANYC_SN] = 2 * l_b - d",
+        "walks[fam.NEQ_ANYC_SN] = 2 * l_b",
+        MIRROR,
+    ),
+    Mutant(
+        "lone-root-empty-walk-uncounted",
+        ORACLE,
+        "walks[fam.EQ_ANYC] = d or 1",
+        "walks[fam.EQ_ANYC] = d",
+        MIRROR,
+    ),
+    Mutant(
+        "empty-walk-slot-sides-swapped",
+        ORACLE,
+        "r_g, r_b = (d, 0) if l_g else (0, d)",
+        "r_g, r_b = (0, d) if l_g else (d, 0)",
+        MIRROR,
     ),
     # Oracle: the coefficient census is the EQ_C and NEQ_C buckets of the
     # family census, and --dump lists the pairs that share an edge.
