@@ -17,10 +17,11 @@ Everything downstream needs only three ingredients, collected here:
   place the moments and p meet, so the recurrence engine and the walk oracle
   cannot disagree about weights.
 
-``validate`` is the explicit gate used by engines and the CLI; construction of
-the dataclasses themselves stays permissive so that invalid inputs can be
-reported with machine-readable codes instead of failing half-way into a
-computation.
+``validate`` is the explicit gate used by the CLI; an engine applies its two
+halves, ``validate_context`` on its first coefficient and
+``validate_indices`` on every one.  Construction of the dataclasses
+themselves stays permissive so that invalid inputs can be reported with
+machine-readable codes instead of failing half-way into a computation.
 """
 
 from __future__ import annotations
@@ -157,13 +158,21 @@ def required_moment_order(k: int, m: int) -> int:
 
 
 def validate(params: ModelParams, moments: MomentSequence, k: int, m: int) -> None:
-    """Reject invalid parameter sets before any computation starts.
+    """Reject invalid parameter sets before any computation starts: the
+    context, then the indices.
 
     Raises ``InvalidParamsError`` (codes ``alpha_out_of_range``,
     ``p_out_of_range``, ``moment_out_of_range``, ``bad_indices``) or
-    ``InsufficientMomentsError``.  An even moment of a real weight is never
-    negative; zero is allowed, since ``constant:0`` is the law a = 0.
+    ``InsufficientMomentsError``.
     """
+    validate_context(params, moments)
+    validate_indices(moments, k, m)
+
+
+def validate_context(params: ModelParams, moments: MomentSequence) -> None:
+    """Reject alpha, p or an even moment out of range.  An even moment of a
+    real weight is never negative; zero is allowed, since ``constant:0`` is
+    the law a = 0."""
     if not 0 < params.alpha < 1:
         raise InvalidParamsError(
             "alpha_out_of_range",
@@ -180,6 +189,11 @@ def validate(params: ModelParams, moments: MomentSequence, k: int, m: int) -> No
                 "moment_out_of_range",
                 f"even moment out of range: need V_{2 * j} >= 0, got {format_scalar(value)}",
             )
+
+
+def validate_indices(moments: MomentSequence, k: int, m: int) -> None:
+    """Reject moment indices below 1, and a pair whose coefficient needs
+    moments beyond ``moments``."""
     if k < 1 or m < 1:
         raise InvalidParamsError("bad_indices", f"moment indices must be >= 1, got k={k}, m={m}")
     moments.require(required_moment_order(k, m))

@@ -42,66 +42,102 @@ without r is its twin rooted at r, times the sum of d(x) over X, over r_b:
   times each way and has blue half-length ub beyond v, so 2 ub + fb
   departures.  NEQ_C_RU weighs each EQ_C_R term with them, over r_b.
 
-Equation shapes
----------------
-The fourteen double families at one site (c, l_g, l_b, r_g, r_b) are
-evaluated together: one generator, ``_site``, returns them as a tuple in the
-order of ``SITE_TAGS``.  It peels only what moving the blue root cannot
-give, with two loops: the gray peel ``_gray_peel``, one (f, u) loop over a
-cut edge only gray uses, and the red peel, one (fg, fb, ug, ub) loop over a
-cut edge both walks use.  Each step of the gray peel reads one family of one
-lower site at r and one upper sum beyond v: the single walks at v, or
-``pair`` at the blue half-length ub beyond v.  Three cases:
+Evaluation order
+----------------
+Two ints per site.  Inside the recursion every read of a site
+(c, l_g, l_b, r_g, r_b) is one of two values, and the engine stores only
+these for each site it evaluates:
 
-- l_b = 0: the blue walk is empty at r, so EQ_ANYC is the single walk
-  S1(c, l_g, r_g) and every other family is 0.  S1 is a_c at l_g = 0, else
-  the gray peel reading the EQ_ANYC of the lower sites with l_b = 0 (single
-  walks) and the single walks at v.
-- r_b = 0 < l_b: the blue walk never visits r, so only NEQ_C_GD and NEQ_C_GU
-  and their sums are not 0.  The gray peel reading the NEQ_C of the lower
-  sites (c, ., l_b, ., 0) and the single walks at v gives NEQ_C_GD; reading
-  the single walks at r, as S1 does, and ``pair`` at ub = l_b, it gives
-  NEQ_C_GU.
-- r_b > 0: the gray peel reading the EQ_C of the lower sites
-  (c, ., l_b, ., r_b) and the single walks at v gives EQ_C_G.  The red peel
-  gives EQ_C_R: each step reads the EQ_ANYC of one lower site and one
-  ``rooted`` upper sum, and each (fg, fb) weighs its sum with the cut edge
-  and codes once.  The same terms give NEQ_C_RU.  The rest is moved:
-  NEQ_C_GD = NEQ_C_G = EQ_C_G rho, NEQ_C_GU = 0, NEQ_C_R = EQ_C_R rho,
-  NEQ_C_RD = NEQ_C_R - NEQ_C_RU, and EQ_ANYC adds the glue to EQ_C, so
-  NEQ_ANYC_SGD = (EQ_C_G + glue) rho if l_g > 0, else NEQ_ANYC_SN = glue
-  rho.
+- ``x``: S1(c, l_g, r_g) at l_b = 0, NEQ_C at r_b = 0 < l_b, and EQ_C at
+  r_b > 0.  Every gray peel reads it.
+- ``anyc``: EQ_ANYC, which is S1 at l_b = 0, 0 at r_b = 0 < l_b (B), and x
+  plus the glue at r_b > 0.  The red peel and ``rooted`` read it.
 
-Every read of the single walk S1(c, l, r) reads the site (c, l, 0, r, 0).
-``s_value`` reads a single key through ``families.site_key``, as one slot of
-the site of the same value: S1 is EQ_ANYC at (c, l, 0, r, 0) and S1S is
-NEQ_ANYC_SN at (c, 0, l, 0, r).  TOP is not a memo entry but a sum: it adds
-EQ_C and NEQ_C over component and roots, one site each.
+Their equations, where the gray peel is one (f, u) loop over a cut edge only
+gray uses and the red peel one (fg, fb, ug, ub) loop over a cut edge both
+walks use, each step reading one lower site at r and one upper sum beyond v:
 
-Upper sums
-----------
-Beyond v the peels weigh an upper piece: the family values at v, each times
-the binomial code that interleaves the f returns over the cut edge with the
-departures from v.  There are two sums:
+- l_b = 0: x is a_c at l_g = 0, else the gray peel reading the x of the
+  lower sites with l_b = 0 and ``pair`` at ub = 0, the single walks at v.
+- r_b = 0 < l_b: the blue walk never visits r.  The gray peel reading the x
+  of the lower sites (c, ., l_b, ., 0) and ``pair`` at ub = 0 gives NEQ_C_GD;
+  reading the single walks at r and ``pair`` at ub = l_b, it gives NEQ_C_GU.
+  x is their sum.
+- r_b > 0: the gray peel reading the x of the lower sites (c, ., l_b, ., r_b)
+  and ``pair`` at ub = 0 gives EQ_C_G, and the red peel reading the anyc of
+  the lower sites and ``rooted`` gives EQ_C_R.  x is their sum.  Pairs with
+  no shared edge and a common root are exactly the pairs of independent
+  single walks glued at the root, whose vertex factor must not be counted
+  twice: anyc is x plus the glue S1(c, l_g, r_g) S1(c, l_b, r_b) / a_c.
 
-- ``rooted``, evaluated by ``_rooted``: the sum of EQ_ANYC over the sites
-  (opp, ug, ub, vg, vb) at v, with the fg gray and fb blue returns over the
-  cut edge interleaved with the vg and vb departures from v.  The red peel
-  reads it.  The single walks at v, which the gray peel reads, are
-  ``rooted`` with fb = 1 and ub = 0: with no blue walk at v only vb = 0 is
-  read, its blue code is C(fb + 0 - 1, fb - 1) = C(0, 0) = 1, and the
-  EQ_ANYC of a site with l_b = 0 is its single walk S1.
-- ``pair``, evaluated by ``_pair``: the sum of EQ_C and NEQ_C over the sites
-  at v with blue half-length ub, which NEQ_C_GU weighs.
+The upper sums are rows, extended as blocks need them.  Each entry holds
+the scaled weight W of its cut edge (see "Scaled integers") times its sum,
+so a peel step multiplies only by codes:
 
-The peels ask for the same sums many times (at n_{12,12} they ask for
-14,786 and 924 are distinct, 882 of them ``rooted``), so each engine caches
-them in its own dict, keyed by the sum's name and arguments; the values
-depend on the engine's params and moments.  A peel reads a cached sum
-inline, as it reads a memo value; only on a miss does it run ``_pair`` or
-``_rooted``, with ``yield from``, so the keys the sum still lacks go to the
-same work stack as the peel's own.  A hit adds no memo entry and leaves the
-memo's order.
+- ``rooted``, per (opp, fg) a list over fb of lists over ug of rows over ub:
+  W(fg + fb) times the anyc of the sites (opp, ug, ub, vg, vb) at v, with
+  the fg gray and fb blue returns over the cut edge interleaved with the vg
+  and vb departures from v in C(fg + vg - 1, vg) C(fb + vb - 1, vb) ways.
+- ``pair``, per (opp, f, ub) a row over u: W(f) times EQ_C plus NEQ_C of
+  the sites (opp, u, ub, vg, vb), times C(f + vg - 1, vg).  Moving the blue
+  root gives EQ_C + NEQ_C = EQ_C 2 ub / vb at vb > 0, and (B) leaves NEQ_C
+  at vb = 0, so the sum over vb reads x at vb = 0 and x 2 ub / vb at
+  vb > 0.  TOP sums the same over every vg, with no codes.  The sum over
+  vb is kept per block, a row over vg, as ``pair`` reads it for every f and
+  only from whole blocks, which no later write changes.  At ub = 0,
+  ``pair`` is the single walks at v.
+
+``scaled_site`` builds a site's fourteen values from its two ints and one
+more pass over its own peels.  The gray peel splits x into EQ_C_G and
+EQ_C_R, or into NEQ_C_GD and NEQ_C_GU.  At r_b > 0 the red peel, run against
+the rows (2 ub + fb) ``rooted``, gives NEQ_C_RU times r_b.  The rest is
+moved: NEQ_C_GD = NEQ_C_G = EQ_C_G rho, NEQ_C_GU = 0, NEQ_C_R = EQ_C_R rho,
+NEQ_C_RD = NEQ_C_R - NEQ_C_RU, and NEQ_ANYC_SGD = (EQ_C_G + glue) rho if
+l_g > 0, else NEQ_ANYC_SN = glue rho.
+
+Blocks and bounds.  A block (c, l_g, l_b) is the sites with these fields;
+the excess of a site is (l_g - r_g, l_b - r_b).  For each block the engine
+keeps excess bounds (E_g, E_b): it has evaluated exactly the sites of the
+block with excess at most (E_g, E_b).  A request names a block and its
+bounds.  A worklist raises bounds monotonically, from each block whose
+bounds grow along the edges that cover every read of its sites, with
+u = min(E_g, l_g - 1):
+
+- (c, l_g - 1, b) at (u, min(E_b, b)), for b = 0 .. l_b: the lower sites of
+  both peels.  A cut takes f >= 1 of l_g, the gray peel keeps l_b, the red
+  peel lowers it, and the excess of a lower site is at most the site's.
+  The blocks further down are reached by the same edges from these.
+- (3 - c, u, b) whole, for b = 0 .. E_b: the sites at v that ``rooted`` and
+  ``pair`` sum over, as ug <= min(l_g - r_g, l_g - f) and ub <= l_b - r_b.
+- (c, l_g, 0) at (E_g, 0) and (c, l_b, 0) at (E_b, 0), if l_b > 0: the
+  single walks of the glue.
+
+Without the bounds every block would be evaluated whole, and S1(1, 600,
+600), which reads one site per block, would take O(l^4) steps, not O(l^2).
+No edge keeps l_g and lowers l_b, as no read does.  An edge
+(c, l_g, l_b - 1) at (E_g, min(E_b, l_b - 1)) would cover the same reads
+through the blocks below it, but would also evaluate the column
+(c, l_g, b < l_b) under every requested block, which nothing reads: 2,002
+of the 16,562 sites that n_{24,24} then takes.
+
+The blocks whose bounds grew are evaluated in rank order, by total
+l_g + l_b and then l_b > 0, one site at a time.  Every read either lowers
+the total or keeps it and moves from a site with l_b > 0 to one with
+l_b = 0: only the glue of a site with l_g = 0 does the latter, reading its
+blue walk's S1.  The peels and upper sums lower the total by the cut edge's
+f >= 1.  So a block reads only sites evaluated before it: there is no work
+stack, and a deep key needs no recursion limit.
+
+The x and anyc of the site (c, l_g, l_b, r_g, r_b) sit at
+[r_b][l_g - r_g][l_b - r_b] of the tables kept for (c, r_g): lists over the
+gray excess of rows over the blue excess.  A red step (fg, fb, ug) reads the
+anyc of one row at blue excess db - ub for ub = 0 .. db, a reversed slice
+summed against the ``rooted`` row in C.  A site not evaluated holds None
+wherever a row has grown past it, and every list of rows and every row ends
+with a None.  So a read of a site not yet evaluated raises, also under
+``python -O``: an index finds no entry, or a product meets None, and a
+slice that reaches past the end of a row begins at its None.  A second write
+of a site raises too.
 
 Structural zeros
 ----------------
@@ -127,11 +163,10 @@ whenever x is positive.
   NEQ_C, which need a shared edge, are 0, so the f loop stops before r_g.
 - The red peel: likewise only ug = lg - rg at fg = rg (G), and only
   ub = lb - rb at fb = rb (B: the lower EQ_ANYC roots the blue walk at r).
-- The upper sums: vg starts at 1 when ug > 0 (G).  EQ_C and EQ_ANYC are not
-  read at vb = 0 < ub (B): ``_rooted``'s vb starts at 1 when ub > 0, and
-  ``pair`` reads only NEQ_C there.
-- TOP: r_g starts at 1 when l_g > 0 (G); EQ_C is not read at r_b = 0 < l_b
-  (B), but NEQ_C is.
+- The upper sums and TOP: vg and r_g start at 1 when the gray half-length
+  is positive (G).  EQ_C and EQ_ANYC are not read at vb = 0 < ub (B):
+  ``rooted``'s vb starts at 1 when ub > 0, and the sum over vb that
+  ``pair`` and TOP read takes x there, which is NEQ_C.
 
 A site asked for directly, through ``s_value``, is evaluated by its own
 equations, giving 0 where a rule says so.
@@ -154,54 +189,32 @@ and converts to a Fraction only at the public boundary (``s_value``,
 integers: ``scaled_site`` returns a site's fourteen X in the order of
 ``SITE_TAGS`` together with D_L = q^(L+1) c^L, so that a caller comparing
 whole sites, as ``crosscheck`` does, builds no Fraction; ``s_value`` reads
-every key but TOP through it.  In both peels the cut edge, the
-lower piece and the upper piece split the half-length as L = f + L_lower +
-L_upper, so the scales of the three factors multiply to the scale of the
-key: the equations keep their shape, with W(f) in place of w(f), and the
-empty walk S1(l=0, r=0) becomes a_c.  The W(f) sit in a list indexed by
-f, which ``_value`` fills up to the total of the key it evaluates, checking
-each W(f) to be an integer.  Two steps divide: the EQ_ANYC glue
-of single walks at a common root, s1 * s2 / alpha_c, is X1 * X2 / a_c,
-exact as every term of X1 carries the root's factor a_c; moving the blue
-root is exact as each N(x) is an integer.  ``_exact`` checks every
-remainder all the same, also under ``python -O``.
-
-Work stack and termination
---------------------------
-The memo holds one kind of entry: a site, keyed (c, l_g, l_b, r_g, r_b) and
-holding its 14-tuple, which ``_site`` evaluates.  Every reference either
-strictly lowers the total half-length l_g + l_b, or keeps it and moves from
-a site with l_b > 0 to one with l_b = 0.  Only the glue of a site with
-l_g = 0 does the latter: it reads its blue walk's S1, the site
-(c, l_b, 0, r_b, 0).  The glue's gray walk lowers the total by l_b, and
-every peel step and upper sum by f >= 1.  A site's rank packs the pair into
-one int, ``total << 1 | (l_b > 0)``, so integer order is the order of the
-pair.
-
-Where a generator needs a value it reads the memo inline; only on a miss
-does it ``yield`` the key.  ``_value`` keeps the pending generators on an
-explicit list: it pushes the generator of each key yielded, stores the value
-when that generator returns, and sends the value back to the generator
-below.  So a memo hit pushes no generator, and a deep key is limited by
-memory, not by the interpreter's recursion limit.
-
-``_value`` checks the rank of every key it pushes, which is every miss,
-also under ``python -O``, so ranks strictly decrease down the stack and a
-circular edit fails loudly instead of looping.  A hit needs no check: the
-total and l_b of each read are fixed by the code that reads.
+every key but TOP through the same site reader, after checking the key.  In
+both peels the cut edge, the lower piece and the upper piece split the
+half-length as L = f + L_lower + L_upper, so the scales of the three factors
+multiply to the scale of the key: the equations keep their shape, with W(f)
+in place of w(f), and the empty walk S1(l=0, r=0) becomes a_c.  The W(f) sit
+in a list indexed by f, which the engine fills up to the largest total it
+evaluates, checking each W(f) to be an integer; the upper rows carry the W
+of their cut edge.  Two steps divide: the EQ_ANYC glue of single walks at a
+common root, s1 * s2 / alpha_c, is X1 * X2 / a_c, exact as every term of X1
+carries the root's factor a_c; moving the blue root is exact as each N(x) is
+an integer.  ``_exact`` checks every remainder all the same, also under ``python -O``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import families as fam
-from .model import ModelParams, MomentSequence, edge_factor, validate
+from .model import ModelParams, MomentSequence, edge_factor, validate_context, validate_indices
 
-# The double families of one site, each sum after its parts; a site's memo
-# value lists them in this order.
+# The double families of one site, each sum after its parts; ``scaled_site``
+# lists them in this order.
 SITE_TAGS = (
     fam.EQ_C_G, fam.EQ_C_R, fam.EQ_C, fam.EQ_ANYC,
     fam.NEQ_C_GU, fam.NEQ_C_GD, fam.NEQ_C_RU, fam.NEQ_C_RD,
@@ -209,7 +222,6 @@ SITE_TAGS = (
     fam.NEQ_ANYC_SGD, fam.NEQ_ANYC_SN, fam.NEQ_ANYC_S,
 )
 _SLOT = {tag: slot for slot, tag in enumerate(SITE_TAGS)}
-_EQ_C, _EQ_ANYC, _NEQ_C = _SLOT[fam.EQ_C], _SLOT[fam.EQ_ANYC], _SLOT[fam.NEQ_C]
 _ZERO_SITE = (0,) * len(SITE_TAGS)
 
 
@@ -235,17 +247,20 @@ def _exact(dividend: int, divisor: int, what: str, key: tuple, by: str) -> int:
     return quotient
 
 
-def _rank(site: tuple) -> int:
-    """``total << 1 | (l_b > 0)`` of a site."""
-    return (site[1] + site[2]) << 1 | (site[2] > 0)
+@functools.cache
+def _binomials(n: int) -> list:
+    """C(n, k) for k = 0 .. n; empty for n < 0."""
+    row = [1] if n >= 0 else []
+    for k in range(n):
+        row.append(row[k] * (n - k) // (k + 1))
+    return row
 
 
-def _order_violated(ref: tuple, rank: int, parent: int):
-    """Raise for a reference to site ``ref``, at ``rank``, from a site at ``parent``."""
-    raise AssertionError(
-        f"recursion order violated: {Site._make(ref)} at rank {divmod(rank, 2)} "
-        f"referenced from rank {divmod(parent, 2)}"
-    )
+@functools.cache
+def _interleavings(f: int, n: int) -> list:
+    """C(f + v - 1, v) for v = 0 .. n: the ways to interleave f returns over
+    a cut edge with v departures from its far end."""
+    return [_binomials(f + v - 1)[v] for v in range(n + 1)]
 
 
 class CoefficientEngine:
@@ -260,10 +275,22 @@ class CoefficientEngine:
         self._c = Fraction(params.p).numerator * math.lcm(
             *(v.denominator for v in moments.values)
         )
-        self._memo: dict = {}
-        self._uppers: dict = {}
-        # W(f) at index f, filled by ``_value`` up to the total of the key it
-        # evaluates; no edge is crossed 0 times, so index 0 holds a 0.
+        self._context_checked = False
+        # Block (c, l_g, l_b) -> the excess bounds (E_g, E_b) evaluated.
+        self._bounds: dict = {}
+        # The two ints of each site, at (c, r_g) -> [r_b][l_g - r_g][l_b - r_b],
+        # and the sites in evaluation order.
+        self._x: dict = {}
+        self._anyc: dict = {}
+        self._sites: list = []
+        # Upper rows, (opp, fg) -> [fb][ug][ub] and (opp, f, ub) -> [u].
+        self._rooted: dict = {}
+        self._pair: dict = {}
+        # Block (c, l_g, l_b) -> its ``_both_row``, kept once the block is
+        # whole, as no later write changes it.
+        self._both: dict = {}
+        # W(f) at index f, filled up to the largest total evaluated; no edge
+        # is crossed 0 times, so index 0 holds a 0.
         self._weights: list = [0]
 
     # -- public API --------------------------------------------------------
@@ -273,17 +300,18 @@ class CoefficientEngine:
         fam.validate_key(key)
         if key.tag != fam.TOP:
             key = fam.site_key(key)
-            scale, site = self.scaled_site(key[1:])
-            return Fraction(site[_SLOT[key.tag]], scale)
         _, _, lg, lb, _, _ = key
-        self.moments.require(2 * (lg + lb))
-        total = 0
-        for c in (1, 2):
-            for rg in range(lg > 0, lg + 1):
-                for rb in range(0, lb + 1):
-                    site = self._value((c, lg, lb, rg, rb))
-                    total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]
-        return self._unscaled(key, total)
+        total = lg + lb
+        self.moments.require(2 * total)
+        if key.tag != fam.TOP:
+            return Fraction(self._site_values(key[1:])[_SLOT[key.tag]], self._scale(total))
+        value = 0
+        # TOP(l, 0) is 0: an empty blue walk shares no edge.
+        if lb:
+            for c in (1, 2):
+                self._require(c, lg, lb, lg, lb)
+                value += sum(self._both_row(c, lg, lb))
+        return Fraction(value, self._scale(total))
 
     def scaled_site(self, site: tuple) -> tuple:
         """(D_L, values) of ``site``, a ``Site`` or its 5-tuple: the fourteen
@@ -293,11 +321,14 @@ class CoefficientEngine:
         if component not in (1, 2) or min(l_g, l_b, r_g, r_b) < 0:
             raise fam.UnknownFamilyError(f"malformed site {Site(*site)}")
         self.moments.require(2 * (l_g + l_b))
-        return self._scale(l_g + l_b), self._value(tuple(site))
+        return self._scale(l_g + l_b), self._site_values(tuple(site))
 
     def correlator_coefficient(self, k: int, m: int) -> Fraction:
         """n_{k,m}: the large-N limit of N * Cov(moment k, moment m)."""
-        validate(self.params, self.moments, k, m)
+        if not self._context_checked:
+            validate_context(self.params, self.moments)
+            self._context_checked = True
+        validate_indices(self.moments, k, m)
         if k % 2 != 0 or m % 2 != 0:
             return Fraction(0)
         return self.s_value(fam.top_key(k // 2, m // 2))
@@ -310,81 +341,33 @@ class CoefficientEngine:
             for m in range(1, mmax + 1)
         }
 
-    # -- memo table --------------------------------------------------------
+    # -- what the engine holds ---------------------------------------------
 
     @property
     def memo_size(self) -> int:
-        """The number of family values the memo holds: 14 per site, the only
-        kind of entry."""
-        return len(SITE_TAGS) * len(self._memo)
+        """The number of family values the engine holds: two per site."""
+        return 2 * len(self._sites)
 
     def memo_items(self) -> Iterable:
         """(key, value) pairs in evaluation order, the values as Fractions:
-        each site gives its fourteen double families in the order of
-        ``SITE_TAGS``.  A single key is listed as the double key
-        ``families.site_key`` gives; TOP is not a memo entry."""
-        for site, values in self._memo.items():
-            for tag, value in zip(SITE_TAGS, values):
-                key = fam.FamilyKey(tag, *site)
-                yield key, self._unscaled(key, value)
+        each site gives its x, keyed S1 at l_b = 0, NEQ_C at r_b = 0 < l_b
+        and EQ_C at r_b > 0, and then its EQ_ANYC."""
+        for site in self._sites:
+            c, lg, lb, rg, rb = site
+            dg, db = lg - rg, lb - rb
+            scale = self._scale(lg + lb)
+            if not lb:
+                key = fam.single_key(fam.S1, c, lg, rg)
+            else:
+                key = fam.double_key(fam.EQ_C if rb else fam.NEQ_C, *site)
+            yield key, Fraction(self._x[c, rg][rb][dg][db], scale)
+            yield fam.double_key(fam.EQ_ANYC, *site), Fraction(self._anyc[c, rg][rb][dg][db], scale)
 
     # -- scaled integers ---------------------------------------------------
 
     def _scale(self, total: int) -> int:
         """q^(L+1) * c^L, the scaled integer of half-length L over its value."""
         return self._q ** (total + 1) * self._c**total
-
-    def _unscaled(self, key: fam.FamilyKey, value: int) -> Fraction:
-        """The family value that the scaled integer ``value`` of ``key`` stands for."""
-        return Fraction(value, self._scale(key.l_g + key.l_b))
-
-    # -- evaluation machinery ---------------------------------------------
-    #
-    # A memo key is a site as the plain tuple (c, l_g, l_b, r_g, r_b).  Every
-    # read follows one pattern: build the key, ``memo.get``, and ``yield`` the
-    # key only on a miss.
-
-    def _value(self, key: tuple):
-        """The scaled values of site ``key``, evaluating what it lacks on a
-        work stack."""
-        value = self._memo.get(key)
-        if value is not None:
-            return value
-        rank = _rank(key)
-        # No key the work stack pushes has a higher total than ``key``, and a
-        # peel's cut edge has f at most the total of the key it peels.
-        self._fill_weights(rank >> 1)
-        stack = [(key, rank, self._site(key))]
-        while stack:
-            key, rank, frame = stack[-1]
-            try:
-                ref = frame.send(value)
-            except StopIteration as done:
-                value = done.value
-                self._store(key, value)
-                stack.pop()
-                continue
-            ref_rank = _rank(ref)
-            if ref_rank >= rank:
-                _order_violated(ref, ref_rank, rank)
-            stack.append((ref, ref_rank, self._site(ref)))
-            value = None
-        return value
-
-    def _store(self, key: tuple, value) -> None:
-        existing = self._memo.get(key)
-        if existing is not None and existing != value:
-            raise AssertionError(
-                f"memo conflict for {key}: stored {existing}, new {value}"
-            )
-        self._memo[key] = value
-
-    def _get(self, ref: tuple):
-        """Read ``ref`` for a generator, yielding it on a miss."""
-        value = self._memo.get(ref)
-        if value is None:
-            value = yield ref
-        return value
 
     def _fill_weights(self, total: int) -> None:
         """Append the scaled edge weights W(f), for an edge traversed 2f
@@ -399,154 +382,251 @@ class CoefficientEngine:
                 )
             weights.append(scaled.numerator)
 
-    # -- the gray peel -----------------------------------------------------
+    # -- evaluation order --------------------------------------------------
 
-    def _gray_peel(self, c: int, lg: int, lb: int, rg: int, rb: int, slot: int, ub):
-        """The gray peel of a cut edge only gray uses: each step reads family
-        ``slot`` of the lower site (c, ., lb, ., rb) at r and, beyond v, the
-        ``pair`` upper sum at blue half-length ``ub``, or the single walks S1
-        at v, ``rooted`` with one blue return and ub = 0, if ``ub`` is None."""
-        memo, uppers, w = self._memo, self._uppers, self._weights
+    def _require(self, c: int, lg: int, lb: int, eg: int, eb: int) -> None:
+        """Evaluate the sites of block (c, lg, lb) with excess at most
+        (eg, eb), after every site they read."""
+        bounds = self._bounds
+        old_g, old_b = bounds.get((c, lg, lb), (-1, -1))
+        if eg <= old_g and eb <= old_b:
+            return
+        grown = {}
+        work = [(c, lg, lb, eg, eb)]
+        while work:
+            c, lg, lb, eg, eb = work.pop()
+            old = old_g, old_b = bounds.get((c, lg, lb), (-1, -1))
+            if eg <= old_g and eb <= old_b:
+                continue
+            eg, eb = max(eg, old_g), max(eb, old_b)
+            bounds[c, lg, lb] = eg, eb
+            grown.setdefault((c, lg, lb), old)
+            if lg:
+                u = min(eg, lg - 1)
+                for b in range(lb + 1):
+                    work.append((c, lg - 1, b, u, min(eb, b)))
+                for b in range(eb + 1):
+                    work.append((3 - c, u, b, u, b))
+            if lb:
+                work.append((c, lg, 0, eg, 0))
+                work.append((c, lb, 0, eb, 0))
+        if not grown:
+            return
+        self._fill_weights(max(lg + lb for _, lg, lb in grown))
+        for block in sorted(grown, key=lambda block: (block[1] + block[2], block[2] > 0)):
+            c, lg, lb = block
+            old_g, old_b = grown[block]
+            eg, eb = bounds[block]
+            try:
+                self._extend_uppers(c, lg, lb, eg, eb)
+                for dg in range(eg + 1):
+                    for db in range(old_b + 1 if dg <= old_g else 0, eb + 1):
+                        self._evaluate(c, lg, lb, lg - dg, lb - db)
+            except (LookupError, TypeError) as exc:
+                raise AssertionError(
+                    f"evaluation order violated: block (c={c}, l_g={lg}, l_b={lb}) "
+                    f"read a site not yet evaluated ({exc!r})"
+                ) from exc
+
+    def _evaluate(self, c: int, lg: int, lb: int, rg: int, rb: int) -> None:
+        """Evaluate and store the x and anyc of one site."""
+        if not lb:
+            x = anyc = self._gray(c, lg, 0, rg, 0, 0) if lg else self._a[c]
+        elif not rb:
+            x = self._gray(c, lg, lb, rg, 0, 0) + self._gray(c, lg, 0, rg, 0, lb)
+            anyc = 0
+        else:
+            x = self._gray(c, lg, lb, rg, rb, 0) + self._red(c, lg, lb, rg, rb, self._rooted)
+            single = self._x
+            glue = single[c, rg][0][lg - rg][0] * single[c, rb][0][lb - rb][0]
+            glue = _exact(glue, self._a[c], "glue", (fam.EQ_ANYC, c, lg, lb, rg, rb), f"the root factor a_{c}")
+            anyc = x + glue
+        self._write((c, lg, lb, rg, rb), x, anyc)
+
+    def _write(self, site: tuple, x: int, anyc: int) -> None:
+        """Put the two ints of ``site`` in their rows, growing the lists on
+        the way with None up to it and past it."""
+        c, lg, lb, rg, rb = site
+        dg, db = lg - rg, lb - rb
+        xs = self._x.setdefault((c, rg), [])
+        anycs = self._anyc.setdefault((c, rg), [])
+        while len(xs) <= rb:
+            xs.append([None])
+            anycs.append([None])
+        xs, anycs = xs[rb], anycs[rb]
+        while len(xs) <= dg + 1:
+            xs.insert(-1, [None])
+            anycs.insert(-1, [None])
+        row, other = xs[dg], anycs[dg]
+        while len(row) <= db + 1:
+            row.append(None)
+            other.append(None)
+        if row[db] is not None:
+            raise AssertionError(f"{Site(*site)} written twice")
+        row[db] = x
+        other[db] = anyc
+        self._sites.append(site)
+
+    # -- the upper sums ----------------------------------------------------
+
+    def _extend_uppers(self, c: int, lg: int, lb: int, eg: int, eb: int) -> None:
+        """Extend the ``pair`` and ``rooted`` rows to what the sites of block
+        (c, lg, lb) with excess at most (eg, eb) read: a cut edge with f
+        gray and fb blue returns leaves ug <= min(eg, lg - f) and
+        ub <= min(eb, lb - fb) beyond it, and ``pair`` at ub = lb is read
+        only at r_b = 0.  Each entry carries the W of its cut edge."""
         opp = 3 - c
-        total = 0
+        anyc, w = self._anyc, self._weights
+        for f in range(1, lg + 1):
+            u_max = min(eg, lg - f)
+            for ub in (0, lb) if eb == lb > 0 else (0,):
+                row = self._pair.setdefault((opp, f, ub), [])
+                for u in range(len(row), u_max + 1):
+                    row.append(w[f] * sum(map(mul, _interleavings(f, u), self._both_row(opp, u, ub))))
+            by_fb = self._rooted.setdefault((opp, f), [None])
+            for fb in range(1, lb + 1):
+                if len(by_fb) == fb:
+                    by_fb.append([])
+                rows = by_fb[fb]
+                ub_max = min(eb, lb - fb)
+                # Every block extends a rectangle of rows from (0, 0), so a
+                # row is never longer than the one before it.
+                if len(rows) > u_max and len(rows[u_max]) > ub_max:
+                    continue
+                codes_b = _interleavings(fb, ub_max)
+                for ug in range(u_max + 1):
+                    if ug == len(rows):
+                        rows.append([])
+                    row = rows[ug]
+                    codes_g = _interleavings(f, ug)
+                    for ub in range(len(row), ub_max + 1):
+                        rooted = 0
+                        for vg in range(ug > 0, ug + 1):
+                            at_v, dg = anyc[opp, vg], ug - vg
+                            blue = 0
+                            for vb in range(ub > 0, ub + 1):
+                                blue += codes_b[vb] * at_v[vb][dg][ub - vb]
+                            rooted += codes_g[vg] * blue
+                        row.append(w[f + fb] * rooted)
+
+    def _both_row(self, c: int, lg: int, lb: int) -> list:
+        """EQ_C + NEQ_C of the sites (c, lg, lb, rg, .) summed over r_b, at
+        index rg: x at r_b = 0, and x 2 lb / r_b, EQ_C with its root moved,
+        at r_b > 0.  S1(c, lg, rg) at lb = 0; 0 at rg = 0 < lg (G).  Read
+        only from whole blocks, by ``pair`` for every f and by TOP."""
+        row = self._both.get((c, lg, lb))
+        if row is not None:
+            return row
+        x = self._x
+        row = [0] * (lg > 0)
+        for rg in range(lg > 0, lg + 1):
+            dg = lg - rg
+            both = x[c, rg][0][dg][lb]
+            for rb in range(1, lb + 1):
+                both += _exact(
+                    x[c, rg][rb][dg][lb - rb] * 2 * lb, rb, "moved root",
+                    (fam.NEQ_C, c, lg, lb, rg, rb), "r_b",
+                )
+            row.append(both)
+        self._both[c, lg, lb] = row
+        return row
+
+    # -- the peels ---------------------------------------------------------
+
+    def _gray(self, c: int, lg: int, lb: int, rg: int, rb: int, ub: int) -> int:
+        """The gray peel of a site (c, lg, ., rg, .): each step reads the x
+        of the lower site (c, ., lb, ., rb) at r and, beyond v, the ``pair``
+        row at blue half-length ``ub``: 0 for the single walks at v."""
+        x, pair = self._x, self._pair
+        opp = 3 - c
+        dg, db = lg - rg, lb - rb
+        codes = _binomials(rg - 1)
+        gray = 0
         # Cutting all r_g departures leaves the lower gray walk empty: the
         # empty walk a_c if lb = 0, else a site whose EQ_C and NEQ_C, which
         # need a shared edge, are 0.
         for f in range(1, rg + 1 - (lb > 0)):
-            inner = 0
-            # At f = r_g, (G) allows the lower walk only the empty walk.
-            for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):
-                ref = (c, lg - u - f, lb, rg - f, rb)
-                lower = memo.get(ref)
-                if lower is None:
-                    lower = yield ref
-                lower = lower[slot]
-                if not lower:
-                    continue
-                name = ("rooted", opp, f, 1, u, 0) if ub is None else ("pair", opp, f, u, ub)
-                above = uppers.get(name)
-                if above is None:
-                    upper = self._rooted(opp, f, 1, u, 0) if ub is None else self._pair(opp, f, u, ub)
-                    above = yield from upper
-                inner += lower * above
-            total += math.comb(rg - 1, f - 1) * w[f] * inner
-        return total
+            lower, upper = x[c, rg - f][rb], pair[opp, f, ub]
+            if f < rg:
+                step = 0
+                for u in range(dg + 1):
+                    step += lower[dg - u][db] * upper[u]
+            else:
+                # At f = r_g, (G) allows the lower walk only the empty walk.
+                step = lower[0][db] * upper[dg]
+            gray += codes[f - 1] * step
+        return gray
 
-    # -- a site: the fourteen double families -------------------------------
+    def _red(self, c: int, lg: int, lb: int, rg: int, rb: int, rooted: dict) -> int:
+        """The red peel of site (c, lg, lb, rg, rb), r_b > 0: each step reads
+        the anyc of one lower site and the row of its cut edge in
+        ``rooted``, keyed as ``_rooted`` is, and each (fg, fb) weighs its
+        sum with the codes once.  A lower walk cut off all its departures
+        is empty (G, B)."""
+        anyc = self._anyc
+        opp = 3 - c
+        dg, db = lg - rg, lb - rb
+        codes_g, codes_b = _binomials(rg - 1), _binomials(rb)
+        red = 0
+        for fg in range(1, rg + 1):
+            lowers, uppers = anyc[c, rg - fg], rooted[opp, fg]
+            for fb in range(1, rb + 1):
+                lower, upper = lowers[rb - fb], uppers[fb]
+                # At fg = r_g only ug = dg (G), and at fb = r_b only
+                # ub = db (B).  Else the lower rows at gray excess dg - ug
+                # for ug = 0, 1, .. pair with the rows above.  A slice begins
+                # at a sentinel where a site is missing.
+                if fg == rg:
+                    blue, above = lower[0], upper[dg]
+                    step = sum(map(mul, blue[db::-1], above)) if fb < rb else blue[0] * above[db]
+                elif fb < rb:
+                    step = 0
+                    for blue, above in zip(lower[dg::-1], upper):
+                        step += sum(map(mul, blue[db::-1], above))
+                else:
+                    step = 0
+                    for blue, above in zip(lower[dg::-1], upper):
+                        step += blue[0] * above[db]
+                red += codes_g[fg - 1] * codes_b[fb] * step
+        return red
 
-    def _site(self, key: tuple):
-        c, lg, lb, rg, rb = key
+    # -- a site's fourteen values ------------------------------------------
+
+    def _site_values(self, site: tuple) -> tuple:
+        """The scaled fourteen values of a site whose fields are checked, in
+        the order of ``SITE_TAGS``."""
+        c, lg, lb, rg, rb = site
         if rg > lg or rb > lb:
             return _ZERO_SITE
-        if lb == 0:
-            gray = (yield from self._gray_peel(c, lg, 0, rg, 0, _EQ_ANYC, None)) if lg else self._a[c]
-            return (0, 0, 0, gray, *_ZERO_SITE[4:])
-
-        # Gray peel, blue below the cut edge: EQ_C_G if blue visits r, else
-        # NEQ_C_GD.
-        gray_peel = yield from self._gray_peel(c, lg, lb, rg, rb, _EQ_C if rb else _NEQ_C, None)
-
+        dg, db = lg - rg, lb - rb
+        self._require(c, lg, lb, dg, db)
+        x = self._x[c, rg][rb][dg][db]
+        if not lb:
+            return (0, 0, 0, x, *_ZERO_SITE[4:])
+        gray = self._gray(c, lg, lb, rg, rb, 0)
         if not rb:
-            # Gray peel, blue beyond the cut edge: NEQ_C_GU.  The lower piece
-            # is a single walk, so blue cannot touch r.
-            up_g = yield from self._gray_peel(c, lg, 0, rg, 0, _EQ_ANYC, lb)
-            neq_g = up_g + gray_peel
-            return (0, 0, 0, 0, up_g, gray_peel, 0, 0, neq_g, 0, neq_g, 0, 0, 0)
-
-        # Red peel: EQ_C_R, blue rooted at r but free to leave it last by
-        # another edge, and NEQ_C_RU, each term times its blue departures
-        # beyond the cut edge.  A lower walk cut off all its departures is
-        # empty (G, B).
-        memo, uppers, w = self._memo, self._uppers, self._weights
+            return (0, 0, 0, 0, x - gray, gray, 0, 0, x, 0, x, 0, 0, 0)
+        glue = self._anyc[c, rg][rb][dg][db] - x
         opp = 3 - c
-        blues = [
-            (fb, math.comb(rb, fb), range(0, lb - rb + 1) if fb < rb else (lb - rb,))
-            for fb in range(1, rb + 1)
-        ]
-        eq_r = up_r = 0
-        for fg in range(1, rg + 1):
-            code_g = math.comb(rg - 1, fg - 1)
-            ugs = range(0, lg - rg + 1) if fg < rg else (lg - rg,)
-            low_rg = rg - fg
-            for fb, code_b, ubs in blues:
-                eq = up = 0
-                low_rb = rb - fb
-                for ug in ugs:
-                    low_lg = lg - ug - fg
-                    for ub in ubs:
-                        ref = (c, low_lg, lb - ub - fb, low_rg, low_rb)
-                        lower = memo.get(ref)
-                        if lower is None:
-                            lower = yield ref
-                        lower = lower[_EQ_ANYC]
-                        if not lower:
-                            continue
-                        rooted = uppers.get(("rooted", opp, fg, fb, ug, ub))
-                        if rooted is None:
-                            rooted = yield from self._rooted(opp, fg, fb, ug, ub)
-                        term = lower * rooted
-                        eq += term
-                        up += (2 * ub + fb) * term
-                weight = code_g * code_b * w[fg + fb]
-                eq_r += weight * eq
-                up_r += weight * up
-
-        # Pairs with no shared edge and a common root are exactly the pairs
-        # of independent single walks glued at the root; the root's vertex
-        # factor must not be counted twice.
-        gray = (yield from self._get((c, lg, 0, rg, 0)))[_EQ_ANYC]
-        blue = (yield from self._get((c, lb, 0, rb, 0)))[_EQ_ANYC]
-        glue = _exact(gray * blue, self._a[c], "glue", (fam.EQ_ANYC, *key), f"the root factor a_{c}")
-
-        # Moving the blue root off r.
+        # The red peel once more, each term times the 2 ub + fb departures
+        # of its blue walk beyond the cut edge.
+        weighed = {
+            (opp, fg): [None] + [
+                [[(2 * ub + fb) * value for ub, value in enumerate(row[:db + 1])] for row in rows[:dg + 1]]
+                for fb, rows in enumerate(self._rooted[opp, fg][1:rb + 1], start=1)
+            ]
+            for fg in range(1, rg + 1)
+        }
+        up_r = _exact(self._red(c, lg, lb, rg, rb, weighed), rb, "moved root", (fam.NEQ_C_RU, *site), "r_b")
+        eq_r = x - gray
         moved = 2 * lb - rb
-        neq_g = _exact(gray_peel * moved, rb, "moved root", (fam.NEQ_C_G, *key), "r_b")
-        neq_r = _exact(eq_r * moved, rb, "moved root", (fam.NEQ_C_R, *key), "r_b")
-        up_r = _exact(up_r, rb, "moved root", (fam.NEQ_C_RU, *key), "r_b")
-        visit = _exact((gray_peel + glue) * moved, rb, "moved root", (fam.NEQ_ANYC_S, *key), "r_b")
+        neq_g = _exact(gray * moved, rb, "moved root", (fam.NEQ_C_G, *site), "r_b")
+        neq_r = _exact(eq_r * moved, rb, "moved root", (fam.NEQ_C_R, *site), "r_b")
+        visit = _exact((gray + glue) * moved, rb, "moved root", (fam.NEQ_ANYC_S, *site), "r_b")
         visit_g, empty = (visit, 0) if lg else (0, visit)
-        eq_c = gray_peel + eq_r
         return (
-            gray_peel, eq_r, eq_c, eq_c + glue,
+            gray, eq_r, x, x + glue,
             0, neq_g, up_r, neq_r - up_r,
             neq_g, neq_r, neq_g + neq_r,
             visit_g, empty, neq_r + visit,
         )
-
-    # -- upper sums: the walks beyond v ------------------------------------
-
-    def _pair(self, opp: int, f: int, u: int, ub: int):
-        """Evaluate and cache ``pair``, the upper sum of NEQ_C_GU: EQ_C plus
-        NEQ_C of the sites at v with blue half-length ub > 0, which (B) makes
-        NEQ_C alone at vb = 0, with the f gray returns over the cut edge
-        interleaved with the vg gray departures from v."""
-        memo = self._memo
-        pair = 0
-        for vg in range(u > 0, u + 1):
-            code = math.comb(f + vg - 1, f - 1)
-            for vb in range(0, ub + 1):
-                ref = (opp, u, ub, vg, vb)
-                site = memo.get(ref)
-                if site is None:
-                    site = yield ref
-                pair += code * (site[_EQ_C] + site[_NEQ_C] if vb else site[_NEQ_C])
-        self._uppers[("pair", opp, f, u, ub)] = pair
-        return pair
-
-    def _rooted(self, opp: int, fg: int, fb: int, ug: int, ub: int):
-        """Evaluate and cache ``rooted``, the upper sum of a red cut edge:
-        EQ_ANYC of the sites at v, which (B) makes 0 at vb = 0 < ub, with fg
-        gray and fb blue returns interleaved with vg and vb departures.  At
-        fb = 1 and ub = 0 it is the single walks beyond a gray cut edge."""
-        memo = self._memo
-        rooted = 0
-        for vg in range(ug > 0, ug + 1):
-            gray = math.comb(fg + vg - 1, fg - 1)
-            for vb in range(ub > 0, ub + 1):
-                ref = (opp, ug, ub, vg, vb)
-                site = memo.get(ref)
-                if site is None:
-                    site = yield ref
-                rooted += gray * math.comb(fb + vb - 1, fb - 1) * site[_EQ_ANYC]
-        self._uppers[("rooted", opp, fg, fb, ug, ub)] = rooted
-        return rooted

@@ -12,12 +12,14 @@ Each test certifies one headline guarantee of the package:
   evaluator and converges to the engine's limit values as N grows;
 * every CLI subcommand emits byte-identical output for fixed seeds, and
   ``simulate`` regardless of thread count;
-* ``compute --kmax 14`` reproduces the benchmark's frozen reference bytes.
+* ``compute --kmax 14`` reproduces the benchmark's frozen reference bytes,
+  and ``compute --kmax 24`` its pinned hash.
 
 The Monte Carlo convergence test samples 2000 matrices at each of four sizes
 up to N = 1600 and takes a few seconds on one core.
 """
 
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -232,3 +234,25 @@ def test_compute_kmax14_matches_frozen_reference(tmp_path, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.encode("utf-8") == reference.read_bytes()
+
+
+def test_compute_kmax24_output_is_pinned(tmp_path, capsys):
+    # The `exact` context at seed 1 with 24 moments (the first 14 are those
+    # above), to k + m = 48.  The hash was printed by the engine of fourteen
+    # values per site, evaluated depth first, before the engine of two ints
+    # per site replaced it.
+    moments = (
+        "11/7,11/7,13/7,11/7,13/7,13/7,13/7,13/7,11/7,11/7,13/7,11/7,"
+        "13/7,13/7,11/7,13/7,13/7,11/7,11/7,13/7,11/7,11/7,11/7,11/7"
+    )
+    moments_file = tmp_path / "moments.json"
+    moments_file.write_text(json.dumps({"even_moments": moments.split(",")}), encoding="utf-8")
+    code = cli.main([
+        "compute", "--kmax", "24", "--mmax", "24", "--alpha", "2/3", "--p", "5/2",
+        "--moments-file", str(moments_file),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "f7205861e01393e40759ba6d3b7d250aea016b5643087e8d2fba14547ffead85"
+    )

@@ -32,17 +32,19 @@ def negative_moments_file(tmp_path) -> str:
 
 def tamper_sites(monkeypatch, tags, where=lambda site: True):
     """Make crosscheck's engine add 1 to the families ``tags`` at the sites
-    ``where`` accepts, through the block reader; returns the engine class."""
+    ``where`` accepts, through the site reader that ``scaled_site`` and
+    ``s_value`` share; returns the engine class."""
 
     class Tampered(CoefficientEngine):
-        def scaled_site(self, site):
-            scale, values = super().scaled_site(site)
+        def _site_values(self, site):
+            values = super()._site_values(site)
             if where(site):
+                scale = self._scale(site[1] + site[2])
                 values = tuple(
                     value + scale if tag in tags else value
                     for tag, value in zip(SITE_TAGS, values)
                 )
-            return scale, values
+            return values
 
     monkeypatch.setattr(cli, "CoefficientEngine", Tampered)
     return Tampered
@@ -282,7 +284,7 @@ class TestCrosscheck:
         # mismatch of EQ_ANYC comes before any of EQ_C_G, each in (component,
         # l_g, l_b, r_g, r_b) order, as a loop key by key finds them.  The
         # single keys come last: each S1 is read as the EQ_ANYC of its site
-        # (c, l, 0, r, 0) through ``scaled_site``, so the tampered sites
+        # (c, l, 0, r, 0) through the site reader, so the tampered sites
         # change all twelve S1 to l = 2 as well; TOP sums sites past it, and
         # S1S reads NEQ_ANYC_SN.
         tags = (fam.EQ_ANYC, fam.EQ_C_G)

@@ -136,7 +136,8 @@ class TestCoefficientApi:
         engine = make_engine(3, count=8)
         with pytest.raises(InsufficientMomentsError):
             engine.s_value(deep)
-        assert engine._memo == {} and engine._uppers == {}
+        held = engine.memo_size, engine._bounds, engine._pair, engine._rooted, engine._both
+        assert held == (0, {}, {}, {}, {})
         assert engine.s_value(key) == family_total_weight(key, *context(3, 8))
 
     def test_malformed_key_rejected(self):
@@ -168,6 +169,15 @@ class TestDeepRegressions:
         expected = F(1, 2) * sum(F(count, 2**j) for j, count in enumerate(_stirling2_row(l)))
         assert engine.s_value(fam.single_key(fam.S1, 1, l, l)) == expected
 
+    def test_star_walk_evaluates_one_site_per_block(self):
+        # S1(1, 600, 600) reads, at r_g = l_g, one site of each block
+        # (1, l, 0) and the empty walk of the other part: 602 sites, two
+        # values each.  Whole blocks would be 180,901 sites and O(l^4)
+        # steps.
+        engine = CoefficientEngine(ModelParams(F(1, 2), F(1)), moments_preset("rademacher", 600))
+        engine.s_value(fam.single_key(fam.S1, 1, 600, 600))
+        assert engine.memo_size == 2 * 602
+
     # Values frozen after enumeration confirmed the engine at total length 12.
     def test_total_length_twelve(self):
         engine = make_engine(2, count=6)
@@ -181,20 +191,15 @@ class TestDeepRegressions:
         assert engine.correlator_coefficient(10, 10) == expected
 
 
-# Site (1, 1, 1, 1, 1) made to read site (1, 0, 2, 0, 1): both at total 2
-# with l_b > 0, so of equal rank.  A script for ``exec``, which finds
-# ``engine`` and ``fam`` in its globals.
-EQUAL_RANK_BREACH = """\
-site = engine._site
-def circular(key):
-    if key == (1, 1, 1, 1, 1):
-        return (yield (1, 0, 2, 0, 1))
-    return (yield from site(key))
-engine._site = circular
-engine.s_value(fam.double_key(fam.EQ_C, 1, 1, 1, 1, 1))"""
-EQUAL_RANK_MESSAGE = (
-    "recursion order violated: Site(component=1, l_g=0, l_b=2, r_g=0, r_b=1) at rank (2, 1) "
-    "referenced from rank (2, 1)"
+# S1(1, 1, 1), evaluated and then blanked as if it were not, read by the
+# gray peel of S1(1, 2, 2).  A script for ``exec``, which finds ``engine``
+# and ``fam`` in its globals.
+UNEVALUATED_BREACH = """\
+engine.s_value(fam.single_key(fam.S1, 1, 1, 1))
+engine._x[1, 1][0][0][0] = None
+engine.s_value(fam.single_key(fam.S1, 1, 2, 2))"""
+UNEVALUATED_MESSAGE = (
+    "evaluation order violated: block (c=1, l_g=2, l_b=0) read a site not yet evaluated"
 )
 
 
@@ -216,83 +221,77 @@ def every_key(max_total):
 
 class TestMemo:
     def test_write_once(self):
+        # Each site is written once; a second write raises, whatever its
+        # value, and leaves the first.
         engine = make_engine(1)
         engine.correlator_coefficient(2, 2)
-        key = (1, 1, 1, 1, 1)
-        scaled = engine._memo[key]
-        engine._store(key, scaled)  # same value is fine
-        with pytest.raises(AssertionError):
-            engine._store(key, (*scaled[:-1], scaled[-1] + 1))
+        x, anyc = engine._x[1, 1][1][0][0], engine._anyc[1, 1][1][0][0]
+        for value in (x, x + 1):
+            with pytest.raises(AssertionError, match="written twice"):
+                engine._write((1, 1, 1, 1, 1), value, anyc)
+        assert engine._x[1, 1][1][0][0] == x
 
     def test_recursion_order_guard(self):
-        # Two sites of equal rank, which the check on every push must refuse.
+        # A read of a site not yet evaluated raises.
         engine = make_engine(1)
-        with pytest.raises(AssertionError, match=re.escape(EQUAL_RANK_MESSAGE)):
-            exec(EQUAL_RANK_BREACH, {"engine": engine, "fam": fam})
-        # The site of the single walk S1(1, 2, 2) made to read a site with
-        # l_b > 0 at its own total: sites with l_b = 0 rank first.
-        engine = make_engine(1)
-        site = engine._site
-
-        def reads_blue(key):
-            if key == (1, 2, 0, 2, 0):
-                return (yield (1, 1, 1, 1, 1))
-            return (yield from site(key))
-
-        engine._site = reads_blue
-        with pytest.raises(AssertionError, match=r"violated: Site\(component=1, l_g=1, l_b=1"):
-            engine.s_value(fam.single_key(fam.S1, 1, 2, 2))
+        with pytest.raises(AssertionError, match=re.escape(UNEVALUATED_MESSAGE)):
+            exec(UNEVALUATED_BREACH, {"engine": engine, "fam": fam})
+        # The glue of a site with l_g = 0 reads its blue walk's S1 at its own
+        # total, so blocks with l_b = 0 rank first: a cold engine evaluates
+        # EQ_ANYC(1, 0, 2, 0, 1), whose glue reads S1(1, 2, 1).
+        key = fam.double_key(fam.EQ_ANYC, 1, 0, 2, 0, 1)
+        assert make_engine(1).s_value(key) == family_total_weight(key, *context(1, 5))
 
     @pytest.mark.parametrize(
-        "warm, key, cache_key",
+        "warm, key, row",
         [
-            # Gray peel: S1(1, 2, 2) hits rooted(2, 1, 1, 0, 0) at f = 1,
-            # u = 0.  The single walks beyond v are the ``rooted`` sum with one
-            # blue return and ub = 0, whose blue code is C(0, 0) = 1; the
-            # engine cached them as ("s1", 2, 1, 0, None) before the two
-            # sums were one.
-            ((2, 2), fam.single_key(fam.S1, 1, 2, 2), ("rooted", 2, 1, 1, 0, 0)),
-            # Red peel: EQ_C_R(2, 2, 2, 1, 1) hits rooted(1, 1, 1, 1, 1) at
-            # fg = fb = ug = ub = 1.
-            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), ("rooted", 1, 1, 1, 1, 1)),
+            # Gray peel: S1(1, 2, 2) reads the ``pair`` row (2, 1, 0), the
+            # single walks beyond a cut edge with f = 1, at u = 0.
+            ((2, 2), fam.single_key(fam.S1, 1, 2, 2), lambda e: e._pair[2, 1, 0][0]),
+            # Red peel: EQ_C_R(2, 2, 2, 1, 1) reads the ``rooted`` row of
+            # (opp, fg, fb) = (1, 1, 1) at ug = ub = 1.
+            ((4, 6), fam.double_key(fam.EQ_C_R, 2, 2, 2, 1, 1), lambda e: e._rooted[1, 1][1][1][1]),
         ],
         ids=["gray", "red"],
     )
-    def test_upper_sum_hit_gives_cold_value(self, warm, key, cache_key):
-        # Warming with n_{warm} caches the upper sum but never evaluates
-        # ``key``'s site, so ``key``'s peel reads the sum as a cache hit.
+    def test_upper_sum_hit_gives_cold_value(self, warm, key, row):
+        # Warming with n_{warm} extends the row past the entry ``key``'s
+        # peel reads but never evaluates ``key``'s site, so that peel reads
+        # an entry it did not extend.
         engine = make_engine(1)
         engine.correlator_coefficient(*warm)
-        site = fam.site_key(key)[1:]
-        assert site not in engine._memo and cache_key in engine._uppers
+        site = tuple(fam.site_key(key)[1:])
+        assert site not in engine._sites and type(row(engine)) is int
         assert engine.s_value(key) == make_engine(1).s_value(key)
 
     @pytest.mark.parametrize(
         "breach, message",
         [
-            (EQUAL_RANK_BREACH, EQUAL_RANK_MESSAGE),
+            (UNEVALUATED_BREACH, UNEVALUATED_MESSAGE),
             (
-                "engine._store((1, 1, 1, 1, 1), (1,) * 14); "
-                "engine._store((1, 1, 1, 1, 1), (2,) * 14)",
-                "memo conflict",
+                "engine.correlator_coefficient(2, 2); "
+                "engine._write((1, 1, 1, 1, 1), 1, 1)",
+                "Site(component=1, l_g=1, l_b=1, r_g=1, r_b=1) written twice",
             ),
             (
                 # alpha = 1/3 gives a_2 = 2; S1(2, 1, 1), of value alpha2 *
                 # alpha1 * V2, is scaled to 2, and 1 is no multiple of a_2.
-                # Its site holds it as EQ_ANYC, the fourth value.
+                # The site holds it as x and as anyc.
                 "engine = CoefficientEngine(ModelParams(F(1, 3), F(1)), engine.moments); "
-                "engine._memo[(2, 1, 0, 1, 0)] = (0, 0, 0, 1) + (0,) * 10; "
+                "engine.s_value(fam.single_key(fam.S1, 2, 1, 1)); "
+                "engine._x[2, 1][0][0][0] = 1; "
                 "engine.s_value(fam.double_key(fam.EQ_ANYC, 2, 1, 1, 1, 1))",
                 "glue at FamilyKey(tag='EQ_ANYC', component=2, l_g=1, l_b=1, r_g=1, r_b=1) "
                 "is not divisible",
             ),
             (
                 # S1S(1, 4, 3) moves the root of S1(1, 4, 3) by (2 * 4 - 3) / 3;
-                # its site seeded with the scaled value 1, that is 5/3.  S1S is
+                # its site's x set to the scaled value 1, that is 5/3.  S1S is
                 # read as NEQ_ANYC_SN of the site (1, 0, 4, 0, 3), so the move
                 # fails in that site's NEQ_ANYC_S (it failed in ``s_value``,
                 # at the S1S key, before single keys were read through sites).
-                "engine._memo[(1, 4, 0, 3, 0)] = (0, 0, 0, 1) + (0,) * 10; "
+                "engine.s_value(fam.single_key(fam.S1, 1, 4, 3)); "
+                "engine._x[1, 3][0][1][0] = 1; "
                 "engine.s_value(fam.single_key(fam.S1S, 1, 4, 3))",
                 "moved root at FamilyKey(tag='NEQ_ANYC_S', component=1, l_g=0, l_b=4, r_g=0, "
                 "r_b=3) is not divisible by r_b = 3",
@@ -331,21 +330,21 @@ class TestMemo:
 
     def test_evaluated_key_count_is_frozen(self):
         # A rewrite of the equations that evaluates other sub-sums, or prunes
-        # some, changes these counts: memo entries, of which sites, and the
-        # family values they hold.  The family-by-family engine evaluated 7081
-        # keys before the equations stopped reading keys that are zero by
-        # their shape, and 4289 after.  With single walks and TOP as memo
-        # entries of their own the counts were (467, 434, 6109); since S1 is
-        # read from its site with l_b = 0 and TOP is a sum, ten sites of
-        # single walks that nothing else read are new and 33 entries are gone.
+        # some, changes these counts: sites, and the family values they
+        # hold.  The family-by-family engine evaluated 7081 keys before the
+        # equations stopped reading keys that are zero by their shape, and
+        # 4289 after; the engine of fourteen values per site held 444 sites,
+        # 6216 values.  Two ints per site, by blocks and excess bounds,
+        # evaluate every site of a bounded rectangle of each block, also the
+        # ones no read needs, such as those rule (G) makes 0.
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
-        sites = sum(len(key) == 5 for key in engine._memo)
-        assert (len(engine._memo), sites, engine.memo_size) == (444, 444, 6216)
+        assert (len(engine._sites), engine.memo_size) == (714, 1428)
 
     def test_memo_holds_only_sites(self):
-        # A single walk is read as the EQ_ANYC of its site with l_b = 0, and
-        # S1S and TOP are sums over sites, so no other kind of entry is kept.
+        # The engine holds sites and nothing else: each site its x and its
+        # EQ_ANYC.  A single walk is the x and the EQ_ANYC of its site with
+        # l_b = 0, and S1S and TOP are sums over sites.
         engine = make_engine(1, count=10)
         engine.correlator_table(10, 10)
         for key in [
@@ -354,8 +353,9 @@ class TestMemo:
             fam.top_key(3, 6),
         ]:
             engine.s_value(key)
-        assert all(len(key) == 5 for key in engine._memo)
-        assert engine.memo_size == 14 * len(engine._memo)
+        items = list(engine.memo_items())
+        assert len(items) == engine.memo_size == 2 * len(engine._sites)
+        assert [key.tag for key, _ in items[1::2]] == [fam.EQ_ANYC] * len(engine._sites)
         for c in (1, 2):
             for l in range(9):
                 for r in range(l + 1):
@@ -364,34 +364,32 @@ class TestMemo:
 
     def test_single_walk_upper_sums_cached_once(self):
         # The single walks beyond v never read the blue half-length of the
-        # site peeled, so the cache must hold one entry per (opp, f, u), not
-        # one per blue length as well.  They are cached as ``rooted`` with
-        # fb = 1 and ub = 0 (as ``s1`` until the two sums were one), and
-        # ``pair`` and ``rooted`` are the only upper sums.
+        # site peeled, so they must be one row per (opp, f), not one per
+        # blue length as well: the ``pair`` row at ub = 0.  ``rooted`` rows
+        # are keyed by (opp, fg) alone.
         engine = make_engine(1, count=14)
         engine.correlator_table(14, 14)
-        assert {key[0] for key in engine._uppers} == {"pair", "rooted"}
-        args = [
-            key[1:] for key in engine._uppers if key[0] == "rooted" and key[3] == 1 and key[5] == 0
-        ]
-        assert args and len(args) == len({(opp, f, u) for opp, f, _, u, _ in args})
+        singles = {key for key in engine._pair if key[2] == 0}
+        assert singles == {(opp, f, 0) for opp in (1, 2) for f in range(1, 8)}
+        assert all(len(key) == 2 for key in engine._rooted)
 
     def test_memo_order_is_frozen(self):
-        # The keys in evaluation order and the number of cached upper sums;
+        # The keys in evaluation order and the number of upper row entries;
         # a rewrite that reads the same keys in another order changes them.
-        # The hash changed from 39df8cfd... when the single walks and TOP left
-        # the memo: their keys are gone from the list, and the sites of single
-        # walks that nothing else read are in it.  The count went from 630 to
-        # 600 when the single walks beyond v became the ``rooted`` sum with
-        # fb = 1 and ub = 0: the red peel asks for each of the 30 sums of
-        # single walks as well, and they are now cached once, under one key.
-        # Both read the same sites in the same order, so the hash stayed.
+        # The hash was 78ce5d7f... over 600 cached upper sums when the memo
+        # held fourteen values per site, evaluated depth first from a work
+        # stack: the sites and their order are new, and each site now lists
+        # its x and its EQ_ANYC.
         engine = make_engine(1, count=10)
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
-        assert (hashlib.sha256(keys.encode()).hexdigest(), len(engine._uppers)) == (
-            "78ce5d7fe0f97b0f237bd188142b43f201f74e6f6bb88c3879b44cae0f4b2b64",
-            600,
+        entries = (
+            sum(len(row) for row in engine._pair.values()),
+            sum(len(row) for rows in engine._rooted.values() for by_ug in rows[1:] for row in by_ug),
+        )
+        assert (hashlib.sha256(keys.encode()).hexdigest(), entries) == (
+            "412d1e66530265c9571753abd90fd0141caf865dbbb29e5a9c93d97f2be6aae5",
+            (180, 450),
         )
 
     def test_family_values_are_frozen(self):
@@ -406,26 +404,23 @@ class TestMemo:
         )
 
 
-def drive(engine, frame):
-    """Run the generator ``frame`` of ``engine`` to its value, evaluating
-    each site it yields."""
-    value = None
-    while True:
-        try:
-            ref = frame.send(value)
-        except StopIteration as done:
-            return done.value
-        value = engine._value(ref)
-
-
 class TestUpperSums:
     @pytest.mark.parametrize("index", CONTEXT_IDS)
     def test_rooted_at_blue_length_zero_is_single_walks(self, index):
-        # The gray peel reads the single walks beyond v as ``rooted`` with
-        # one blue return and ub = 0: with no blue walk at v, the blue code
-        # is C(fb + 0 - 1, fb - 1) = 1 for every fb, so the sum is that of
-        # the S1 at v, each times the gray code C(f + vg - 1, f - 1).
-        engine = make_engine(index, count=6)
+        # The gray peel reads the single walks beyond v as ``pair`` at
+        # ub = 0, and ``rooted`` at ub = 0 is them as well: with no blue walk
+        # at v, the blue code is C(fb + 0 - 1, 0) = 1 for every fb.  So both
+        # are the sum of the S1 at v, each times the gray code
+        # C(f + vg - 1, f - 1), times the W of the cut edge.  A row holds
+        # the entries some block reads, an entry (f, fb, u) only from a
+        # block of total f + u + fb or more, so the moments bound them:
+        # contexts 1 and 2 take 13 and reach every entry below, context 3
+        # stops at its eight.
+        reach = 8 if index == 3 else 13
+        engine = make_engine(index, count=reach)
+        for lb in (1, 2, 3):
+            engine.correlator_coefficient(2 * (reach - lb), 2 * lb)
+        weights = engine._weights
         for opp in (1, 2):
             for f in range(1, 5):
                 for u in range(7):
@@ -434,9 +429,14 @@ class TestUpperSums:
                         * engine.s_value(fam.single_key(fam.S1, opp, u, vg))
                         for vg in range(u + 1)
                     )
-                    for fb in (1, 2, 3):
-                        rooted = drive(engine, engine._rooted(opp, f, fb, u, 0))
-                        assert F(rooted, engine._scale(u)) == single, (opp, f, u, fb)
+                    rows = [(weights[f], engine._pair[opp, f, 0][u])] if f + u < reach else []
+                    rows += [
+                        (weights[f + fb], engine._rooted[opp, f][fb][u][0])
+                        for fb in (1, 2, 3)
+                        if f + u + fb <= reach
+                    ]
+                    for weight, value in rows:
+                        assert F(value, weight * engine._scale(u)) == single, (opp, f, u)
 
 
 # Families whose blue walk is rooted at r or passes through r, where rule (B)
@@ -450,6 +450,19 @@ STRUCTURAL_CONTEXTS = {
     "exact": (ModelParams(F(2, 3), F(5, 2)), MomentSequence([F(11, 7), F(13, 7)] * 4)),
     "gaussian": (ModelParams(F(1, 3), F(1)), moments_preset("gaussian:1", 8)),
 }
+
+
+class _BlueRootZeroSeeded(CoefficientEngine):
+    """Writes 1 for the anyc of every site at r_b = 0 < l_b with total at
+    most ``seeded_total``, and counts them in ``seeded``."""
+
+    seeded_total = seeded = 0
+
+    def _write(self, site, x, anyc):
+        if site[4] == 0 < site[2] and site[1] + site[2] <= self.seeded_total:
+            anyc = 1
+            self.seeded += 1
+        super()._write(site, x, anyc)
 
 
 def zero_by_shape(max_total):
@@ -477,23 +490,21 @@ class TestStructuralZeros:
 
     @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
     def test_eq_c_unread_at_blue_root_zero(self, name):
-        # TOP and the ``pair`` upper sum read a site at r_b = 0 < l_b for its
-        # NEQ_C only.  An engine whose memo holds the sites at r_b = 0 < l_b
-        # up to a total with EQ_C set to 1 gives the same n_{6,6}.  Seeded up
-        # to total 5, it evaluates the sites at total 6, whose NEQ_C_GU reads
-        # the seeded ones through ``pair``; seeded up to total 6, TOP reads
-        # them.
+        # At r_b = 0 < l_b a site stores NEQ_C as its x, and EQ_ANYC, which
+        # (B) makes 0, as its anyc; EQ_C is not stored there (this test
+        # seeded it when the memo held fourteen values per site).  TOP and
+        # the ``pair`` rows read x there, and nothing reads that anyc: an
+        # engine that writes 1 for it at the sites up to a total gives the
+        # same n_{6,6}.  Seeded up to total 5, the sites at total 6 read the
+        # seeded ones through their peels and upper rows; up to total 6,
+        # TOP's own blocks are seeded as well.
         params, moments = STRUCTURAL_CONTEXTS[name]
-        cold = CoefficientEngine(params, moments)
-        expected = cold.correlator_coefficient(6, 6)
-        slot = recurrence.SITE_TAGS.index(fam.EQ_C)
+        expected = CoefficientEngine(params, moments).correlator_coefficient(6, 6)
         for seeded_total in (5, 6):
-            seeded = CoefficientEngine(params, moments)
-            for key, site in cold._memo.items():
-                if len(key) == 5 and key[4] == 0 < key[2] and key[1] + key[2] <= seeded_total:
-                    seeded._memo[key] = (*site[:slot], 1, *site[slot + 1:])
-            assert len(seeded._memo) > 5
+            seeded = _BlueRootZeroSeeded(params, moments)
+            seeded.seeded_total = seeded_total
             assert seeded.correlator_coefficient(6, 6) == expected, seeded_total
+            assert seeded.seeded > 5
 
     @pytest.mark.parametrize("name", STRUCTURAL_CONTEXTS)
     def test_blue_rooted_elsewhere_is_not_zero(self, name):

@@ -66,8 +66,8 @@ ROWS = (
     Mutant(
         "glue-by-floor-division",
         ENGINE,
-        'glue = _exact(gray * blue, self._a[c], "glue", (fam.EQ_ANYC, *key), f"the root factor a_{c}")',
-        "glue = gray * blue // self._a[c]",
+        'glue = _exact(glue, self._a[c], "glue", (fam.EQ_ANYC, c, lg, lb, rg, rb), f"the root factor a_{c}")',
+        "glue = glue // self._a[c]",
         f"{GUARDS}::test_guards_survive_optimized_mode[divide]",
     ),
     Mutant(
@@ -101,7 +101,8 @@ ROWS = (
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     # Moving the blue root: the departures off r and beyond v.  S1S moves
-    # its root in the site it is read from, so this is the one move.
+    # its root in the site it is read from, so this is the one move; EQ_C
+    # + NEQ_C, which ``pair`` and TOP read, is x 2 ub / vb.
     Mutant(
         "rho-with-gray-length",
         ENGINE,
@@ -112,9 +113,16 @@ ROWS = (
     Mutant(
         "ru-weight-without-fb",
         ENGINE,
-        "up += (2 * ub + fb) * term",
-        "up += 2 * ub * term",
+        "[(2 * ub + fb) * value for ub, value in enumerate(row[:db + 1])]",
+        "[2 * ub * value for ub, value in enumerate(row[:db + 1])]",
         "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "both-without-moved-root",
+        ENGINE,
+        "x[c, rg][rb][dg][lb - rb] * 2 * lb, rb,",
+        "x[c, rg][rb][dg][lb - rb] * rb, rb,",
+        "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
     ),
     Mutant(
         "neq-anyc-sgd-and-sn-swapped",
@@ -123,47 +131,71 @@ ROWS = (
         "visit_g, empty = (0, visit) if lg else (visit, 0)",
         f"{GUARDS}::test_family_values_are_frozen",
     ),
-    # Upper sums: rule (B).
-    Mutant(
-        "upper-reads-blue-zero-keys",
-        ENGINE,
-        "site[_EQ_C] + site[_NEQ_C] if vb else site[_NEQ_C]",
-        "site[_EQ_C] + site[_NEQ_C]",
-        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
-    ),
+    # Rule (B): the anyc of a site at r_b = 0 < l_b, 0, is never read.
     Mutant(
         "rooted-reads-blue-zero-sites",
         ENGINE,
         "for vb in range(ub > 0, ub + 1):",
         "for vb in range(0, ub + 1):",
-        f"{GUARDS}::test_evaluated_key_count_is_frozen",
+        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
+    ),
+    Mutant(
+        "red-reads-blue-zero-sites",
+        ENGINE,
+        "                elif fb < rb:\n",
+        "                elif fb <= rb:\n",
+        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
     ),
     # Red peel: blue may leave r last by another edge than the cut edge.
     Mutant(
         "red-blue-code-forces-last-return",
         ENGINE,
-        "(fb, math.comb(rb, fb), range(",
-        "(fb, math.comb(rb - 1, fb - 1), range(",
+        "codes_g, codes_b = _binomials(rg - 1), _binomials(rb)",
+        "codes_g, codes_b = _binomials(rg - 1), [0] + _binomials(rb - 1)",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
-    # Recursion order: every push is checked, a reference of equal rank is
-    # refused, and a site with l_b = 0 ranks before the others at its total.
-    Mutant(
-        "push-check-allows-equal-rank",
-        ENGINE,
-        "            if ref_rank >= rank:\n",
-        "            if ref_rank > rank:\n",
-        f"{GUARDS}::test_guards_survive_optimized_mode[order]",
-    ),
+    # Evaluation order: a site with l_b = 0 ranks before the others at its
+    # total, and every read of the sites of a block is covered by one of
+    # its edges; a read outside them finds no value and raises.
     Mutant(
         "rank-without-blue-bit",
         ENGINE,
-        "return (site[1] + site[2]) << 1 | (site[2] > 0)",
-        "return (site[1] + site[2]) << 1",
+        "key=lambda block: (block[1] + block[2], block[2] > 0)",
+        "key=lambda block: block[1] + block[2]",
         GUARDS,
     ),
-    # The peels are ordered by construction; a loop range that reaches the
-    # key's own total still fails, in ``math.comb`` or in ``_value``.
+    Mutant(
+        "closure-without-lower-column",
+        ENGINE,
+        "                for b in range(lb + 1):\n"
+        "                    work.append((c, lg - 1, b, u, min(eb, b)))\n",
+        "",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "closure-without-upper-row",
+        ENGINE,
+        "                for b in range(eb + 1):\n"
+        "                    work.append((3 - c, u, b, u, b))\n",
+        "",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "closure-without-gray-glue",
+        ENGINE,
+        "                work.append((c, lg, 0, eg, 0))\n",
+        "",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "closure-without-blue-glue",
+        ENGINE,
+        "                work.append((c, lb, 0, eb, 0))\n",
+        "",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    # The peels' cut edges take f >= 1; a loop range from 0 reads a row no
+    # block extended.
     Mutant(
         "gray-cut-from-zero",
         ENGINE,
@@ -181,49 +213,33 @@ ROWS = (
     Mutant(
         "gray-lower-from-minus-one",
         ENGINE,
-        "range(0, lg - rg + 1) if f < rg",
-        "range(-1, lg - rg + 1) if f < rg",
+        "                for u in range(dg + 1):\n",
+        "                for u in range(-1, dg + 1):\n",
         "tests/test_recurrence.py::TestDeepRegressions",
     ),
-    # The gray peel: a lower site with l_b > 0 and no gray walk is not read,
-    # and the single walks beyond v are ``rooted`` at ub = 0.  Reading that
-    # site gives the same values and the same memo keys (the upper sums read
-    # each such site anyway), but evaluates it earlier.
-    Mutant(
-        "gray-peel-reads-empty-lower-site",
-        ENGINE,
-        "for f in range(1, rg + 1 - (lb > 0)):",
-        "for f in range(1, rg + 1):",
-        f"{GUARDS}::test_memo_order_is_frozen",
-    ),
+    # The gray peel: the single walks beyond v are ``pair`` at ub = 0, and
+    # at f = r_g the lower walk is the empty walk, with u = l_g - r_g.
     Mutant(
         "single-upper-at-blue-half-length-one",
         ENGINE,
-        "self._rooted(opp, f, 1, u, 0)",
-        "self._rooted(opp, f, 1, u, 1)",
+        "x = anyc = self._gray(c, lg, 0, rg, 0, 0) if lg else self._a[c]",
+        "x = anyc = self._gray(c, lg, 0, rg, 0, 1) if lg else self._a[c]",
+        "tests/test_recurrence.py::TestSingleWalkValues",
+    ),
+    Mutant(
+        "gray-peel-empty-lower-off-by-one",
+        ENGINE,
+        "step = lower[0][db] * upper[dg]",
+        "step = lower[0][db] * upper[dg + 1]",
         "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     # Structural zeros: a read is skipped only where its key is 0 by shape.
     Mutant(
         "top-skips-neq-c-at-blue-zero",
         ENGINE,
-        "if rb or not lb else site[_NEQ_C]",
-        "if rb or not lb else 0",
+        "both = x[c, rg][0][dg][lb]",
+        "both = 0",
         "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
-    ),
-    Mutant(
-        "top-reads-eq-c-at-blue-zero",
-        ENGINE,
-        "total += site[_EQ_C] + site[_NEQ_C] if rb or not lb else site[_NEQ_C]",
-        "total += site[_EQ_C] + site[_NEQ_C]",
-        "tests/test_recurrence.py::TestStructuralZeros::test_eq_c_unread_at_blue_root_zero",
-    ),
-    Mutant(
-        "gray-peel-empty-lower-off-by-one",
-        ENGINE,
-        "for u in range(0, lg - rg + 1) if f < rg else (lg - rg,):",
-        "for u in range(0, lg - rg + 1) if f < rg else (lg - rg + 1,):",
-        "tests/test_recurrence.py::TestSingleWalkValues",
     ),
     # Single keys: each names the slot of the site of the same value.
     Mutant(
