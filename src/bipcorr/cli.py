@@ -7,9 +7,11 @@ its value.  Exit codes: 0 success, 1 crosscheck mismatch, 2 config
 error, 3 insufficient moments, 4 enumeration cap exceeded.
 
 Numeric flags accept rational text ("1/3", "5/2").  Moments come from a
-preset (``rademacher``, ``constant:c``, ``gaussian:s``) or a JSON file with
-an ``even_moments`` list.  Values are printed as exact rationals unless
-``--decimal N`` asks for N significant digits.
+weight-law spec (``rademacher``, ``constant:c``, ``gaussian:s``,
+``two-point:v1,q,v2``; see ``model.WeightLaw``), the same language as
+``simulate --dist``, or a JSON file with an ``even_moments`` list.  Values
+are printed as exact rationals unless ``--decimal N`` asks for N
+significant digits.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", default="1/2", help="part-1 fraction, rational text")
         p.add_argument("--p", default="1", help="sparsity parameter, rational text")
         if moments:
-            p.add_argument("--moments", default=None, help="moments preset name")
+            p.add_argument("--moments", default=None,
+                           help="law: rademacher, constant:c, gaussian:s or two-point:v1,q,v2")
             p.add_argument("--moments-file", default=None, help="JSON moments file")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker threads; the output does not depend on the thread count",
     )
-    p_sim.add_argument("--dist", default="rademacher", help="weight distribution spec")
+    p_sim.add_argument("--dist", default="rademacher", help="weight law, as for --moments")
     return parser
 
 
@@ -354,11 +357,9 @@ def _cmd_simulate(args) -> int:
             EXIT_CONFIG, f"unknown simulate mode {args.mode!r}; the only mode is 'sweep'"
         )
     try:
-        sizes = [int(chunk) for chunk in str(args.n).split(",") if chunk != ""]
+        sizes = [int(chunk) for chunk in str(args.n).split(",")]
     except ValueError:
         raise _CliError(EXIT_CONFIG, f"bad --n value: {args.n!r}")
-    if not sizes:
-        raise _CliError(EXIT_CONFIG, "--n needs at least one matrix size")
     sweep = args.mode == "sweep" or len(sizes) > 1
     params = _params(args)
     try:

@@ -11,11 +11,17 @@ Everything downstream needs only three ingredients, collected here:
 * ``ModelParams``: the pair (alpha, p) as exact rationals, with
   alpha1 = alpha and alpha2 = 1 - alpha the limiting part fractions.
 * ``MomentSequence``: the even weight moments V_2, V_4, ... (odd moments
-  vanish by symmetry and are never stored).
+  are never stored: a closed walk crosses each edge of a tree skeleton an
+  even number of times, so they do not enter the limit).
 * ``edge_factor``: the contribution of one skeleton edge traversed
   ``multiplicity`` times in total, V_mult / p^(mult/2 - 1).  This is the only
   place the moments and p meet, so the recurrence engine and the walk oracle
   cannot disagree about weights.
+
+``WeightLaw`` owns the weight-law spec language (``rademacher``,
+``constant:c``, ``gaussian:s``, ``two-point:v1,q,v2``): it alone parses a
+spec, for ``--moments`` through ``moments_preset`` and for the sampler's
+``--dist`` alike, so every law the sampler draws has its exact moments here.
 
 ``validate`` is the explicit gate used by the CLI; an engine applies its two
 halves, ``validate_context`` on its first coefficient and
@@ -27,6 +33,7 @@ machine-readable codes instead of failing half-way into a computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -199,39 +206,62 @@ def validate_indices(moments: MomentSequence, k: int, m: int) -> None:
     moments.require(required_moment_order(k, m))
 
 
-def _double_factorial_odd(n: int) -> int:
-    """(2j-1)!! for n = 2j-1; 1 when n <= 0."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+class WeightLaw:
+    """A weight law parsed from its spec, with its even moments exactly.
+
+    This is the one parser of the spec language: ``moments_preset`` reads
+    the moments of a law for routes 1 and 2, and the sampler of
+    :mod:`bipcorr.simulate` draws from the same parsed law.  The specs:
+
+    * ``rademacher``: a = +-1, V_2j = 1;
+    * ``constant:c``: a = c, V_2j = c^2j;
+    * ``gaussian:s``: centered normal with standard deviation s,
+      V_2j = s^2j (2j-1)!!;
+    * ``two-point:v1,q,v2``: v1 with probability q, else v2,
+      V_2j = q v1^2j + (1-q) v2^2j, with 0 <= q <= 1.
+
+    The arguments are rational literals, kept as exact Fractions in ``args``.
+    """
+
+    def __init__(self, spec: str):
+        kind, _, arg = spec.partition(":")
+        kind = kind.strip()
+        if kind == "rademacher":
+            if arg:
+                raise ValueError("rademacher takes no argument")
+            args = ()
+        elif kind in ("constant", "gaussian"):
+            args = (parse_scalar(arg),)
+        elif kind == "two-point":
+            parts = arg.split(",")
+            if len(parts) != 3:
+                raise ValueError("two-point needs v1,q,v2")
+            args = tuple(parse_scalar(s) for s in parts)
+            if not 0 <= args[1] <= 1:
+                raise ValueError(f"two-point probability out of range: {args[1]}")
+        else:
+            raise ValueError(f"unknown weight law: {spec!r}")
+        self.kind = kind
+        self.args = args
+
+    def even_moment(self, j: int) -> Fraction:
+        """V_2j, exactly."""
+        if self.kind == "rademacher":
+            return Fraction(1)
+        if self.kind == "constant":
+            return self.args[0] ** (2 * j)
+        if self.kind == "gaussian":
+            return self.args[0] ** (2 * j) * math.prod(range(1, 2 * j, 2))
+        v1, q, v2 = self.args
+        return q * v1 ** (2 * j) + (1 - q) * v2 ** (2 * j)
 
 
 def moments_preset(name: str, count: int) -> MomentSequence:
-    """Expand a named preset into an explicit list of ``count`` even moments.
-
-    Supported names: ``rademacher`` (V_2j = 1), ``constant:c`` (weights
-    identically c, V_2j = c^2j), ``gaussian:s`` (centered normal with standard
-    deviation s, V_2j = s^2j * (2j-1)!!).
-    """
+    """The first ``count`` even moments V_2, ..., V_2count of ``WeightLaw(name)``."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    base, _, arg = name.partition(":")
-    base = base.strip()
-    if base == "rademacher":
-        if arg:
-            raise ValueError("rademacher preset takes no argument")
-        return MomentSequence([Fraction(1)] * count)
-    if base == "constant":
-        c = parse_scalar(arg)
-        return MomentSequence([c ** (2 * j) for j in range(1, count + 1)])
-    if base == "gaussian":
-        sigma = parse_scalar(arg)
-        return MomentSequence(
-            [sigma ** (2 * j) * _double_factorial_odd(2 * j - 1) for j in range(1, count + 1)]
-        )
-    raise ValueError(f"unknown moments preset: {name!r}")
+    law = WeightLaw(name)
+    return MomentSequence([law.even_moment(j) for j in range(1, count + 1)])
 
 
 def load_moments_file(path: str) -> MomentSequence:

@@ -4,7 +4,9 @@ The limit coefficient n_{k,m} equals lim_N N * Cov(M_k, M_m), where
 M_k = Tr(A^k) / N is the k-th spectral moment of one sampled matrix.  This
 module measures that covariance at finite N, providing the third, statistical
 route to the same numbers, plus an exact rational evaluation for tiny N used
-to validate the sampler itself.
+to validate the sampler itself.  ``WeightDistribution`` draws the law that
+``model.WeightLaw``, the one parser of weight-law specs, reads from its spec,
+so routes 1 and 2 take the exact moments of every law drawn here.
 
 Sampling layout
 ---------------
@@ -75,8 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import InvalidParamsError, ModelParams
-from .rational import parse_scalar
+from .model import InvalidParamsError, ModelParams, WeightLaw
 
 _MASK64 = (1 << 64) - 1
 _MAX_INT64 = (1 << 63) - 1
@@ -95,35 +96,17 @@ class FiniteSizeCapError(ValueError):
 
 
 class WeightDistribution:
-    """Symmetric weight law: sampler plus a printable name.
+    """Sampler of ``model.WeightLaw(name)``, plus the printable ``name``.
 
-    Supported specs: ``rademacher``, ``constant:c``, ``gaussian:s``,
-    ``two-point:v1,q,v2`` (value v1 with probability q, else v2; q and the
-    values are rational literals within float range).
+    ``model.WeightLaw`` owns the spec language and parses ``name``; here its
+    exact arguments become floats, each of which must lie within float range.
     """
 
     def __init__(self, name: str):
-        base, _, arg = name.partition(":")
-        base = base.strip()
+        law = WeightLaw(name)
         self.name = name
-        self._kind = base
-        if base == "rademacher":
-            if arg:
-                raise ValueError("rademacher takes no argument")
-        elif base == "constant":
-            self._c = self._float(parse_scalar(arg))
-        elif base == "gaussian":
-            self._sigma = self._float(parse_scalar(arg))
-        elif base == "two-point":
-            parts = arg.split(",")
-            if len(parts) != 3:
-                raise ValueError("two-point needs v1,q,v2")
-            v1, q, v2 = (parse_scalar(s) for s in parts)
-            if not 0 <= q <= 1:
-                raise ValueError(f"two-point probability out of range: {q}")
-            self._v1, self._q, self._v2 = (self._float(x) for x in (v1, q, v2))
-        else:
-            raise ValueError(f"unknown weight distribution: {name!r}")
+        self._kind = law.kind
+        self._args = tuple(self._float(x) for x in law.args)
 
     def _float(self, value: Fraction) -> float:
         try:
@@ -139,11 +122,12 @@ class WeightDistribution:
         if self._kind == "rademacher":
             return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
         if self._kind == "constant":
-            return np.full(shape, self._c)
+            return np.full(shape, self._args[0])
         if self._kind == "gaussian":
-            return rng.standard_normal(shape) * self._sigma
+            return rng.standard_normal(shape) * self._args[0]
+        v1, q, v2 = self._args
         u = rng.random(shape)
-        return np.where(u < self._q, self._v1, self._v2)
+        return np.where(u < q, v1, v2)
 
 
 def _part1_size(N: int, alpha) -> int:

@@ -71,6 +71,24 @@ class TestCompute:
         )
         assert code == 0 and out == "4/3\n"
 
+    def test_two_point_moments_equal_its_moments_file(self, capsys, tmp_path):
+        # two-point:1,1/2,2 has V_2j = (1 + 4^j) / 2.
+        path = tmp_path / "moments.json"
+        values = [format_scalar(F(1 + 4**j, 2)) for j in range(1, 7)]
+        path.write_text(json.dumps({"even_moments": values}))
+        table = ["compute", "--kmax", "6", "--mmax", "6"]
+        code, from_law, _ = run(capsys, table + ["--moments", "two-point:1,1/2,2"])
+        assert code == 0
+        code, from_file, _ = run(capsys, table + ["--moments-file", str(path)])
+        assert code == 0 and from_law == from_file
+
+    def test_unknown_law_same_message_as_simulate(self, capsys):
+        code, out, err = run(capsys, ["compute", "--k", "2", "--m", "2", "--moments", "uniform"])
+        assert code == 2 and out == ""
+        assert err == "error: unknown weight law: 'uniform'\n"
+        argv = ["simulate", "--n", "16", "--k", "2", "--m", "2", "--dist", "uniform"]
+        assert run(capsys, argv) == (2, "", err)
+
     def test_table_csv_frozen(self, capsys):
         code, out, _ = run(
             capsys,
@@ -398,6 +416,13 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[0] == "N,k,m,samples,batches,seed,mean,stderr"
         assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("sizes", ["40,,80", "40,", ",40", ",", ""])
+    def test_empty_size_item_rejected(self, capsys, sizes):
+        argv = ["simulate", f"--n={sizes}", "--k", "2", "--m", "2", "--samples", "16"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: bad --n value: {sizes!r}\n"
 
     def test_config_errors(self, capsys):
         cases = [

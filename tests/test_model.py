@@ -168,9 +168,15 @@ class TestPresets:
         assert moments_preset("gaussian:1", 4).values == (F(1), F(3), F(15), F(105))
 
     def test_unknown_or_malformed(self):
-        for bad in ("poisson", "constant", "constant:x", "rademacher:2"):
+        for bad in ("poisson", "constant", "constant:x", "rademacher:2",
+                    "two-point:1,2", "two-point:1,3/2,-1", "two-point:1,-1/2,2", "two-point:1,x,2"):
             with pytest.raises(ValueError):
                 moments_preset(bad, 2)
+
+    def test_two_point(self):
+        # q v1^2j + (1-q) v2^2j
+        moments = moments_preset("two-point:1,1/2,2", 3)
+        assert moments.values == (F(5, 2), F(17, 2), F(65, 2))
 
     def test_zero_count(self):
         assert moments_preset("rademacher", 0).values == ()

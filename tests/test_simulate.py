@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bipcorr import simulate
-from bipcorr.model import InvalidParamsError, ModelParams
+from bipcorr.model import InvalidParamsError, ModelParams, WeightLaw
 from bipcorr.simulate import (
     EnsembleSpec,
     FiniteSizeCapError,
@@ -68,6 +68,31 @@ class TestWeightDistribution:
         ):
             with pytest.raises(ValueError):
                 WeightDistribution(bad)
+
+
+class TestLawParity:
+    # V_2j, j = 1..4, in closed form, written out apart from model.WeightLaw.
+    CLOSED_FORMS = {
+        "rademacher": lambda j: F(1),
+        "constant:3/2": lambda j: F(3, 2) ** (2 * j),
+        "gaussian:2": lambda j: F(2) ** (2 * j) * math.prod(range(1, 2 * j, 2)),
+        "two-point:2,1/4,-1": lambda j: F(1, 4) * 2 ** (2 * j) + F(3, 4) * (-1) ** (2 * j),
+    }
+
+    @pytest.mark.parametrize("spec", list(CLOSED_FORMS))
+    def test_sampler_draws_the_law_whose_moments_are_read(self, spec):
+        closed = [self.CLOSED_FORMS[spec](j) for j in range(1, 5)]
+        law = WeightLaw(spec)
+        assert [law.even_moment(j) for j in range(1, 5)] == closed
+        # The empirical V_2 and V_4 of one draw lie within 5 standard errors
+        # sqrt((V_4j - V_2j^2) / n) of the exact values.
+        n = 200_000
+        weights = WeightDistribution(spec).sample(np.random.default_rng(1931), n)
+        for j in (1, 2):
+            exact = float(law.even_moment(j))
+            stderr = math.sqrt(float(closed[2 * j - 1] - closed[j - 1] ** 2) / n)
+            empirical = float(np.mean(weights ** (2 * j)))
+            assert abs(empirical - exact) <= 5 * stderr, (j, empirical, exact, stderr)
 
 
 class TestEnsembleSpec:

@@ -41,6 +41,8 @@ MOMENTS = "tests/test_simulate.py::TestTraceMoments"
 FINITE = "tests/test_simulate.py::TestExactFiniteN"
 ENTRIES = "tests/test_simulate.py::TestSampleMatrix"
 STREAM = "tests/test_simulate.py::TestEstimates::test_chunk_stream_equals_samples_alone"
+MODEL = "src/bipcorr/model.py"
+LAW_PARITY = "tests/test_simulate.py::TestLawParity"
 # A selector still running after this many seconds leaves its mutant alive.
 TIMEOUT_S = 600
 
@@ -527,10 +529,32 @@ ROWS = (
         "",
         "tests/test_cli.py::TestCrosscheck::test_mismatches_reported_in_key_order",
     ),
+    # Model: the exact even moments V_2j of each weight law.
+    Mutant(
+        "gaussian-moment-without-double-factorial",
+        MODEL,
+        "return self.args[0] ** (2 * j) * math.prod(range(1, 2 * j, 2))",
+        "return self.args[0] ** (2 * j)",
+        LAW_PARITY,
+    ),
+    Mutant(
+        "two-point-moment-probabilities-swapped",
+        MODEL,
+        "return q * v1 ** (2 * j) + (1 - q) * v2 ** (2 * j)",
+        "return (1 - q) * v1 ** (2 * j) + q * v2 ** (2 * j)",
+        LAW_PARITY,
+    ),
+    Mutant(
+        "constant-moment-c-to-the-j",
+        MODEL,
+        "return self.args[0] ** (2 * j)\n",
+        "return self.args[0] ** j\n",
+        LAW_PARITY,
+    ),
     # Model: a negative even moment is rejected before any computation.
     Mutant(
         "negative-moment-accepted",
-        "src/bipcorr/model.py",
+        MODEL,
         "        if value < 0:\n",
         "        if False:\n",
         "tests/test_cli.py::TestCrosscheck::test_negative_moment_exit_config",
