@@ -98,17 +98,20 @@ l_g > 0, else NEQ_ANYC_SN = glue rho.
 Blocks and bounds.  A block (c, l_g, l_b) is the sites with these fields;
 the excess of a site is (l_g - r_g, l_b - r_b).  For each block the engine
 keeps excess bounds (E_g, E_b): it has evaluated exactly the sites of the
-block with excess at most (E_g, E_b).  A request names a block and its
-bounds.  A worklist raises bounds monotonically, from each block whose
-bounds grow along the edges that cover every read of its sites, with
-u = min(E_g, l_g - 1):
+block with excess at most (E_g, E_b).  A block with l_g > 0 stops at
+E_g = l_g - 1, as its sites with r_g = 0 are 0 by rule (G) (see "Structural
+zeros") and no read needs them.  A request names a block and its bounds,
+and a bound past that cap asks for the cap.  A worklist raises bounds
+monotonically, from each block whose bounds grow along the edges that cover
+every read of its sites:
 
-- (c, l_g - 1, b) at (u, min(E_b, b)), for b = 0 .. l_b: the lower sites of
-  both peels.  A cut takes f >= 1 of l_g, the gray peel keeps l_b, the red
-  peel lowers it, and the excess of a lower site is at most the site's.
+- (c, l_g - 1, b) at (E_g, min(E_b, b)), for b = 0 .. l_b: the lower sites
+  of both peels.  A cut takes f >= 1 of l_g, the gray peel keeps l_b, the
+  red peel lowers it, and the excess of a lower site is at most the site's.
   The blocks further down are reached by the same edges from these.
-- (3 - c, u, b) whole, for b = 0 .. E_b: the sites at v that ``rooted`` and
-  ``pair`` sum over, as ug <= min(l_g - r_g, l_g - f) and ub <= l_b - r_b.
+- (3 - c, E_g, b) whole, for b = 0 .. E_b: the sites at v that ``rooted``
+  and ``pair`` sum over, as ug <= min(l_g - r_g, l_g - f) and
+  ub <= l_b - r_b.
 - (c, l_g, 0) at (E_g, 0) and (c, l_b, 0) at (E_b, 0), if l_b > 0: the
   single walks of the glue.
 
@@ -117,8 +120,8 @@ Without the bounds every block would be evaluated whole, and S1(1, 600,
 No edge keeps l_g and lowers l_b, as no read does.  An edge
 (c, l_g, l_b - 1) at (E_g, min(E_b, l_b - 1)) would cover the same reads
 through the blocks below it, but would also evaluate the column
-(c, l_g, b < l_b) under every requested block, which nothing reads: 2,002
-of the 16,562 sites that n_{24,24} then takes.
+(c, l_g, b < l_b) under every requested block, which nothing reads: 1,848
+of the 14,378 sites that n_{24,24} then takes.
 
 The blocks whose bounds grew are evaluated in rank order, by total
 l_g + l_b and then l_b > 0, one site at a time.  Every read either lowers
@@ -155,7 +158,8 @@ shapes force a family value to 0:
 
 The equations do not read such keys; their loop ranges leave them out, so
 no read pays a lookup for the rule.  ``range(x > 0, x + 1)`` starts at 1
-whenever x is positive.
+whenever x is positive.  So the bounds leave out the sites that (G) makes 0
+(see "Blocks and bounds"); a read of one would find no value and raise.
 
 - The gray peel: at f = r_g the lower walk has no departure left, so only
   u = l_g - r_g is read (G).  With l_b = 0 that lower piece is the empty
@@ -168,8 +172,28 @@ whenever x is positive.
   ``rooted``'s vb starts at 1 when ub > 0, and the sum over vb that
   ``pair`` and TOP read takes x there, which is NEQ_C.
 
-A site asked for directly, through ``s_value``, is evaluated by its own
-equations, giving 0 where a rule says so.
+A site asked for directly, through ``s_value`` or ``scaled_site``, is 0 if
+(G) says so, and is otherwise evaluated by its own equations, giving 0
+where (B) says so.
+
+Orientation
+-----------
+n_{k,m} = n_{m,k}, and TOP(l_g, l_b) = TOP(l_b, l_g) holds pair by pair:
+swapping the colours maps each essential pair with half-lengths (l_g, l_b)
+to one with (l_b, l_g).  The skeleton is the same tree with the same edge
+multiplicities and vertices, so the weight is the same, and an edge shared
+by both walks stays shared.  The map is its own inverse, so it is one to
+one.  The engine peels the gray walk first, so the two orientations are
+different sums over different sites, and agree only if the equations hold.
+``correlator_coefficient(k, m)`` reads TOP(min(k, m) / 2, max(k, m) / 2),
+the shorter walk gray.  TOP(L, L) reads every block (c, l_g, l_b) with
+l_g < L and l_b <= L whole, through the edges to the lower columns, and
+TOP(a, b) with a <= b <= L reads the block (c, a, b) whole, where a < L
+unless a = b = L.  So the table of n_{k,m} for k, m <= 2L evaluates
+exactly the sites of n_{2L,2L}.  With the longer walk gray it would also
+evaluate the blocks (c, L, l_b < L), which no edge reaches from (c, L, L).
+``s_value`` reads TOP in the orientation its key names, so the tests and
+``crosscheck`` can check the other orientation.
 
 Scaled integers
 ---------------
@@ -331,7 +355,9 @@ class CoefficientEngine:
         validate_indices(self.moments, k, m)
         if k % 2 != 0 or m % 2 != 0:
             return Fraction(0)
-        return self.s_value(fam.top_key(k // 2, m // 2))
+        # n_{k,m} = n_{m,k} (see "Orientation"), and TOP with the shorter
+        # walk gray reads only blocks that the diagonal key reads as well.
+        return self.s_value(fam.top_key(min(k, m) // 2, max(k, m) // 2))
 
     def correlator_table(self, kmax: int, mmax: int) -> dict:
         """All coefficients for 1 <= k <= kmax, 1 <= m <= mmax."""
@@ -388,13 +414,13 @@ class CoefficientEngine:
         """Evaluate the sites of block (c, lg, lb) with excess at most
         (eg, eb), after every site they read."""
         bounds = self._bounds
-        old_g, old_b = bounds.get((c, lg, lb), (-1, -1))
-        if eg <= old_g and eb <= old_b:
-            return
         grown = {}
         work = [(c, lg, lb, eg, eb)]
         while work:
             c, lg, lb, eg, eb = work.pop()
+            if lg:
+                # The sites with r_g = 0 < l_g are 0 (G), and no read needs them.
+                eg = min(eg, lg - 1)
             old = old_g, old_b = bounds.get((c, lg, lb), (-1, -1))
             if eg <= old_g and eb <= old_b:
                 continue
@@ -402,11 +428,10 @@ class CoefficientEngine:
             bounds[c, lg, lb] = eg, eb
             grown.setdefault((c, lg, lb), old)
             if lg:
-                u = min(eg, lg - 1)
                 for b in range(lb + 1):
-                    work.append((c, lg - 1, b, u, min(eb, b)))
+                    work.append((c, lg - 1, b, eg, min(eb, b)))
                 for b in range(eb + 1):
-                    work.append((3 - c, u, b, u, b))
+                    work.append((3 - c, eg, b, eg, b))
             if lb:
                 work.append((c, lg, 0, eg, 0))
                 work.append((c, lb, 0, eb, 0))
@@ -596,7 +621,7 @@ class CoefficientEngine:
         """The scaled fourteen values of a site whose fields are checked, in
         the order of ``SITE_TAGS``."""
         c, lg, lb, rg, rb = site
-        if rg > lg or rb > lb:
+        if rg > lg or rb > lb or rg == 0 < lg:
             return _ZERO_SITE
         dg, db = lg - rg, lb - rb
         self._require(c, lg, lb, dg, db)

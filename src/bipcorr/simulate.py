@@ -508,7 +508,7 @@ def estimate_correlators(
 
 
 # ---------------------------------------------------------------------------
-# Exact finite-N correlator for two-point weights
+# Exact finite-N correlator for weight laws with finitely many values
 
 
 def _matmul(a, b):
@@ -528,15 +528,18 @@ def _trace(a) -> Fraction:
 def exact_finite_N(
     N: int,
     params: ModelParams,
-    two_point: tuple,
+    law: str,
     k: int,
     m: int,
 ) -> Fraction:
     """N * Cov(M_k, M_m) summed exactly over all edge configurations.
 
-    ``two_point`` is (v1, q, v2): each present edge carries weight v1 with
-    probability q, else v2.  Feasible only for N <= 6 (the configuration
-    space is exponential in the number of cross pairs).
+    ``law`` is a ``model.WeightLaw`` spec of a law with finitely many values,
+    ``rademacher``, ``constant:c`` or ``two-point:v1,q,v2``: each present
+    edge carries each value with its probability.  A ``gaussian`` law, or a
+    spec ``WeightLaw`` rejects, raises ``InvalidParamsError``.  Feasible only
+    for N <= 6 (the configuration space is exponential in the number of
+    cross pairs).
     """
     if N < 1:
         raise InvalidParamsError("bad_matrix_size", f"matrix size must be >= 1, got {N}")
@@ -547,21 +550,33 @@ def exact_finite_N(
     _validate_parts(N, params)
     if k < 1 or m < 1:
         raise ValueError(f"moment indices must be >= 1, got ({k}, {m})")
+    try:
+        parsed = WeightLaw(law)
+    except ValueError as exc:
+        raise InvalidParamsError("bad_weight_law", str(exc)) from exc
+    if parsed.kind == "gaussian":
+        raise InvalidParamsError(
+            "continuous_weight_law",
+            f"exact finite-size evaluation needs finitely many weight values, got {law!r}",
+        )
     if k % 2 != 0 or m % 2 != 0:
         return Fraction(0)
 
-    v1, q, v2 = (Fraction(x) for x in two_point)
-    if not 0 <= q <= 1:
-        raise InvalidParamsError("bad_two_point", f"two-point probability out of range: {q}")
+    if parsed.kind == "rademacher":
+        values = [(Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2))]
+    elif parsed.kind == "constant":
+        values = [(parsed.args[0], Fraction(1))]
+    else:
+        v1, q, v2 = parsed.args
+        values = [(v1, q), (v2, 1 - q)]
     p = Fraction(params.p)
     present = p / N
-    states = [(Fraction(0), 1 - present)]
-    if v1 == v2:
-        states.append((v1, present))
-    else:
-        states.append((v1, present * q))
-        states.append((v2, present * (1 - q)))
-    states = [(value, prob) for value, prob in states if prob != 0]
+    # The values an entry can take, 0 when absent, each with its
+    # probability; equal values merge into one state.
+    merged = {Fraction(0): 1 - present}
+    for value, prob in values:
+        merged[value] = merged.get(value, 0) + present * prob
+    states = [(value, prob) for value, prob in merged.items() if prob != 0]
 
     n1 = _part1_size(N, params.alpha)
     n2 = N - n1

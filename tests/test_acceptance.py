@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from bipcorr import cli
+from bipcorr import cli, families as fam
 from bipcorr.cli import run_crosscheck
 from bipcorr.model import ModelParams, MomentSequence
 from bipcorr.recurrence import CoefficientEngine
@@ -113,10 +113,14 @@ class TestStructuralProperties:
                     assert engine.correlator_coefficient(k, m) == 0, (k, m)
 
     def test_symmetry(self):
+        # n_{k,m} = n_{m,k}, but ``correlator_coefficient`` reads TOP in one
+        # orientation only, the shorter walk gray.  So the test reads both
+        # orientations of TOP, each on an engine of its own.
         params, moments = context(2)
-        engine = CoefficientEngine(params, moments)
         for k, m in EVEN_PAIRS:
-            assert engine.correlator_coefficient(k, m) == engine.correlator_coefficient(m, k)
+            gray_first = CoefficientEngine(params, moments).s_value(fam.top_key(k // 2, m // 2))
+            blue_first = CoefficientEngine(params, moments).s_value(fam.top_key(m // 2, k // 2))
+            assert gray_first == blue_first, (k, m)
 
     def test_part_exchange_invariance(self):
         _, moments = context(2)
@@ -146,7 +150,7 @@ def test_sampler_calibrated_against_exact_finite_size():
     # At N = 2 with p = 1 and unit weights the covariance is exactly 1/2;
     # the estimator must land within 4 standard errors for nearly all seeds.
     params = ModelParams(F(1, 2), F(1))
-    assert exact_finite_N(2, params, (F(1), F(1), F(1)), 2, 2) == F(1, 2)
+    assert exact_finite_N(2, params, "constant:1", 2, 2) == F(1, 2)
     hits = 0
     for seed in range(20):
         spec = EnsembleSpec(2, params, WeightDistribution("constant:1"), seed)

@@ -62,7 +62,10 @@ class TestAgainstEnumeration:
         engine = make_engine(index)
         for (k, m), expected in ORACLE_TABLES[index].items():
             assert engine.correlator_coefficient(k, m) == expected
-            assert engine.correlator_coefficient(m, k) == expected
+            # ``correlator_coefficient`` reads TOP with the shorter walk
+            # gray; each orientation, on an engine of its own, is n_{k,m}.
+            for lg, lb in ((k // 2, m // 2), (m // 2, k // 2)):
+                assert make_engine(index).s_value(fam.top_key(lg, lb)) == expected
 
     @pytest.mark.parametrize("index", CONTEXT_IDS)
     def test_family_values_sample(self, index):
@@ -335,11 +338,23 @@ class TestMemo:
         # equations stopped reading keys that are zero by their shape, and
         # 4289 after; the engine of fourteen values per site held 444 sites,
         # 6216 values.  Two ints per site, by blocks and excess bounds,
-        # evaluate every site of a bounded rectangle of each block, also the
-        # ones no read needs, such as those rule (G) makes 0.
+        # evaluated every site of a bounded rectangle of each block: 714
+        # sites, with the ones rule (G) makes 0, which no read needs and
+        # which the bounds now leave out.
         engine = make_engine(1, count=10)
         engine.correlator_coefficient(10, 10)
-        assert (len(engine._sites), engine.memo_size) == (714, 1428)
+        assert (len(engine._sites), engine.memo_size) == (532, 1064)
+
+    @pytest.mark.parametrize("half", [5, 7])
+    def test_table_costs_its_diagonal_key(self, half):
+        # ``correlator_coefficient`` reads TOP with the shorter walk gray,
+        # and every block such a TOP reads, the diagonal TOP reads too.  So
+        # the whole table evaluates exactly the sites of its last entry.
+        lone = make_engine(1, count=2 * half)
+        lone.correlator_coefficient(2 * half, 2 * half)
+        table = make_engine(1, count=2 * half)
+        table.correlator_table(2 * half, 2 * half)
+        assert sorted(table._sites) == sorted(lone._sites)
 
     def test_memo_holds_only_sites(self):
         # The engine holds sites and nothing else: each site its x and its
@@ -379,7 +394,9 @@ class TestMemo:
         # The hash was 78ce5d7f... over 600 cached upper sums when the memo
         # held fourteen values per site, evaluated depth first from a work
         # stack: the sites and their order are new, and each site now lists
-        # its x and its EQ_ANYC.
+        # its x and its EQ_ANYC.  Then it was 412d1e66... over (180, 450)
+        # entries, until TOP was read with the shorter walk gray and the
+        # sites that rule (G) makes 0 were left out.
         engine = make_engine(1, count=10)
         engine.correlator_table(10, 10)
         keys = repr([tuple(key) for key, _ in engine.memo_items()])
@@ -388,8 +405,8 @@ class TestMemo:
             sum(len(row) for rows in engine._rooted.values() for by_ug in rows[1:] for row in by_ug),
         )
         assert (hashlib.sha256(keys.encode()).hexdigest(), entries) == (
-            "412d1e66530265c9571753abd90fd0141caf865dbbb29e5a9c93d97f2be6aae5",
-            (180, 450),
+            "c13779ca066c89bc8dac5490e47437dc1f806f66d351a075fb94793f6e2474b0",
+            (140, 450),
         )
 
     def test_family_values_are_frozen(self):
@@ -419,7 +436,7 @@ class TestUpperSums:
         reach = 8 if index == 3 else 13
         engine = make_engine(index, count=reach)
         for lb in (1, 2, 3):
-            engine.correlator_coefficient(2 * (reach - lb), 2 * lb)
+            engine.s_value(fam.top_key(reach - lb, lb))
         weights = engine._weights
         for opp in (1, 2):
             for f in range(1, 5):

@@ -473,35 +473,35 @@ class TestEstimates:
 
 class TestExactFiniteN:
     def test_two_cross_pair_case(self):
-        value = exact_finite_N(2, ModelParams(F(1, 2), F(1)), (F(1), F(1, 2), F(-1)), 2, 2)
+        value = exact_finite_N(2, ModelParams(F(1, 2), F(1)), "rademacher", 2, 2)
         assert value == F(1, 2)
 
     def test_constant_weights(self):
         params = ModelParams(F(1, 2), F(1))
-        assert exact_finite_N(3, params, (F(1), F(1), F(1)), 2, 2) == F(16, 27)
-        assert exact_finite_N(4, params, (F(1), F(1), F(1)), 2, 4) == F(99, 64)
+        assert exact_finite_N(3, params, "constant:1", 2, 2) == F(16, 27)
+        assert exact_finite_N(4, params, "constant:1", 2, 4) == F(99, 64)
 
     def test_degenerate_two_point_merges_states(self):
         params = ModelParams(F(1, 2), F(1))
-        assert exact_finite_N(3, params, (F(1), F(1, 3), F(1)), 2, 2) == F(16, 27)
+        assert exact_finite_N(3, params, "two-point:1,1/3,1", 2, 2) == F(16, 27)
 
     def test_asymmetric_two_point(self):
-        value = exact_finite_N(4, ModelParams(F(1, 3), F(2)), (F(2), F(1, 4), F(-1)), 2, 2)
+        value = exact_finite_N(4, ModelParams(F(1, 3), F(2)), "two-point:2,1/4,-1", 2, 2)
         assert value == F(309, 256)
 
     def test_odd_indices_vanish(self):
-        assert exact_finite_N(3, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 3, 2) == 0
+        assert exact_finite_N(3, ModelParams(F(1, 2), F(1)), "constant:1", 3, 2) == 0
 
     def test_size_cap(self):
         with pytest.raises(FiniteSizeCapError):
-            exact_finite_N(7, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 2, 2)
+            exact_finite_N(7, ModelParams(F(1, 2), F(1)), "constant:1", 2, 2)
 
     def test_largest_size_equals_float_enumeration(self):
         # N = 6 is the cap itself, so it is evaluated: 3 x 3 cross pairs, each
         # absent or present with the constant weight 1 / sqrt(p), give 2^9
         # layouts, enumerated here in floats from the full matrix A.
         N, p, k, m = 6, 2, 2, 4
-        value = exact_finite_N(N, ModelParams(F(1, 2), F(p)), (F(1), F(1), F(1)), k, m)
+        value = exact_finite_N(N, ModelParams(F(1, 2), F(p)), "constant:1", k, m)
         present = p / N
         mean_k = mean_m = mean_km = 0.0
         for layout in range(2**9):
@@ -519,25 +519,38 @@ class TestExactFiniteN:
 
     def test_single_vertex_has_an_empty_part(self):
         with pytest.raises(InvalidParamsError) as info:
-            exact_finite_N(1, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 2, 2)
+            exact_finite_N(1, ModelParams(F(1, 2), F(1)), "constant:1", 2, 2)
         assert info.value.code == "empty_part"
 
     def test_first_moment_vanishes(self):
-        assert exact_finite_N(3, ModelParams(F(1, 2), F(1)), (F(1), F(1), F(1)), 1, 2) == 0
+        assert exact_finite_N(3, ModelParams(F(1, 2), F(1)), "constant:1", 1, 2) == 0
 
     def test_param_validation(self):
         with pytest.raises(InvalidParamsError):
-            exact_finite_N(4, ModelParams(F(1, 2), F(5)), (F(1), F(1), F(1)), 2, 2)
+            exact_finite_N(4, ModelParams(F(1, 2), F(5)), "constant:1", 2, 2)
         with pytest.raises(InvalidParamsError):
-            exact_finite_N(4, ModelParams(F(1, 2), F(1)), (F(1), F(3, 2), F(-1)), 2, 2)
+            exact_finite_N(4, ModelParams(F(1, 2), F(1)), "two-point:1,3/2,-1", 2, 2)
         with pytest.raises(InvalidParamsError) as info:
-            exact_finite_N(2, ModelParams(F(1, 3), F(1)), (F(1), F(1), F(1)), 2, 2)
+            exact_finite_N(2, ModelParams(F(1, 3), F(1)), "constant:1", 2, 2)
         assert info.value.code == "empty_part"
+
+    def test_law_with_a_density_rejected(self):
+        with pytest.raises(InvalidParamsError) as info:
+            exact_finite_N(2, ModelParams(F(1, 2), F(1)), "gaussian:1", 2, 2)
+        assert info.value.code == "continuous_weight_law"
+
+    def test_rademacher_signs_count_on_a_cycle(self):
+        # At N = 4 and alpha = 1/2 the four cross pairs close a 4-cycle,
+        # which Tr(A^4) walks around, so the signs of the weights count.
+        params = ModelParams(F(1, 2), F(2))
+        assert exact_finite_N(4, params, "rademacher", 4, 4) == F(11, 16)
+        assert exact_finite_N(4, params, "two-point:1,1/2,-1", 4, 4) == F(11, 16)
+        assert exact_finite_N(4, params, "constant:1", 4, 4) == F(239, 256)
 
     def test_sampler_matches_exact_value(self):
         # The Monte Carlo estimator must agree with the exact N=2 covariance;
         # this ties the sampler's scaling conventions to the closed form.
-        exact = float(exact_finite_N(2, ModelParams(F(1, 2), F(1)), (F(1), F(1, 2), F(-1)), 2, 2))
+        exact = float(exact_finite_N(2, ModelParams(F(1, 2), F(1)), "rademacher", 2, 2))
         hits = 0
         for seed in range(3):
             spec = EnsembleSpec(2, ModelParams(F(1, 2), F(1)), WeightDistribution("rademacher"), seed)

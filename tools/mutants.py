@@ -170,7 +170,7 @@ ROWS = (
         "closure-without-lower-column",
         ENGINE,
         "                for b in range(lb + 1):\n"
-        "                    work.append((c, lg - 1, b, u, min(eb, b)))\n",
+        "                    work.append((c, lg - 1, b, eg, min(eb, b)))\n",
         "",
         "tests/test_recurrence.py::TestAgainstEnumeration",
     ),
@@ -178,9 +178,27 @@ ROWS = (
         "closure-without-upper-row",
         ENGINE,
         "                for b in range(eb + 1):\n"
-        "                    work.append((3 - c, u, b, u, b))\n",
+        "                    work.append((3 - c, eg, b, eg, b))\n",
         "",
         "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    # Rule (G) caps the gray excess of a block at l_g - 1: its sites with
+    # r_g = 0 are 0 and read by nothing, but those with r_g = 1 are read.
+    # The mutant keeps the cap >= 0, as a negative bound would send the
+    # worklist to blocks of negative half-length without end.
+    Mutant(
+        "gray-excess-cap-one-short",
+        ENGINE,
+        "eg = min(eg, lg - 1)",
+        "eg = min(eg, max(lg - 2, 0))",
+        "tests/test_recurrence.py::TestAgainstEnumeration",
+    ),
+    Mutant(
+        "site-reader-evaluates-gray-root-zero",
+        ENGINE,
+        "if rg > lg or rb > lb or rg == 0 < lg:",
+        "if rg > lg or rb > lb:",
+        "tests/test_recurrence.py::TestSingleWalkValues::test_impossible_departure_counts_vanish",
     ),
     Mutant(
         "closure-without-gray-glue",
@@ -242,6 +260,22 @@ ROWS = (
         "both = x[c, rg][0][dg][lb]",
         "both = 0",
         "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
+    ),
+    # Orientation: n_{k,m} reads TOP with the shorter walk gray, whose
+    # blocks the diagonal key reads as well.
+    Mutant(
+        "top-reads-the-shorter-walk-twice",
+        ENGINE,
+        "fam.top_key(min(k, m) // 2, max(k, m) // 2)",
+        "fam.top_key(min(k, m) // 2, min(k, m) // 2)",
+        "tests/test_recurrence.py::TestAgainstEnumeration::test_frozen_coefficients",
+    ),
+    Mutant(
+        "top-reads-the-longer-walk-gray",
+        ENGINE,
+        "fam.top_key(min(k, m) // 2, max(k, m) // 2)",
+        "fam.top_key(max(k, m) // 2, min(k, m) // 2)",
+        f"{GUARDS}::test_table_costs_its_diagonal_key",
     ),
     # Single keys: each names the slot of the site of the same value.
     Mutant(
@@ -486,6 +520,13 @@ ROWS = (
         "\n    if k < 1 or m < 1:\n",
         "\n    if k <= 1 or m < 1:\n",
         f"{FINITE}::test_first_moment_vanishes",
+    ),
+    Mutant(
+        "finite-n-rademacher-without-sign",
+        SAMPLER,
+        "values = [(Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2))]",
+        "values = [(Fraction(1), Fraction(1))]",
+        f"{FINITE}::test_rademacher_signs_count_on_a_cycle",
     ),
     Mutant(
         "estimate-rejects-first-moment",
